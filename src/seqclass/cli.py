@@ -231,12 +231,20 @@ class RunConfig:
                 raise ConfigError("sweep range must be positive")
             if self.sweep["scale"] not in ("linear", "log"):
                 raise ConfigError("sweep_scale must be linear or log")
+            if param == "xi":
+                if fam != "scaled_renyi":
+                    raise ConfigError("sweep_parameter xi needs lambda_family scaled_renyi")
+                if self.sweep["from"] > 1 or self.sweep["to"] > 1:
+                    raise ConfigError("xi sweep must stay within (0, 1]")
         coarse = raw.get("solver_coarse_m")
-        self.solver = SearchConfig(
-            coarse_m=int(coarse) if coarse is not None else None,
-            refine_rounds=int(raw.get("solver_refine_rounds", "3")),
-            refine_factor=int(raw.get("solver_refine_factor", "10")),
-        )
+        try:
+            self.solver = SearchConfig(
+                coarse_m=int(coarse) if coarse is not None else None,
+                refine_rounds=int(raw.get("solver_refine_rounds", "3")),
+                refine_factor=int(raw.get("solver_refine_factor", "10")),
+            )
+        except ValueError as e:
+            raise ConfigError(f"bad solver settings: {e}")
         setups = raw.get("sim_setups", "fullyseq")
         try:
             self.sim_setups = tuple(SetupKind(s.strip()) for s in setups.split(","))
@@ -250,6 +258,12 @@ class RunConfig:
             self.sim_late_cap = int(cap) if cap is not None else None
         except ValueError as e:
             raise ConfigError(f"bad sim settings: {e}")
+        if min(self.sim_n_grid) < 2:
+            raise ConfigError("sim_n_grid entries must be >= 2")
+        if self.sim_trials < 1:
+            raise ConfigError("sim_trials must be >= 1")
+        if self.sim_late_cap is not None and self.sim_late_cap < 1:
+            raise ConfigError("sim_late_cap must be >= 1")
         self.svg_log_x = raw.get("svg_log_x", "false").lower() in ("1", "true", "yes")
         try:
             self.instance()  # validate eagerly

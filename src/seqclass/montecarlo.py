@@ -2,7 +2,6 @@
 with an exponent regression across the sample-budget grid n."""
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,13 +45,6 @@ class ExponentFit:
     n_grid: tuple
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("SEQCLASS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _one_trial(setup, inst, model, theta, n, seed, trial, late_cap):
     """Draw fresh streams for one trial and run the setup's test."""
     d = inst.d
@@ -87,22 +79,14 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     Deterministic for a fixed seed: each trial's streams are keyed by
     (seed, trial, block), so growing `trials` extends, never reshuffles.
     """
+    if theta not in (0, 1):
+        raise ValueError("theta must be 0 or 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     model = None if setup is SetupKind.FixedLength else make_model(setup, inst)
-    nthreads = _threads()
-    if nthreads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(t):
-            return _one_trial(setup, inst, model, theta, n, seed, t, late_cap)
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            outcomes = list(pool.map(work, range(trials)))
-    else:
-        outcomes = [
-            _one_trial(setup, inst, model, theta, n, seed, t, late_cap) for t in range(trials)
-        ]
+    outcomes = [
+        _one_trial(setup, inst, model, theta, n, seed, t, late_cap) for t in range(trials)
+    ]
     errors = 0
     taus = np.empty(trials)
     hist = {}

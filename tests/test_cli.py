@@ -79,6 +79,29 @@ def test_exit_code_config_error(tmp_path):
     assert cli.main(["curve", "--preset", "fig2", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"solver_coarse_m": "1"},
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "sweep_parameter": "xi",
+         "sweep_from": "0.5", "sweep_to": "1.5"},
+        {"sim_n_grid": "1,10"},
+        {"sweep_parameter": "xi", "sweep_from": "0.1", "sweep_to": "0.5"},
+        {"sim_trials": "0"},
+        {"sim_late_cap": "0"},
+    ],
+    ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0"],
+)
+def test_config_mistake_exits_2(tmp_path, changes):
+    # each mistake is caught while the config loads, before any work starts
+    raw = dict(cli.parse_config_text(GOOD_CFG), **changes)
+    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(path)
+    for cmd in (["exponents"], ["curve", "--out", str(tmp_path / "c")], ["simulate", "--out", str(tmp_path / "s")]):
+        assert cli.main([cmd[0], "--config", path] + cmd[1:]) == cli.EXIT_CONFIG
+
+
 def test_exponents_json(tmp_path, capsys):
     path = write(tmp_path, GOOD_CFG)
     assert cli.main(["exponents", "--config", path]) == 0

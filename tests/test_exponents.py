@@ -190,3 +190,56 @@ def test_report_kappa_note():
 
 def test_find_mu_violation_requires_product_below_one():
     assert ex.find_mu_violation(1.2, 1.2) is None
+
+
+# e_fix at fig1 (alpha 0.38, beta 0.6, offset 0.003) and fig3 (alpha 0.7,
+# beta 0.7, offset 0) points under DUAL_CFG; recorded from the fixed-count
+# bisection (70 doublings, 90 halvings over every cell)
+DUAL_CFG = SearchConfig(coarse_m=40, refine_rounds=1)
+EFIX_PINNED = (
+    ((0.38, 0.6, 0.003, 0.25), 0.1201913264200354),
+    ((0.38, 0.6, 0.003, 0.75), 0.01633368733725337),
+    ((0.7, 0.7, 0.0, 0.3), 0.14149709600818625),
+    ((0.7, 0.7, 0.0, 0.9), 0.004337865779895316),
+)
+
+
+@pytest.mark.parametrize(
+    "p0, p1, alpha, beta, lam, mu, mv",
+    [
+        (P0, P1, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003), 100, 90),  # fig1
+        (P0, P1, 0.7, 0.7, ex.ScaledRenyiLambda(0.5, 0.0), 100, 100),  # fig3
+        ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7), 0.7, 0.7, ex.ScaledRenyiLambda(0.6, 0.0), 14, 14),
+    ],
+    ids=["fig1", "fig3", "d3"],
+)
+def test_efix_dual_batched_matches_single_cells(p0, p1, alpha, beta, lam, mu, mv):
+    # the grids hold thousands of cells, more than the dual solves at once
+    inst = ex.ProblemInstance(p0, p1, alpha, beta, lam)
+    U = grid_array(inst.d, mu, eps=inst.eps)
+    V = grid_array(inst.d, mv, eps=inst.eps)
+    assert U.shape[0] * V.shape[0] > 8000
+    got = ex._efix_dual_matrix(U, V, inst)
+    L = ex.lambda_matrix(inst.lam, U, V, inst.beta)
+    assert np.isinf(got[L <= 0.0]).all()
+    assert np.isfinite(got[L > 0.0]).all()
+    if lam.offset == 0.0:
+        assert (L <= 0.0).any()  # the diagonal u = v has no budget
+    # sample every kind of cell: infeasible, inside the ball at s = 0, active
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
+    flat = got.ravel()
+    picks = list(rng.choice(flat.size, 40, replace=False))
+    for kind in (np.isinf(flat), flat == 0.0, np.isfinite(flat) & (flat > 0.0)):
+        picks += list(np.flatnonzero(kind)[:3])
+    for k in picks:
+        i, j = divmod(int(k), V.shape[0])
+        single = ex._efix_dual_matrix(U[i][None, :], V[j][None, :], inst)
+        assert single.shape == (1, 1)
+        assert single[0, 0] == got[i, j], (i, j)
+
+
+@pytest.mark.parametrize("point, want", EFIX_PINNED)
+def test_efix_pinned_values(point, want):
+    alpha, beta, offset, xi = point
+    inst = ex.ProblemInstance(P0, P1, alpha, beta, ex.ScaledRenyiLambda(xi, offset))
+    assert ex.e_fix(inst, DUAL_CFG) == want

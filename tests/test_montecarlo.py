@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -35,13 +33,6 @@ def test_run_trials_prefix_stable():
         assert big.tau_hist.get(tau, 0) >= cnt
 
 
-def test_threads_match_serial(monkeypatch):
-    serial = run_trials(SetupKind.Semi1, inst(), 1, 20, 40, seed=9)
-    monkeypatch.setenv("SEQCLASS_THREADS", "4")
-    threaded = run_trials(SetupKind.Semi1, inst(), 1, 20, 40, seed=9)
-    assert serial == threaded
-
-
 def test_well_separated_low_error():
     r = run_trials(SetupKind.FullySeq, inst(), 0, 200, 2000, seed=1)
     assert r.errors / r.trials <= 0.01
@@ -62,6 +53,13 @@ def test_tau_support_two_phase():
 def test_trials_validation():
     with pytest.raises(ValueError):
         run_trials(SetupKind.FullySeq, inst(), 0, 20, 0, seed=1)
+
+
+@pytest.mark.parametrize("theta", [2, -1, 0.5, None])
+def test_theta_validation(theta):
+    # a theta outside {0, 1} would leave both per-theta error fields None
+    with pytest.raises(ValueError, match="theta"):
+        run_trials(SetupKind.Semi1, inst(), theta, 20, 5, 0)
 
 
 def _synthetic(n_grid, counts, trials=10**6):
