@@ -7,8 +7,6 @@ well-separated pair almost every trial stops at time n-1.
 
 import math
 
-import numpy as np
-
 from seqclass import ConstantLambda, ProblemInstance, SetupKind, make_model, two_phase_test
 from seqclass.simplex import sample_iid, stream_seed
 

@@ -15,7 +15,6 @@ from .divergence import (
     kl,
     kl_floor_projection,
     renyi_frac,
-    tradeoff_point,
     weighted_join_min,
 )
 from .exponents import (
@@ -34,7 +33,7 @@ from .exponents import (
     report,
 )
 from .montecarlo import ExponentFit, TrialReport, estimate_exponent, run_trials
-from .optimizer import SearchConfig, SearchResult, min_simplex, min_simplex_pair
+from .optimizer import SearchConfig, SearchResult, min_simplex_pair
 from .simplex import EmpiricalType, empirical, grid_array, sample_iid, stream_seed
 from .testbench import (
     HypothesisModel,
@@ -77,7 +76,6 @@ __all__ = [
     "kl_floor_projection",
     "lambda_eval",
     "make_model",
-    "min_simplex",
     "min_simplex_pair",
     "mu",
     "nu",
@@ -87,7 +85,6 @@ __all__ = [
     "run_trials",
     "sample_iid",
     "stream_seed",
-    "tradeoff_point",
     "two_phase_test",
     "weighted_join_min",
 ]

@@ -18,8 +18,7 @@ import numpy as np
 from . import divergence as dv
 from . import exponents as ex
 from . import montecarlo as mc
-from . import oracles as orc
-from .optimizer import SearchConfig
+from .optimizer import SearchConfig, check_pair_grid
 from .simplex import grid_array
 from .testbench import SetupKind
 
@@ -70,10 +69,6 @@ CONFIG_KEYS = {
 
 
 class ConfigError(Exception):
-    pass
-
-
-class VerifyFailure(Exception):
     pass
 
 
@@ -243,6 +238,7 @@ class RunConfig:
                 refine_rounds=int(raw.get("solver_refine_rounds", "3")),
                 refine_factor=int(raw.get("solver_refine_factor", "10")),
             )
+            check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
         except ValueError as e:
             raise ConfigError(f"bad solver settings: {e}")
         setups = raw.get("sim_setups", "fullyseq")

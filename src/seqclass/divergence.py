@@ -7,8 +7,6 @@ values are base-2; accumulation happens in natural log with one final
 conversion.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .simplex import as_dist
@@ -29,22 +27,6 @@ def kl(Q, P):
         return np.inf
     mask = Q > 0
     return float(np.sum(Q[mask] * np.log(Q[mask] / P[mask])) / LN2)
-
-
-def binary_kl(p, q):
-    """KL between Bernoulli(p) and Bernoulli(q), in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0,1]")
-    if q in (0.0, 1.0):
-        return 0.0 if p == q else np.inf
-    acc = 0.0
-    if p > 0:
-        acc += p * np.log(p / q)
-    if p < 1:
-        acc += (1 - p) * np.log((1 - p) / (1 - q))
-    return float(acc / LN2)
 
 
 def _xlogx(a):
@@ -73,15 +55,6 @@ def kl_matrix(Q, P):
     return (ent[:, None] - cross) / LN2
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One point of the binary-hypothesis exponent trade-off curve."""
-
-    rho: float
-    e0: float  # KL(P_rho || P0), bits
-    e1: float  # KL(P_rho || P1), bits
-
-
 def tilted(P0, P1, rho):
     """Tilted distribution P_rho proportional to P0^(1-rho) * P1^rho."""
     P0 = as_dist(P0, "P0")
@@ -93,11 +66,6 @@ def tilted(P0, P1, rho):
     logw = (1 - rho) * np.log(P0) + rho * np.log(P1)
     w = np.exp(logw - logw.max())
     return w / w.sum()
-
-
-def tradeoff_point(P0, P1, rho):
-    Pr = tilted(P0, P1, rho)
-    return TradeoffPoint(rho=float(rho), e0=kl(Pr, P0), e1=kl(Pr, P1))
 
 
 def renyi_frac(P, Q, alpha):
@@ -125,15 +93,6 @@ def renyi_frac(P, Q, alpha):
     return float(value), V
 
 
-def renyi_rows(Prows, Qrows, alpha):
-    """Vectorized renyi_frac value over row stacks (broadcasting), bits."""
-    Prows = np.atleast_2d(Prows)
-    Qrows = np.atleast_2d(Qrows)
-    w = alpha / (1.0 + alpha)
-    z = np.sum(Prows**w * Qrows ** (1.0 - w), axis=-1)
-    return -(1.0 + alpha) * np.log(z) / LN2
-
-
 def gjs(P, Q, alpha):
     """Generalized Jensen-Shannon divergence with weight alpha, in bits.
 
@@ -154,14 +113,6 @@ def gjs(P, Q, alpha):
 
 def gjs_value(P, Q, alpha):
     return gjs(P, Q, alpha)[0]
-
-
-def gjs_rows(Prows, Qrows, alpha):
-    """Vectorized GJS value over row stacks (broadcasting), bits."""
-    Prows = np.atleast_2d(Prows)
-    Qrows = np.atleast_2d(Qrows)
-    M = (alpha * Prows + Qrows) / (alpha + 1.0)
-    return alpha * kl_rows(Prows, M) + kl_rows(Qrows, M)
 
 
 def gjs_cross(Prows, Qrows, alpha, chunk=256):

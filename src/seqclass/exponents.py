@@ -13,14 +13,15 @@ Two constraint families are supported:
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Union
 
 import numpy as np
 
 from . import divergence as dv
-from .optimizer import ALWAYS_TRUE, SearchConfig, SearchResult, min_simplex_pair, vectorize
-from .simplex import as_dist, check_eps, clamp_rows, grid_array, satisfies_floor
+from .optimizer import ALWAYS_TRUE, SearchConfig, SearchResult, min_simplex_pair
+from .simplex import as_dist, box_grid, check_eps, grid_array, satisfies_floor
 
 
 @dataclass(frozen=True)
@@ -135,53 +136,59 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig()):
 def g1_batch(Qrows, Q0rows, Q1rows, inst, cfg=SearchConfig(), refine=True):
     """Vectorized g1 over row stacks (same leading length), scaled-Renyi path."""
     k = _inner_density(inst, cfg)
-    p0g = grid_array(inst.d, k, eps=inst.eps)
-    p1g = p0g
-    lam = lambda_matrix(inst.lam, p0g, p1g, inst.beta)  # (k0, k1)
-    a = dv.kl_matrix(Qrows, p0g) + inst.alpha * dv.kl_matrix(Q0rows, p0g)  # (N, k0)
-    b = inst.beta * dv.kl_matrix(Q1rows, p1g)  # (N, k1)
-    t = np.empty_like(a)
-    for j in range(p0g.shape[0]):
-        t[:, j] = (b - lam[j][None, :]).min(axis=1)
-    vals = (a + t).min(axis=1)
+    pg = grid_array(inst.d, k, eps=inst.eps)
+    lam = lambda_matrix(inst.lam, pg, pg, inst.beta)  # (k0, k1)
+    a = dv.kl_matrix(Qrows, pg) + inst.alpha * dv.kl_matrix(Q0rows, pg)  # (N, k0)
+    b = inst.beta * dv.kl_matrix(Q1rows, pg)  # (N, k1)
+    scores = a + _p1_slot_min(b, lam)
+    vals = scores.min(axis=1)
     if not refine:
         return vals
     # local polish around the per-row argmin pair; the objective is smooth in
     # (P0', P1') so a couple of shrinking box passes suffice
-    jstar = (a + t).argmin(axis=1)
-    lstar = np.empty_like(jstar)
-    for i in range(Qrows.shape[0]):
-        lstar[i] = (b[i] - lam[jstar[i]]).argmin()
+    jstar = scores.argmin(axis=1)
+    lstar = (b - lam[jstar]).argmin(axis=1)
     out = vals.copy()
     for i in range(Qrows.shape[0]):
-        out[i] = min(
-            out[i],
-            _g1_polish(
-                Qrows[i], Q0rows[i], Q1rows[i], inst, p0g[jstar[i]], p1g[lstar[i]], k
-            ),
-        )
+        score = partial(_g1_box, Qrows[i], Q0rows[i], Q1rows[i], inst)
+        out[i] = min(out[i], _polish(score, (pg[jstar[i]], pg[lstar[i]]), k, inst.eps))
     return out
 
 
-def _g1_polish(Q, Q0, Q1, inst, u0, v0, k):
-    from .optimizer import _box_grid  # local import to avoid cycle noise
+def _p1_slot_min(b, lam):
+    """t[i, j] = min over l of b[i, l] - lam[j, l]: the P1' slot minimised
+    out for each P0' of the grid."""
+    t = np.empty((b.shape[0], lam.shape[0]))
+    for j in range(lam.shape[0]):
+        t[:, j] = (b - lam[j]).min(axis=1)
+    return t
 
+
+def _g1_box(Q, Q0, Q1, inst, U, V):
+    """g1's objective at one tuple over P0' rows U and P1' rows V, (|U|, |V|)."""
+    lam = lambda_matrix(inst.lam, U, V, inst.beta)
+    a = (dv.kl_matrix(Q[None, :], U) + inst.alpha * dv.kl_matrix(Q0[None, :], U))[0]
+    b = inst.beta * dv.kl_matrix(Q1[None, :], V)[0]
+    return a[:, None] + b[None, :] - lam
+
+
+def _polish(score, centers, density, eps):
+    """Lowest score found over two rounds of box re-gridding.
+
+    Each round grids a box of half-width 2/density around every block's
+    center at 10x the density, scores all combinations (score takes one row
+    stack per block and returns an array with one axis per block) and moves
+    the centers to the box minimiser.
+    """
     best = np.inf
-    u, v = u0, v0
-    density = k
     for _ in range(2):
         halfwidth = 2.0 / density
         density *= 10
-        U = _box_grid(u, halfwidth, density, inst.eps)
-        V = _box_grid(v, halfwidth, density, inst.eps)
-        lam = lambda_matrix(inst.lam, U, V, inst.beta)
-        a = (dv.kl_matrix(Q[None, :], U) + inst.alpha * dv.kl_matrix(Q0[None, :], U))[0]
-        b = inst.beta * dv.kl_matrix(Q1[None, :], V)[0]
-        g = a[:, None] + b[None, :] - lam
-        ij = np.unravel_index(int(np.argmin(g)), g.shape)
-        if g[ij] < best:
-            best = float(g[ij])
-        u, v = U[ij[0]], V[ij[1]]
+        boxes = [box_grid(c, halfwidth, density, eps) for c in centers]
+        s = score(*boxes)
+        idx = np.unravel_index(int(np.argmin(s)), s.shape)
+        best = min(best, float(s[idx]))
+        centers = [box[i] for box, i in zip(boxes, idx)]
     return best
 
 
@@ -215,22 +222,20 @@ def kappa_search(inst, cfg=SearchConfig()):
         if dv.gjs_value(P0, P1, a) <= lam0:
             return SearchResult(0.0, (P0, P1), True)
 
-        objective = vectorize(
-            lambda A, B: a * dv.kl_rows(A, P0)[:, None] + (1 + b) * dv.kl_rows(B, P1)[None, :]
-        )
-        constraint = vectorize(lambda A, B: dv.gjs_cross(A, B, a) <= lam0)
-        return min_simplex_pair(objective, constraint, inst.d, _with_eps(cfg, inst.eps))
-    if kappa_certified_infinite(inst):
+        def constraint(A, B):
+            return dv.gjs_cross(A, B, a) <= lam0
+
+    elif kappa_certified_infinite(inst):
         return SearchResult(math.inf, None, False)
+    else:
 
-    objective = vectorize(
-        lambda A, B: a * dv.kl_rows(A, P0)[:, None] + (1 + b) * dv.kl_rows(B, P1)[None, :]
-    )
+        def constraint(A, B):
+            return _g1_diag_matrix(A, B, inst, cfg) < 0.0
 
-    def constraint(A, B):
-        return _g1_diag_matrix(A, B, inst, cfg) < 0.0
+    def objective(A, B):
+        return a * dv.kl_rows(A, P0)[:, None] + (1 + b) * dv.kl_rows(B, P1)[None, :]
 
-    return min_simplex_pair(objective, vectorize(constraint), inst.d, _with_eps(cfg, inst.eps))
+    return min_simplex_pair(objective, constraint, inst.d, cfg, eps=inst.eps)
 
 
 def _g1_diag_matrix(Q0rows, Q1rows, inst, cfg):
@@ -240,21 +245,11 @@ def _g1_diag_matrix(Q0rows, Q1rows, inst, cfg):
     lam = lambda_matrix(inst.lam, pg, pg, inst.beta)
     ka = inst.alpha * dv.kl_matrix(Q0rows, pg)  # (N, k)
     c1 = dv.kl_matrix(Q1rows, pg)  # (M, k)
-    bm = inst.beta * dv.kl_matrix(Q1rows, pg)  # (M, k)
-    t = np.empty_like(c1)
-    for j in range(pg.shape[0]):
-        t[:, j] = (bm - lam[j][None, :]).min(axis=1)
-    u = c1 + t  # (M, k)
+    u = c1 + _p1_slot_min(inst.beta * c1, lam)  # (M, k)
     out = np.empty((Q0rows.shape[0], Q1rows.shape[0]))
     for i in range(Q0rows.shape[0]):
         out[i] = (ka[i][None, :] + u).min(axis=1)
     return out
-
-
-def _with_eps(cfg, eps):
-    if cfg.eps is not None:
-        return cfg
-    return SearchConfig(cfg.coarse_m, cfg.refine_rounds, cfg.refine_factor, eps)
 
 
 def mu(inst, cfg=SearchConfig()):
@@ -273,9 +268,8 @@ def mu_search(inst, cfg=SearchConfig()):
     a, b = inst.alpha, inst.beta
     P0, P1 = inst.p0, inst.p1
 
-    objective = vectorize(
-        lambda A, B: a * dv.kl_rows(A, P0)[:, None] + b * dv.kl_rows(B, P1)[None, :]
-    )
+    def objective(A, B):
+        return a * dv.kl_rows(A, P0)[:, None] + b * dv.kl_rows(B, P1)[None, :]
 
     if isinstance(inst.lam, ConstantLambda):
         lam0 = inst.lam.lambda0
@@ -292,13 +286,11 @@ def mu_search(inst, cfg=SearchConfig()):
             h = _mu_inner(B, inst, cfg)  # (M,)
             return lead[:, None] + h[None, :] < 0.0
 
-    return min_simplex_pair(objective, vectorize(constraint), inst.d, cfg)
+    return min_simplex_pair(objective, constraint, inst.d, cfg)
 
 
 def _mu_inner(Q1rows, inst, cfg):
     """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1'), vectorized."""
-    from .optimizer import _box_grid
-
     b = inst.beta
     k = _inner_density(inst, cfg)
     pg = grid_array(inst.d, k, eps=inst.eps)
@@ -308,19 +300,15 @@ def _mu_inner(Q1rows, inst, cfg):
     arg = scores.argmin(axis=1)
     # polish each row's inner minimum (smooth in P1')
     for i in range(Q1rows.shape[0]):
-        v = pg[arg[i]]
-        density = k
-        for _ in range(2):
-            halfwidth = 2.0 / density
-            density *= 10
-            V = _box_grid(v, halfwidth, density, inst.eps)
-            lamloc = lambda_matrix(inst.lam, inst.p1[None, :], V, b)[0]
-            sc = b * dv.kl_matrix(Q1rows[i][None, :], V)[0] - lamloc
-            jj = int(np.argmin(sc))
-            if sc[jj] < h[i]:
-                h[i] = sc[jj]
-            v = V[jj]
+        score = partial(_mu_box, Q1rows[i], inst)
+        h[i] = min(h[i], _polish(score, (pg[arg[i]],), k, inst.eps))
     return h
+
+
+def _mu_box(Q1, inst, V):
+    """The objective of h at one Q1 row over P1' rows V."""
+    lam = lambda_matrix(inst.lam, inst.p1[None, :], V, inst.beta)[0]
+    return inst.beta * dv.kl_matrix(Q1[None, :], V)[0] - lam
 
 
 def nu(inst):
@@ -354,19 +342,23 @@ def e_fix_search(inst, cfg=SearchConfig()):
         lam0 = inst.lam.lambda0
         if dv.gjs_value(P0, P1, a) <= lam0:
             return SearchResult(0.0, (P1, P0, P1), True)
-        objective = vectorize(
-            lambda A, B: dv.kl_rows(A, P1)[:, None] + a * dv.kl_rows(B, P0)[None, :]
-        )
-        constraint = vectorize(lambda A, B: dv.gjs_cross(B, A, a).T <= lam0)
+
+        def objective(A, B):
+            return dv.kl_rows(A, P1)[:, None] + a * dv.kl_rows(B, P0)[None, :]
+
+        def constraint(A, B):
+            return dv.gjs_cross(B, A, a).T <= lam0
+
         res = min_simplex_pair(objective, constraint, inst.d, cfg)
         if res.argmin is None:
             return res
         q, q0 = res.argmin
         return SearchResult(res.value, (q, q0, P1), res.feasible_found)
 
-    objective = vectorize(lambda A, B: _efix_dual_matrix(A, B, inst))
-    res = min_simplex_pair(objective, ALWAYS_TRUE, inst.d, _with_eps(cfg, inst.eps))
-    return res
+    def objective(A, B):
+        return _efix_dual_matrix(A, B, inst)
+
+    return min_simplex_pair(objective, ALWAYS_TRUE, inst.d, cfg, eps=inst.eps)
 
 
 #: cells of the e_fix dual solved together: a chunk's (d, K) arrays stay in L2

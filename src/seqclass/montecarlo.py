@@ -2,14 +2,13 @@
 with an exponent regression across the sample-budget grid n."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .simplex import sample_iid, stream_seed
+from .simplex import empirical, sample_iid, stream_seed
 from .testbench import SetupKind, TestOutcome, fixed_length_test, make_model, two_phase_test
-from .simplex import empirical
 
 #: per-n error-count floor below which a point is too rare to trust
 RARE_EVENT_FLOOR = 5

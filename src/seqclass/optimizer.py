@@ -1,15 +1,17 @@
-"""Constrained minimization over one or two probability simplices.
+"""Constrained minimization over the product of two probability simplices.
 
 Strategy: enumerate an exact coarse grid, filter by the constraint, then
 re-grid an L-infinity box around the incumbent at increasing density.  The
 feasible sets arising from unions of lambda-balls are non-convex, so global
-enumeration plus local refinement is the method of record here; alphabets
-are small (d <= 6) throughout.
+enumeration plus local refinement is the method of record here.  The coarse
+pair grid is evaluated whole, as N x N matrices, so `check_pair_grid` bounds
+N before anything is allocated.  That admits d = 2 and d = 3 at their
+default densities, and d = 4, 5, 6 only with coarse_m at most 30, 16, 11.
 
-Callables may be plain (one Dist -> value) or vectorized.  A vectorized
-single-block callable takes an (N, d) array and returns (N,); a vectorized
-pair callable takes (N, d) and (M, d) and returns an (N, M) matrix.  Mark
-them with `vectorize()` below.  All closures must be side-effect-free.
+The objective and the constraint are pair callables: they take two row
+stacks of shapes (N, d) and (M, d) and return an (N, M) matrix.  All
+closures must be side-effect-free.  With `eps` set, every grid point is
+clamped into the epsilon-floored simplex.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .simplex import clamp_rows, grid_array
+from .simplex import box_grid, grid_array, grid_count
+
+#: cells N^2 of the largest coarse pair grid; one float64 N x N matrix of
+#: this size takes 256 MiB
+PAIR_CELL_LIMIT = 2**25
 
 
 @dataclass(frozen=True)
@@ -25,7 +31,6 @@ class SearchConfig:
     coarse_m: Optional[int] = None  # default 200 for d=2, 60 for d=3+
     refine_rounds: int = 3
     refine_factor: int = 10
-    eps: Optional[float] = None
 
     def __post_init__(self):
         if self.coarse_m is not None and self.coarse_m < 2:
@@ -48,92 +53,24 @@ class SearchResult:
     feasible_found: bool
 
 
-def vectorize(fn):
-    """Mark a callable as operating on row stacks (see module docstring)."""
-    fn.vectorized = True
-    return fn
+ALWAYS_TRUE = lambda A, B: np.ones((A.shape[0], B.shape[0]), dtype=bool)
 
 
-def _is_vec(fn):
-    return getattr(fn, "vectorized", False)
-
-
-ALWAYS_TRUE = vectorize(lambda *rows: np.ones(tuple(r.shape[0] for r in rows), dtype=bool))
-
-
-def _eval_single(fn, pts, dtype=np.float64):
-    if _is_vec(fn):
-        return np.asarray(fn(pts), dtype=dtype)
-    return np.asarray([fn(p) for p in pts], dtype=dtype)
-
-
-def _eval_pair(fn, A, B, dtype=np.float64):
-    if _is_vec(fn):
-        return np.asarray(fn(A, B), dtype=dtype)
-    return np.asarray([[fn(a, b) for b in B] for a in A], dtype=dtype)
-
-
-def _box_grid(center, halfwidth, density, eps):
-    """Grid points of spacing 1/density inside an L-inf box on the simplex.
-
-    The first d-1 coordinates are gridded; the last takes the remaining
-    mass.  Points falling off the simplex (or the eps floor) are clipped or
-    dropped.
-    """
-    d = center.size
-    steps = int(np.ceil(halfwidth * density))
-    offs = np.arange(-steps, steps + 1) / density
-    axes = [center[i] + offs for i in range(d - 1)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    last = 1.0 - pts.sum(axis=1)
-    pts = np.column_stack([pts, last])
-    lo = eps if eps is not None else 0.0
-    keep = (pts >= lo - 1e-12).all(axis=1)
-    pts = pts[keep]
-    if pts.shape[0] == 0:
-        return pts.reshape(0, d)
-    if eps is not None:
-        pts = clamp_rows(pts, eps)
-    return pts
-
-
-def _best_over(objective, constraint, pts):
-    """(value, point) of the best feasible grid point, or (inf, None)."""
-    if pts.shape[0] == 0:
-        return np.inf, None
-    feas = _eval_single(constraint, pts, dtype=bool)
-    obj = _eval_single(objective, pts)
-    obj = np.where(feas, obj, np.inf)
-    i = int(np.argmin(obj))
-    if not np.isfinite(obj[i]):
-        return np.inf, None
-    return float(obj[i]), pts[i]
-
-
-def min_simplex(objective, constraint, d, cfg=SearchConfig()):
-    """Minimize objective over the (eps-floored) simplex subject to constraint."""
-    m = cfg.resolve_m(d)
-    pts = grid_array(d, m, eps=cfg.eps)
-    value, arg = _best_over(objective, constraint, pts)
-    if arg is None:
-        return SearchResult(np.inf, None, False)
-    density = m
-    for _ in range(cfg.refine_rounds):
-        halfwidth = 2.0 / density
-        density *= cfg.refine_factor
-        local = _box_grid(arg, halfwidth, density, cfg.eps)
-        v, a = _best_over(objective, constraint, local)
-        if v < value:
-            value, arg = v, a
-    return SearchResult(value, (arg,), True)
+def check_pair_grid(d, m):
+    """Raise ValueError if the pair grid at density m is too large to search."""
+    n = grid_count(d, m)
+    if n * n > PAIR_CELL_LIMIT:
+        raise ValueError(
+            f"pair grid too large: {n} points per block at d={d}, m={m} "
+            f"({n * n} cells > {PAIR_CELL_LIMIT}); lower the coarse density"
+        )
 
 
 def _best_over_pair(objective, constraint, A, B):
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.inf, None, None
-    feas = _eval_pair(constraint, A, B, dtype=bool)
-    obj = _eval_pair(objective, A, B)
+    feas = np.asarray(constraint(A, B), dtype=bool)
+    obj = np.asarray(objective(A, B), dtype=np.float64)
     obj = np.where(feas, obj, np.inf)
     flat = int(np.argmin(obj))
     i, j = np.unravel_index(flat, obj.shape)
@@ -142,14 +79,16 @@ def _best_over_pair(objective, constraint, A, B):
     return float(obj[i, j]), A[i], B[j]
 
 
-def min_simplex_pair(objective, constraint, d, cfg=SearchConfig()):
+def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
     """Minimize a pair objective over the product of two simplex grids.
 
     Refinement runs coordinate descent: each round, 3 sweeps alternately
-    re-grid one block in a local box while the other is held fixed.
+    re-grid one block in a local box while the other is held fixed, and
+    accept the box minimiser only if it improves on the incumbent.
     """
     m = cfg.resolve_m(d)
-    pts = grid_array(d, m, eps=cfg.eps)
+    check_pair_grid(d, m)
+    pts = grid_array(d, m, eps=eps)
     value, a, b = _best_over_pair(objective, constraint, pts, pts)
     if a is None:
         return SearchResult(np.inf, None, False)
@@ -158,11 +97,11 @@ def min_simplex_pair(objective, constraint, d, cfg=SearchConfig()):
         halfwidth = 2.0 / density
         density *= cfg.refine_factor
         for _sweep in range(3):
-            localA = _box_grid(a, halfwidth, density, cfg.eps)
+            localA = box_grid(a, halfwidth, density, eps)
             v, a2, _ = _best_over_pair(objective, constraint, localA, b[None, :])
             if v < value:
                 value, a = v, a2
-            localB = _box_grid(b, halfwidth, density, cfg.eps)
+            localB = box_grid(b, halfwidth, density, eps)
             v, _, b2 = _best_over_pair(objective, constraint, a[None, :], localB)
             if v < value:
                 value, b = v, b2

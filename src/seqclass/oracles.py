@@ -2,23 +2,15 @@
 
 These deliberately avoid the solver's refinement and duality machinery:
 every quantity is a minimum over explicit dense simplex grids, so the two
-routes share nothing but the divergence primitives.  Used by the
-verification command and the acceptance tests.
+routes share nothing but the divergence and grid primitives.  The tests
+check the solver against them.
 """
 
 import numpy as np
 
 from . import divergence as dv
 from .exponents import ConstantLambda, lambda_matrix
-from .simplex import clamp_rows, grid_array
-
-
-def oracle_min_single(objective_rows, constraint_rows, d, m, eps=None):
-    """min of a row-vectorized objective over one dense grid."""
-    pts = grid_array(d, m, eps=eps)
-    obj = np.where(constraint_rows(pts), objective_rows(pts), np.inf)
-    i = int(np.argmin(obj))
-    return float(obj[i]), pts[i]
+from .simplex import box_grid, grid_array
 
 
 def oracle_kappa(inst, m=2000, inner_m=None):
@@ -40,13 +32,9 @@ def oracle_kappa(inst, m=2000, inner_m=None):
     inner_m = inner_m or m
     ig = grid_array(inst.d, inner_m, eps=inst.eps)
     lam = lambda_matrix(inst.lam, ig, ig, b)  # (k, k)
-    bm = b * dv.kl_matrix(pg, ig)  # (N, k)  beta*KL(Q1||P1')
-    c1 = dv.kl_matrix(pg, ig)  # (N, k)  KL(Q1||P0')
-    t = np.empty_like(bm)
-    for j in range(ig.shape[0]):
-        t[:, j] = (bm - lam[j][None, :]).min(axis=1)
-    u = c1 + t  # (N, k) indexed by Q1
-    ka = inst.alpha * dv.kl_matrix(pg, ig)  # (N, k) indexed by Q0
+    kg = dv.kl_matrix(pg, ig)  # (N, k)  KL(Q||P') for every grid point Q
+    u = kg + _slot_min(b * kg, lam)  # (N, k) indexed by Q1
+    ka = inst.alpha * kg  # (N, k) indexed by Q0
     best = np.inf
     for i in range(pg.shape[0]):  # Q0 index
         g1diag = (ka[i][None, :] + u).min(axis=1)  # (N,) over Q1
@@ -111,11 +99,8 @@ def oracle_efix(inst, m=2000, coarse_m=100, inner_m=400, top_k=5):
     def stage(qgrid):
         """(value, argmin index triple) over one triple grid."""
         c1 = dv.kl_matrix(qgrid, ig)  # KL(Q||P0') (N,k)
-        c2 = a * dv.kl_matrix(qgrid, ig)  # (N,k) for Q0
-        bm = b * dv.kl_matrix(qgrid, ig)  # (N,k) for Q1
-        t = np.empty_like(bm)
-        for j in range(ig.shape[0]):
-            t[:, j] = (bm - lam[j][None, :]).min(axis=1)
+        c2 = a * c1  # (N,k) for Q0
+        t = _slot_min(b * c1, lam)  # (N,k) for Q1
         objq = dv.kl_rows(qgrid, P1)
         objq0 = a * dv.kl_rows(qgrid, P0)
         objq1 = b * dv.kl_rows(qgrid, P1)
@@ -145,31 +130,25 @@ def oracle_efix(inst, m=2000, coarse_m=100, inner_m=400, top_k=5):
     spacing = 2.0 / coarse_m
     for _, (iq, i0, i1) in cand:
         centers = [coarse[iq], coarse[i0], coarse[i1]]
-        locals_ = [_local_rows(c, spacing, m) for c in centers]
+        locals_ = [box_grid(c, spacing, m) for c in centers]
         v = _efix_local(inst, ig, lam, *locals_)
         best = min(best, v)
     return best
 
 
-def _local_rows(center, halfwidth, density):
-    d = center.size
-    steps = int(np.ceil(halfwidth * density))
-    offs = np.arange(-steps, steps + 1) / density
-    axes = [center[i] + offs for i in range(d - 1)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    pts = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
-    return pts[(pts >= 0).all(axis=1)]
+def _slot_min(bm, lam):
+    """t[i, j] = min over l of bm[i, l] - lam[j, l] (the P1' slot)."""
+    t = np.empty((bm.shape[0], lam.shape[0]))
+    for j in range(lam.shape[0]):
+        t[:, j] = (bm - lam[j][None, :]).min(axis=1)
+    return t
 
 
 def _efix_local(inst, ig, lam, Qg, Q0g, Q1g):
     a, b = inst.alpha, inst.beta
     c1 = dv.kl_matrix(Qg, ig)
     c2 = a * dv.kl_matrix(Q0g, ig)
-    bm = b * dv.kl_matrix(Q1g, ig)
-    t = np.empty_like(bm)
-    for j in range(ig.shape[0]):
-        t[:, j] = (bm - lam[j][None, :]).min(axis=1)
+    t = _slot_min(b * dv.kl_matrix(Q1g, ig), lam)
     objq = dv.kl_rows(Qg, inst.p1)
     objq0 = a * dv.kl_rows(Q0g, inst.p0)
     objq1 = b * dv.kl_rows(Q1g, inst.p1)

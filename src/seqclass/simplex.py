@@ -122,22 +122,6 @@ def compositions(d, m):
         yield tuple(parts)
 
 
-def grid(d, resolution):
-    """All distributions with entries that are multiples of `resolution`.
-
-    resolution must be 1/m for an integer m >= 2.  Yields numpy arrays;
-    each point is an exact integer composition divided by m once, so the
-    enumeration is bit-reproducible.
-    """
-    m = round(1.0 / resolution)
-    if m < 2 or abs(resolution - 1.0 / m) > 1e-15:
-        raise ValueError("resolution must equal 1/m for integer m >= 2")
-    if grid_count(d, m) > GRID_POINT_LIMIT:
-        raise ValueError(f"grid too large: C({m + d - 1},{d - 1}) points")
-    for ks in compositions(d, m):
-        yield np.asarray(ks, dtype=np.float64) / m
-
-
 def grid_array(d, m, eps=None):
     """Dense (N, d) array of all grid points at density m, lexicographic order.
 
@@ -156,31 +140,14 @@ def grid_array(d, m, eps=None):
     return pts
 
 
-def clamp_to_eps(p, eps):
-    """L1-nearest member of the epsilon-floored simplex.
-
-    Deficient entries are raised to eps; the surplus is taken from the
-    remaining entries proportionally to their mass.  Iterates in case the
-    renormalization pushes further entries below the floor.  Idempotent.
-    """
-    p = as_dist(p)
-    eps = check_eps(eps, p.size)
-    out = p.copy()
-    frozen = np.zeros(p.size, dtype=bool)
-    for _ in range(p.size):
-        low = (out < eps) & ~frozen
-        if not low.any():
-            break
-        frozen |= low
-        out[frozen] = eps
-        budget = 1.0 - eps * frozen.sum()
-        rest = ~frozen
-        out[rest] = p[rest] * (budget / p[rest].sum())
-    return out
-
-
 def clamp_rows(pts, eps):
-    """Row-wise clamp_to_eps over an (N, d) array."""
+    """L1-nearest members of the epsilon-floored simplex, row by row.
+
+    Deficient entries of each row of the (N, d) array are raised to eps; the
+    surplus is taken from the remaining entries proportionally to their
+    mass.  Iterates in case the renormalization pushes further entries below
+    the floor.  Idempotent.
+    """
     d = pts.shape[1]
     eps = check_eps(eps, d)
     out = pts.copy()
@@ -195,3 +162,28 @@ def clamp_rows(pts, eps):
         safe = np.where(rest_mass > 0, rest_mass, 1.0)
         out = np.where(frozen, eps, pts * (budget / safe))
     return out
+
+
+def box_grid(center, halfwidth, density, eps=None):
+    """Grid points of spacing 1/density inside an L-inf box on the simplex.
+
+    The first d-1 coordinates are gridded around `center`; the last takes
+    the remaining mass.  Points more than 1e-12 below the floor (0, or eps
+    when set) are dropped, and with eps set the rest are clamped into it.
+    """
+    d = center.size
+    steps = int(np.ceil(halfwidth * density))
+    offs = np.arange(-steps, steps + 1) / density
+    axes = [center[i] + offs for i in range(d - 1)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    last = 1.0 - pts.sum(axis=1)
+    pts = np.column_stack([pts, last])
+    lo = eps if eps is not None else 0.0
+    keep = (pts >= lo - 1e-12).all(axis=1)
+    pts = pts[keep]
+    if pts.shape[0] == 0:
+        return pts.reshape(0, d)
+    if eps is not None:
+        pts = clamp_rows(pts, eps)
+    return pts

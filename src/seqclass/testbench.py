@@ -20,13 +20,11 @@ blocks (g_n) decides.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable
 
 from . import divergence as dv
 from .exponents import ConstantLambda, g1, lambda_matrix
-from .simplex import as_dist, empirical, grid_array
+from .simplex import empirical, grid_array
 
 
 class SetupKind(Enum):
@@ -49,27 +47,6 @@ def eta_n(n, alpha, beta, d):
         + d * math.log2(math.ceil(alpha * n) + 1)
         + d * math.log2(math.ceil(beta * n) + 1)
     ) / (n - 1)
-
-
-def eta_n_generic(n, alphabet_sizes, alphas):
-    """Margin for the generic s-sequence problem:
-    [2*log2 n + sum_i |X_i|*log2(ceil(alpha_i*n)+1)] / (n-1)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    acc = 2 * math.log2(n)
-    for sz, a in zip(alphabet_sizes, alphas):
-        acc += sz * math.log2(math.ceil(a * n) + 1)
-    return acc / (n - 1)
-
-
-def classification_gjs_lambda_sets(Phat, P0hat, P1hat, alpha, beta, eta):
-    """Membership in the two typicality sets at threshold eta.
-
-    Lambda0 = {GJS(P0hat||Phat, alpha) < eta}, Lambda1 likewise with beta.
-    """
-    in0 = dv.gjs_value(as_dist(P0hat, "P0hat"), as_dist(Phat, "Phat"), alpha) < eta
-    in1 = dv.gjs_value(as_dist(P1hat, "P1hat"), as_dist(Phat, "Phat"), beta) < eta
-    return bool(in0), bool(in1)
 
 
 @dataclass(frozen=True)

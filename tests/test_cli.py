@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import pytest
 
@@ -89,8 +88,12 @@ def test_exit_code_config_error(tmp_path):
         {"sweep_parameter": "xi", "sweep_from": "0.1", "sweep_to": "0.5"},
         {"sim_trials": "0"},
         {"sim_late_cap": "0"},
+        # d = 4 at the default density: a 39,711-point pair grid, N^2 far
+        # past check_pair_grid's bound
+        {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4"},
     ],
-    ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0"],
+    ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
+         "pair_grid_d4"],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts

@@ -28,11 +28,6 @@ def test_kl_support_violation_is_inf():
     assert math.isfinite(dv.kl(np.array([1.0, 0.0]), binary(0.5)))
 
 
-def test_binary_kl():
-    assert dv.binary_kl(0.5, 0.25) == pytest.approx(0.20752, abs=1e-5)
-    assert dv.binary_kl(1.0, 0.5) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_renyi_minimizer_alpha1():
     # at alpha=1 the minimizer is the normalized geometric mean
     _, V = dv.renyi_frac(binary(0.6), binary(0.1), 1.0)
@@ -94,14 +89,6 @@ def test_bht_endpoints():
     P0, P1 = binary(0.6), binary(0.1)
     assert dv.bht_tradeoff(P0, P1, dv.kl(P1, P0) + 0.01) == 0.0
     assert dv.bht_tradeoff(P0, P1, 1e-14) == pytest.approx(dv.kl(P0, P1), abs=1e-6)
-
-
-def test_tradeoff_point_consistent():
-    P0, P1 = binary(0.6), binary(0.1)
-    tp = dv.tradeoff_point(P0, P1, 0.3)
-    V = dv.tilted(P0, P1, 0.3)
-    assert tp.e0 == pytest.approx(dv.kl(V, P0), abs=1e-12)
-    assert tp.e1 == pytest.approx(dv.kl(V, P1), abs=1e-12)
 
 
 def test_kl_floor_projection():

@@ -238,6 +238,24 @@ def test_efix_dual_batched_matches_single_cells(p0, p1, alpha, beta, lam, mu, mv
         assert single[0, 0] == got[i, j], (i, j)
 
 
+# g1_batch (refined) and _mu_inner on fig1 tuples under FAST, and the sum of
+# _g1_diag_matrix over the eps-floored m = 60 grid; recorded before g1's and
+# mu's polish loops were merged into one routine
+PIN_ROWS = np.array([[0.3, 0.7], [0.55, 0.45], [0.12, 0.88], [0.8, 0.2]])
+G1_PINNED = (-0.050220719979256256, -0.011959964532929024, 0.42290306586501475, 0.2018219418381768)
+MU_INNER_PINNED = (-0.0022988094237127265, -0.6800964811539311, -0.053037708202143895, -0.2270407944916899)
+G1_DIAG_SUM_PINNED = 552.5886583919362
+
+
+def test_g1_kernels_pinned_values():
+    inst = renyi_inst()
+    Q, Q0, Q1 = PIN_ROWS, PIN_ROWS[[1, 2, 3, 0]], PIN_ROWS[[2, 3, 0, 1]]
+    assert tuple(ex.g1_batch(Q, Q0, Q1, inst, FAST)) == G1_PINNED
+    assert tuple(ex._mu_inner(Q1, inst, FAST)) == MU_INNER_PINNED
+    pg = grid_array(2, 60, eps=inst.eps)
+    assert float(ex._g1_diag_matrix(pg, pg, inst, FAST).sum()) == G1_DIAG_SUM_PINNED
+
+
 @pytest.mark.parametrize("point, want", EFIX_PINNED)
 def test_efix_pinned_values(point, want):
     alpha, beta, offset, xi = point

@@ -1,10 +1,8 @@
-import numpy as np
 import pytest
 
 from seqclass import exponents as ex
 from seqclass.montecarlo import (
     RARE_EVENT_FLOOR,
-    ExponentFit,
     TrialReport,
     estimate_exponent,
     run_trials,

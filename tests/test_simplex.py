@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from seqclass.simplex import (
     as_dist,
     clamp_rows,
-    clamp_to_eps,
     compositions,
     empirical,
     grid_array,
@@ -81,16 +80,16 @@ def test_grid_count_matches_enumeration(d, m):
 
 
 def test_clamp_interior_untouched():
-    np.testing.assert_allclose(clamp_to_eps(np.array([0.5, 0.5]), 0.01), [0.5, 0.5])
+    np.testing.assert_allclose(clamp_rows(np.array([[0.5, 0.5]]), 0.01), [[0.5, 0.5]])
 
 
 def test_clamp_single_deficient():
-    np.testing.assert_allclose(clamp_to_eps(np.array([1.0, 0.0]), 0.01), [0.99, 0.01])
+    np.testing.assert_allclose(clamp_rows(np.array([[1.0, 0.0]]), 0.01), [[0.99, 0.01]])
 
 
 def test_clamp_multi_deficient_near_optimal():
     p = np.array([0.995, 0.004, 0.001])
-    q = clamp_to_eps(p, 0.01)
+    q = clamp_rows(p[None, :], 0.01)[0]
     assert satisfies_floor(q, 0.01)
     assert abs(q.sum() - 1.0) < 1e-12
     # exhaustive L1 search over the eps-floored grid

@@ -5,13 +5,10 @@ import pytest
 
 from seqclass import divergence as dv
 from seqclass import exponents as ex
-from seqclass.optimizer import SearchConfig
 from seqclass.simplex import grid_array, sample_iid, stream_seed
 from seqclass.testbench import (
     SetupKind,
-    classification_gjs_lambda_sets,
     eta_n,
-    eta_n_generic,
     fixed_length_test,
     make_model,
     two_phase_test,
@@ -38,29 +35,6 @@ def test_eta_n_vanishes():
     vals = [eta_n(n, 1.0, 1.0, 2) for n in (10, 100, 1000, 10_000)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
     assert vals[-1] < 0.02
-
-
-def test_eta_n_generic_close_to_classification():
-    # same counting structure; bookkeeping differs only in log n vs log(n+1)
-    n = 500
-    a, b = 0.5, 0.7
-    assert eta_n_generic(n, (2, 2, 2), (a, b, 1.0)) == pytest.approx(
-        eta_n(n, a, b, 2), rel=0.25
-    )
-
-
-def test_lambda_sets_example():
-    in0, in1 = classification_gjs_lambda_sets(
-        [0.5, 0.5], [0.9, 0.1], [0.1, 0.9], 1.0, 1.0, 0.01
-    )
-    assert in0 is False and in1 is False
-
-
-def test_lambda_sets_membership():
-    in0, in1 = classification_gjs_lambda_sets(
-        [0.5, 0.5], [0.5, 0.5], [0.1, 0.9], 1.0, 1.0, 0.01
-    )
-    assert in0 is True and in1 is False
 
 
 def test_fixed_length_decision_matches_g1_sign_constant():
