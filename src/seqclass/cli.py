@@ -418,6 +418,11 @@ def curve_svg(rows, x_label="sweep", log_x=False):
 
 
 def cmd_simulate(cfg, outdir):
+    try:
+        # run_trials scores g1 with the default SearchConfig, not cfg.solver
+        ex.check_g1_polish(cfg.instance())
+    except ValueError as e:
+        raise ConfigError(f"cannot simulate: {e}")
     header = "setup,n,theta,trials,errors,mean_tau,ci95_tau,capped"
     lines = [header]
     reports = {}
@@ -602,10 +607,10 @@ def main(argv=None):
     except IOError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
+    except mc.RareEventFloorError as e:
+        print(f"statistical floor: {e}", file=sys.stderr)
+        return EXIT_STAT_FLOOR
     except ValueError as e:
-        if "insufficient rare-event data" in str(e):
-            print(f"statistical floor: {e}", file=sys.stderr)
-            return EXIT_STAT_FLOOR
         print(f"invariant breach: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK

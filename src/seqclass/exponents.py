@@ -20,8 +20,8 @@ from typing import Union
 import numpy as np
 
 from . import divergence as dv
-from .optimizer import ALWAYS_TRUE, SearchConfig, SearchResult, min_simplex_pair
-from .simplex import as_dist, box_grid, check_eps, grid_array, satisfies_floor
+from .optimizer import ALWAYS_TRUE, PAIR_CELL_LIMIT, SearchConfig, SearchResult, min_simplex_pair
+from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, satisfies_floor
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,8 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig()):
 
 def g1_batch(Qrows, Q0rows, Q1rows, inst, cfg=SearchConfig(), refine=True):
     """Vectorized g1 over row stacks (same leading length), scaled-Renyi path."""
+    if refine:
+        check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
     pg = grid_array(inst.d, k, eps=inst.eps)
     lam = lambda_matrix(inst.lam, pg, pg, inst.beta)  # (k0, k1)
@@ -172,6 +174,34 @@ def _g1_box(Q, Q0, Q1, inst, U, V):
     return a[:, None] + b[None, :] - lam
 
 
+def check_g1_polish(inst, cfg=SearchConfig()):
+    """Raise ValueError if g1's polish could score more than PAIR_CELL_LIMIT
+    pairs in one round.
+
+    The round scores every pair of two box grids; each box is bounded by
+    its mesh size, so nothing is allocated.  That admits d = 2 and d = 3 at
+    every density; from d = 4 on a box holds tens of thousands of points.
+    A constant budget never polishes.
+    """
+    if isinstance(inst.lam, ConstantLambda):
+        return
+    for halfwidth, density in _polish_rounds(_inner_density(inst, cfg)):
+        side = box_mesh_size(inst.d, halfwidth, density)
+        if side * side > PAIR_CELL_LIMIT:
+            raise ValueError(
+                f"g1 polish too large at d={inst.d}: two boxes of up to {side} points "
+                f"make {side * side} cells > {PAIR_CELL_LIMIT}"
+            )
+
+
+def _polish_rounds(density):
+    """(half-width, density) of each of the two box re-gridding rounds."""
+    for _ in range(2):
+        halfwidth = 2.0 / density
+        density *= 10
+        yield halfwidth, density
+
+
 def _polish(score, centers, density, eps):
     """Lowest score found over two rounds of box re-gridding.
 
@@ -181,9 +211,7 @@ def _polish(score, centers, density, eps):
     the centers to the box minimiser.
     """
     best = np.inf
-    for _ in range(2):
-        halfwidth = 2.0 / density
-        density *= 10
+    for halfwidth, density in _polish_rounds(density):
         boxes = [box_grid(c, halfwidth, density, eps) for c in centers]
         s = score(*boxes)
         idx = np.unravel_index(int(np.argmin(s)), s.shape)

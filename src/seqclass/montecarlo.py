@@ -7,11 +7,19 @@ from typing import Optional
 
 import numpy as np
 
-from .simplex import empirical, sample_iid, stream_seed
-from .testbench import SetupKind, TestOutcome, fixed_length_test, make_model, two_phase_test
+from .simplex import as_dist, sample_rows, stream_keys, type_rows
+from .testbench import SetupKind, early_phase, fixed_length_test, make_model, two_phase_test
 
 #: per-n error-count floor below which a point is too rare to trust
 RARE_EVENT_FLOOR = 5
+
+#: samples one chunk of trials draws at once, over all its blocks; bounds
+#: the size of every temporary of the sampler
+CHUNK_SAMPLES = 1 << 16
+
+
+class RareEventFloorError(ValueError):
+    """Too few n-points with at least RARE_EVENT_FLOOR errors to fit."""
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,7 @@ class TrialReport:
     tau_hist: dict
     ci95_tau: float
     capped: bool = False
+    early: int = 0  # trials that stopped at n - 1
 
     @property
     def errors(self):
@@ -44,32 +53,16 @@ class ExponentFit:
     n_grid: tuple
 
 
-def _one_trial(setup, inst, model, theta, n, seed, trial, late_cap):
-    """Draw fresh streams for one trial and run the setup's test."""
-    d = inst.d
-    p_test = inst.p1 if theta else inst.p0
-    laws = {"t0": inst.p0, "t1": inst.p1, "x": p_test}
-    if setup is SetupKind.FixedLength:
-        a, b = inst.alpha, inst.beta
-        x = sample_iid(laws["x"], n, stream_seed(seed, trial, 0))
-        t0 = sample_iid(laws["t0"], math.ceil(a * n), stream_seed(seed, trial, 1))
-        t1 = sample_iid(laws["t1"], math.ceil(b * n), stream_seed(seed, trial, 2))
-        dec = fixed_length_test(
-            empirical(x, d).dist, empirical(t0, d).dist, empirical(t1, d).dist, inst
-        )
-        return TestOutcome(decision=dec, tau=n, phase="fixed")
+def _chunks(trials, samples_per_trial):
+    step = max(1, CHUNK_SAMPLES // samples_per_trial)
+    for lo in range(0, trials, step):
+        yield lo, min(lo + step, trials)
 
-    if setup is SetupKind.Semi2:
-        order = ("x", "t0", "t1")
-    else:
-        order = ("t0", "t1", "x")
-    late = n * n if late_cap is None else min(late_cap, n * n)
-    streams = []
-    for i, name in enumerate(order):
-        base = n if i < model.ell else late
-        need = math.ceil(model.alphas[i] * base)
-        streams.append(sample_iid(laws[name], need, stream_seed(seed, trial, i)))
-    return two_phase_test(streams, n, model, late_cap=late_cap)
+
+def _draw(laws, sizes, seed, ids):
+    """Each block's samples for the trials `ids`: block i of trial t is the
+    first sizes[i] values of stream (seed, t, i)."""
+    return sample_rows(laws, sizes, stream_keys(seed, ids[:, None], np.arange(len(laws))))
 
 
 def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
@@ -77,25 +70,61 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
 
     Deterministic for a fixed seed: each trial's streams are keyed by
     (seed, trial, block), so growing `trials` extends, never reshuffles.
+    Trials run in chunks as row stacks.  A two-phase trial draws only the
+    prefix its early phase reads; the trials the early rule defers redraw
+    their full streams, which extend that prefix, for two_phase_test.
     """
     if theta not in (0, 1):
         raise ValueError("theta must be 0 or 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    model = None if setup is SetupKind.FixedLength else make_model(setup, inst)
-    outcomes = [
-        _one_trial(setup, inst, model, theta, n, seed, t, late_cap) for t in range(trials)
-    ]
-    errors = 0
-    taus = np.empty(trials)
-    hist = {}
+    d = inst.d
+    p0, p1 = as_dist(inst.P0, "P0"), as_dist(inst.P1, "P1")
+    law = {"t0": p0, "t1": p1, "x": p1 if theta else p0}
+    decision = np.empty(trials, dtype=np.intp)
+    tau = np.empty(trials, dtype=np.intp)
+    early = 0
     capped = False
-    for t, out in enumerate(outcomes):
-        if out.decision != theta:
-            errors += 1
-        taus[t] = out.tau
-        hist[out.tau] = hist.get(out.tau, 0) + 1
-        capped = capped or out.capped
+    if setup is SetupKind.FixedLength:
+        laws = (law["x"], law["t0"], law["t1"])
+        sizes = (n, math.ceil(inst.alpha * n), math.ceil(inst.beta * n))
+        for lo, hi in _chunks(trials, sum(sizes)):
+            x, t0, t1 = (type_rows(s, d) for s in _draw(laws, sizes, seed, np.arange(lo, hi)))
+            decision[lo:hi] = fixed_length_test(x, t0, t1, inst)
+        tau[:] = n
+    else:
+        model = make_model(setup, inst)
+        order = ("x", "t0", "t1") if setup is SetupKind.Semi2 else ("t0", "t1", "x")
+        laws = tuple(law[name] for name in order)
+        late = n * n if late_cap is None else min(late_cap, n * n)
+        prefix, full = [], []
+        for i, a in enumerate(model.alphas):
+            fixed = i < model.ell
+            prefix.append(math.ceil(a * (n if fixed else n - 1)))
+            full.append(math.ceil(a * (n if fixed else late)))
+            if prefix[i] > full[i]:
+                raise ValueError(
+                    "stream exhausted: needs %d samples, has %d" % (prefix[i], full[i])
+                )
+        for lo, hi in _chunks(trials, sum(prefix)):
+            ids = np.arange(lo, hi)
+            tup = tuple(type_rows(s, d) for s in _draw(laws, prefix, seed, ids))
+            stop, dec = early_phase(tup, n, model)
+            decision[lo:hi] = dec
+            tau[lo:hi] = n - 1
+            early += int(np.count_nonzero(stop))
+            deferred = ids[~stop]
+            for dlo, dhi in _chunks(deferred.size, sum(full)):
+                rows = deferred[dlo:dhi]
+                streams = _draw(laws, full, seed, rows)
+                for r, t in enumerate(rows):
+                    out = two_phase_test([s[r] for s in streams], n, model, late_cap=late_cap)
+                    decision[t], tau[t] = out.decision, out.tau
+                    capped = capped or out.capped
+    errors = int(np.count_nonzero(decision != theta))
+    taus = tau.astype(np.float64)
+    values, first, counts = np.unique(tau, return_index=True, return_counts=True)
+    hist = {int(values[i]): int(counts[i]) for i in np.argsort(first)}
     mean_tau = float(taus.mean())
     ci95 = float(1.96 * taus.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return TrialReport(
@@ -109,6 +138,7 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
         tau_hist=hist,
         ci95_tau=ci95,
         capped=capped,
+        early=early,
     )
 
 
@@ -126,7 +156,7 @@ def estimate_exponent(reports, theta):
         xs.append(r.n)
         ys.append(-math.log2(err / r.trials))
     if len(xs) < 3:
-        raise ValueError("insufficient rare-event data: need >= 3 usable n points")
+        raise RareEventFloorError("insufficient rare-event data: need >= 3 usable n points")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)

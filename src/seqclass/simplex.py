@@ -73,36 +73,176 @@ def empirical(samples, d):
     return EmpiricalType(tuple(int(c) for c in counts), int(samples.size))
 
 
-def _philox(seed):
-    # Philox is counter-based: identical seeds replay identical streams
-    # regardless of how many other generators exist, which is what makes
-    # parallel trials reproducible.
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+
+# SeedSequence's pool size and hash constants (numpy.random.SeedSequence)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+# Philox4x64-10: round multipliers and the Weyl increments of the key
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _hasher():
+    """SeedSequence's hashmix over uint32 arrays; each call advances the
+    shared multiplier, as the pool mixing does."""
+    const = [_INIT_A]
+
+    def hashmix(v):
+        v = v ^ np.uint32(const[0])
+        const[0] = const[0] * _MULT_A & _MASK32
+        v = v * np.uint32(const[0])
+        return v ^ (v >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _id_words(ids, rows):
+    """The spawn key of each row as uint32 words, ragged: an id below 2**32
+    is one word, a larger one two (low word first).  Returns the (rows, W)
+    word matrix and each row's word count."""
+    words = np.zeros((rows, 2 * len(ids)), dtype=np.uint32)
+    count = np.zeros(rows, dtype=np.intp)
+    at = np.arange(rows)
+    for col in ids:
+        words[at, count] = (col & np.uint64(_MASK32)).astype(np.uint32)
+        wide = np.flatnonzero(col >> np.uint64(32))
+        words[wide, count[wide] + 1] = (col[wide] >> np.uint64(32)).astype(np.uint32)
+        count += 1
+        count[wide] += 1
+    return words[:, : count.max(initial=0)], count
+
+
+def stream_keys(seed, *ids):
+    """Philox keys of the sub-streams (seed, *ids), one per broadcast row.
+
+    Each key is SeedSequence(entropy=seed & (2**63 - 1), spawn_key=ids)
+    .generate_state(1, np.uint64)[0], computed in uint32 array arithmetic.
+    The ids are integers in [0, 2**64) or arrays of them; the result has
+    their broadcast shape.  A key depends only on (seed, ids), so adding
+    streams never reshuffles earlier ones.
+    """
+    cols = []
+    for i in ids:
+        a = np.asarray(i)
+        if a.dtype.kind not in "iu" or (a < 0).any():
+            raise ValueError("stream ids must be integers in [0, 2**64) or arrays of them")
+        cols.append(a.astype(np.uint64))
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    rows = int(np.prod(shape))
+    words, count = _id_words([np.broadcast_to(c, shape).ravel() for c in cols], rows)
+    hashmix = _hasher()
+    # the seed's words, zero-filled to the pool size, then mixed together;
+    # this stage is the same for every row
+    entropy = int(seed) & (2**63 - 1)
+    seed_words = [entropy & _MASK32, entropy >> 32] + [0] * (_POOL - 2)
+    pool = [hashmix(np.full(rows, w, dtype=np.uint32)) for w in seed_words]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # then every spawn word of a row into each pool word; rows with fewer
+    # words keep their pool, while the multiplier advances for all
+    for j in range(words.shape[1]):
+        live = j < count
+        for dst in range(_POOL):
+            pool[dst] = np.where(live, _mix(pool[dst], hashmix(words[:, j])), pool[dst])
+    out = []
+    const = _INIT_B
+    for v in pool[:2]:
+        v = v ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        v = v * np.uint32(const)
+        out.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    return (out[0] | (out[1] << np.uint64(32))).reshape(shape)
 
 
 def stream_seed(seed, *ids):
-    """Derive a sub-stream seed from a base seed and integer identifiers.
+    """The key of one sub-stream (seed, *ids) as an int: stream_keys' one-row case."""
+    return int(stream_keys(seed, *(int(i) for i in ids)))
 
-    Stable under reordering of *other* streams: the value depends only on
-    (seed, ids), so adding trials never reshuffles earlier ones.
+
+def _mulhilo(m, x):
+    """High and low 64-bit words of the 128-bit product of the constant m and x."""
+    lo32 = np.uint64(_MASK32)
+    s32 = np.uint64(32)
+    mh, ml = np.uint64(m >> 32), np.uint64(m & _MASK32)
+    xh, xl = x >> s32, x & lo32
+    ll, lh, hl = xl * ml, xl * mh, xh * ml
+    mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
+    hi = xh * mh + (lh >> s32) + (hl >> s32) + (mid >> s32)
+    return hi, x * np.uint64(m)
+
+
+def philox_uniforms(keys, sizes):
+    """Uniforms on [0, 1) for every row and block of an (R, B) key array.
+
+    Entry i of the result is an (R, sizes[i]) array whose row r equals
+    Generator(Philox(key=keys[r, i])).random(sizes[i]).  Philox4x64-10 with
+    key (s, 0): uniform j is lane j % 4 of the block at counter
+    (j // 4 + 1, 0, 0, 0), mapped as (raw >> 11) * 2**-53.  Every uniform is
+    a fixed function of (key, j), so a stream of k values is a prefix of
+    any longer one.  All blocks run through one pass of the rounds.
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**63 - 1), spawn_key=tuple(int(i) for i in ids))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    keys = np.asarray(keys, dtype=np.uint64)
+    rows = keys.shape[0]
+    nblocks = [(k + 3) // 4 for k in sizes]
+    k0 = np.concatenate([np.repeat(keys[:, i], nb) for i, nb in enumerate(nblocks)])
+    c0 = np.concatenate([np.tile(np.arange(1, nb + 1, dtype=np.uint64), rows) for nb in nblocks])
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        k1 = np.uint64(r * _PHILOX_W[1] & _MASK64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0 = k0 + np.uint64(_PHILOX_W[0])
+    raw = np.stack([c0, c1, c2, c3], axis=-1).ravel()
+    out, at = [], 0
+    for k, nb in zip(sizes, nblocks):
+        block = raw[at : at + rows * 4 * nb].reshape(rows, 4 * nb)[:, :k]
+        out.append((block >> np.uint64(11)) * (1.0 / 9007199254740992.0))
+        at += rows * 4 * nb
+    return out
+
+
+def sample_rows(laws, sizes, keys):
+    """i.i.d. alphabet indices for every row and block of an (R, B) key array.
+
+    Entry i of the result is an (R, sizes[i]) array drawn from laws[i] by
+    inverse CDF, row r driven by the stream keys[r, i].  The laws must
+    already be validated distributions (see as_dist).
+    """
+    out = []
+    for p, u in zip(laws, philox_uniforms(keys, sizes)):
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0  # guard against rounding in the last bin
+        out.append(np.searchsorted(cdf, u, side="right"))
+    return out
 
 
 def sample_iid(p, n, seed):
-    """Draw n i.i.d. alphabet indices from p, deterministically for a seed.
-
-    Inverse-CDF over the cumulative vector of p, driven by a counter-based
-    generator.
-    """
+    """Draw n i.i.d. alphabet indices from p, deterministically for a seed:
+    sample_rows' one-row case, with the seed as the Philox key."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = as_dist(p)
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0  # guard against rounding in the last bin
-    u = _philox(seed).random(n)
-    return np.searchsorted(cdf, u, side="right").astype(np.intp)
+    return sample_rows([as_dist(p)], [n], [[int(seed) & _MASK64]])[0][0]
+
+
+def type_rows(x, d):
+    """(R, d) empirical types of the rows of an (R, k) index array."""
+    rows, k = x.shape
+    counts = np.bincount((x + d * np.arange(rows)[:, None]).ravel(), minlength=rows * d)
+    return counts.reshape(rows, d) / k
 
 
 def grid_count(d, m):
@@ -172,7 +312,7 @@ def box_grid(center, halfwidth, density, eps=None):
     when set) are dropped, and with eps set the rest are clamped into it.
     """
     d = center.size
-    steps = int(np.ceil(halfwidth * density))
+    steps = _box_steps(halfwidth, density)
     offs = np.arange(-steps, steps + 1) / density
     axes = [center[i] + offs for i in range(d - 1)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -187,3 +327,13 @@ def box_grid(center, halfwidth, density, eps=None):
     if eps is not None:
         pts = clamp_rows(pts, eps)
     return pts
+
+
+def _box_steps(halfwidth, density):
+    return int(np.ceil(halfwidth * density))
+
+
+def box_mesh_size(d, halfwidth, density):
+    """Points of the mesh box_grid lays out before it drops those off the
+    simplex: an upper bound on the rows it returns, found without building it."""
+    return (2 * _box_steps(halfwidth, density) + 1) ** (d - 1)

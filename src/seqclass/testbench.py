@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from . import divergence as dv
 from .exponents import ConstantLambda, g1, lambda_matrix
 from .simplex import empirical, grid_array
@@ -62,8 +64,9 @@ class HypothesisModel:
     """Evaluators the generic two-phase engine needs.
 
     Q-hat tuples are given in setup order.  dist_to_H0/H1 are the weighted
-    KL distances to the hypothesis classes; g1_at/gn_at are the decision
-    scores (negative = decide 0).
+    KL distances to the hypothesis classes, row by row over tuples of
+    (T, d) stacks; gn_at is the late-phase decision score (negative =
+    decide 0).
     """
 
     setup: SetupKind
@@ -72,7 +75,6 @@ class HypothesisModel:
     alphas: tuple  # per-block sampling ratios, setup order
     dist_to_H0: Callable
     dist_to_H1: Callable
-    g1_at: Callable
     gn_at: Callable
     eta: Callable  # n -> threshold
 
@@ -97,13 +99,10 @@ def make_model(setup, inst):
         ell, alphas = 0, (a, b, 1.0)
 
     def dist_to_H0(tup):
-        return dv.gjs_value(tup[i0], tup[ix], a)
+        return dv.gjs_rows(tup[i0], tup[ix], a)
 
     def dist_to_H1(tup):
-        return dv.gjs_value(tup[i1], tup[ix], b)
-
-    def g1_at(tup):
-        return g1(tup[ix], tup[i0], tup[i1], inst)
+        return dv.gjs_rows(tup[i1], tup[ix], b)
 
     # late-phase weights: sequential blocks count n-fold
     def gn_at(tup, n):
@@ -123,7 +122,6 @@ def make_model(setup, inst):
         alphas=alphas,
         dist_to_H0=dist_to_H0,
         dist_to_H1=dist_to_H1,
-        g1_at=g1_at,
         gn_at=gn_at,
         eta=lambda n: eta_n(n, a, b, inst.d),
     )
@@ -140,9 +138,53 @@ def _gn_generic(Q, Q0, Q1, wx, w0, w1, inst, k=200):
     return float((avec[:, None] + bvec[None, :] - lam).min())
 
 
+def _decide_by_g1(Q, Q0, Q1, inst, gjs0=None):
+    """Decide 0 where the tuple scores g1 < 0 (ties go to 1), one decision
+    per row of the (T, d) stacks.
+
+    Under a constant budget g1 is GJS(Q0||Q, alpha) - lambda0 over all rows
+    at once (gjs0 passes that GJS when it is already known).  Otherwise g1
+    is solved row by row: stacking the rows into g1_batch can change the
+    BLAS rounding of its matrix products.
+    """
+    if isinstance(inst.lam, ConstantLambda):
+        if gjs0 is None:
+            gjs0 = dv.gjs_rows(Q0, Q, inst.alpha)
+        g = gjs0 - inst.lam.lambda0
+    else:
+        g = np.array([g1(q, q0, q1, inst) for q, q0, q1 in zip(Q, Q0, Q1)], dtype=np.float64)
+    return np.where(g < 0, 0, 1)
+
+
 def fixed_length_test(Phat, P0hat, P1hat, inst):
-    """Decide 0 iff the empirical tuple scores g1 < 0 (ties go to 1)."""
-    return 0 if g1(Phat, P0hat, P1hat, inst) < 0 else 1
+    """Decide 0 iff the empirical tuple scores g1 < 0 (ties go to 1).
+
+    Takes one tuple of distributions and returns an int, or (T, d) stacks
+    of tuples and returns one decision per row.
+    """
+    dec = _decide_by_g1(np.atleast_2d(Phat), np.atleast_2d(P0hat), np.atleast_2d(P1hat), inst)
+    return dec if np.ndim(Phat) == 2 else int(dec[0])
+
+
+def early_phase(tup, n, model):
+    """The early-phase rule at time n-1 over a tuple of (T, d) type stacks
+    in setup order.  Returns (stop, decision), two length-T arrays.
+
+    A row stops when it lies eta_n-close to either hypothesis class.  Inside
+    the H1-typical shell the sign of g1 decides (overlaps with the H0 shell
+    resolve by the sign as well); in the H0 shell alone the decision is 0.
+    """
+    i0, i1, ix = _blocks_in_setup_order(model.setup)
+    eta = model.eta(n)
+    d0 = model.dist_to_H0(tup)
+    d1 = model.dist_to_H1(tup)
+    stop = (d0 < eta) | (d1 < eta)
+    decision = np.zeros(stop.size, dtype=np.intp)
+    shell = np.flatnonzero(d1 < eta)
+    decision[shell] = _decide_by_g1(
+        tup[ix][shell], tup[i0][shell], tup[i1][shell], model.inst, gjs0=d0[shell]
+    )
+    return stop, decision
 
 
 def _type_of(stream, upto, d):
@@ -173,18 +215,10 @@ def two_phase_test(streams, n, model, alphas=None, ell=None, late_cap=None):
         return out
 
     early_counts = counts_at(n - 1)
-    tup = tuple(_type_of(streams[i], early_counts[i], d) for i in range(3))
-    eta = model.eta(n)
-    d0 = model.dist_to_H0(tup)
-    d1 = model.dist_to_H1(tup)
-    if min(d0, d1) < eta:
-        # stop early; inside the H1-typical shell the g1 sign arbitrates
-        # (overlaps with the H0 shell resolve by the sign as well)
-        if d1 < eta:
-            decision = 0 if model.g1_at(tup) < 0 else 1
-        else:
-            decision = 0
-        return TestOutcome(decision=decision, tau=n - 1, phase="early")
+    tup = tuple(_type_of(streams[i], early_counts[i], d)[None, :] for i in range(3))
+    stop, decision = early_phase(tup, n, model)
+    if stop[0]:
+        return TestOutcome(decision=int(decision[0]), tau=n - 1, phase="early")
 
     late = n * n
     capped = late_cap is not None and late_cap < late

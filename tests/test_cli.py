@@ -4,6 +4,7 @@ import math
 import pytest
 
 from seqclass import cli
+from seqclass import montecarlo as mc
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -204,3 +205,36 @@ def test_determinism_byte_identical(tmp_path):
         cli.main(["simulate", "--config", path, "--out", str(out)])
         outs.append((out / "trials.csv").read_bytes() + (out / "summary.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_simulate_refuses_oversized_g1_polish(tmp_path, monkeypatch):
+    # d = 4 under a scaled-Renyi budget: the solver grid is bounded by
+    # solver_coarse_m, but g1's polish would score ~2.7e9 pairs per round
+    cfg = (
+        "schema = 1\np0 = 0.4,0.3,0.2,0.1\np1 = 0.1,0.2,0.3,0.4\nalpha = 0.38\nbeta = 0.6\n"
+        "lambda_family = scaled_renyi\nxi = 0.5\noffset = 0.003\nsolver_coarse_m = 30\n"
+        "sim_setups = fixed\nsim_n_grid = 5\nsim_trials = 2\n"
+    )
+    path = write(tmp_path, cfg)
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(mc, "run_trials", never_called)
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_rare_event_floor_exits_4_by_type(monkeypatch):
+    def floor(cfg, outdir):
+        raise mc.RareEventFloorError("too few usable points")
+
+    def breach(cfg, outdir):
+        raise ValueError("insufficient rare-event data")
+
+    monkeypatch.setattr(cli, "cmd_simulate", floor)
+    assert cli.main(["simulate", "--preset", "fig2", "--out", "unused"]) == cli.EXIT_STAT_FLOOR
+    # the exit code follows the exception type, not its text
+    monkeypatch.setattr(cli, "cmd_simulate", breach)
+    assert cli.main(["simulate", "--preset", "fig2", "--out", "unused"]) == cli.EXIT_INVARIANT

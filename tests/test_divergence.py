@@ -129,3 +129,38 @@ def test_renyi_value_below_both_endpoints(p, q, a):
     val, _ = dv.renyi_frac(P, Q, a)
     assert val <= dv.kl(P, Q) + 1e-9
     assert val <= a * dv.kl(Q, P) + 1e-9
+
+
+def _type_vectors(d):
+    # empirical types: multiples of 1/n, zero entries included
+    return st.lists(st.integers(0, 6), min_size=d, max_size=d).filter(sum).map(
+        lambda c: np.array(c, dtype=np.float64) / sum(c)
+    )
+
+
+@given(st.data(), st.integers(2, 6), st.sampled_from([0.3, 0.38, 0.7, 1.0, 2.0, 5.5]))
+@settings(max_examples=200, deadline=None)
+def test_gjs_rows_equal_scalar_gjs(data, d, alpha):
+    rows = data.draw(st.integers(1, 5))
+    P = np.stack([data.draw(_type_vectors(d)) for _ in range(rows)])
+    Q = np.stack([data.draw(_type_vectors(d)) for _ in range(rows)])
+    got = dv.gjs_rows(P, Q, alpha)
+    assert got.shape == (rows,)
+    for g, p, q in zip(got, P, Q):
+        assert g == dv.gjs_value(p, q, alpha)
+        # the scalar arithmetic gjs had before it became gjs_rows' one-row
+        # case: kl sums its masked terms with np.sum
+        M = (alpha * p + q) / (alpha + 1.0)
+        assert g == alpha * dv.kl(p, M) + dv.kl(q, M)
+
+
+def test_gjs_rows_full_support_values():
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(21)))
+    for d in range(2, 7):
+        P = rng.dirichlet(np.ones(d), size=50)
+        Q = rng.dirichlet(np.ones(d), size=50)
+        for alpha in (0.38, 1.0, 2.0):
+            got = dv.gjs_rows(P, Q, alpha)
+            M = (alpha * P + Q) / (alpha + 1.0)
+            want = [alpha * dv.kl(p, m) + dv.kl(q, m) for p, q, m in zip(P, Q, M)]
+            assert [float(g) for g in got] == want

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass import oracles as orc
 from seqclass.optimizer import SearchConfig
-from seqclass.simplex import grid_array
+from seqclass.simplex import box_grid, box_mesh_size, grid_array
 
 P0 = (0.6, 0.4)
 P1 = (0.1, 0.9)
@@ -261,3 +262,31 @@ def test_efix_pinned_values(point, want):
     alpha, beta, offset, xi = point
     inst = ex.ProblemInstance(P0, P1, alpha, beta, ex.ScaledRenyiLambda(xi, offset))
     assert ex.e_fix(inst, DUAL_CFG) == want
+
+
+def test_g1_polish_bound_sized_without_allocating():
+    # the bound takes each box's mesh size, an upper bound on box_grid's rows
+    for d, k in ((2, 400), (3, 60), (4, 60)):
+        center = grid_array(d, k, eps=0.01)[k // 3]
+        for halfwidth, density in ex._polish_rounds(k):
+            assert box_grid(center, halfwidth, density, 0.01).shape[0] <= box_mesh_size(
+                d, halfwidth, density
+            )
+    ex.check_g1_polish(renyi_inst())
+    inst3 = ex.ProblemInstance((0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 0.38, 0.6,
+                               ex.ScaledRenyiLambda(0.5, 0.003))
+    ex.check_g1_polish(inst3)
+    inst4 = ex.ProblemInstance((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.38, 0.6,
+                               ex.ScaledRenyiLambda(0.5, 0.003))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="g1 polish too large"):
+            ex.check_g1_polish(inst4)
+        with pytest.raises(ValueError, match="g1 polish too large"):
+            ex.g1(np.full(4, 0.25), np.full(4, 0.25), np.full(4, 0.25), inst4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a d = 4 round would ask for ~2.7e9 cells (20 GiB)
+    # a constant budget never polishes
+    ex.check_g1_polish(ex.ProblemInstance(inst4.P0, inst4.P1, 1.0, 1.0, ex.ConstantLambda(0.05)))

@@ -1,8 +1,11 @@
 import pytest
 
 from seqclass import exponents as ex
+from seqclass import montecarlo as mc
+from seqclass import testbench as tb
 from seqclass.montecarlo import (
     RARE_EVENT_FLOOR,
+    RareEventFloorError,
     TrialReport,
     estimate_exponent,
     run_trials,
@@ -99,3 +102,24 @@ def test_estimate_exponent_rare_event_floor():
     counts = [100, RARE_EVENT_FLOOR - 1, RARE_EVENT_FLOOR - 1]
     with pytest.raises(ValueError, match="insufficient rare-event data"):
         estimate_exponent(_synthetic(n_grid, counts), 1)
+
+
+def test_estimate_exponent_floor_error_type():
+    counts = [100, RARE_EVENT_FLOOR - 1, RARE_EVENT_FLOOR - 1]
+    with pytest.raises(RareEventFloorError):
+        estimate_exponent(_synthetic([10, 20, 30], counts), 1)
+    assert issubclass(RareEventFloorError, ValueError)
+
+
+@pytest.mark.parametrize("setup", list(SetupKind))
+def test_chunking_does_not_change_the_report(monkeypatch, setup):
+    # a shrunken margin defers a share of the trials to the late phase;
+    # chunks of one or a few trials must give the report of one big chunk
+    eta_n = tb.eta_n
+    monkeypatch.setattr(tb, "eta_n", lambda n, a, b, d: 0.05 * eta_n(n, a, b, d))
+    whole = run_trials(setup, inst(), 1, 12, 60, seed=8, late_cap=70)
+    for chunk in (1, 100):
+        monkeypatch.setattr(mc, "CHUNK_SAMPLES", chunk)
+        assert run_trials(setup, inst(), 1, 12, 60, seed=8, late_cap=70) == whole
+    if setup is not SetupKind.FixedLength:
+        assert 0 < whole.early < whole.trials and whole.capped

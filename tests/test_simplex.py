@@ -12,9 +12,13 @@ from seqclass.simplex import (
     empirical,
     grid_array,
     grid_count,
+    philox_uniforms,
     sample_iid,
+    sample_rows,
     satisfies_floor,
+    stream_keys,
     stream_seed,
+    type_rows,
 )
 
 
@@ -109,3 +113,92 @@ def test_clamp_rows_always_valid(raw):
     out = clamp_rows(v[None, :], eps)[0]
     assert satisfies_floor(out, eps)
     assert abs(out.sum() - 1.0) < 1e-9
+
+
+# numpy's SeedSequence and Philox are the oracles of the stream kernel
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, -3]
+EDGE_IDS = [(), (7,), (7, 2), (2**32,), (5, 2**32 + 9), (2**64 - 1, 0)]
+
+
+def _seed_sequence_key(seed, ids):
+    ss = np.random.SeedSequence(entropy=seed & (2**63 - 1), spawn_key=ids)
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _philox_random(key, k):
+    return np.random.Generator(np.random.Philox(key=np.uint64(key))).random(k)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("ids", EDGE_IDS, ids=str)
+def test_stream_keys_equal_seed_sequence_at_edges(seed, ids):
+    assert stream_seed(seed, *ids) == _seed_sequence_key(seed, ids)
+
+
+@given(
+    st.integers(-(2**70), 2**70),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    st.integers(0, 2**40),
+)
+@settings(max_examples=60, deadline=None)
+def test_stream_keys_rows_equal_seed_sequence(seed, trials, block):
+    # a trial-index array as one id, word counts mixed across rows
+    t = np.array(trials, dtype=np.uint64)
+    for keys, spawn in ((stream_keys(seed, t, block), lambda i: (i, block)),
+                        (stream_keys(seed, block, t), lambda i: (block, i))):
+        assert keys.shape == t.shape
+        assert [int(k) for k in keys] == [_seed_sequence_key(seed, spawn(i)) for i in trials]
+
+
+def test_stream_keys_reject_bad_ids():
+    for bad in (-1, 2**64, 0.5, np.array([3, -1])):
+        with pytest.raises(ValueError):
+            stream_keys(1, bad)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 1080])
+def test_philox_uniforms_equal_numpy_philox(k):
+    keys = [stream_seed(s, 3, 1) for s in EDGE_SEEDS] + [0, 2**64 - 1]
+    (got,) = philox_uniforms(np.array(keys, dtype=np.uint64)[:, None], [k])
+    assert got.shape == (len(keys), k)
+    for row, key in zip(got, keys):
+        assert (row == _philox_random(key, k)).all()
+
+
+KEY = st.integers(0, 2**64 - 1)
+
+
+@given(st.lists(st.tuples(KEY, KEY, KEY), min_size=1, max_size=3), st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_philox_uniforms_blocks_of_any_length(keys, k):
+    # several blocks of different lengths go through one pass of the rounds
+    keys = np.array(keys, dtype=np.uint64)
+    sizes = [k, 1, k + 5]
+    for i, got in enumerate(philox_uniforms(keys, sizes)):
+        assert got.shape == (keys.shape[0], sizes[i])
+        for row, key in zip(got, keys[:, i]):
+            assert (row == _philox_random(int(key), sizes[i])).all()
+
+
+def test_sample_iid_is_the_one_row_case():
+    p = np.array([0.2, 0.0, 0.5, 0.3])
+    q = np.array([0.6, 0.4])
+    keys = stream_keys(11, np.arange(6)[:, None], np.arange(2))
+    rows, other = sample_rows([p, q], [40, 9], keys)
+    for key, row in zip(keys[:, 0], rows):
+        assert (sample_iid(p, 40, int(key)) == row).all()
+        # the inverse CDF through numpy's own generator
+        u = _philox_random(int(key), 40)
+        assert (row == np.searchsorted(np.cumsum(p), u, side="right")).all()
+    for key, row in zip(keys[:, 1], other):
+        assert (sample_iid(q, 9, int(key)) == row).all()
+    assert not (rows == 1).any()  # a zero-mass symbol is never drawn
+    # a short stream is a prefix of a longer one
+    assert (sample_rows([p], [13], keys[:, :1])[0] == rows[:, :13]).all()
+
+
+def test_type_rows_match_empirical():
+    (x,) = sample_rows([np.array([0.5, 0.3, 0.2])], [17], stream_keys(4, np.arange(5))[:, None])
+    types = type_rows(x, 3)
+    for row, t in zip(x, types):
+        assert (t == empirical(row, 3).dist).all()
