@@ -34,7 +34,7 @@ from .exponents import (
 )
 from .montecarlo import ExponentFit, TrialReport, estimate_exponent, run_trials
 from .optimizer import SearchConfig, SearchResult, min_simplex_pair
-from .simplex import EmpiricalType, empirical, grid_array, sample_iid, stream_seed
+from .simplex import grid_array, sample_iid, stream_seed
 from .testbench import (
     HypothesisModel,
     SetupKind,
@@ -42,6 +42,7 @@ from .testbench import (
     eta_n,
     fixed_length_test,
     make_model,
+    stream_sizes,
     two_phase_test,
 )
 
@@ -49,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstantLambda",
-    "EmpiricalType",
     "ExponentFit",
     "ExponentReport",
     "HypothesisModel",
@@ -62,7 +62,6 @@ __all__ = [
     "TrialReport",
     "bht_tradeoff",
     "e_fix",
-    "empirical",
     "estimate_exponent",
     "eta_n",
     "find_mu_violation",
@@ -85,6 +84,7 @@ __all__ = [
     "run_trials",
     "sample_iid",
     "stream_seed",
+    "stream_sizes",
     "two_phase_test",
     "weighted_join_min",
 ]

@@ -20,7 +20,7 @@ from . import exponents as ex
 from . import montecarlo as mc
 from .optimizer import SearchConfig, check_pair_grid
 from .simplex import grid_array
-from .testbench import SetupKind
+from .testbench import SetupKind, make_model, stream_sizes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -262,9 +262,19 @@ class RunConfig:
             raise ConfigError("sim_late_cap must be >= 1")
         self.svg_log_x = raw.get("svg_log_x", "false").lower() in ("1", "true", "yes")
         try:
-            self.instance()  # validate eagerly
+            inst = self.instance()  # validate eagerly
         except ValueError as e:
             raise ConfigError(str(e))
+        # every two-phase cell's streams must hold what its early phase reads
+        for setup in self.sim_setups:
+            if setup is SetupKind.FixedLength:
+                continue
+            model = make_model(setup, inst)
+            for n in self.sim_n_grid:
+                try:
+                    stream_sizes(model, n, self.sim_late_cap)
+                except ValueError as e:
+                    raise ConfigError(f"sim_late_cap too small for {setup.value} at n = {n}: {e}")
 
     def instance(self, **overrides):
         lam = self.lam

@@ -98,21 +98,37 @@ def gjs(P, Q, alpha):
 
     Returns (value, minimizer):
         value = alpha*KL(P||M) + KL(Q||M),  M = (alpha*P + Q)/(alpha+1)
-    which equals min_V { alpha*KL(P||V) + KL(Q||V) }.  The value is
-    gjs_rows' one-row case.
+    which equals min_V { alpha*KL(P||V) + KL(Q||V) }: the weighted join
+    with weights (alpha, 1).
+    """
+    return weighted_join_min(alpha, P, 1.0, Q)
+
+
+def weighted_join_min(a, P, b, Q):
+    """min_V a*KL(P||V) + b*KL(Q||V) with a,b > 0; returns (value, minimizer).
+
+    The minimizer is the weighted mixture (a*P + b*Q)/(a+b), and the value
+    is weighted_join_rows' one-row case.
     """
     P = as_dist(P, "P")
     Q = as_dist(Q, "Q")
     if P.size != Q.size:
         raise ValueError("dimension mismatch")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    M = (alpha * P + Q) / (alpha + 1.0)
-    return float(gjs_rows(P, Q, alpha)[0]), M
+    if a <= 0 or b <= 0:
+        raise ValueError("weights must be positive")
+    M = (a * P + b * Q) / (a + b)
+    return float(weighted_join_rows(a, P, b, Q)[0]), M
 
 
 def gjs_rows(P, Q, alpha):
-    """Row-wise GJS(P_i||Q_i, alpha) over two (T, d) stacks, in bits.
+    """Row-wise GJS(P_i||Q_i, alpha) over two (T, d) stacks, in bits:
+    weighted_join_rows with weights (alpha, 1)."""
+    return weighted_join_rows(alpha, P, 1.0, Q)
+
+
+def weighted_join_rows(a, P, b, Q):
+    """Row-wise a*KL(P_i||M_i) + b*KL(Q_i||M_i), M = (a*P + b*Q)/(a+b), over
+    two (T, d) stacks, in bits.
 
     Each KL term sums the masked Q*ln(Q/M) left to right, which for d < 8
     is the order numpy sums a short vector in, so every row equals the
@@ -120,8 +136,8 @@ def gjs_rows(P, Q, alpha):
     """
     P = np.atleast_2d(P)
     Q = np.atleast_2d(Q)
-    M = (alpha * P + Q) / (alpha + 1.0)
-    return alpha * _kl_left_to_right(P, M) + _kl_left_to_right(Q, M)
+    M = (a * P + b * Q) / (a + b)
+    return a * _kl_left_to_right(P, M) + b * _kl_left_to_right(Q, M)
 
 
 def _kl_left_to_right(Q, P):
@@ -138,7 +154,11 @@ def gjs_value(P, Q, alpha):
     return gjs(P, Q, alpha)[0]
 
 
-def gjs_cross(Prows, Qrows, alpha, chunk=256):
+#: rows of P that gjs_cross takes at once: bounds its (chunk, M, d) temporaries
+_CROSS_CHUNK = 256
+
+
+def gjs_cross(Prows, Qrows, alpha):
     """(N,M) matrix of GJS(P_i||Q_j, alpha) over two row stacks, in bits."""
     Prows = np.atleast_2d(Prows)
     Qrows = np.atleast_2d(Qrows)
@@ -146,29 +166,17 @@ def gjs_cross(Prows, Qrows, alpha, chunk=256):
     out = np.empty((N, Qrows.shape[0]))
     entP = _xlogx(Prows).sum(axis=1)
     entQ = _xlogx(Qrows).sum(axis=1)
-    for i0 in range(0, N, chunk):
-        P = Prows[i0 : i0 + chunk]
+    for i0 in range(0, N, _CROSS_CHUNK):
+        rows = slice(i0, i0 + _CROSS_CHUNK)
+        P = Prows[rows]
         M = (alpha * P[:, None, :] + Qrows[None, :, :]) / (alpha + 1.0)
         logM = np.log(np.where(M > 0, M, 1.0))
         crossP = np.einsum("nd,nmd->nm", P, logM)
         crossQ = np.einsum("md,nmd->nm", Qrows, logM)
-        out[i0 : i0 + chunk] = (
-            alpha * (entP[i0 : i0 + chunk, None] - crossP) + (entQ[None, :] - crossQ)
+        out[rows] = (
+            alpha * (entP[rows, None] - crossP) + (entQ[None, :] - crossQ)
         ) / LN2
     return out
-
-
-def weighted_join_min(a, P, b, Q):
-    """min_V a*KL(P||V) + b*KL(Q||V) with a,b > 0; returns (value, minimizer).
-
-    The minimizer is the weighted mixture (a*P + b*Q)/(a+b).
-    """
-    P = as_dist(P, "P")
-    Q = as_dist(Q, "Q")
-    if a <= 0 or b <= 0:
-        raise ValueError("weights must be positive")
-    M = (a * P + b * Q) / (a + b)
-    return float(a * kl(P, M) + b * kl(Q, M)), M
 
 
 def bht_tradeoff(P0, P1, e0):

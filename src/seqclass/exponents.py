@@ -133,10 +133,9 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig()):
     return float(g1_batch(Q[None, :], Q0[None, :], Q1[None, :], inst, cfg)[0])
 
 
-def g1_batch(Qrows, Q0rows, Q1rows, inst, cfg=SearchConfig(), refine=True):
+def g1_batch(Qrows, Q0rows, Q1rows, inst, cfg=SearchConfig()):
     """Vectorized g1 over row stacks (same leading length), scaled-Renyi path."""
-    if refine:
-        check_g1_polish(inst, cfg)
+    check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
     pg = grid_array(inst.d, k, eps=inst.eps)
     lam = lambda_matrix(inst.lam, pg, pg, inst.beta)  # (k0, k1)
@@ -144,15 +143,13 @@ def g1_batch(Qrows, Q0rows, Q1rows, inst, cfg=SearchConfig(), refine=True):
     b = inst.beta * dv.kl_matrix(Q1rows, pg)  # (N, k1)
     scores = a + _p1_slot_min(b, lam)
     vals = scores.min(axis=1)
-    if not refine:
-        return vals
     # local polish around the per-row argmin pair; the objective is smooth in
     # (P0', P1') so a couple of shrinking box passes suffice
     jstar = scores.argmin(axis=1)
     lstar = (b - lam[jstar]).argmin(axis=1)
     out = vals.copy()
     for i in range(Qrows.shape[0]):
-        score = partial(_g1_box, Qrows[i], Q0rows[i], Q1rows[i], inst)
+        score = partial(_g1_box, Qrows[i], Q0rows[i], Q1rows[i], (1.0, inst.alpha, inst.beta), inst)
         out[i] = min(out[i], _polish(score, (pg[jstar[i]], pg[lstar[i]]), k, inst.eps))
     return out
 
@@ -166,11 +163,16 @@ def _p1_slot_min(b, lam):
     return t
 
 
-def _g1_box(Q, Q0, Q1, inst, U, V):
-    """g1's objective at one tuple over P0' rows U and P1' rows V, (|U|, |V|)."""
+def _g1_box(Q, Q0, Q1, weights, inst, U, V):
+    """The weighted score of one tuple over P0' rows U and P1' rows V:
+        wx*KL(Q||P0') + w0*KL(Q0||P0') + w1*KL(Q1||P1') - lambda(P0', P1')
+    as a (|U|, |V|) matrix, with weights = (wx, w0, w1).  g1 weighs the
+    blocks (1, alpha, beta); the late-phase score g_n counts its sequential
+    blocks n-fold."""
+    wx, w0, w1 = weights
     lam = lambda_matrix(inst.lam, U, V, inst.beta)
-    a = (dv.kl_matrix(Q[None, :], U) + inst.alpha * dv.kl_matrix(Q0[None, :], U))[0]
-    b = inst.beta * dv.kl_matrix(Q1[None, :], V)[0]
+    a = (wx * dv.kl_matrix(Q[None, :], U) + w0 * dv.kl_matrix(Q0[None, :], U))[0]
+    b = w1 * dv.kl_matrix(Q1[None, :], V)[0]
     return a[:, None] + b[None, :] - lam
 
 

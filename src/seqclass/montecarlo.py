@@ -7,8 +7,15 @@ from typing import Optional
 
 import numpy as np
 
-from .simplex import as_dist, sample_rows, stream_keys, type_rows
-from .testbench import SetupKind, early_phase, fixed_length_test, make_model, two_phase_test
+from .simplex import sample_rows, stream_keys, type_rows
+from .testbench import (
+    SetupKind,
+    early_phase,
+    fixed_length_test,
+    make_model,
+    stream_sizes,
+    two_phase_test,
+)
 
 #: per-n error-count floor below which a point is too rare to trust
 RARE_EVENT_FLOOR = 5
@@ -79,14 +86,12 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = inst.d
-    p0, p1 = as_dist(inst.P0, "P0"), as_dist(inst.P1, "P1")
-    law = {"t0": p0, "t1": p1, "x": p1 if theta else p0}
     decision = np.empty(trials, dtype=np.intp)
     tau = np.empty(trials, dtype=np.intp)
     early = 0
     capped = False
     if setup is SetupKind.FixedLength:
-        laws = (law["x"], law["t0"], law["t1"])
+        laws = (inst.p1 if theta else inst.p0, inst.p0, inst.p1)
         sizes = (n, math.ceil(inst.alpha * n), math.ceil(inst.beta * n))
         for lo, hi in _chunks(trials, sum(sizes)):
             x, t0, t1 = (type_rows(s, d) for s in _draw(laws, sizes, seed, np.arange(lo, hi)))
@@ -94,18 +99,8 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
         tau[:] = n
     else:
         model = make_model(setup, inst)
-        order = ("x", "t0", "t1") if setup is SetupKind.Semi2 else ("t0", "t1", "x")
-        laws = tuple(law[name] for name in order)
-        late = n * n if late_cap is None else min(late_cap, n * n)
-        prefix, full = [], []
-        for i, a in enumerate(model.alphas):
-            fixed = i < model.ell
-            prefix.append(math.ceil(a * (n if fixed else n - 1)))
-            full.append(math.ceil(a * (n if fixed else late)))
-            if prefix[i] > full[i]:
-                raise ValueError(
-                    "stream exhausted: needs %d samples, has %d" % (prefix[i], full[i])
-                )
+        laws = model.laws(theta)
+        prefix, full, _, _ = stream_sizes(model, n, late_cap)
         for lo, hi in _chunks(trials, sum(prefix)):
             ids = np.arange(lo, hi)
             tup = tuple(type_rows(s, d) for s in _draw(laws, prefix, seed, ids))

@@ -5,7 +5,6 @@ sum to one.  Everything downstream (divergences, optimizers, the test bench)
 works on these arrays, so validation lives here.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -42,35 +41,6 @@ def check_eps(eps, d):
 
 def satisfies_floor(p, eps):
     return bool(np.min(p) >= eps)
-
-
-@dataclass(frozen=True)
-class EmpiricalType:
-    """Counts of each alphabet symbol in an n-sample sequence."""
-
-    counts: tuple
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if sum(self.counts) != self.n:
-            raise ValueError("counts must sum to n")
-
-    @property
-    def dist(self):
-        return np.asarray(self.counts, dtype=np.float64) / self.n
-
-
-def empirical(samples, d):
-    """Empirical type of a sequence of alphabet indices in [0, d)."""
-    samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ValueError("empty sample sequence")
-    if samples.min() < 0 or samples.max() >= d:
-        raise ValueError("sample index out of range")
-    counts = np.bincount(samples, minlength=d)
-    return EmpiricalType(tuple(int(c) for c in counts), int(samples.size))
 
 
 _MASK32 = 0xFFFFFFFF

@@ -20,13 +20,16 @@ blocks (g_n) decides.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from . import divergence as dv
-from .exponents import ConstantLambda, g1, lambda_matrix
-from .simplex import empirical, grid_array
+from .exponents import ConstantLambda, _g1_box, g1
+from .simplex import grid_array, type_rows
+
+#: grid density of the late-phase score's (P0', P1') search under a
+#: non-constant budget
+GN_DENSITY = 200
 
 
 class SetupKind(Enum):
@@ -61,81 +64,66 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class HypothesisModel:
-    """Evaluators the generic two-phase engine needs.
+    """The block layout of a sequential setup.
 
-    Q-hat tuples are given in setup order.  dist_to_H0/H1 are the weighted
-    KL distances to the hypothesis classes, row by row over tuples of
-    (T, d) stacks; gn_at is the late-phase decision score (negative =
-    decide 0).
+    A trial's three sequences form blocks in setup order: `blocks` names
+    each one ("t0", "t1" or "x"), the first `ell` are fixed-length, and
+    block i draws alphas[i] samples per time step.
     """
 
     setup: SetupKind
     inst: object
     ell: int
     alphas: tuple  # per-block sampling ratios, setup order
-    dist_to_H0: Callable
-    dist_to_H1: Callable
-    gn_at: Callable
-    eta: Callable  # n -> threshold
+    blocks: tuple  # "t0", "t1", "x" in setup order
 
+    def laws(self, theta):
+        """The law of each block in setup order when X ~ P_theta."""
+        law = {"t0": self.inst.p0, "t1": self.inst.p1, "x": self.inst.p1 if theta else self.inst.p0}
+        return tuple(law[b] for b in self.blocks)
 
-def _blocks_in_setup_order(setup):
-    """Indices of (T0, T1, X) within the setup's block ordering."""
-    if setup is SetupKind.Semi2:
-        return 1, 2, 0  # order is (X, T0, T1)
-    return 0, 1, 2  # order is (T0, T1, X)
+    def unpack(self, tup):
+        """The (T0, T1, X) entries of a tuple given in setup order."""
+        return tuple(tup[self.blocks.index(b)] for b in ("t0", "t1", "x"))
 
 
 def make_model(setup, inst):
     if setup is SetupKind.FixedLength:
         raise ValueError("FixedLength has no sequential model; use fixed_length_test")
     a, b = inst.alpha, inst.beta
-    i0, i1, ix = _blocks_in_setup_order(setup)
     if setup is SetupKind.Semi2:
-        ell, alphas = 1, (1.0, a, b)
+        ell, alphas, blocks = 1, (1.0, a, b), ("x", "t0", "t1")
     elif setup is SetupKind.Semi1:
-        ell, alphas = 2, (a, b, 1.0)
+        ell, alphas, blocks = 2, (a, b, 1.0), ("t0", "t1", "x")
     else:
-        ell, alphas = 0, (a, b, 1.0)
-
-    def dist_to_H0(tup):
-        return dv.gjs_rows(tup[i0], tup[ix], a)
-
-    def dist_to_H1(tup):
-        return dv.gjs_rows(tup[i1], tup[ix], b)
-
-    # late-phase weights: sequential blocks count n-fold
-    def gn_at(tup, n):
-        w = [alphas[k] * (1.0 if k < ell else float(n)) for k in range(3)]
-        w0, w1, wx = w[i0], w[i1], w[ix]
-        if isinstance(inst.lam, ConstantLambda):
-            # the P1' slot collapses onto the T1 type; the P0' slot joins
-            # the T0 and X types with their late-phase weights
-            val, _ = dv.weighted_join_min(w0, tup[i0], wx, tup[ix])
-            return val - inst.lam.lambda0
-        return _gn_generic(tup[ix], tup[i0], tup[i1], wx, w0, w1, inst)
-
-    return HypothesisModel(
-        setup=setup,
-        inst=inst,
-        ell=ell,
-        alphas=alphas,
-        dist_to_H0=dist_to_H0,
-        dist_to_H1=dist_to_H1,
-        gn_at=gn_at,
-        eta=lambda n: eta_n(n, a, b, inst.d),
-    )
+        ell, alphas, blocks = 0, (a, b, 1.0), ("t0", "t1", "x")
+    return HypothesisModel(setup=setup, inst=inst, ell=ell, alphas=alphas, blocks=blocks)
 
 
-def _gn_generic(Q, Q0, Q1, wx, w0, w1, inst, k=200):
-    """Grid evaluation of the late-phase score for non-constant lambda:
-    min over (P0', P1') of wx*KL(Q||P0') + w0*KL(Q0||P0') + w1*KL(Q1||P1')
-    minus lambda(P0', P1')."""
-    pg = grid_array(inst.d, k, eps=inst.eps)
-    lam = lambda_matrix(inst.lam, pg, pg, inst.beta)
-    avec = (wx * dv.kl_matrix(Q[None, :], pg) + w0 * dv.kl_matrix(Q0[None, :], pg))[0]
-    bvec = w1 * dv.kl_matrix(Q1[None, :], pg)[0]
-    return float((avec[:, None] + bvec[None, :] - lam).min())
+def stream_sizes(model, n, late_cap=None):
+    """How many samples of each block a two-phase trial reads.
+
+    Returns (early, late, tau, capped): the per-block counts in setup order
+    read at time n - 1 and at the late time tau, which is n^2, or late_cap
+    when that is smaller (then capped is True).  At time t a fixed block
+    has ceil(alpha_i * n) samples and a sequential one ceil(alpha_i * t).
+    Raises ValueError when the late time would read fewer samples of a
+    block than the early phase does.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    tau = n * n
+    capped = late_cap is not None and late_cap < tau
+    if capped:
+        tau = late_cap
+    early, late = [], []
+    for i, a in enumerate(model.alphas):
+        fixed = i < model.ell
+        early.append(math.ceil(a * (n if fixed else n - 1)))
+        late.append(math.ceil(a * (n if fixed else tau)))
+        if early[i] > late[i]:
+            raise ValueError("stream exhausted: needs %d samples, has %d" % (early[i], late[i]))
+    return tuple(early), tuple(late), tau, capped
 
 
 def _decide_by_g1(Q, Q0, Q1, inst, gjs0=None):
@@ -170,61 +158,75 @@ def early_phase(tup, n, model):
     """The early-phase rule at time n-1 over a tuple of (T, d) type stacks
     in setup order.  Returns (stop, decision), two length-T arrays.
 
-    A row stops when it lies eta_n-close to either hypothesis class.  Inside
-    the H1-typical shell the sign of g1 decides (overlaps with the H0 shell
-    resolve by the sign as well); in the H0 shell alone the decision is 0.
+    A row stops when it lies eta_n-close to either hypothesis class: the
+    GJS distance of (T0, X) is below eta_n (H0) or that of (T1, X) is (H1).
+    Inside the H1-typical shell the sign of g1 decides (overlaps with the
+    H0 shell resolve by the sign as well); in the H0 shell alone the
+    decision is 0.
     """
-    i0, i1, ix = _blocks_in_setup_order(model.setup)
-    eta = model.eta(n)
-    d0 = model.dist_to_H0(tup)
-    d1 = model.dist_to_H1(tup)
+    inst = model.inst
+    t0, t1, x = model.unpack(tup)
+    eta = eta_n(n, inst.alpha, inst.beta, inst.d)
+    d0 = dv.gjs_rows(t0, x, inst.alpha)
+    d1 = dv.gjs_rows(t1, x, inst.beta)
     stop = (d0 < eta) | (d1 < eta)
     decision = np.zeros(stop.size, dtype=np.intp)
     shell = np.flatnonzero(d1 < eta)
-    decision[shell] = _decide_by_g1(
-        tup[ix][shell], tup[i0][shell], tup[i1][shell], model.inst, gjs0=d0[shell]
-    )
+    decision[shell] = _decide_by_g1(x[shell], t0[shell], t1[shell], inst, gjs0=d0[shell])
     return stop, decision
 
 
-def _type_of(stream, upto, d):
-    if len(stream) < upto:
-        raise ValueError("stream exhausted: needs %d samples, has %d" % (upto, len(stream)))
-    return empirical(stream[:upto], d).dist
+def late_score(tup, n, model):
+    """g_n of each row of a tuple of (T, d) type stacks in setup order.
 
-
-def two_phase_test(streams, n, model, alphas=None, ell=None, late_cap=None):
-    """Run one two-phase sequential classification trial.
-
-    streams: three integer index sequences in setup order; sequential blocks
-    must be able to supply ceil(alpha_i * n^2) samples (or the cap), fixed
-    blocks their fixed allocation.  Returns a TestOutcome.
+    g_n is g1's weighted score with the sequential blocks counted n-fold.
+    Under a constant budget the P1' slot collapses onto the T1 type and the
+    P0' slot joins the T0 and X types with their weights.  Otherwise the
+    score is minimised over the GN_DENSITY grid of candidate pairs, one row
+    at a time (stacked rows can change the BLAS rounding).
     """
     inst = model.inst
-    d = inst.d
-    alphas = model.alphas if alphas is None else alphas
-    ell = model.ell if ell is None else ell
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    w0, w1, wx = model.unpack([a if i < model.ell else a * n for i, a in enumerate(model.alphas)])
+    t0, t1, x = model.unpack(tup)
+    if isinstance(inst.lam, ConstantLambda):
+        return dv.weighted_join_rows(w0, t0, wx, x) - inst.lam.lambda0
+    pg = grid_array(inst.d, GN_DENSITY, eps=inst.eps)
+    return np.array(
+        [_g1_box(q, q0, q1, (wx, w0, w1), inst, pg, pg).min() for q, q0, q1 in zip(x, t0, t1)],
+        dtype=np.float64,
+    )
 
-    def counts_at(k_seq):
-        out = []
-        for i, a in enumerate(alphas):
-            base = n if i < ell else k_seq
-            out.append(int(math.ceil(a * base)))
-        return out
 
-    early_counts = counts_at(n - 1)
-    tup = tuple(_type_of(streams[i], early_counts[i], d)[None, :] for i in range(3))
-    stop, decision = early_phase(tup, n, model)
+def late_phase(tup, n, model):
+    """The late-phase rule at time tau over a tuple of (T, d) type stacks in
+    setup order: decide 0 where g_n < 0 (ties go to 1), one decision per row."""
+    return np.where(late_score(tup, n, model) < 0, 0, 1)
+
+
+def _types(streams, counts, d):
+    """The (1, d) type of the first counts[i] samples of each stream."""
+    out = []
+    for s, k in zip(streams, counts):
+        head = np.asarray(s)[:k]
+        if head.size < k:
+            raise ValueError("stream too short: needs %d samples, has %d" % (k, head.size))
+        if head.min() < 0 or head.max() >= d:
+            raise ValueError("sample index out of range")
+        out.append(type_rows(head[None, :], d))
+    return tuple(out)
+
+
+def two_phase_test(streams, n, model, late_cap=None):
+    """Run one two-phase sequential classification trial.
+
+    streams: three integer index sequences in setup order, each at least as
+    long as stream_sizes says the phases read (the late counts are needed
+    only when the early phase defers).  Returns a TestOutcome.
+    """
+    early, late, tau, capped = stream_sizes(model, n, late_cap)
+    d = model.inst.d
+    stop, decision = early_phase(_types(streams, early, d), n, model)
     if stop[0]:
         return TestOutcome(decision=int(decision[0]), tau=n - 1, phase="early")
-
-    late = n * n
-    capped = late_cap is not None and late_cap < late
-    if capped:
-        late = late_cap
-    late_counts = counts_at(late)
-    tup2 = tuple(_type_of(streams[i], late_counts[i], d) for i in range(3))
-    decision = 0 if model.gn_at(tup2, n) < 0 else 1
-    return TestOutcome(decision=decision, tau=late, phase="late", capped=capped)
+    decision = late_phase(_types(streams, late, d), n, model)
+    return TestOutcome(decision=int(decision[0]), tau=tau, phase="late", capped=capped)

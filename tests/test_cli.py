@@ -92,9 +92,11 @@ def test_exit_code_config_error(tmp_path):
         # d = 4 at the default density: a 39,711-point pair grid, N^2 far
         # past check_pair_grid's bound
         {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4"},
+        # the late time would read fewer samples than the early phase at n - 1
+        {"sim_late_cap": "5", "sim_n_grid": "20"},
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
-         "pair_grid_d4"],
+         "pair_grid_d4", "late_cap_below_n"],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts

@@ -138,20 +138,31 @@ def _type_vectors(d):
     )
 
 
-@given(st.data(), st.integers(2, 6), st.sampled_from([0.3, 0.38, 0.7, 1.0, 2.0, 5.5]))
+@given(
+    st.data(),
+    st.integers(2, 6),
+    st.sampled_from([0.3, 0.38, 0.7, 1.0, 2.0, 5.5]),
+    # weights of the late phase's join too: sequential blocks count n-fold
+    st.sampled_from([1.0, 0.6, 3.0, 7.6, 20.0]),
+)
 @settings(max_examples=200, deadline=None)
-def test_gjs_rows_equal_scalar_gjs(data, d, alpha):
+def test_gjs_rows_equal_scalar_gjs(data, d, alpha, weight):
     rows = data.draw(st.integers(1, 5))
     P = np.stack([data.draw(_type_vectors(d)) for _ in range(rows)])
     Q = np.stack([data.draw(_type_vectors(d)) for _ in range(rows)])
     got = dv.gjs_rows(P, Q, alpha)
-    assert got.shape == (rows,)
-    for g, p, q in zip(got, P, Q):
+    joined = dv.weighted_join_rows(alpha, P, weight, Q)
+    assert got.shape == joined.shape == (rows,)
+    for g, j, p, q in zip(got, joined, P, Q):
         assert g == dv.gjs_value(p, q, alpha)
         # the scalar arithmetic gjs had before it became gjs_rows' one-row
         # case: kl sums its masked terms with np.sum
         M = (alpha * p + q) / (alpha + 1.0)
         assert g == alpha * dv.kl(p, M) + dv.kl(q, M)
+        # and weighted_join_min's, which the late phase used before
+        M = (alpha * p + weight * q) / (alpha + weight)
+        assert j == alpha * dv.kl(p, M) + weight * dv.kl(q, M)
+        assert j == dv.weighted_join_min(alpha, p, weight, q)[0]
 
 
 def test_gjs_rows_full_support_values():

@@ -9,7 +9,6 @@ from seqclass.simplex import (
     as_dist,
     clamp_rows,
     compositions,
-    empirical,
     grid_array,
     grid_count,
     philox_uniforms,
@@ -31,13 +30,11 @@ def test_as_dist_validates():
 
 
 def test_empirical_counts():
-    t = empirical([0, 1, 1, 1], 2)
-    assert t.n == 4
-    np.testing.assert_allclose(t.dist, [0.25, 0.75])
+    assert (type_rows(np.array([[0, 1, 1, 1]]), 2) == [[0.25, 0.75]]).all()
 
 
 def test_empirical_degenerate():
-    np.testing.assert_allclose(empirical([0, 0], 2).dist, [1.0, 0.0])
+    assert (type_rows(np.array([[0, 0]]), 2) == [[1.0, 0.0]]).all()
 
 
 def test_empirical_concentrates():
@@ -46,7 +43,7 @@ def test_empirical_concentrates():
     good = 0
     for seed in range(100):
         x = sample_iid(p, 10_000, stream_seed(seed))
-        if np.abs(empirical(x, 2).dist - p).sum() < 0.05:
+        if np.abs(type_rows(x[None, :], 2)[0] - p).sum() < 0.05:
             good += 1
     assert good >= 99
 
@@ -201,4 +198,4 @@ def test_type_rows_match_empirical():
     (x,) = sample_rows([np.array([0.5, 0.3, 0.2])], [17], stream_keys(4, np.arange(5))[:, None])
     types = type_rows(x, 3)
     for row, t in zip(x, types):
-        assert (t == empirical(row, 3).dist).all()
+        assert (t == np.bincount(row, minlength=3) / 17).all()

@@ -1,18 +1,27 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqclass import divergence as dv
 from seqclass import exponents as ex
+from seqclass import testbench as tb
 from seqclass.simplex import grid_array, sample_iid, stream_seed
 from seqclass.testbench import (
     SetupKind,
+    early_phase,
     eta_n,
     fixed_length_test,
+    late_phase,
+    late_score,
     make_model,
+    stream_sizes,
     two_phase_test,
 )
+
+DATA = Path(__file__).resolve().parent / "data" / "late_scores.json"
 
 
 def inst_const(lam0=0.05, alpha=1.0, beta=1.0, p0=(0.8, 0.2), p1=(0.2, 0.8)):
@@ -85,26 +94,35 @@ def test_model_layout(setup, ell, alphas):
     assert m.alphas == alphas
 
 
-def test_model_distances_are_gjs():
+def _in_setup_order(model, t0, t1, x):
+    named = {"t0": t0, "t1": t1, "x": x}
+    return tuple(named[b] for b in model.blocks)
+
+
+def test_model_distances_are_gjs(monkeypatch):
+    # a row stops iff a GJS distance lies below eta_n, so a margin at the
+    # nearest distance (no stop) and one ulp above it (stop) pins that
+    # distance bit for bit: the (T0, X) one first, then the (T1, X) one;
+    # FullySeq orders the blocks (T0, T1, X), Semi2 (X, T0, T1)
     inst = inst_const(alpha=0.5, beta=0.7)
-    m = make_model(SetupKind.FullySeq, inst)
-    t0 = np.array([0.7, 0.3])
-    t1 = np.array([0.3, 0.7])
-    x = np.array([0.5, 0.5])
-    tup = (t0, t1, x)  # setup order (T0, T1, X)
-    assert m.dist_to_H0(tup) == pytest.approx(dv.gjs_value(t0, x, 0.5), abs=1e-12)
-    assert m.dist_to_H1(tup) == pytest.approx(dv.gjs_value(t1, x, 0.7), abs=1e-12)
+    t0 = np.array([[0.7, 0.3]])
+    t1 = np.array([[0.3, 0.7]])
+    for m in (make_model(SetupKind.FullySeq, inst), make_model(SetupKind.Semi2, inst)):
+        for x, near in ((np.array([[0.6, 0.4]]), 0), (np.array([[0.4, 0.6]]), 1)):
+            dist = (dv.gjs_value(t0[0], x[0], 0.5), dv.gjs_value(t1[0], x[0], 0.7))
+            assert dist[near] < dist[1 - near]
+            for eta, stops in ((dist[near], False), (np.nextafter(dist[near], np.inf), True)):
+                monkeypatch.setattr(tb, "eta_n", lambda n, a, b, d, eta=eta: eta)
+                stop, _ = early_phase(_in_setup_order(m, t0, t1, x), 20, m)
+                assert stop.tolist() == [stops]
 
 
-def _streams(inst, model, theta, n, seed, late=None):
-    laws = {"t0": inst.p0, "t1": inst.p1, "x": inst.p1 if theta else inst.p0}
-    order = ("x", "t0", "t1") if model.setup is SetupKind.Semi2 else ("t0", "t1", "x")
-    late = n * n if late is None else late
-    out = []
-    for i, name in enumerate(order):
-        base = n if i < model.ell else late
-        out.append(sample_iid(laws[name], math.ceil(model.alphas[i] * base), stream_seed(seed, 0, i)))
-    return out
+def _streams(model, theta, n, seed):
+    _, sizes, _, _ = stream_sizes(model, n)
+    laws = model.laws(theta)
+    return [
+        sample_iid(law, k, stream_seed(seed, 0, i)) for i, (law, k) in enumerate(zip(laws, sizes))
+    ]
 
 
 def test_two_phase_separated_pair_decides_fast():
@@ -115,7 +133,7 @@ def test_two_phase_separated_pair_decides_fast():
     n = 200
     correct = 0
     for seed in range(200):
-        out = two_phase_test(_streams(inst, model, 0, n, seed), n, model)
+        out = two_phase_test(_streams(model, 0, n, seed), n, model)
         assert out.tau in (n - 1, n * n)
         if out.decision == 0:
             correct += 1
@@ -126,7 +144,7 @@ def test_two_phase_early_stop_support():
     inst = inst_const()
     model = make_model(SetupKind.Semi1, inst)
     n = 30
-    out = two_phase_test(_streams(inst, model, 0, n, 3), n, model)
+    out = two_phase_test(_streams(model, 0, n, 3), n, model)
     assert out.tau in (n - 1, n * n)
     assert out.phase in ("early", "late")
 
@@ -151,26 +169,105 @@ def test_two_phase_stream_exhaustion_raises():
     short = [np.zeros(3, dtype=int)] * 3
     with pytest.raises(ValueError):
         two_phase_test(short, 30, model)
+    full = np.zeros(900, dtype=int)
+    with pytest.raises(ValueError, match="stream too short"):
+        two_phase_test([full, full, np.array([], dtype=int)], 30, model)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_two_phase_rejects_out_of_range_index(bad):
+    model = make_model(SetupKind.FullySeq, inst_const())
+    full = np.zeros(900, dtype=int)
+    x = full.copy()
+    x[5] = bad
+    with pytest.raises(ValueError, match="out of range"):
+        two_phase_test([full, full, x], 30, model)
+
+
+def test_stream_sizes_layout():
+    # Semi2 orders its blocks (X, T0, T1) and keeps X at its fixed n samples
+    model = make_model(SetupKind.Semi2, inst_const(alpha=0.5, beta=0.25))
+    assert stream_sizes(model, 10) == ((10, 5, 3), (10, 50, 25), 100, False)
+    assert stream_sizes(model, 10, late_cap=100) == ((10, 5, 3), (10, 50, 25), 100, False)
+    assert stream_sizes(model, 10, late_cap=40) == ((10, 5, 3), (10, 20, 10), 40, True)
+    with pytest.raises(ValueError, match="stream exhausted"):
+        stream_sizes(model, 10, late_cap=8)
+    with pytest.raises(ValueError):
+        stream_sizes(model, 1)
 
 
 def test_gn_constant_matches_weighted_join():
-    inst = inst_const(alpha=0.5, beta=0.7)
-    model = make_model(SetupKind.FullySeq, inst)
+    # g_n joins T0 and X with the late weights (alpha*n, n) and subtracts
+    # lambda0, so the decision flips exactly where lambda0 passes the join
     t0 = np.array([0.7, 0.3])
     t1 = np.array([0.3, 0.7])
     x = np.array([0.5, 0.5])
+    tup = (t0[None, :], t1[None, :], x[None, :])
     n = 20
-    got = model.gn_at((t0, t1, x), n)
     val, _ = dv.weighted_join_min(0.5 * n, t0, 1.0 * n, x)
-    assert got == pytest.approx(val - 0.05, abs=1e-12)
+    model = make_model(SetupKind.FullySeq, inst_const(alpha=0.5, beta=0.7))
+    assert late_score(tup, n, model).tolist() == [val - 0.05]
+    for lam0, decision in ((val, 1), (np.nextafter(val, np.inf), 0)):
+        model = make_model(SetupKind.FullySeq, inst_const(lam0=lam0, alpha=0.5, beta=0.7))
+        assert late_phase(tup, n, model).tolist() == [decision]
 
 
 def test_gn_generic_close_to_constant_structure():
-    # scaled-Renyi gn should be <= the g1-style bound at the same tuple
+    # the scaled-Renyi g_n is a finite grid minimum, and its sign decides
     inst = ex.ProblemInstance((0.8, 0.2), (0.2, 0.8), 1.0, 1.0, ex.ScaledRenyiLambda(0.5, 0.01))
     model = make_model(SetupKind.FullySeq, inst)
-    t0 = np.array([0.75, 0.25])
-    t1 = np.array([0.25, 0.75])
-    x = np.array([0.7, 0.3])
-    v = model.gn_at((t0, t1, x), 10)
+    tup = (np.array([[0.75, 0.25]]), np.array([[0.25, 0.75]]), np.array([[0.7, 0.3]]))
+    (v,) = late_score(tup, 10, model)
     assert math.isfinite(v)
+    assert late_phase(tup, 10, model).tolist() == [0 if v < 0 else 1]
+
+
+# Late-phase scores g_n, recorded with the scalar kernels late_score
+# replaced (weighted_join_min under a constant budget, a k = 200 grid score
+# of its own otherwise).  Each case scores the tuples of TUPLES[d] with the
+# late weights of one setup at one n.
+LATE_INSTANCES = {
+    "constant": ex.ProblemInstance((0.8, 0.2), (0.2, 0.8), 0.3, 0.7, ex.ConstantLambda(0.05)),
+    "constant_d3": ex.ProblemInstance(
+        (0.6, 0.3, 0.1), (0.1, 0.3, 0.6), 0.5, 0.7, ex.ConstantLambda(0.08)
+    ),
+    "renyi": ex.ProblemInstance(
+        (0.6, 0.4), (0.1, 0.9), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003)
+    ),
+}
+# (T0, T1, X) sample counts; each type is counts / sum(counts)
+TUPLES = {
+    2: [((7, 3), (3, 7), (5, 5)), ((20, 0), (5, 15), (12, 8)), ((9, 11), (2, 18), (0, 20))],
+    3: [
+        ((5, 3, 2), (1, 3, 6), (4, 4, 2)),
+        ((0, 5, 5), (2, 2, 6), (4, 4, 4)),
+        ((9, 0, 1), (0, 0, 10), (3, 6, 1)),
+    ],
+}
+LATE_PINNED = json.loads(DATA.read_text())["cases"]
+
+
+def _late_case_id(case):
+    return f"{case['instance']}-{case['setup']}-n{case['n']}"
+
+
+def test_late_pins_cover_both_families_and_setups():
+    covered = {(c["instance"], c["setup"], c["n"]) for c in LATE_PINNED}
+    assert covered == {
+        (name, setup, n)
+        for name in LATE_INSTANCES
+        for setup in ("fullyseq", "semi1", "semi2")
+        for n in (5, 20)
+    }
+
+
+@pytest.mark.parametrize("case", LATE_PINNED, ids=_late_case_id)
+def test_late_score_pinned(case):
+    inst = LATE_INSTANCES[case["instance"]]
+    model = make_model(SetupKind(case["setup"]), inst)
+    t0, t1, x = (
+        np.stack([np.array(c, dtype=np.float64) / sum(c) for c in block])
+        for block in zip(*TUPLES[inst.d])
+    )
+    got = late_score(_in_setup_order(model, t0, t1, x), case["n"], model)
+    assert got.tolist() == case["scores"]
