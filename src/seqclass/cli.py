@@ -20,7 +20,7 @@ from . import exponents as ex
 from . import montecarlo as mc
 from .optimizer import SearchConfig, check_pair_grid
 from .simplex import grid_array
-from .testbench import SetupKind, make_model, stream_sizes
+from .testbench import SetupKind, check_late_score, make_model, stream_sizes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -428,9 +428,12 @@ def curve_svg(rows, x_label="sweep", log_x=False):
 
 
 def cmd_simulate(cfg, outdir):
+    inst = cfg.instance()
     try:
         # run_trials scores g1 with the default SearchConfig, not cfg.solver
-        ex.check_g1_polish(cfg.instance())
+        ex.check_g1_polish(inst)
+        if any(setup is not SetupKind.FixedLength for setup in cfg.sim_setups):
+            check_late_score(inst)
     except ValueError as e:
         raise ConfigError(f"cannot simulate: {e}")
     header = "setup,n,theta,trials,errors,mean_tau,ci95_tau,capped"
@@ -440,7 +443,7 @@ def cmd_simulate(cfg, outdir):
         for theta in (0, 1):
             for n in cfg.sim_n_grid:
                 r = mc.run_trials(
-                    setup, cfg.instance(), theta, n, cfg.sim_trials, cfg.sim_seed,
+                    setup, inst, theta, n, cfg.sim_trials, cfg.sim_seed,
                     late_cap=cfg.sim_late_cap,
                 )
                 reports.setdefault((setup, theta), []).append(r)

@@ -365,6 +365,11 @@ def e_fix_search(inst, cfg=SearchConfig()):
     for each, solve the convex inner problem (minimize the objective subject
     to the tuple lying in that pair's lambda-ball) exactly by Lagrangian
     bisection on the multiplier; all block minimizers are tilted families.
+    Each grid of pairs is solved by branch and bound (_efix_dual_matrix):
+    a pair whose Lagrangian lower bound exceeds the least feasible value
+    found, by more than a slack of 1e-9 * (1 + s), is never bisected.  The
+    grid's minimum and argmin, and so the result, are those of solving
+    every pair.
     """
     a, b = inst.alpha, inst.beta
     P0, P1 = inst.p0, inst.p1
@@ -393,33 +398,56 @@ def e_fix_search(inst, cfg=SearchConfig()):
 
 #: cells of the e_fix dual solved together: a chunk's (d, K) arrays stay in L2
 _DUAL_CHUNK = 4096
+#: slack of the Lagrangian bound per unit of (1 + s), where s is the
+#: multiplier it was taken at: about 1e5 times the rounding error of the
+#: bound and of the value the cell's own bisection reaches
+_BOUND_SLACK = 1e-9
 
 
 def _efix_dual_matrix(Urows, Vrows, inst):
-    """For each candidate pair (P0', P1'), the exact inner fixed-length value.
+    """For each candidate pair (P0', P1'), the exact inner fixed-length value,
+    or +inf where the Lagrangian bound shows it cannot be the minimum.
 
     Inner problem at pair (u, v) with budget L = lambda(u, v):
-        minimize  KL(Q||P1) + alpha*KL(Q0||P0) + beta*KL(Q1||P1)
-        s.t.      KL(Q||u) + alpha*KL(Q0||u) + beta*KL(Q1||v) <= L.
+        minimize  f = KL(Q||P1) + alpha*KL(Q0||P0) + beta*KL(Q1||P1)
+        s.t.      c = KL(Q||u) + alpha*KL(Q0||u) + beta*KL(Q1||v) <= L.
     Convex and separable per block once a multiplier s is fixed: each block
     minimizer is the tilt of its target toward u (or v) with weight s/(1+s).
     The constraint value decreases monotonically in s, so bisection on s
     finds the active-budget solution; strong duality makes it exact.
 
     Cells with L <= 0 are infeasible (inf), and cells whose unconstrained
-    optimum (s = 0) already lies in the ball are worth 0.  Only the remaining
-    active cells are searched, in chunks of _DUAL_CHUNK cells; the tilts are
+    optimum (s = 0) already lies in the ball are worth 0.  The remaining
+    active cells are searched in chunks of _DUAL_CHUNK cells; the tilts are
     stored (d, K), so each max or sum over the alphabet is d - 1 vector
     operations, taken left to right.  Per active cell, the bracket [0, hi]
     starts at hi = 1 and hi doubles while the constraint at hi exceeds L, at
-    most 70 times; only the cells still growing are evaluated.  At most 90
-    bisection steps follow.  A step maps (lo, hi) to new values by a
-    deterministic elementwise function, so once a step leaves every (lo, hi)
-    of the chunk unchanged, all later steps would too: stopping there gives
-    the 90-step result bit for bit (on the figure grids it comes after 53 or
-    54 steps).  The excluded cells never reach such a fixed point, since
-    their hi would keep halving.  The constraint alone drives the search; the
-    objective is evaluated once, at the final hi.
+    most 70 times; only the cells still growing are evaluated.
+
+    Branch and bound.  The tilts minimise the Lagrangian f + s*(c - L)
+    exactly, so f + s*(c - L) at each evaluated hi is a lower bound on the
+    cell's value (weak duality).  An evaluation with c <= L gives a feasible
+    value f, which bounds from above what the cell's bisection reaches from
+    there, since f grows with s.  The running minimum UB of these feasible
+    values over all chunks (0 once any cell lies in the ball) bounds the
+    matrix minimum from above.  A cell whose best lower bound, less the
+    slack _BOUND_SLACK * (1 + s), exceeds UB cannot hold the minimum: it
+    stops growing and reads +inf.  Of each chunk only the surviving cells'
+    flat index, hi and bound are kept; after the last chunk they are
+    filtered by the final UB and bisected, again in chunks of _DUAL_CHUNK,
+    each from the hi its doubling reached.
+
+    At most 90 bisection steps follow.  A step maps (lo, hi) to new values
+    by a deterministic elementwise function, so once a step leaves every
+    (lo, hi) of the chunk unchanged, all later steps would too: stopping
+    there gives each cell's 90-step result bit for bit, whichever cells
+    share its chunk (on the figure grids the stop comes after 53 or 54
+    steps).  The excluded cells never reach such a fixed point, since their
+    hi would keep halving.  The constraint alone drives the bisection; the
+    objective is evaluated once, at the final hi.  So every finite cell
+    equals a solve of that cell alone, and the matrix minimum and its first
+    argmin, all that min_simplex_pair reads, are those of solving every
+    cell; a 1 x 1 call is never pruned.
     """
     U = np.atleast_2d(Urows)
     V = np.atleast_2d(Vrows)
@@ -430,34 +458,57 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     logv = np.log(V).T  # (d, M)
     logP0 = np.log(inst.p0)[:, None]
     logP1 = np.log(inst.p1)[:, None]
-    out = np.full(Lflat.size, np.inf)
-    feasible = np.flatnonzero(Lflat > 0.0)
-    for start in range(0, feasible.size, _DUAL_CHUNK):
-        cells = feasible[start : start + _DUAL_CHUNK]
+
+    def blocks_of(cells):
         rows, cols = np.divmod(cells, M)
-        blocks = (
+        return (
             (logP1, logu[:, rows], 1.0),
             (logP0, logu[:, rows], inst.alpha),
             (logP1, logv[:, cols], inst.beta),
         )
+
+    out = np.full(Lflat.size, np.inf)
+    ub = np.inf
+    # flat index, hi and lower bound of each chunk's surviving active cells
+    kept = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
+    feasible = np.flatnonzero(Lflat > 0.0)
+    for start in range(0, feasible.size, _DUAL_CHUNK):
+        cells = feasible[start : start + _DUAL_CHUNK]
+        blocks = blocks_of(cells)
         budget = Lflat[cells]
         c0, _ = _tilted_blocks(np.zeros(cells.size), blocks)
         # the complement of "unconstrained optimum already inside the ball"
         active = ~(c0 <= budget)
-        out[cells[~active]] = 0.0
-        if not active.any():
-            continue
-        blocks = _take(blocks, active)
-        budget = budget[active]
-        hi = np.ones(budget.size)
-        grow = np.arange(budget.size)  # cells whose constraint at hi still exceeds L
+        if not active.all():
+            out[cells[~active]] = 0.0
+            ub = 0.0
+        cells, budget, blocks = cells[active], budget[active], _take(blocks, active)
+        hi = np.ones(cells.size)
+        bound = np.full(cells.size, -np.inf)
+        grow = np.arange(cells.size)  # cells whose constraint at hi still exceeds L
         for _ in range(70):
-            c, _ = _tilted_blocks(hi[grow], _take(blocks, grow))
-            grow = grow[c > budget[grow]]
             if grow.size == 0:
                 break
+            s = hi[grow]
+            c, f = _tilted_blocks(s, _take(blocks, grow), objective=True)
+            gap = c - budget[grow]
+            bound[grow] = np.maximum(bound[grow], f + s * gap - _BOUND_SLACK * (1.0 + s))
+            fits = gap <= 0.0
+            if fits.any():
+                ub = min(ub, float(f[fits].min()))
+            grow = grow[~fits & ~(bound[grow] > ub)]
             hi[grow] *= 2.0
-        lo = np.zeros(budget.size)
+        live = ~(bound > ub)
+        kept.append((cells[live], hi[live], bound[live]))
+    cells, his, bounds = map(np.concatenate, zip(*kept))
+    live = ~(bounds > ub)
+    cells, his = cells[live], his[live]
+    for start in range(0, cells.size, _DUAL_CHUNK):
+        part = cells[start : start + _DUAL_CHUNK]
+        blocks = blocks_of(part)
+        budget = Lflat[part]
+        hi = his[start : start + _DUAL_CHUNK]
+        lo = np.zeros(part.size)
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             c, _ = _tilted_blocks(mid, blocks)
@@ -468,7 +519,7 @@ def _efix_dual_matrix(Urows, Vrows, inst):
                 break
             lo, hi = lo_next, hi_next
         _, fstar = _tilted_blocks(hi, blocks, objective=True)
-        out[cells[active]] = fstar
+        out[part] = fstar
     return out.reshape(L.shape)
 
 

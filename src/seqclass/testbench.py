@@ -25,7 +25,8 @@ import numpy as np
 
 from . import divergence as dv
 from .exponents import ConstantLambda, _g1_box, g1
-from .simplex import grid_array, type_rows
+from .optimizer import PAIR_CELL_LIMIT
+from .simplex import grid_array, grid_count, type_rows
 
 #: grid density of the late-phase score's (P0', P1') search under a
 #: non-constant budget
@@ -183,18 +184,38 @@ def late_score(tup, n, model):
     Under a constant budget the P1' slot collapses onto the T1 type and the
     P0' slot joins the T0 and X types with their weights.  Otherwise the
     score is minimised over the GN_DENSITY grid of candidate pairs, one row
-    at a time (stacked rows can change the BLAS rounding).
+    at a time (stacked rows can change the BLAS rounding), after
+    check_late_score has bounded that grid.
     """
     inst = model.inst
     w0, w1, wx = model.unpack([a if i < model.ell else a * n for i, a in enumerate(model.alphas)])
     t0, t1, x = model.unpack(tup)
     if isinstance(inst.lam, ConstantLambda):
         return dv.weighted_join_rows(w0, t0, wx, x) - inst.lam.lambda0
+    check_late_score(inst)
     pg = grid_array(inst.d, GN_DENSITY, eps=inst.eps)
     return np.array(
         [_g1_box(q, q0, q1, (wx, w0, w1), inst, pg, pg).min() for q, q0, q1 in zip(x, t0, t1)],
         dtype=np.float64,
     )
+
+
+def check_late_score(inst):
+    """Raise ValueError if late_score would score more than PAIR_CELL_LIMIT
+    candidate pairs per row.
+
+    The size comes from grid_count, so nothing is allocated.  That admits
+    d = 2 (201 grid points) and refuses d = 3, where the 20,301 points make
+    a 3.3 GB matrix.  A constant budget grids nothing.
+    """
+    if isinstance(inst.lam, ConstantLambda):
+        return
+    side = grid_count(inst.d, GN_DENSITY)
+    if side * side > PAIR_CELL_LIMIT:
+        raise ValueError(
+            f"late-phase score too large at d={inst.d}: {side} grid points "
+            f"make {side * side} cells > {PAIR_CELL_LIMIT}"
+        )
 
 
 def late_phase(tup, n, model):

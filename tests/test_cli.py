@@ -228,6 +228,41 @@ def test_simulate_refuses_oversized_g1_polish(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+D3_RENYI_SIM_CFG = (
+    "schema = 1\np0 = 0.6,0.3,0.1\np1 = 0.1,0.3,0.6\nalpha = 0.5\nbeta = 0.7\n"
+    "lambda_family = scaled_renyi\nxi = 0.5\noffset = 0.003\nsim_n_grid = 5\nsim_trials = 2\n"
+)
+
+
+def test_simulate_refuses_oversized_late_score(tmp_path, monkeypatch):
+    # d = 3 under a scaled-Renyi budget: a deferred trial would score the
+    # 20,301^2 pairs of the late-phase grid
+    path = write(tmp_path, D3_RENYI_SIM_CFG + "sim_setups = fixed,fullyseq\n")
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(mc, "run_trials", never_called)
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_simulate_fixed_length_skips_late_score_bound(tmp_path, monkeypatch):
+    # the fixed-length test has no late phase, so the same instance may run
+    path = write(tmp_path, D3_RENYI_SIM_CFG + "sim_setups = fixed\n")
+
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(mc, "run_trials", started)
+    with pytest.raises(Started):
+        cli.main(["simulate", "--config", path, "--out", str(tmp_path / "sim")])
+
+
 def test_rare_event_floor_exits_4_by_type(monkeypatch):
     def floor(cfg, outdir):
         raise mc.RareEventFloorError("too few usable points")

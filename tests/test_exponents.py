@@ -238,21 +238,69 @@ def test_efix_dual_batched_matches_single_cells(p0, p1, alpha, beta, lam, mu, mv
     assert U.shape[0] * V.shape[0] > 8000
     got = ex._efix_dual_matrix(U, V, inst)
     L = ex.lambda_matrix(inst.lam, U, V, inst.beta)
-    assert np.isinf(got[L <= 0.0]).all()
-    assert np.isfinite(got[L > 0.0]).all()
+    assert np.isinf(got[L <= 0.0]).all()  # every finite cell has a budget
+    assert np.isfinite(got.ravel()[got.argmin()])
     if lam.offset == 0.0:
         assert (L <= 0.0).any()  # the diagonal u = v has no budget
-    # sample every kind of cell: infeasible, inside the ball at s = 0, active
+    # sample every kind of cell: infeasible, inside the ball at s = 0,
+    # active, and dropped by the Lagrangian bound
     rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
-    flat = got.ravel()
+    flat, Lflat = got.ravel(), L.ravel()
     picks = list(rng.choice(flat.size, 40, replace=False))
-    for kind in (np.isinf(flat), flat == 0.0, np.isfinite(flat) & (flat > 0.0)):
+    kinds = (Lflat <= 0.0, flat == 0.0, np.isfinite(flat) & (flat > 0.0), np.isinf(flat) & (Lflat > 0.0))
+    for kind in kinds:
         picks += list(np.flatnonzero(kind)[:3])
     for k in picks:
         i, j = divmod(int(k), V.shape[0])
         single = ex._efix_dual_matrix(U[i][None, :], V[j][None, :], inst)
         assert single.shape == (1, 1)
-        assert single[0, 0] == got[i, j], (i, j)
+        if np.isfinite(got[i, j]) or L[i, j] <= 0.0:
+            assert single[0, 0] == got[i, j], (i, j)
+        else:
+            assert single[0, 0] > got.min(), (i, j)
+
+
+@pytest.mark.parametrize(
+    "p0, p1, alpha, beta, lam, mu, mv",
+    [
+        (P0, P1, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003), 14, 14),  # fig1
+        (P0, P1, 0.7, 0.7, ex.ScaledRenyiLambda(0.5, 0.0), 14, 14),  # fig3: L <= 0 on the diagonal
+        (P0, P1, 0.38, 0.6, ex.ScaledRenyiLambda(1.0, 0.05), 14, 14),  # fig1 with cells worth 0
+        ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7), 0.7, 0.7, ex.ScaledRenyiLambda(0.6, 0.0), 4, 4),
+        ((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003), 3, 2),
+    ],
+    ids=["fig1", "fig3", "fig1_zero", "d3", "d4"],
+)
+def test_efix_dual_keeps_the_minimum(p0, p1, alpha, beta, lam, mu, mv):
+    # a 1 x 1 call is never pruned, so cell by cell it solves every cell
+    inst = ex.ProblemInstance(p0, p1, alpha, beta, lam)
+    U = grid_array(inst.d, mu, eps=inst.eps)
+    V = grid_array(inst.d, mv, eps=inst.eps)
+    got = ex._efix_dual_matrix(U, V, inst)
+    full = np.array([[ex._efix_dual_matrix(u[None, :], v[None, :], inst)[0, 0] for v in V] for u in U])
+    L = ex.lambda_matrix(inst.lam, U, V, inst.beta)
+    assert (np.isinf(got) & (L > 0.0)).any()  # the bound dropped cells
+    assert got.min() == full.min()
+    assert got.argmin() == full.argmin()
+    if lam.offset == 0.05:
+        assert full.min() == 0.0
+
+
+# tracemalloc peak of _efix_dual_matrix on the fig1 201 x 201 coarse grid
+# when every active cell was bisected
+DUAL_PEAK_SOLVE_ALL = 2.54 * 2**20
+
+
+def test_efix_dual_memory_stays_flat():
+    inst = renyi_inst()
+    U = grid_array(2, 200, eps=inst.eps)
+    tracemalloc.start()
+    try:
+        ex._efix_dual_matrix(U, U, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * DUAL_PEAK_SOLVE_ALL
 
 
 # g1_batch (refined) and _mu_inner on fig1 tuples under FAST, and the sum of

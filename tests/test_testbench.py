@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from seqclass import exponents as ex
 from seqclass import testbench as tb
 from seqclass.simplex import grid_array, sample_iid, stream_seed
 from seqclass.testbench import (
+    check_late_score,
     SetupKind,
     early_phase,
     eta_n,
@@ -271,3 +273,21 @@ def test_late_score_pinned(case):
     )
     got = late_score(_in_setup_order(model, t0, t1, x), case["n"], model)
     assert got.tolist() == case["scores"]
+
+
+def test_late_score_bound_sized_without_allocating():
+    check_late_score(LATE_INSTANCES["renyi"])  # d = 2: 201^2 cells
+    check_late_score(LATE_INSTANCES["constant_d3"])  # a constant budget grids nothing
+    inst3 = ex.ProblemInstance((0.6, 0.3, 0.1), (0.1, 0.3, 0.6), 0.5, 0.7, ex.ScaledRenyiLambda(0.5, 0.003))
+    model = make_model(SetupKind.FullySeq, inst3)
+    tup = tuple(np.array([[0.5, 0.3, 0.2]]) for _ in range(3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="late-phase score too large"):
+            check_late_score(inst3)
+        with pytest.raises(ValueError, match="late-phase score too large"):
+            late_score(tup, 5, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the d = 3 grid would make 20,301^2 cells (3.3 GB)
