@@ -18,7 +18,7 @@ import numpy as np
 from . import divergence as dv
 from . import exponents as ex
 from . import montecarlo as mc
-from .optimizer import SearchConfig, check_pair_grid
+from .optimizer import REFINE_FACTOR, SearchConfig, check_pair_grid
 from .simplex import grid_array
 from .testbench import SetupKind, check_late_score, make_model, stream_sizes
 
@@ -58,7 +58,6 @@ CONFIG_KEYS = {
     "sweep_scale",
     "solver_coarse_m",
     "solver_refine_rounds",
-    "solver_refine_factor",
     "sim_setups",
     "sim_n_grid",
     "sim_trials",
@@ -236,7 +235,6 @@ class RunConfig:
             self.solver = SearchConfig(
                 coarse_m=int(coarse) if coarse is not None else None,
                 refine_rounds=int(raw.get("solver_refine_rounds", "3")),
-                refine_factor=int(raw.get("solver_refine_factor", "10")),
             )
             check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
         except ValueError as e:
@@ -328,7 +326,7 @@ def report_to_json(rep, cfg):
     payload["solver"] = {
         "coarse_m": cfg.solver.resolve_m(len(cfg.p0)),
         "refine_rounds": cfg.solver.refine_rounds,
-        "refine_factor": cfg.solver.refine_factor,
+        "refine_factor": REFINE_FACTOR,
     }
     if rep.kappa_note:
         payload["kappa_note"] = rep.kappa_note
@@ -483,12 +481,9 @@ def cmd_simulate(cfg, outdir):
     return EXIT_OK
 
 
-def _tol(default):
-    """Fault-injection hook: SEQCLASS_TOL_OVERRIDE replaces check tolerances."""
-    raw = os.environ.get("SEQCLASS_TOL_OVERRIDE")
-    if raw is None:
-        return default
-    return float(raw)
+#: tolerance of each verification check that measures a gap
+VERIFY_TOL = {"divergence-closed-form-vs-grid": 1e-4, "bht-tradeoff-vs-grid": 1e-3,
+              "ordering-chain-and-constant-lambda": 1e-3}
 
 
 def _verify_checks(level):
@@ -496,7 +491,7 @@ def _verify_checks(level):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(20240917)))
 
     # divergence closed forms vs dense grid minimization
-    tol = _tol(1e-4)
+    tol = VERIFY_TOL["divergence-closed-form-vs-grid"]
     worst = 0.0
     pg = grid_array(2, 10_000)
     for _ in range(10):
@@ -513,7 +508,7 @@ def _verify_checks(level):
     yield "divergence-closed-form-vs-grid", worst <= tol, f"worst gap {worst:.2e} vs tol {tol:g}"
 
     # binary trade-off solver vs feasible-grid oracle
-    tol = _tol(1e-3)
+    tol = VERIFY_TOL["bht-tradeoff-vs-grid"]
     worst = 0.0
     for _ in range(5):
         p = 0.05 + 0.9 * rng.random()
@@ -535,7 +530,7 @@ def _verify_checks(level):
         return
 
     # ordering chain + constant-lambda propositions on random instances
-    tol = _tol(1e-3)
+    tol = VERIFY_TOL["ordering-chain-and-constant-lambda"]
     ok = True
     detail = "all instances ordered"
     for i in range(5):

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from . import divergence as dv
-from .optimizer import ALWAYS_TRUE, PAIR_CELL_LIMIT, SearchConfig, SearchResult, min_simplex_pair
+from .optimizer import ALWAYS_TRUE, PAIR_CELL_LIMIT, SearchConfig, SearchResult, box_schedule, min_simplex_pair
 from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, satisfies_floor
 
 
@@ -109,6 +109,10 @@ class ProblemInstance:
         return len(self.P0)
 
 
+#: box re-gridding rounds of the polish around each inner grid minimum
+_POLISH_ROUNDS = 2
+
+
 def _inner_density(inst, cfg):
     # density of the fixed (P0', P1') grids used when evaluating g1 and
     # friends for the scaled-Renyi family; the inner minima are smooth, so
@@ -156,10 +160,10 @@ def g1_batch(Qrows, Q0rows, Q1rows, inst, cfg=SearchConfig()):
 
 def _p1_slot_min(b, lam):
     """t[i, j] = min over l of b[i, l] - lam[j, l]: the P1' slot minimised
-    out for each P0' of the grid."""
+    out for each P0' of the grid, one row of b at a time."""
     t = np.empty((b.shape[0], lam.shape[0]))
-    for j in range(lam.shape[0]):
-        t[:, j] = (b - lam[j]).min(axis=1)
+    for i in range(b.shape[0]):
+        t[i] = (b[i] - lam).min(axis=1)
     return t
 
 
@@ -187,7 +191,7 @@ def check_g1_polish(inst, cfg=SearchConfig()):
     """
     if isinstance(inst.lam, ConstantLambda):
         return
-    for halfwidth, density in _polish_rounds(_inner_density(inst, cfg)):
+    for halfwidth, density in box_schedule(_inner_density(inst, cfg), _POLISH_ROUNDS):
         side = box_mesh_size(inst.d, halfwidth, density)
         if side * side > PAIR_CELL_LIMIT:
             raise ValueError(
@@ -196,24 +200,16 @@ def check_g1_polish(inst, cfg=SearchConfig()):
             )
 
 
-def _polish_rounds(density):
-    """(half-width, density) of each of the two box re-gridding rounds."""
-    for _ in range(2):
-        halfwidth = 2.0 / density
-        density *= 10
-        yield halfwidth, density
-
-
 def _polish(score, centers, density, eps):
-    """Lowest score found over two rounds of box re-gridding.
+    """Lowest score found over the _POLISH_ROUNDS rounds of box re-gridding.
 
-    Each round grids a box of half-width 2/density around every block's
-    center at 10x the density, scores all combinations (score takes one row
-    stack per block and returns an array with one axis per block) and moves
-    the centers to the box minimiser.
+    Each round of `box_schedule` grids a box around every block's center,
+    scores all combinations (score takes one row stack per block and
+    returns an array with one axis per block) and moves the centers to the
+    box minimiser.
     """
     best = np.inf
-    for halfwidth, density in _polish_rounds(density):
+    for halfwidth, density in box_schedule(density, _POLISH_ROUNDS):
         boxes = [box_grid(c, halfwidth, density, eps) for c in centers]
         s = score(*boxes)
         idx = np.unravel_index(int(np.argmin(s)), s.shape)

@@ -1,8 +1,9 @@
 """Constrained minimization over the product of two probability simplices.
 
 Strategy: enumerate an exact coarse grid, filter by the constraint, then
-re-grid an L-infinity box around the incumbent at increasing density.  The
-feasible sets arising from unions of lambda-balls are non-convex, so global
+re-grid L-infinity boxes around the incumbent; `box_schedule` gives each
+round's half-width and density (2/m and REFINE_FACTOR * m after a grid at
+density m).  The feasible sets arising from unions of lambda-balls are non-convex, so global
 enumeration plus local refinement is the method of record here.  The coarse
 pair grid is evaluated whole, as N x N matrices, so `check_pair_grid` bounds
 N before anything is allocated.  That admits d = 2 and d = 3 at their
@@ -24,21 +25,20 @@ from .simplex import box_grid, grid_array, grid_count
 #: cells N^2 of the largest coarse pair grid; one float64 N x N matrix of
 #: this size takes 256 MiB
 PAIR_CELL_LIMIT = 2**25
+#: density growth from one box re-gridding round to the next
+REFINE_FACTOR = 10
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     coarse_m: Optional[int] = None  # default 200 for d=2, 60 for d=3+
     refine_rounds: int = 3
-    refine_factor: int = 10
 
     def __post_init__(self):
         if self.coarse_m is not None and self.coarse_m < 2:
             raise ValueError("coarse_m must be >= 2")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        if self.refine_factor < 2:
-            raise ValueError("refine_factor must be >= 2")
 
     def resolve_m(self, d):
         if self.coarse_m is not None:
@@ -66,14 +66,20 @@ def check_pair_grid(d, m):
         )
 
 
+def box_schedule(density, rounds):
+    """(half-width, density) of each box round after a grid at density."""
+    for _ in range(rounds):
+        halfwidth = 2.0 / density
+        density *= REFINE_FACTOR
+        yield halfwidth, density
+
+
 def _best_over_pair(objective, constraint, A, B):
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.inf, None, None
     feas = np.asarray(constraint(A, B), dtype=bool)
-    obj = np.asarray(objective(A, B), dtype=np.float64)
-    obj = np.where(feas, obj, np.inf)
-    flat = int(np.argmin(obj))
-    i, j = np.unravel_index(flat, obj.shape)
+    obj = np.where(feas, np.asarray(objective(A, B), dtype=np.float64), np.inf)
+    i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
     if not np.isfinite(obj[i, j]):
         return np.inf, None, None
     return float(obj[i, j]), A[i], B[j]
@@ -82,27 +88,29 @@ def _best_over_pair(objective, constraint, A, B):
 def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
     """Minimize a pair objective over the product of two simplex grids.
 
-    Refinement runs coordinate descent: each round, 3 sweeps alternately
-    re-grid one block in a local box while the other is held fixed, and
-    accept the box minimiser only if it improves on the incumbent.
+    The coarse grid's minimiser (a, b) is refined for cfg.refine_rounds
+    rounds of `box_schedule`, each of up to six steps alternating a and b.
+    A step re-grids one block's box with the other held fixed and keeps the
+    box minimiser only if it beats the incumbent value.  A round stops once
+    two steps in a row, one per block, have moved nothing: each later step
+    would repeat an earlier call on identical (a, b, value), so stopping
+    changes no bit and no box pair is evaluated twice.
     """
     m = cfg.resolve_m(d)
     check_pair_grid(d, m)
     pts = grid_array(d, m, eps=eps)
-    value, a, b = _best_over_pair(objective, constraint, pts, pts)
-    if a is None:
+    value, *pair = _best_over_pair(objective, constraint, pts, pts)
+    if pair[0] is None:
         return SearchResult(np.inf, None, False)
-    density = m
-    for _ in range(cfg.refine_rounds):
-        halfwidth = 2.0 / density
-        density *= cfg.refine_factor
-        for _sweep in range(3):
-            localA = box_grid(a, halfwidth, density, eps)
-            v, a2, _ = _best_over_pair(objective, constraint, localA, b[None, :])
+    for halfwidth, density in box_schedule(m, cfg.refine_rounds):
+        moved = -1  # the last step that moved the incumbent
+        for step in range(6):
+            if step - moved > 2:
+                break  # the last two steps, one per block, moved nothing
+            k = step % 2
+            blocks = [x[None, :] for x in pair]
+            blocks[k] = box_grid(pair[k], halfwidth, density, eps)
+            v, *best = _best_over_pair(objective, constraint, *blocks)
             if v < value:
-                value, a = v, a2
-            localB = box_grid(b, halfwidth, density, eps)
-            v, _, b2 = _best_over_pair(objective, constraint, a[None, :], localB)
-            if v < value:
-                value, b = v, b2
-    return SearchResult(value, (a, b), True)
+                value, pair[k], moved = v, best[k], step
+    return SearchResult(value, tuple(pair), True)

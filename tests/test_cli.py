@@ -94,9 +94,11 @@ def test_exit_code_config_error(tmp_path):
         {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4"},
         # the late time would read fewer samples than the early phase at n - 1
         {"sim_late_cap": "5", "sim_n_grid": "20"},
+        # the box schedule's density factor is fixed, not a setting
+        {"solver_refine_factor": "10"},
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
-         "pair_grid_d4", "late_cap_below_n"],
+         "pair_grid_d4", "late_cap_below_n", "refine_factor_key"],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts
@@ -193,7 +195,7 @@ def test_verify_quick_passes(capsys):
 
 
 def test_verify_tol_override_names_failed_check(monkeypatch, capsys):
-    monkeypatch.setenv("SEQCLASS_TOL_OVERRIDE", "1e-12")
+    monkeypatch.setattr(cli, "VERIFY_TOL", dict.fromkeys(cli.VERIFY_TOL, 1e-12))
     assert cli.cmd_verify("quick") == cli.EXIT_INVARIANT
     out = capsys.readouterr().out
     assert "FAIL divergence-closed-form-vs-grid" in out

@@ -7,7 +7,7 @@ import pytest
 from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass import oracles as orc
-from seqclass.optimizer import SearchConfig
+from seqclass.optimizer import SearchConfig, box_schedule
 from seqclass.simplex import box_grid, box_mesh_size, grid_array
 
 P0 = (0.6, 0.4)
@@ -321,6 +321,14 @@ def test_g1_kernels_pinned_values():
     assert float(ex._g1_diag_matrix(pg, pg, inst, FAST).sum()) == G1_DIAG_SUM_PINNED
 
 
+def test_p1_slot_min_matches_broadcast():
+    # the row loop takes the same differences and the same exact min as one
+    # (N, k0, k1) broadcast, so the bits are equal
+    rng = np.random.default_rng(5)
+    b, lam = rng.random((7, 11)), rng.random((13, 11))
+    assert np.array_equal(ex._p1_slot_min(b, lam), (b[:, None, :] - lam[None, :, :]).min(axis=2))
+
+
 @pytest.mark.parametrize("point, want", EFIX_PINNED)
 def test_efix_pinned_values(point, want):
     alpha, beta, offset, xi = point
@@ -332,7 +340,7 @@ def test_g1_polish_bound_sized_without_allocating():
     # the bound takes each box's mesh size, an upper bound on box_grid's rows
     for d, k in ((2, 400), (3, 60), (4, 60)):
         center = grid_array(d, k, eps=0.01)[k // 3]
-        for halfwidth, density in ex._polish_rounds(k):
+        for halfwidth, density in box_schedule(k, ex._POLISH_ROUNDS):
             assert box_grid(center, halfwidth, density, 0.01).shape[0] <= box_mesh_size(
                 d, halfwidth, density
             )

@@ -1,9 +1,12 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function and class of the package has a caller, and
+every setting is read.
 
 A definition counts as used when its name is read somewhere other than its
 own body: in a module of ``src/seqclass`` (the re-exports of ``__init__.py``
 do not count) or in a demo script.  Names that only the tests call are
-listed below, each with the reason it stays.
+listed below, each with the reason it stays.  Settings come only from
+config keys, never from the environment, and each key of
+``cli.CONFIG_KEYS`` is read by name.
 """
 
 import ast
@@ -66,3 +69,36 @@ def test_every_definition_has_a_caller():
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
     assert set(TEST_ONLY) <= defined  # no stale allowlist entries
+
+
+def test_no_environment_read():
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+
+
+def _string(node):
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def test_every_config_key_is_read():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    keys = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CONFIG_KEYS" for t in node.targets)
+    )
+    # a key is read as raw.get(key), raw[key] or key in raw
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args:
+            read.add(_string(node.args[0]))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            read.add(_string(node.slice))
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            read.add(_string(node.left))
+    assert sorted(keys - read) == []

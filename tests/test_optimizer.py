@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from seqclass import cli
 from seqclass import divergence as dv
+from seqclass import exponents as ex
 from seqclass.optimizer import (
     ALWAYS_TRUE,
     SearchConfig,
@@ -106,11 +108,75 @@ def test_inf_objective_points_skipped():
     assert res.argmin[0][0] >= 0.5 - 1e-12
 
 
+def masked_kl(A, B):
+    """KL(a||(0.3, 0.7)), +inf wherever a[0] < 1/3."""
+    out = kl_to(np.array([0.3, 0.7]))(A, B)
+    out[A[:, 0] < 1 / 3] = np.inf
+    return out
+
+
+# value and argmin of three default searches with off-grid minimisers:
+# ending a refinement round at its fixed point must not move a bit
+SEARCH_PINNED = [
+    (
+        separable(np.array([2**0.5 - 1, 2 - 2**0.5]), np.array([6 / 7, 1 / 7])),
+        2,
+        3.319494654614392e-11,
+        ([0.41421499999999994, 0.585785], [0.8571449999999999, 0.14285500000000007]),
+    ),
+    (
+        separable(np.array([1 / 7, 1 / 3, 11 / 21]), np.array([0.6, 1 / 9, 13 / 45])),
+        3,
+        6.053281214124271e-10,
+        (
+            [0.14285, 0.3333333333333333, 0.5238166666666667],
+            [0.6, 0.11111666666666667, 0.2888833333333334],
+        ),
+    ),
+    (masked_kl, 2, 0.0037418498838039447, ([0.33333500000000005, 0.666665], [0.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("objective, d, value, argmin", SEARCH_PINNED, ids=["d2", "d3", "masked"])
+def test_search_pinned(objective, d, value, argmin):
+    res = min_simplex_pair(objective, ALWAYS_TRUE, d)
+    assert res.value == value
+    assert [x.tolist() for x in res.argmin] == [list(x) for x in argmin]
+
+
+def recorded_search(calls):
+    """min_simplex_pair that logs the bytes of every box pair its objective
+    is called on."""
+
+    def search(objective, constraint, d, cfg=SearchConfig(), eps=None):
+        def logged(A, B):
+            calls.append((A.tobytes(), B.tobytes()))
+            return objective(A, B)
+
+        return min_simplex_pair(logged, constraint, d, cfg, eps)
+
+    return search
+
+
+def test_refinement_evaluates_each_box_once(monkeypatch):
+    # once both blocks' steps have moved nothing, a further step would
+    # repeat a call on identical inputs; the round stops there instead
+    calls = []
+    recorded_search(calls)(SEARCH_PINNED[0][0], ALWAYS_TRUE, 2)
+    searches = [calls]
+    inst = cli.load_config(preset="fig1").instance()
+    for run in (ex.kappa_search, ex.mu_search, ex.e_fix_search):
+        calls = []
+        monkeypatch.setattr(ex, "min_simplex_pair", recorded_search(calls))
+        assert run(inst).feasible_found
+        searches.append(calls)
+    for calls in searches:
+        assert len(set(calls)) == len(calls)
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(coarse_m=1)
-    with pytest.raises(ValueError):
-        SearchConfig(refine_factor=1)
     assert SearchConfig().resolve_m(2) == 200
     assert SearchConfig().resolve_m(3) == 60
 
