@@ -20,7 +20,7 @@ from . import exponents as ex
 from . import montecarlo as mc
 from .optimizer import REFINE_FACTOR, SearchConfig, check_pair_grid
 from .simplex import grid_array
-from .testbench import SetupKind, check_late_score, make_model, stream_sizes
+from .testbench import SetupKind, make_model, stream_sizes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -225,6 +225,8 @@ class RunConfig:
                 raise ConfigError("sweep range must be positive")
             if self.sweep["scale"] not in ("linear", "log"):
                 raise ConfigError("sweep_scale must be linear or log")
+            if param == "lambda0" and fam != "constant":
+                raise ConfigError("sweep_parameter lambda0 needs lambda_family constant")
             if param == "xi":
                 if fam != "scaled_renyi":
                     raise ConfigError("sweep_parameter xi needs lambda_family scaled_renyi")
@@ -430,8 +432,6 @@ def cmd_simulate(cfg, outdir):
     try:
         # run_trials scores g1 with the default SearchConfig, not cfg.solver
         ex.check_g1_polish(inst)
-        if any(setup is not SetupKind.FixedLength for setup in cfg.sim_setups):
-            check_late_score(inst)
     except ValueError as e:
         raise ConfigError(f"cannot simulate: {e}")
     header = "setup,n,theta,trials,errors,mean_tau,ci95_tau,capped"

@@ -121,41 +121,46 @@ def _inner_density(inst, cfg):
     return 2 * m if inst.d == 2 else m
 
 
-def g1(Q, Q0, Q1, inst, cfg=SearchConfig()):
+def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
     """Sequential-decision score: how lambda-close (Q, Q0, Q1) is to a null pair.
 
     inf over candidate pairs (P0', P1') in the eps floor of
-        KL(Q||P0') + alpha*KL(Q0||P0') + beta*KL(Q1||P1') - lambda(P0', P1').
+        wx*KL(Q||P0') + w0*KL(Q0||P0') + w1*KL(Q1||P1') - lambda(P0', P1')
+    with weights = (wx, w0, w1), by default (1, alpha, beta); the late-phase
+    score g_n is this infimum with the sequential blocks counted n-fold.
     Negative means some admissible null pair explains the tuple within its
-    type-I budget.  Constant lambda collapses to GJS(Q0||Q, alpha) - lambda0.
+    type-I budget.  Constant lambda collapses the P1' slot onto Q1 and the
+    P0' slot onto the weighted join of Q0 and Q: the score is
+    weighted_join_rows(w0, Q0, wx, Q) - lambda0.
+
+    Takes one tuple of distributions and returns a float, or three (N, d)
+    stacks and returns one score per row.  Under a scaled-Renyi budget the
+    inner grid and lambda on it are built once per call and each row is
+    solved alone, so a row's score does not depend on the rest of its stack.
     """
-    Q = as_dist(Q, "Q")
-    Q0 = as_dist(Q0, "Q0")
-    Q1 = as_dist(Q1, "Q1")
+    one = np.ndim(Q) == 1
+    if one:
+        Q, Q0, Q1 = (as_dist(v, name)[None, :] for v, name in ((Q, "Q"), (Q0, "Q0"), (Q1, "Q1")))
+    wx, w0, w1 = (1.0, inst.alpha, inst.beta) if weights is None else weights
     if isinstance(inst.lam, ConstantLambda):
-        return dv.gjs_value(Q0, Q, inst.alpha) - inst.lam.lambda0
-    return float(g1_batch(Q[None, :], Q0[None, :], Q1[None, :], inst, cfg)[0])
-
-
-def g1_batch(Qrows, Q0rows, Q1rows, inst, cfg=SearchConfig()):
-    """Vectorized g1 over row stacks (same leading length), scaled-Renyi path."""
+        out = dv.weighted_join_rows(w0, Q0, wx, Q) - inst.lam.lambda0
+        return float(out[0]) if one else out
     check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
     pg = grid_array(inst.d, k, eps=inst.eps)
     lam = lambda_matrix(inst.lam, pg, pg, inst.beta)  # (k0, k1)
-    a = dv.kl_matrix(Qrows, pg) + inst.alpha * dv.kl_matrix(Q0rows, pg)  # (N, k0)
-    b = inst.beta * dv.kl_matrix(Q1rows, pg)  # (N, k1)
-    scores = a + _p1_slot_min(b, lam)
-    vals = scores.min(axis=1)
-    # local polish around the per-row argmin pair; the objective is smooth in
-    # (P0', P1') so a couple of shrinking box passes suffice
-    jstar = scores.argmin(axis=1)
-    lstar = (b - lam[jstar]).argmin(axis=1)
-    out = vals.copy()
-    for i in range(Qrows.shape[0]):
-        score = partial(_g1_box, Qrows[i], Q0rows[i], Q1rows[i], (1.0, inst.alpha, inst.beta), inst)
-        out[i] = min(out[i], _polish(score, (pg[jstar[i]], pg[lstar[i]]), k, inst.eps))
-    return out
+    out = np.empty(len(Q))
+    for i in range(len(Q)):
+        a = wx * dv.kl_matrix(Q[i], pg) + w0 * dv.kl_matrix(Q0[i], pg)  # (1, k0)
+        b = w1 * dv.kl_matrix(Q1[i], pg)  # (1, k1)
+        scores = (a + _p1_slot_min(b, lam))[0]
+        j = int(scores.argmin())
+        l = int((b[0] - lam[j]).argmin())
+        # local polish around the argmin pair; the objective is smooth in
+        # (P0', P1') so a couple of shrinking box passes suffice
+        score = partial(_g1_box, Q[i], Q0[i], Q1[i], (wx, w0, w1), inst)
+        out[i] = min(scores[j], _polish(score, (pg[j], pg[l]), k, inst.eps))
+    return float(out[0]) if one else out
 
 
 def _p1_slot_min(b, lam):
@@ -170,9 +175,7 @@ def _p1_slot_min(b, lam):
 def _g1_box(Q, Q0, Q1, weights, inst, U, V):
     """The weighted score of one tuple over P0' rows U and P1' rows V:
         wx*KL(Q||P0') + w0*KL(Q0||P0') + w1*KL(Q1||P1') - lambda(P0', P1')
-    as a (|U|, |V|) matrix, with weights = (wx, w0, w1).  g1 weighs the
-    blocks (1, alpha, beta); the late-phase score g_n counts its sequential
-    blocks n-fold."""
+    as a (|U|, |V|) matrix, with g1's weights = (wx, w0, w1)."""
     wx, w0, w1 = weights
     lam = lambda_matrix(inst.lam, U, V, inst.beta)
     a = (wx * dv.kl_matrix(Q[None, :], U) + w0 * dv.kl_matrix(Q0[None, :], U))[0]

@@ -24,13 +24,8 @@ from enum import Enum
 import numpy as np
 
 from . import divergence as dv
-from .exponents import ConstantLambda, _g1_box, g1
-from .optimizer import PAIR_CELL_LIMIT
-from .simplex import grid_array, grid_count, type_rows
-
-#: grid density of the late-phase score's (P0', P1') search under a
-#: non-constant budget
-GN_DENSITY = 200
+from .exponents import g1
+from .simplex import type_rows
 
 
 class SetupKind(Enum):
@@ -127,32 +122,14 @@ def stream_sizes(model, n, late_cap=None):
     return tuple(early), tuple(late), tau, capped
 
 
-def _decide_by_g1(Q, Q0, Q1, inst, gjs0=None):
-    """Decide 0 where the tuple scores g1 < 0 (ties go to 1), one decision
-    per row of the (T, d) stacks.
-
-    Under a constant budget g1 is GJS(Q0||Q, alpha) - lambda0 over all rows
-    at once (gjs0 passes that GJS when it is already known).  Otherwise g1
-    is solved row by row: stacking the rows into g1_batch can change the
-    BLAS rounding of its matrix products.
-    """
-    if isinstance(inst.lam, ConstantLambda):
-        if gjs0 is None:
-            gjs0 = dv.gjs_rows(Q0, Q, inst.alpha)
-        g = gjs0 - inst.lam.lambda0
-    else:
-        g = np.array([g1(q, q0, q1, inst) for q, q0, q1 in zip(Q, Q0, Q1)], dtype=np.float64)
-    return np.where(g < 0, 0, 1)
-
-
 def fixed_length_test(Phat, P0hat, P1hat, inst):
     """Decide 0 iff the empirical tuple scores g1 < 0 (ties go to 1).
 
     Takes one tuple of distributions and returns an int, or (T, d) stacks
     of tuples and returns one decision per row.
     """
-    dec = _decide_by_g1(np.atleast_2d(Phat), np.atleast_2d(P0hat), np.atleast_2d(P1hat), inst)
-    return dec if np.ndim(Phat) == 2 else int(dec[0])
+    dec = np.where(g1(Phat, P0hat, P1hat, inst) < 0, 0, 1)
+    return dec if np.ndim(Phat) == 2 else int(dec)
 
 
 def early_phase(tup, n, model):
@@ -163,59 +140,28 @@ def early_phase(tup, n, model):
     GJS distance of (T0, X) is below eta_n (H0) or that of (T1, X) is (H1).
     Inside the H1-typical shell the sign of g1 decides (overlaps with the
     H0 shell resolve by the sign as well); in the H0 shell alone the
-    decision is 0.
+    decision is 0.  A row of the H1 shell stops whatever its (T0, X)
+    distance, so that distance is taken only off the shell.
     """
     inst = model.inst
     t0, t1, x = model.unpack(tup)
     eta = eta_n(n, inst.alpha, inst.beta, inst.d)
-    d0 = dv.gjs_rows(t0, x, inst.alpha)
-    d1 = dv.gjs_rows(t1, x, inst.beta)
-    stop = (d0 < eta) | (d1 < eta)
+    shell = dv.gjs_rows(t1, x, inst.beta) < eta
+    rest = ~shell
+    stop = shell.copy()
+    stop[rest] = dv.gjs_rows(t0[rest], x[rest], inst.alpha) < eta
     decision = np.zeros(stop.size, dtype=np.intp)
-    shell = np.flatnonzero(d1 < eta)
-    decision[shell] = _decide_by_g1(x[shell], t0[shell], t1[shell], inst, gjs0=d0[shell])
+    if shell.any():
+        decision[shell] = np.where(g1(x[shell], t0[shell], t1[shell], inst) < 0, 0, 1)
     return stop, decision
 
 
 def late_score(tup, n, model):
-    """g_n of each row of a tuple of (T, d) type stacks in setup order.
-
-    g_n is g1's weighted score with the sequential blocks counted n-fold.
-    Under a constant budget the P1' slot collapses onto the T1 type and the
-    P0' slot joins the T0 and X types with their weights.  Otherwise the
-    score is minimised over the GN_DENSITY grid of candidate pairs, one row
-    at a time (stacked rows can change the BLAS rounding), after
-    check_late_score has bounded that grid.
-    """
-    inst = model.inst
+    """g_n of each row of a tuple of (T, d) type stacks in setup order: g1
+    with the sequential blocks counted n-fold."""
     w0, w1, wx = model.unpack([a if i < model.ell else a * n for i, a in enumerate(model.alphas)])
     t0, t1, x = model.unpack(tup)
-    if isinstance(inst.lam, ConstantLambda):
-        return dv.weighted_join_rows(w0, t0, wx, x) - inst.lam.lambda0
-    check_late_score(inst)
-    pg = grid_array(inst.d, GN_DENSITY, eps=inst.eps)
-    return np.array(
-        [_g1_box(q, q0, q1, (wx, w0, w1), inst, pg, pg).min() for q, q0, q1 in zip(x, t0, t1)],
-        dtype=np.float64,
-    )
-
-
-def check_late_score(inst):
-    """Raise ValueError if late_score would score more than PAIR_CELL_LIMIT
-    candidate pairs per row.
-
-    The size comes from grid_count, so nothing is allocated.  That admits
-    d = 2 (201 grid points) and refuses d = 3, where the 20,301 points make
-    a 3.3 GB matrix.  A constant budget grids nothing.
-    """
-    if isinstance(inst.lam, ConstantLambda):
-        return
-    side = grid_count(inst.d, GN_DENSITY)
-    if side * side > PAIR_CELL_LIMIT:
-        raise ValueError(
-            f"late-phase score too large at d={inst.d}: {side} grid points "
-            f"make {side * side} cells > {PAIR_CELL_LIMIT}"
-        )
+    return g1(x, t0, t1, model.inst, weights=(wx, w0, w1))
 
 
 def late_phase(tup, n, model):

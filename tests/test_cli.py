@@ -96,9 +96,12 @@ def test_exit_code_config_error(tmp_path):
         {"sim_late_cap": "5", "sim_n_grid": "20"},
         # the box schedule's density factor is fixed, not a setting
         {"solver_refine_factor": "10"},
+        # a lambda0 sweep would swap the scaled-Renyi budget for a constant one
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "sweep_parameter": "lambda0",
+         "sweep_from": "0.01", "sweep_to": "0.1"},
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
-         "pair_grid_d4", "late_cap_below_n", "refine_factor_key"],
+         "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi"],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts
@@ -236,23 +239,10 @@ D3_RENYI_SIM_CFG = (
 )
 
 
-def test_simulate_refuses_oversized_late_score(tmp_path, monkeypatch):
-    # d = 3 under a scaled-Renyi budget: a deferred trial would score the
-    # 20,301^2 pairs of the late-phase grid
+def test_simulate_d3_renyi_two_phase_reaches_trials(tmp_path, monkeypatch):
+    # d = 3 under a scaled-Renyi budget: the late phase goes through g1's
+    # polish, whose bound admits d = 3, so a two-phase config starts its trials
     path = write(tmp_path, D3_RENYI_SIM_CFG + "sim_setups = fixed,fullyseq\n")
-
-    def never_called(*args, **kwargs):
-        raise AssertionError("a trial started")
-
-    monkeypatch.setattr(mc, "run_trials", never_called)
-    out = tmp_path / "sim"
-    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
-    assert not out.exists()
-
-
-def test_simulate_fixed_length_skips_late_score_bound(tmp_path, monkeypatch):
-    # the fixed-length test has no late phase, so the same instance may run
-    path = write(tmp_path, D3_RENYI_SIM_CFG + "sim_setups = fixed\n")
 
     class Started(Exception):
         pass

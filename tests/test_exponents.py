@@ -303,9 +303,9 @@ def test_efix_dual_memory_stays_flat():
     assert peak <= 1.05 * DUAL_PEAK_SOLVE_ALL
 
 
-# g1_batch (refined) and _mu_inner on fig1 tuples under FAST, and the sum of
-# _g1_diag_matrix over the eps-floored m = 60 grid; recorded before g1's and
-# mu's polish loops were merged into one routine
+# g1 (refined) over a row stack and _mu_inner on fig1 tuples under FAST, and
+# the sum of _g1_diag_matrix over the eps-floored m = 60 grid; recorded before
+# g1's and mu's polish loops were merged into one routine
 PIN_ROWS = np.array([[0.3, 0.7], [0.55, 0.45], [0.12, 0.88], [0.8, 0.2]])
 G1_PINNED = (-0.050220719979256256, -0.011959964532929024, 0.42290306586501475, 0.2018219418381768)
 MU_INNER_PINNED = (-0.0022988094237127265, -0.6800964811539311, -0.053037708202143895, -0.2270407944916899)
@@ -315,10 +315,24 @@ G1_DIAG_SUM_PINNED = 552.5886583919362
 def test_g1_kernels_pinned_values():
     inst = renyi_inst()
     Q, Q0, Q1 = PIN_ROWS, PIN_ROWS[[1, 2, 3, 0]], PIN_ROWS[[2, 3, 0, 1]]
-    assert tuple(ex.g1_batch(Q, Q0, Q1, inst, FAST)) == G1_PINNED
+    assert tuple(ex.g1(Q, Q0, Q1, inst, FAST)) == G1_PINNED
     assert tuple(ex._mu_inner(Q1, inst, FAST)) == MU_INNER_PINNED
     pg = grid_array(2, 60, eps=inst.eps)
     assert float(ex._g1_diag_matrix(pg, pg, inst, FAST).sum()) == G1_DIAG_SUM_PINNED
+
+
+def test_g1_stack_equals_one_row_calls():
+    # each row of a stack is solved alone, so stacking cannot change its
+    # BLAS rounding: the stacked scores equal the one-row calls bit for bit
+    inst = renyi_inst()
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    Q, Q0, Q1 = (0.02 + 0.96 * rng.dirichlet(np.ones(2), size=64) for _ in range(3))
+    got = ex.g1(Q, Q0, Q1, inst, FAST)
+    assert isinstance(got, np.ndarray) and got.shape == (64,)
+    assert got.tolist() == [ex.g1(q, q0, q1, inst, FAST) for q, q0, q1 in zip(Q, Q0, Q1)]
+    # a constant budget's stack is the weighted join, row for row
+    const = const_inst()
+    assert ex.g1(Q, Q0, Q1, const).tolist() == [ex.g1(q, q0, q1, const) for q, q0, q1 in zip(Q, Q0, Q1)]
 
 
 def test_p1_slot_min_matches_broadcast():

@@ -1,5 +1,5 @@
-"""Every module-level function and class of the package has a caller, and
-every setting is read.
+"""Every module-level function, class and constant of the package has a
+reader, and every setting is read.
 
 A definition counts as used when its name is read somewhere other than its
 own body: in a module of ``src/seqclass`` (the re-exports of ``__init__.py``
@@ -69,6 +69,30 @@ def test_every_definition_has_a_caller():
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
     assert set(TEST_ONLY) <= defined  # no stale allowlist entries
+
+
+def _assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_module_constant_is_read():
+    # a module-level assignment counts as used when its name is read anywhere
+    # but in that assignment: in its own module or in another caller
+    trees = _callers()
+    reads = {path: _names_read(tree) for path, tree in trees.items()}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        own = trees[path]
+        elsewhere = set().union(*(r for other, r in reads.items() if other != path))
+        for node in own.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            read = _names_read(own, skip=node) | elsewhere
+            unread += [f"{path.name}:{name}" for name in _assigned_names(node) if name not in read]
+    assert unread == []
 
 
 def test_no_environment_read():

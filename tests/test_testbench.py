@@ -9,9 +9,9 @@ import pytest
 from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass import testbench as tb
+from seqclass.optimizer import SearchConfig
 from seqclass.simplex import grid_array, sample_iid, stream_seed
 from seqclass.testbench import (
-    check_late_score,
     SetupKind,
     early_phase,
     eta_n,
@@ -215,7 +215,7 @@ def test_gn_constant_matches_weighted_join():
 
 
 def test_gn_generic_close_to_constant_structure():
-    # the scaled-Renyi g_n is a finite grid minimum, and its sign decides
+    # the scaled-Renyi g_n is g1's finite minimum, and its sign decides
     inst = ex.ProblemInstance((0.8, 0.2), (0.2, 0.8), 1.0, 1.0, ex.ScaledRenyiLambda(0.5, 0.01))
     model = make_model(SetupKind.FullySeq, inst)
     tup = (np.array([[0.75, 0.25]]), np.array([[0.25, 0.75]]), np.array([[0.7, 0.3]]))
@@ -224,10 +224,10 @@ def test_gn_generic_close_to_constant_structure():
     assert late_phase(tup, 10, model).tolist() == [0 if v < 0 else 1]
 
 
-# Late-phase scores g_n, recorded with the scalar kernels late_score
-# replaced (weighted_join_min under a constant budget, a k = 200 grid score
-# of its own otherwise).  Each case scores the tuples of TUPLES[d] with the
-# late weights of one setup at one n.
+# Late-phase scores g_n.  The constant-budget cases were recorded with the
+# scalar weighted_join_min; the scaled-Renyi ones with g1's inner grid and
+# polish under the late weights.  Each case scores the tuples of TUPLES[d]
+# with the late weights of one setup at one n.
 LATE_INSTANCES = {
     "constant": ex.ProblemInstance((0.8, 0.2), (0.2, 0.8), 0.3, 0.7, ex.ConstantLambda(0.05)),
     "constant_d3": ex.ProblemInstance(
@@ -235,6 +235,9 @@ LATE_INSTANCES = {
     ),
     "renyi": ex.ProblemInstance(
         (0.6, 0.4), (0.1, 0.9), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003)
+    ),
+    "renyi_d3": ex.ProblemInstance(
+        (0.6, 0.3, 0.1), (0.1, 0.3, 0.6), 0.5, 0.7, ex.ScaledRenyiLambda(0.5, 0.003)
     ),
 }
 # (T0, T1, X) sample counts; each type is counts / sum(counts)
@@ -275,19 +278,48 @@ def test_late_score_pinned(case):
     assert got.tolist() == case["scores"]
 
 
-def test_late_score_bound_sized_without_allocating():
-    check_late_score(LATE_INSTANCES["renyi"])  # d = 2: 201^2 cells
-    check_late_score(LATE_INSTANCES["constant_d3"])  # a constant budget grids nothing
-    inst3 = ex.ProblemInstance((0.6, 0.3, 0.1), (0.1, 0.3, 0.6), 0.5, 0.7, ex.ScaledRenyiLambda(0.5, 0.003))
-    model = make_model(SetupKind.FullySeq, inst3)
-    tup = tuple(np.array([[0.5, 0.3, 0.2]]) for _ in range(3))
+def _pair_grid_min(inst, k, weights, q, q0, q1):
+    # the weighted score over every pair of the k-density grid, in one matrix
+    wx, w0, w1 = weights
+    pg = grid_array(inst.d, k, eps=inst.eps)
+    a = (wx * dv.kl_matrix(q[None, :], pg) + w0 * dv.kl_matrix(q0[None, :], pg))[0]
+    b = w1 * dv.kl_matrix(q1[None, :], pg)[0]
+    return float((a[:, None] + b[None, :] - ex.lambda_matrix(inst.lam, pg, pg, inst.beta)).min())
+
+
+@pytest.mark.parametrize("name", ["renyi", "renyi_d3"])
+def test_late_score_at_most_pair_grid_minimum(name):
+    # g_n searches g1's inner grid and then polishes, so it lies at or below
+    # the minimum over every pair of that grid; at d = 2 that grid (k = 400)
+    # holds the k = 200 grid the late score once searched on its own
+    inst = LATE_INSTANCES[name]
+    k = ex._inner_density(inst, SearchConfig())
+    densities = (k, 200) if inst.d == 2 else (k,)
+    n = 20
+    t0, t1, x = (
+        np.stack([np.array(c, dtype=np.float64) / sum(c) for c in block])
+        for block in zip(*TUPLES[inst.d])
+    )
+    for setup in ("fullyseq", "semi1", "semi2"):
+        model = make_model(SetupKind(setup), inst)
+        w0, w1, wx = model.unpack([a if i < model.ell else a * n for i, a in enumerate(model.alphas)])
+        got = late_score(_in_setup_order(model, t0, t1, x), n, model)
+        for i, g in enumerate(got):
+            for density in densities:
+                assert g <= _pair_grid_min(inst, density, (wx, w0, w1), x[i], t0[i], t1[i])
+
+
+def test_late_score_refuses_d4_without_allocating():
+    # g_n goes through g1's polish, whose bound refuses d = 4 before any grid
+    inst4 = ex.ProblemInstance((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.5, 0.7,
+                               ex.ScaledRenyiLambda(0.5, 0.003))
+    model = make_model(SetupKind.FullySeq, inst4)
+    tup = tuple(np.array([[0.4, 0.3, 0.2, 0.1]]) for _ in range(3))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="late-phase score too large"):
-            check_late_score(inst3)
-        with pytest.raises(ValueError, match="late-phase score too large"):
+        with pytest.raises(ValueError, match="g1 polish too large"):
             late_score(tup, 5, model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # the d = 3 grid would make 20,301^2 cells (3.3 GB)
+    assert peak < 2**20
