@@ -3,8 +3,9 @@ computed optimum.
 
 Runs the two-phase test at several sample budgets n, fits the slope of
 -log2(error frequency) against n, and prints it next to the theoretical
-exponent e1* for the fully sequential setup.  Polynomial prefactors mean
-the fit brackets rather than matches the asymptotic value at desk scale.
+exponent e1* for the fully sequential setup.  Each n also shows how many
+trials stopped early, at time n - 1.  Polynomial prefactors mean the fit
+brackets rather than matches the asymptotic value at desk scale.
 """
 
 from seqclass import (
@@ -25,7 +26,10 @@ runs = []
 for n in (20, 40, 60):
     r = run_trials(SetupKind.FullySeq, inst, theta=1, n=n, trials=trials, seed=11)
     freq = r.errors / r.trials
-    print(f"  n={n:>2d}: type-II errors {r.errors:>4d}/{trials}  (freq {freq:.4f})  mean tau {r.mean_tau:.1f}")
+    print(
+        f"  n={n:>2d}: type-II errors {r.errors:>4d}/{trials}  (freq {freq:.4f})  "
+        f"stopped early {r.early:>4d}  mean tau {r.mean_tau:.1f}"
+    )
     runs.append(r)
 
 fit = estimate_exponent(runs, theta=1)

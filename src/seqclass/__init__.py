@@ -23,7 +23,6 @@ from .exponents import (
     ProblemInstance,
     ScaledRenyiLambda,
     e_fix,
-    find_mu_violation,
     g1,
     kappa,
     lambda_eval,
@@ -64,7 +63,6 @@ __all__ = [
     "e_fix",
     "estimate_exponent",
     "eta_n",
-    "find_mu_violation",
     "fixed_length_test",
     "g1",
     "gjs",

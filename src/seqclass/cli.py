@@ -172,8 +172,6 @@ class RunConfig:
     """Validated run configuration (instance + sweep + solver + sim)."""
 
     def __init__(self, raw, preset=None):
-        self.raw = raw
-        self.preset = preset
         try:
             self.p0 = _floats(raw["p0"])
             self.p1 = _floats(raw["p1"])
@@ -199,6 +197,10 @@ class RunConfig:
                 raise ConfigError(f"bad scaled_renyi lambda: {e}")
         else:
             raise ConfigError(f"unknown lambda_family {fam!r}")
+        try:
+            inst = self.instance()  # validate eagerly
+        except ValueError as e:
+            raise ConfigError(str(e))
         self.sweep = None
         if "sweep_parameter" in raw:
             param = raw["sweep_parameter"]
@@ -221,8 +223,8 @@ class RunConfig:
                 raise ConfigError(f"bad sweep: {e}")
             if self.sweep["points"] < 2:
                 raise ConfigError("sweep_points must be >= 2")
-            if self.sweep["from"] <= 0 or self.sweep["to"] <= 0:
-                raise ConfigError("sweep range must be positive")
+            if not all(0.0 < self.sweep[end] < math.inf for end in ("from", "to")):
+                raise ConfigError("sweep range must be positive and finite")
             if self.sweep["scale"] not in ("linear", "log"):
                 raise ConfigError("sweep_scale must be linear or log")
             if param == "lambda0" and fam != "constant":
@@ -261,10 +263,6 @@ class RunConfig:
         if self.sim_late_cap is not None and self.sim_late_cap < 1:
             raise ConfigError("sim_late_cap must be >= 1")
         self.svg_log_x = raw.get("svg_log_x", "false").lower() in ("1", "true", "yes")
-        try:
-            inst = self.instance()  # validate eagerly
-        except ValueError as e:
-            raise ConfigError(str(e))
         # every two-phase cell's streams must hold what its early phase reads
         for setup in self.sim_setups:
             if setup is SetupKind.FixedLength:
@@ -319,10 +317,6 @@ def fmt_value(v):
     return str(v)
 
 
-def parse_value(s):
-    return math.inf if s == "inf" else float(s)
-
-
 def report_to_json(rep, cfg):
     payload = {k: ("inf" if math.isinf(v) else v) for k, v in rep.as_dict().items()}
     payload["solver"] = {
@@ -357,13 +351,6 @@ def rows_to_csv(rows):
     for row in rows:
         lines.append(",".join(fmt_value(float(x)) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def csv_to_rows(text):
-    lines = text.strip().splitlines()
-    if lines[0] != ",".join(CURVE_COLUMNS):
-        raise ValueError("unexpected CSV header")
-    return [[parse_value(tok) for tok in line.split(",")] for line in lines[1:]]
 
 
 def cmd_curve(cfg, outdir):
@@ -486,44 +473,56 @@ VERIFY_TOL = {"divergence-closed-form-vs-grid": 1e-4, "bht-tradeoff-vs-grid": 1e
               "ordering-chain-and-constant-lambda": 1e-3}
 
 
+def closed_form_gap(pairs):
+    """Worst gap between the closed forms of the Renyi term and GJS and
+    their minima over a 10,000-point grid of the binary simplex, over the
+    binary pairs (P, Q) at the weights 0.38, 0.7, 1 and 2."""
+    pg = grid_array(2, 10_000)
+    gaps = []
+    for P, Q in pairs:
+        for a in (0.38, 0.7, 1.0, 2.0):
+            ren, _ = dv.renyi_frac(P, Q, a)
+            grid_ren = float((a * dv.kl_matrix(pg, P[None, :])[:, 0] + dv.kl_matrix(pg, Q[None, :])[:, 0]).min())
+            grid_g = float((a * dv.kl_matrix(P[None, :], pg)[0] + dv.kl_matrix(Q[None, :], pg)[0]).min())
+            gaps += [abs(ren - grid_ren), abs(dv.gjs_value(P, Q, a) - grid_g)]
+    return float(np.max(gaps, initial=0.0))
+
+
+def tradeoff_gap(pairs, fracs):
+    """Worst gap between bht_tradeoff(P0, P1, e0) and the least KL(V||P1)
+    over the points V of a 10,000-point grid with KL(V||P0) <= e0, over the
+    binary pairs (P0, P1) and e0 = frac * KL(P1||P0) for each frac."""
+    pg = grid_array(2, 10_000)
+    gaps = []
+    for P0, P1 in pairs:
+        d0 = dv.kl_matrix(pg, P0[None, :])[:, 0]
+        d1 = dv.kl_matrix(pg, P1[None, :])[:, 0]
+        top = dv.kl(P1, P0)
+        for frac in fracs:
+            e0 = frac * top
+            gaps.append(abs(dv.bht_tradeoff(P0, P1, float(e0)) - float(d1[d0 <= e0].min())))
+    return float(np.max(gaps, initial=0.0))
+
+
+def _binary(p):
+    return np.array([p, 1 - p])
+
+
 def _verify_checks(level):
     """Yield (name, ok, detail) for each verification check."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(20240917)))
 
     # divergence closed forms vs dense grid minimization
     tol = VERIFY_TOL["divergence-closed-form-vs-grid"]
-    worst = 0.0
-    pg = grid_array(2, 10_000)
-    for _ in range(10):
-        p = 0.01 + 0.98 * rng.random()
-        q = 0.01 + 0.98 * rng.random()
-        P = np.array([p, 1 - p])
-        Q = np.array([q, 1 - q])
-        for a in (0.38, 0.7, 1.0, 2.0):
-            ren, _ = dv.renyi_frac(P, Q, a)
-            grid_ren = float((a * dv.kl_matrix(pg, P[None, :])[:, 0] + dv.kl_matrix(pg, Q[None, :])[:, 0]).min())
-            g, _ = dv.gjs(P, Q, a)
-            grid_g = float((a * dv.kl_matrix(P[None, :], pg)[0] + dv.kl_matrix(Q[None, :], pg)[0]).min())
-            worst = max(worst, abs(ren - grid_ren), abs(g - grid_g))
+    pairs = [(_binary(0.01 + 0.98 * rng.random()), _binary(0.01 + 0.98 * rng.random())) for _ in range(10)]
+    worst = closed_form_gap(pairs)
     yield "divergence-closed-form-vs-grid", worst <= tol, f"worst gap {worst:.2e} vs tol {tol:g}"
 
     # binary trade-off solver vs feasible-grid oracle
     tol = VERIFY_TOL["bht-tradeoff-vs-grid"]
-    worst = 0.0
-    for _ in range(5):
-        p = 0.05 + 0.9 * rng.random()
-        q = 0.05 + 0.9 * rng.random()
-        if abs(p - q) < 0.1:
-            continue
-        P0 = np.array([p, 1 - p])
-        P1 = np.array([q, 1 - q])
-        top = dv.kl(P1, P0)
-        for e0 in np.linspace(0.1, 0.9, 3) * top:
-            got = dv.bht_tradeoff(P0, P1, float(e0))
-            d0 = dv.kl_matrix(pg, P0[None, :])[:, 0]
-            d1 = dv.kl_matrix(pg, P1[None, :])[:, 0]
-            want = float(d1[d0 <= e0].min())
-            worst = max(worst, abs(got - want))
+    draws = [(0.05 + 0.9 * rng.random(), 0.05 + 0.9 * rng.random()) for _ in range(5)]
+    pairs = [(_binary(p), _binary(q)) for p, q in draws if abs(p - q) >= 0.1]
+    worst = tradeoff_gap(pairs, np.linspace(0.1, 0.9, 3))
     yield "bht-tradeoff-vs-grid", worst <= tol, f"worst gap {worst:.2e} vs tol {tol:g}"
 
     if level != "full":

@@ -29,8 +29,8 @@ class ConstantLambda:
     lambda0: float
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class ScaledRenyiLambda:
     def __post_init__(self):
         if not 0.0 < self.xi <= 1.0:
             raise ValueError("xi must lie in (0, 1]")
-        if self.offset < 0:
-            raise ValueError("offset must be >= 0")
+        if not 0.0 <= self.offset < math.inf:
+            raise ValueError(f"offset must be >= 0 and finite, got {self.offset}")
 
 
 LambdaSpec = Union[ConstantLambda, ScaledRenyiLambda]
@@ -88,8 +88,8 @@ class ProblemInstance:
             raise ValueError("P0 and P1 must share an alphabet")
         if np.array_equal(P0, P1):
             raise ValueError("distinct distributions required")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError("alpha and beta must be positive and finite")
         check_eps(self.eps, P0.size)
         if not (satisfies_floor(P0, self.eps) and satisfies_floor(P1, self.eps)):
             raise ValueError("P0 and P1 must satisfy the epsilon floor")
@@ -249,13 +249,13 @@ def kappa_search(inst, cfg=SearchConfig()):
     if isinstance(inst.lam, ConstantLambda):
         lam0 = inst.lam.lambda0
         if dv.gjs_value(P0, P1, a) <= lam0:
-            return SearchResult(0.0, (P0, P1), True)
+            return SearchResult(0.0, (P0, P1))
 
         def constraint(A, B):
             return dv.gjs_cross(A, B, a) <= lam0
 
     elif kappa_certified_infinite(inst):
-        return SearchResult(math.inf, None, False)
+        return SearchResult(math.inf, None)
     else:
 
         def constraint(A, B):
@@ -375,7 +375,7 @@ def e_fix_search(inst, cfg=SearchConfig()):
     if isinstance(inst.lam, ConstantLambda):
         lam0 = inst.lam.lambda0
         if dv.gjs_value(P0, P1, a) <= lam0:
-            return SearchResult(0.0, (P1, P0, P1), True)
+            return SearchResult(0.0, (P1, P0, P1))
 
         def objective(A, B):
             return dv.kl_rows(A, P1)[:, None] + a * dv.kl_rows(B, P0)[None, :]
@@ -387,7 +387,7 @@ def e_fix_search(inst, cfg=SearchConfig()):
         if res.argmin is None:
             return res
         q, q0 = res.argmin
-        return SearchResult(res.value, (q, q0, P1), res.feasible_found)
+        return SearchResult(res.value, (q, q0, P1))
 
     def objective(A, B):
         return _efix_dual_matrix(A, B, inst)
@@ -612,48 +612,3 @@ def report(inst, cfg=SearchConfig()):
         e_semi2=min(e_seq, n),
         kappa_note=note,
     )
-
-
-def find_mu_violation(alpha, beta, eps=0.01, seed=0, tries=200, margin=5e-3):
-    """Search for a pair (P0, P1) where mu drops below the Renyi term.
-
-    Only possible when alpha*beta < 1 under the pure scaled-Renyi constraint
-    (xi = 1, offset = 0).  Construction: take Q0 = V_alpha (the Renyi
-    minimizer of (P0, P1)), slide P1' along the segment from P1 toward P0
-    and take Q1 = V_beta, the Renyi minimizer of (P1', P1).  Feasibility and
-    improvement reduce to the two-sided condition
-        alpha*KL(V_a||P1)  <  KL(V_b||P1)  <  KL(V_a||P1)/beta,
-    whose interior is nonempty exactly when alpha*beta < 1; KL(V_b||P1)
-    sweeps continuously from 0, so a fine scan of the segment lands inside.
-
-    Returns (P0, P1, bound) with bound an attained mu value strictly below
-    renyi_term - margin, or None if no pair was found.
-    """
-    if alpha * beta >= 1:
-        return None
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    lam = ScaledRenyiLambda(xi=1.0, offset=0.0)
-    for _ in range(tries):
-        p = eps + (1 - 2 * eps) * rng.random()
-        q = eps + (1 - 2 * eps) * rng.random()
-        if abs(p - q) < 0.2:
-            continue
-        P0 = np.array([p, 1 - p])
-        P1 = np.array([q, 1 - q])
-        ren, Va = dv.renyi_frac(P0, P1, alpha)
-        target = dv.kl(Va, P1)
-        for t in np.linspace(0.005, 1.0, 400):
-            P1p = (1 - t) * P1 + t * P0
-            lamv, Vb = dv.renyi_frac(P1p, P1, beta)
-            mid = dv.kl(Vb, P1)
-            if not (alpha * target < mid < target / beta):
-                continue
-            # attained value of the mu objective at (Q0, Q1) = (V_a, V_b)
-            bound = alpha * dv.kl(Va, P0) + beta * mid
-            feas = alpha * target + beta * dv.kl(Vb, P1p) - lamv
-            if feas < -1e-9 and bound < ren - margin:
-                inst = ProblemInstance(
-                    tuple(P0), tuple(P1), alpha, beta, lam, eps=eps
-                )
-                return inst, float(bound)
-    return None

@@ -3,7 +3,6 @@ with an exponent regression across the sample-budget grid n."""
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,23 +32,13 @@ class RareEventFloorError(ValueError):
 class TrialReport:
     n: int
     trials: int
-    theta: int
-    errors_theta0: Optional[int]
-    errors_theta1: Optional[int]
-    mean_tau_theta0: Optional[float]
-    mean_tau_theta1: Optional[float]
+    theta: int  # the true hypothesis; errors and mean_tau are under it
+    errors: int
+    mean_tau: float
     tau_hist: dict
     ci95_tau: float
     capped: bool = False
     early: int = 0  # trials that stopped at n - 1
-
-    @property
-    def errors(self):
-        return self.errors_theta0 if self.theta == 0 else self.errors_theta1
-
-    @property
-    def mean_tau(self):
-        return self.mean_tau_theta0 if self.theta == 0 else self.mean_tau_theta1
 
 
 @dataclass(frozen=True)
@@ -120,16 +109,13 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     taus = tau.astype(np.float64)
     values, first, counts = np.unique(tau, return_index=True, return_counts=True)
     hist = {int(values[i]): int(counts[i]) for i in np.argsort(first)}
-    mean_tau = float(taus.mean())
     ci95 = float(1.96 * taus.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return TrialReport(
         n=n,
         trials=trials,
         theta=theta,
-        errors_theta0=errors if theta == 0 else None,
-        errors_theta1=errors if theta == 1 else None,
-        mean_tau_theta0=mean_tau if theta == 0 else None,
-        mean_tau_theta1=mean_tau if theta == 1 else None,
+        errors=errors,
+        mean_tau=float(taus.mean()),
         tau_hist=hist,
         ci95_tau=ci95,
         capped=capped,
@@ -138,18 +124,18 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
 
 
 def estimate_exponent(reports, theta):
-    """OLS fit of -log2(error frequency) against n.
+    """OLS fit of -log2(error frequency) against n, over the reports run
+    under ground truth theta.
 
     Only n-points with at least RARE_EVENT_FLOOR errors enter the fit;
     fewer than 3 usable points is an error (insufficient rare-event data).
     """
     xs, ys = [], []
     for r in reports:
-        err = r.errors_theta0 if theta == 0 else r.errors_theta1
-        if err is None or err < RARE_EVENT_FLOOR:
+        if r.theta != theta or r.errors < RARE_EVENT_FLOOR:
             continue
         xs.append(r.n)
-        ys.append(-math.log2(err / r.trials))
+        ys.append(-math.log2(r.errors / r.trials))
     if len(xs) < 3:
         raise RareEventFloorError("insufficient rare-event data: need >= 3 usable n points")
     x = np.asarray(xs, dtype=float)

@@ -49,8 +49,7 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchResult:
     value: float
-    argmin: Optional[tuple]
-    feasible_found: bool
+    argmin: Optional[tuple]  # None when no grid point is feasible
 
 
 ALWAYS_TRUE = lambda A, B: np.ones((A.shape[0], B.shape[0]), dtype=bool)
@@ -101,7 +100,7 @@ def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
     pts = grid_array(d, m, eps=eps)
     value, *pair = _best_over_pair(objective, constraint, pts, pts)
     if pair[0] is None:
-        return SearchResult(np.inf, None, False)
+        return SearchResult(np.inf, None)
     for halfwidth, density in box_schedule(m, cfg.refine_rounds):
         moved = -1  # the last step that moved the incumbent
         for step in range(6):
@@ -113,4 +112,4 @@ def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
             v, *best = _best_over_pair(objective, constraint, *blocks)
             if v < value:
                 value, pair[k], moved = v, best[k], step
-    return SearchResult(value, tuple(pair), True)
+    return SearchResult(value, tuple(pair))

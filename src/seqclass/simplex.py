@@ -20,14 +20,14 @@ def as_dist(p, name="p"):
     """Validate and return a probability vector as a float64 array.
 
     Raises ValueError on negative entries, length < 2, or a total that is
-    not 1 within 1e-12.
+    not 1 within 1e-12; a NaN or infinite entry makes the total miss 1.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"{name} must be a 1-D vector of length >= 2")
     if np.any(arr < 0):
         raise ValueError(f"{name} has negative entries")
-    if abs(arr.sum() - 1.0) > SUM_TOL:
+    if not abs(arr.sum() - 1.0) <= SUM_TOL:
         raise ValueError(f"{name} does not sum to 1 (got {arr.sum()!r})")
     return arr
 

@@ -54,7 +54,7 @@ def eta_n(n, alpha, beta, d):
 class TestOutcome:
     decision: int
     tau: int
-    phase: str  # "early" | "late" | "fixed"
+    phase: str  # "early" | "late"
     capped: bool = False
 
 
@@ -67,7 +67,6 @@ class HypothesisModel:
     block i draws alphas[i] samples per time step.
     """
 
-    setup: SetupKind
     inst: object
     ell: int
     alphas: tuple  # per-block sampling ratios, setup order
@@ -93,7 +92,7 @@ def make_model(setup, inst):
         ell, alphas, blocks = 2, (a, b, 1.0), ("t0", "t1", "x")
     else:
         ell, alphas, blocks = 0, (a, b, 1.0), ("t0", "t1", "x")
-    return HypothesisModel(setup=setup, inst=inst, ell=ell, alphas=alphas, blocks=blocks)
+    return HypothesisModel(inst=inst, ell=ell, alphas=alphas, blocks=blocks)
 
 
 def stream_sizes(model, n, late_cap=None):

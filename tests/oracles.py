@@ -1,16 +1,23 @@
-"""Pure grid-enumeration oracles for the exponent terms.
+"""Test-only references: pure grid-enumeration oracles for the exponent
+terms, the alpha*beta < 1 instance where mu drops below the Renyi term, and
+a reader for curve.csv.
 
-These deliberately avoid the solver's refinement and duality machinery:
-every quantity is a minimum over explicit dense simplex grids, so the two
-routes share nothing but the divergence and grid primitives.  The tests
-check the solver against them.
+The oracles deliberately avoid the solver's refinement and duality
+machinery: every quantity is a minimum over explicit dense simplex grids,
+so the two routes share nothing but the divergence, grid and lambda
+primitives (plus the instance types and the CSV header).
+test_acceptance.py checks that this module imports nothing else from
+seqclass.  The tests check the solver against these oracles.
 """
+
+import math
 
 import numpy as np
 
-from . import divergence as dv
-from .exponents import ConstantLambda, lambda_matrix
-from .simplex import box_grid, grid_array
+from seqclass import divergence as dv
+from seqclass.cli import CURVE_COLUMNS
+from seqclass.exponents import ConstantLambda, ProblemInstance, ScaledRenyiLambda, lambda_matrix
+from seqclass.simplex import box_grid, grid_array
 
 
 def oracle_kappa(inst, m=2000, inner_m=None):
@@ -162,3 +169,61 @@ def _efix_local(inst, ig, lam, Qg, Q0g, Q1g):
                 if v < best:
                     best = v
     return best
+
+
+def find_mu_violation(alpha, beta, eps=0.01, seed=0, tries=200, margin=5e-3):
+    """Search for a pair (P0, P1) where mu drops below the Renyi term.
+
+    Only possible when alpha*beta < 1 under the pure scaled-Renyi constraint
+    (xi = 1, offset = 0).  Construction: take Q0 = V_alpha (the Renyi
+    minimizer of (P0, P1)), slide P1' along the segment from P1 toward P0
+    and take Q1 = V_beta, the Renyi minimizer of (P1', P1).  Feasibility and
+    improvement reduce to the two-sided condition
+        alpha*KL(V_a||P1)  <  KL(V_b||P1)  <  KL(V_a||P1)/beta,
+    whose interior is nonempty exactly when alpha*beta < 1; KL(V_b||P1)
+    sweeps continuously from 0, so a fine scan of the segment lands inside.
+
+    Returns (inst, bound): the instance of the pair under that constraint and
+    an attained mu value strictly below renyi_term - margin, or None if no
+    pair was found.
+    """
+    if alpha * beta >= 1:
+        return None
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    lam = ScaledRenyiLambda(xi=1.0, offset=0.0)
+    for _ in range(tries):
+        p = eps + (1 - 2 * eps) * rng.random()
+        q = eps + (1 - 2 * eps) * rng.random()
+        if abs(p - q) < 0.2:
+            continue
+        P0 = np.array([p, 1 - p])
+        P1 = np.array([q, 1 - q])
+        ren, Va = dv.renyi_frac(P0, P1, alpha)
+        target = dv.kl(Va, P1)
+        for t in np.linspace(0.005, 1.0, 400):
+            P1p = (1 - t) * P1 + t * P0
+            lamv, Vb = dv.renyi_frac(P1p, P1, beta)
+            mid = dv.kl(Vb, P1)
+            if not (alpha * target < mid < target / beta):
+                continue
+            # attained value of the mu objective at (Q0, Q1) = (V_a, V_b)
+            bound = alpha * dv.kl(Va, P0) + beta * mid
+            feas = alpha * target + beta * dv.kl(Vb, P1p) - lamv
+            if feas < -1e-9 and bound < ren - margin:
+                inst = ProblemInstance(
+                    tuple(P0), tuple(P1), alpha, beta, lam, eps=eps
+                )
+                return inst, float(bound)
+    return None
+
+
+def parse_value(s):
+    return math.inf if s == "inf" else float(s)
+
+
+def csv_to_rows(text):
+    """The rows of a curve.csv text, with the 'inf' token read back as inf."""
+    lines = text.strip().splitlines()
+    if lines[0] != ",".join(CURVE_COLUMNS):
+        raise ValueError("unexpected CSV header")
+    return [[parse_value(tok) for tok in line.split(",")] for line in lines[1:]]

@@ -2,9 +2,11 @@
 structural propositions of the exponent theory, figure reproduction through
 the CLI, and simulator behavior against the computed exponents."""
 
+import ast
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ import pytest
 from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
-from seqclass import oracles as orc
 from seqclass.montecarlo import estimate_exponent, run_trials
 from seqclass.optimizer import SearchConfig
 from seqclass.simplex import grid_array
 from seqclass.testbench import SetupKind
+
+import oracles as orc
 
 P0S = (0.6, 0.4)
 P1S = (0.1, 0.9)
@@ -24,6 +27,32 @@ SOLVER = SearchConfig(coarse_m=200, refine_rounds=3)
 
 FIG2_INST = ex.ProblemInstance(P0S, P1S, 2.0, 1.0, ex.ConstantLambda(0.05))
 FIG1_INST = ex.ProblemInstance(P0S, P1S, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
+
+
+#: all that oracles.py may take from seqclass: the divergence module, the
+#: grid and lambda primitives, the instance types and the CSV header.  No
+#: solver function and nothing of the optimizer, so the oracles stay an
+#: independent route to each exponent.
+ORACLE_IMPORTS = {
+    ("seqclass", "divergence"),
+    ("seqclass.simplex", "grid_array"),
+    ("seqclass.simplex", "box_grid"),
+    ("seqclass.exponents", "lambda_matrix"),
+    ("seqclass.exponents", "ConstantLambda"),
+    ("seqclass.exponents", "ProblemInstance"),
+    ("seqclass.exponents", "ScaledRenyiLambda"),
+    ("seqclass.cli", "CURVE_COLUMNS"),
+}
+
+
+def test_oracles_import_only_primitives():
+    taken = set()
+    for node in ast.walk(ast.parse(Path(orc.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            taken |= {(alias.name, None) for alias in node.names if alias.name.startswith("seqclass")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("seqclass")):
+            taken |= {(node.module, alias.name) for alias in node.names}
+    assert taken <= ORACLE_IMPORTS
 
 
 def _rng(seed):
@@ -39,38 +68,19 @@ def _random_pair(rng, gap=0.1, lo=0.05):
 
 def test_01_divergence_closed_forms_vs_grid():
     start = time.time()
-    pg = grid_array(2, 10_000)
     rng = _rng(1)
-    for _ in range(50):
-        P, Q = _random_pair(rng, gap=0.0, lo=0.01)
-        for a in (0.38, 0.7, 1.0, 2.0):
-            ren, _ = dv.renyi_frac(P, Q, a)
-            grid_ren = float(
-                (a * dv.kl_matrix(pg, P[None, :])[:, 0] + dv.kl_matrix(pg, Q[None, :])[:, 0]).min()
-            )
-            assert ren == pytest.approx(grid_ren, abs=1e-4)
-            g = dv.gjs_value(P, Q, a)
-            grid_g = float(
-                (a * dv.kl_matrix(P[None, :], pg)[0] + dv.kl_matrix(Q[None, :], pg)[0]).min()
-            )
-            assert g == pytest.approx(grid_g, abs=1e-4)
+    pairs = [_random_pair(rng, gap=0.0, lo=0.01) for _ in range(50)]
+    assert cli.closed_form_gap(pairs) <= 1e-4
     assert time.time() - start < 10
 
 
 def test_02_tradeoff_solver_vs_grid():
-    pg = grid_array(2, 10_000)
     rng = _rng(2)
-    for _ in range(20):
-        P0, P1 = _random_pair(rng)
-        d0 = dv.kl_matrix(pg, P0[None, :])[:, 0]
-        d1 = dv.kl_matrix(pg, P1[None, :])[:, 0]
-        top = dv.kl(P1, P0)
-        for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-            e0 = frac * top
-            got = dv.bht_tradeoff(P0, P1, e0)
-            want = float(d1[d0 <= e0].min())
-            assert got == pytest.approx(want, abs=1e-3)
+    pairs = [_random_pair(rng) for _ in range(20)]
+    assert cli.tradeoff_gap(pairs, (0.1, 0.3, 0.5, 0.7, 0.9)) <= 1e-3
+    for P0, P1 in pairs:
         # endpoints
+        top = dv.kl(P1, P0)
         assert dv.bht_tradeoff(P0, P1, top + 1e-9) == 0.0
         assert dv.bht_tradeoff(P0, P1, 1e-14) == pytest.approx(dv.kl(P0, P1), abs=1e-6)
 
@@ -153,7 +163,7 @@ def test_07_training_limitation_regimes():
         assert ex.renyi_term(inst) <= ex.mu(inst, SOLVER) + 5e-3
     # alpha*beta < 1: a violating pair exists and the finder produces one
     start = time.time()
-    found = ex.find_mu_violation(0.7, 0.7)
+    found = orc.find_mu_violation(0.7, 0.7)
     assert found is not None
     inst, bound = found
     assert bound < ex.renyi_term(inst) - 5e-3
@@ -172,7 +182,7 @@ def test_09_figure_reproduction(tmp_path):
     for preset in ("fig1", "fig2", "fig3"):
         out = tmp_path / preset
         assert cli.main(["curve", "--preset", preset, "--out", str(out)]) == 0
-        paths[preset] = cli.csv_to_rows((out / "curve.csv").read_text())
+        paths[preset] = orc.csv_to_rows((out / "curve.csv").read_text())
 
     # fig2: non-increasing columns, strict fixed-length penalty in the interior
     rows = paths["fig2"]

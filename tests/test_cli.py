@@ -6,6 +6,8 @@ import pytest
 from seqclass import cli
 from seqclass import montecarlo as mc
 
+import oracles as orc
+
 
 def write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -99,16 +101,27 @@ def test_exit_code_config_error(tmp_path):
         # a lambda0 sweep would swap the scaled-Renyi budget for a constant one
         {"lambda_family": "scaled_renyi", "xi": "0.5", "sweep_parameter": "lambda0",
          "sweep_from": "0.01", "sweep_to": "0.1"},
+        # NaN and infinity are rejected like any other out-of-range value
+        {"lambda0": "nan"},
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "offset": "nan"},
+        {"sweep_parameter": "lambda0", "sweep_from": "nan", "sweep_to": "0.1"},
+        {"sweep_parameter": "lambda0", "sweep_from": "0.001", "sweep_to": "inf"},
+        {"alpha": "inf"},
+        {"alpha": "nan"},
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
-         "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi"],
+         "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
+         "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan"],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts
     raw = dict(cli.parse_config_text(GOOD_CFG), **changes)
     path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(cli.ConfigError) as err:
         cli.load_config(path)
+    if {"nan", "inf"} & set(changes.values()):
+        # refused as non-finite, not by a check that trips over it later
+        assert "finite" in str(err.value)
     for cmd in (["exponents"], ["curve", "--out", str(tmp_path / "c")], ["simulate", "--out", str(tmp_path / "s")]):
         assert cli.main([cmd[0], "--config", path] + cmd[1:]) == cli.EXIT_CONFIG
 
@@ -142,13 +155,13 @@ offset = 0
 
 def test_fmt_parse_roundtrip():
     for v in (0.1, 1 / 3, 2.5e-17, math.inf):
-        assert cli.parse_value(cli.fmt_value(v)) == v
+        assert orc.parse_value(cli.fmt_value(v)) == v
 
 
 def test_csv_roundtrip_bit_exact():
     rows = [[0.001, 1 / 3, math.inf, 0.0, 1e-300, 2.5, 0.7, 0.1, 0.2]]
     text = cli.rows_to_csv(rows)
-    assert cli.csv_to_rows(text) == rows
+    assert orc.csv_to_rows(text) == rows
     assert "inf" in text.splitlines()[1]
 
 

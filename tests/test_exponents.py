@@ -6,9 +6,10 @@ import pytest
 
 from seqclass import divergence as dv
 from seqclass import exponents as ex
-from seqclass import oracles as orc
 from seqclass.optimizer import SearchConfig, box_schedule
-from seqclass.simplex import box_grid, box_mesh_size, grid_array
+from seqclass.simplex import as_dist, box_grid, box_mesh_size, grid_array
+
+import oracles as orc
 
 P0 = (0.6, 0.4)
 P1 = (0.1, 0.9)
@@ -40,6 +41,27 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         # violates the epsilon floor
         ex.ProblemInstance((0.999, 0.001), P1, 1.0, 1.0, ex.ConstantLambda(0.1), eps=0.01)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: as_dist([math.nan, 0.5]),
+        lambda: ex.ConstantLambda(math.nan),
+        lambda: ex.ConstantLambda(math.inf),
+        lambda: ex.ScaledRenyiLambda(0.5, math.nan),
+        lambda: ex.ScaledRenyiLambda(0.5, math.inf),
+        lambda: ex.ProblemInstance(P0, P1, math.nan, 1.0, ex.ConstantLambda(0.1)),
+        lambda: ex.ProblemInstance(P0, P1, math.inf, 1.0, ex.ConstantLambda(0.1)),
+        lambda: ex.ProblemInstance(P0, P1, 1.0, math.nan, ex.ConstantLambda(0.1)),
+        lambda: ex.ProblemInstance(P0, P1, 1.0, math.inf, ex.ConstantLambda(0.1)),
+    ],
+    ids=["as_dist_nan", "lambda0_nan", "lambda0_inf", "offset_nan", "offset_inf",
+         "alpha_nan", "alpha_inf", "beta_nan", "beta_inf"],
+)
+def test_validators_reject_non_finite(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_lambda_eval_constant():
@@ -116,7 +138,7 @@ def test_kappa_scaled_renyi_certificate():
     inst = renyi_inst(offset=0.0)
     assert ex.kappa_certified_infinite(inst)
     res = ex.kappa_search(inst)
-    assert math.isinf(res.value) and not res.feasible_found
+    assert math.isinf(res.value) and res.argmin is None
     # grid emptiness cross-check at modest density
     pg = grid_array(2, 100, eps=inst.eps)
     gm = ex._g1_diag_matrix(pg, pg, inst, FAST)
@@ -206,7 +228,7 @@ def test_report_kappa_note():
 
 
 def test_find_mu_violation_requires_product_below_one():
-    assert ex.find_mu_violation(1.2, 1.2) is None
+    assert orc.find_mu_violation(1.2, 1.2) is None
 
 
 # e_fix at fig1 (alpha 0.38, beta 0.6, offset 0.003) and fig3 (alpha 0.7,

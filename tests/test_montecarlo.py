@@ -37,7 +37,7 @@ def test_run_trials_prefix_stable():
 def test_well_separated_low_error():
     r = run_trials(SetupKind.FullySeq, inst(), 0, 200, 2000, seed=1)
     assert r.errors / r.trials <= 0.01
-    assert r.theta == 0 and r.errors_theta1 is None
+    assert r.theta == 0
 
 
 def test_fixed_length_setup_tau():
@@ -58,7 +58,7 @@ def test_trials_validation():
 
 @pytest.mark.parametrize("theta", [2, -1, 0.5, None])
 def test_theta_validation(theta):
-    # a theta outside {0, 1} would leave both per-theta error fields None
+    # a theta outside {0, 1} names no hypothesis the errors could be counted under
     with pytest.raises(ValueError, match="theta"):
         run_trials(SetupKind.Semi1, inst(), theta, 20, 5, 0)
 
@@ -69,10 +69,8 @@ def _synthetic(n_grid, counts, trials=10**6):
             n=n,
             trials=trials,
             theta=1,
-            errors_theta0=None,
-            errors_theta1=c,
-            mean_tau_theta0=None,
-            mean_tau_theta1=float(n),
+            errors=c,
+            mean_tau=float(n),
             tau_hist={n: trials},
             ci95_tau=0.0,
         )
@@ -87,6 +85,9 @@ def test_estimate_exponent_exact_exponential():
     fit = estimate_exponent(_synthetic(n_grid, counts, trials), 1)
     assert fit.slope == pytest.approx(0.2, abs=1e-3)
     assert fit.r2 > 0.9999
+    # the reports were run under theta = 1, so none enters a theta = 0 fit
+    with pytest.raises(RareEventFloorError):
+        estimate_exponent(_synthetic(n_grid, counts, trials), 0)
 
 
 def test_estimate_exponent_poly_prefactor():

@@ -1,12 +1,13 @@
 """Every module-level function, class and constant of the package has a
-reader, and every setting is read.
+reader, every dataclass field is read, and every setting is read.
 
 A definition counts as used when its name is read somewhere other than its
 own body: in a module of ``src/seqclass`` (the re-exports of ``__init__.py``
-do not count) or in a demo script.  Names that only the tests call are
-listed below, each with the reason it stays.  Settings come only from
-config keys, never from the environment, and each key of
-``cli.CONFIG_KEYS`` is read by name.
+do not count) or in a demo script.  The tests are no reader: code that only
+they call lives under ``tests/``.  A dataclass field counts as read when
+some module of the package or some demo reads an attribute of its name.
+Settings come only from config keys, never from the environment, and each
+key of ``cli.CONFIG_KEYS`` is read by name.
 """
 
 import ast
@@ -14,14 +15,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "seqclass"
-
-TEST_ONLY = {
-    "oracle_kappa": "independent grid oracle the solver's kappa is checked against",
-    "oracle_mu": "independent grid oracle the solver's mu is checked against",
-    "oracle_efix": "independent grid oracle the solver's e_fix is checked against",
-    "find_mu_violation": "constructs the alpha*beta < 1 instance where mu drops below the Renyi term",
-    "csv_to_rows": "reads curve.csv back, so the figure tests can compare the written values",
-}
 
 
 def _names_read(tree, skip=None):
@@ -50,16 +43,13 @@ def _callers():
 def test_every_definition_has_a_caller():
     trees = _callers()
     read_elsewhere = {}  # per module: every name it reads
-    defined, unused = set(), []
+    unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         own = trees[path]
         for node in own.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            defined.add(node.name)
-            if node.name in TEST_ONLY:
                 continue
             read = _names_read(own, skip=node)
             for other, tree in trees.items():
@@ -68,7 +58,36 @@ def test_every_definition_has_a_caller():
             if node.name not in read:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
-    assert set(TEST_ONLY) <= defined  # no stale allowlist entries
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", None) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    trees = _callers()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue  # a demo defines no dataclass of the package
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    if node.target.id not in read:
+                        unread.append(f"{path.name}:{cls.name}.{node.target.id}")
+    assert unread == []
 
 
 def _assigned_names(node):

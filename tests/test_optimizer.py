@@ -28,7 +28,6 @@ def separable(t1, t2):
 
 def test_min_simplex_finds_target():
     res = min_simplex_pair(kl_to(TARGET), ALWAYS_TRUE, 2)
-    assert res.feasible_found
     assert res.value == pytest.approx(0.0, abs=1e-8)
     np.testing.assert_allclose(res.argmin[0], TARGET, atol=1e-4)
 
@@ -36,7 +35,6 @@ def test_min_simplex_finds_target():
 def test_min_simplex_infeasible():
     never = lambda A, B: A[:, 0][:, None] + B[:, 0][None, :] > 2.0
     res = min_simplex_pair(kl_to(TARGET), never, 2)
-    assert not res.feasible_found
     assert math.isinf(res.value)
     assert res.argmin is None
 
@@ -93,7 +91,7 @@ def test_pair_search_infeasible():
     never = lambda A, B: np.zeros((A.shape[0], B.shape[0]), dtype=bool)
     obj = lambda A, B: np.zeros((A.shape[0], B.shape[0]))
     res = min_simplex_pair(obj, never, 2)
-    assert math.isinf(res.value) and not res.feasible_found
+    assert math.isinf(res.value) and res.argmin is None
 
 
 def test_inf_objective_points_skipped():
@@ -168,7 +166,7 @@ def test_refinement_evaluates_each_box_once(monkeypatch):
     for run in (ex.kappa_search, ex.mu_search, ex.e_fix_search):
         calls = []
         monkeypatch.setattr(ex, "min_simplex_pair", recorded_search(calls))
-        assert run(inst).feasible_found
+        assert run(inst).argmin is not None
         searches.append(calls)
     for calls in searches:
         assert len(set(calls)) == len(calls)

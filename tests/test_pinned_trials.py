@@ -71,14 +71,16 @@ def run_cell(cell):
 
 
 def as_record(rep):
+    # the recorded keys give errors and mean_tau once per theta, None under
+    # the other hypothesis
     return {
         "n": rep.n,
         "trials": rep.trials,
         "theta": rep.theta,
-        "errors_theta0": rep.errors_theta0,
-        "errors_theta1": rep.errors_theta1,
-        "mean_tau_theta0": rep.mean_tau_theta0,
-        "mean_tau_theta1": rep.mean_tau_theta1,
+        "errors_theta0": rep.errors if rep.theta == 0 else None,
+        "errors_theta1": rep.errors if rep.theta == 1 else None,
+        "mean_tau_theta0": rep.mean_tau if rep.theta == 0 else None,
+        "mean_tau_theta1": rep.mean_tau if rep.theta == 1 else None,
         "tau_hist": [[tau, count] for tau, count in rep.tau_hist.items()],
         "ci95_tau": rep.ci95_tau,
         "capped": rep.capped,
