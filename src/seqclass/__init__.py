@@ -10,12 +10,11 @@ that achieves them.
 
 from .divergence import (
     bht_tradeoff,
-    gjs,
     gjs_value,
     kl,
     kl_floor_projection,
     renyi_frac,
-    weighted_join_min,
+    weighted_join,
 )
 from .exponents import (
     ConstantLambda,
@@ -65,7 +64,6 @@ __all__ = [
     "eta_n",
     "fixed_length_test",
     "g1",
-    "gjs",
     "gjs_value",
     "grid_array",
     "kappa",
@@ -84,5 +82,5 @@ __all__ = [
     "stream_seed",
     "stream_sizes",
     "two_phase_test",
-    "weighted_join_min",
+    "weighted_join",
 ]

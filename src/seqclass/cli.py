@@ -482,8 +482,8 @@ def closed_form_gap(pairs):
     for P, Q in pairs:
         for a in (0.38, 0.7, 1.0, 2.0):
             ren, _ = dv.renyi_frac(P, Q, a)
-            grid_ren = float((a * dv.kl_matrix(pg, P[None, :])[:, 0] + dv.kl_matrix(pg, Q[None, :])[:, 0]).min())
-            grid_g = float((a * dv.kl_matrix(P[None, :], pg)[0] + dv.kl_matrix(Q[None, :], pg)[0]).min())
+            grid_ren = float((a * dv.kl(pg, P) + dv.kl(pg, Q)).min())
+            grid_g = float((a * dv.kl(P, pg) + dv.kl(Q, pg)).min())
             gaps += [abs(ren - grid_ren), abs(dv.gjs_value(P, Q, a) - grid_g)]
     return float(np.max(gaps, initial=0.0))
 
@@ -495,8 +495,8 @@ def tradeoff_gap(pairs, fracs):
     pg = grid_array(2, 10_000)
     gaps = []
     for P0, P1 in pairs:
-        d0 = dv.kl_matrix(pg, P0[None, :])[:, 0]
-        d1 = dv.kl_matrix(pg, P1[None, :])[:, 0]
+        d0 = dv.kl(pg, P0)
+        d1 = dv.kl(pg, P1)
         top = dv.kl(P1, P0)
         for frac in fracs:
             e0 = frac * top

@@ -1,15 +1,19 @@
 """Closed-form divergences in bits, their minimizers, and the binary
 hypothesis-testing trade-off solver.
 
-Conventions: 0*log(0/q) = 0, and q(x)=0 with p(x)>0 yields +inf as a value
-(never an exception) so feasibility filters can compare it.  All returned
-values are base-2; accumulation happens in natural log with one final
-conversion.
+Each divergence has one kernel over row stacks (kl, weighted_join,
+renyi_matrix); a validated call on one 1-D pair is its one-row case.
+Conventions: 0*log(0/p) = 0, and q(x) > 0 = p(x) makes D(Q||P) +inf as a
+value (never an exception or a warning) so feasibility filters can compare
+it.  All returned values are base-2; accumulation happens in natural log
+with one final conversion.
 """
+
+import math
 
 import numpy as np
 
-from .simplex import as_dist
+from .simplex import as_dist, check_eps
 
 LN2 = np.log(2.0)
 
@@ -18,31 +22,78 @@ BHT_MAX_ITER = 200
 
 
 def kl(Q, P):
-    """KL divergence D(Q||P) in bits."""
-    Q = as_dist(Q, "Q")
-    P = as_dist(P, "P")
-    if Q.size != P.size:
-        raise ValueError("dimension mismatch")
-    if np.any((Q > 0) & (P == 0)):
-        return np.inf
+    """KL divergence D(Q||P) in bits.
+
+    One pair of 1-D distributions is validated and gives a float.  Row
+    stacks give D(Q_i||P_i) for each row as an array; either side may be a
+    single row, which is paired with every row of the other.
+    """
+    if np.ndim(Q) == 1 and np.ndim(P) == 1:
+        Q, P = _pair(Q, P, ("Q", "P"))
+        return float(_kl_sum(Q[None, :], P[None, :])[0])
+    return _kl_sum(np.atleast_2d(Q), np.atleast_2d(P))
+
+
+def weighted_join(a, P, b, Q):
+    """min_V a*KL(P||V) + b*KL(Q||V) in bits, attained at the weighted
+    mixture M = (a*P + b*Q)/(a+b): the value is a*KL(P||M) + b*KL(Q||M).
+
+    One pair of 1-D distributions, with weights 0 < a, b < inf, is
+    validated and gives a float; row stacks give one value per row, as in
+    kl.
+    """
+    if np.ndim(P) == 1 and np.ndim(Q) == 1:
+        P, Q = _pair(P, Q, ("P", "Q"))
+        _check_weights(a=a, b=b)
+        return float(weighted_join(a, P[None, :], b, Q[None, :])[0])
+    P = np.atleast_2d(P)
+    Q = np.atleast_2d(Q)
+    M = (a * P + b * Q) / (a + b)
+    return a * _kl_sum(P, M) + b * _kl_sum(Q, M)
+
+
+def gjs_value(P, Q, alpha):
+    """Generalized Jensen-Shannon divergence with weight alpha, in bits:
+    the weighted join with weights (alpha, 1)."""
+    return weighted_join(alpha, P, 1.0, Q)
+
+
+def _kl_sum(Q, P):
+    """Row-wise D(Q_i||P_i) over two row stacks that broadcast, in bits.
+
+    The masked terms Q*ln(Q/P) are summed left to right, which for d < 8
+    is the order numpy sums a short vector in; q > 0 = p gives +inf.
+    """
+    if Q.shape != P.shape:
+        Q, P = np.broadcast_arrays(Q, P)
     mask = Q > 0
-    return float(np.sum(Q[mask] * np.log(Q[mask] / P[mask])) / LN2)
+    terms = np.zeros(Q.shape)
+    with np.errstate(divide="ignore"):
+        terms[mask] = Q[mask] * np.log(Q[mask] / P[mask])
+    acc = terms[:, 0]
+    for j in range(1, Q.shape[1]):
+        acc = acc + terms[:, j]
+    return acc / LN2
+
+
+def _pair(X, Y, names):
+    X = as_dist(X, names[0])
+    Y = as_dist(Y, names[1])
+    if X.size != Y.size:
+        raise ValueError("dimension mismatch")
+    return X, Y
+
+
+def _check_weights(**weights):
+    for name, w in weights.items():
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {w}")
 
 
 def _xlogx(a):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
     return out
-
-
-def kl_rows(Q, P):
-    """Row-wise D(Q_i||P_i) for (N,d) stacks, in bits (vectorized)."""
-    Q = np.atleast_2d(Q)
-    P = np.atleast_2d(P)
-    cross = np.where(Q > 0, Q * np.log(np.where(P > 0, P, 1.0)), 0.0)
-    vals = (_xlogx(Q).sum(axis=-1) - cross.sum(axis=-1)) / LN2
-    bad = ((Q > 0) & (P == 0)).any(axis=-1)
-    return np.where(bad, np.inf, vals)
 
 
 def kl_matrix(Q, P):
@@ -53,6 +104,17 @@ def kl_matrix(Q, P):
     with np.errstate(divide="ignore"):
         cross = Q @ np.log(P).T  # (N,M) of sum_x q_i log p_j
     return (ent[:, None] - cross) / LN2
+
+
+def renyi_matrix(Prows, Qrows, alpha):
+    """(N,M) matrix of the Renyi value of (P_i, Q_j) with weight alpha, in bits:
+        min_V alpha*KL(V||P_i) + KL(V||Q_j)
+          = -(1+alpha) * log2 sum_x P_i(x)^(alpha/(1+alpha)) Q_j(x)^(1/(1+alpha)).
+    Rows must have full support.
+    """
+    w = alpha / (1.0 + alpha)
+    z = (np.atleast_2d(Prows) ** w) @ (np.atleast_2d(Qrows) ** (1.0 - w)).T
+    return -(1.0 + alpha) * np.log(z) / LN2
 
 
 def tilted(P0, P1, rho):
@@ -71,87 +133,16 @@ def tilted(P0, P1, rho):
 def renyi_frac(P, Q, alpha):
     """Renyi divergence of order alpha/(1+alpha) as a variational value.
 
-    Returns (value, minimizer) with
-        value = min_V  alpha*KL(V||P) + KL(V||Q)
-              = -(1+alpha) * log2  sum_x P(x)^(alpha/(1+alpha)) Q(x)^(1/(1+alpha))
-    and minimizer V*(x) proportional to P(x)^(alpha/(1+alpha)) Q(x)^(1/(1+alpha)).
+    Returns (value, minimizer): the value is renyi_matrix's one-cell case,
+        min_V  alpha*KL(V||P) + KL(V||Q),
+    with 0 < alpha < inf, and the minimizer V*(x) is proportional to
+    P(x)^(alpha/(1+alpha)) Q(x)^(1/(1+alpha)), the tilt of Q toward P.
     """
-    P = as_dist(P, "P")
-    Q = as_dist(Q, "Q")
-    if P.size != Q.size:
-        raise ValueError("dimension mismatch")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    P, Q = _pair(P, Q, ("P", "Q"))
+    _check_weights(alpha=alpha)
     if np.any(P == 0) or np.any(Q == 0):
         raise ValueError("renyi_frac requires full-support distributions")
-    w = alpha / (1.0 + alpha)
-    logv = w * np.log(P) + (1.0 - w) * np.log(Q)
-    mx = logv.max()
-    z = np.exp(logv - mx).sum()
-    value = -(1.0 + alpha) * (mx + np.log(z)) / LN2
-    V = np.exp(logv - mx) / z
-    return float(value), V
-
-
-def gjs(P, Q, alpha):
-    """Generalized Jensen-Shannon divergence with weight alpha, in bits.
-
-    Returns (value, minimizer):
-        value = alpha*KL(P||M) + KL(Q||M),  M = (alpha*P + Q)/(alpha+1)
-    which equals min_V { alpha*KL(P||V) + KL(Q||V) }: the weighted join
-    with weights (alpha, 1).
-    """
-    return weighted_join_min(alpha, P, 1.0, Q)
-
-
-def weighted_join_min(a, P, b, Q):
-    """min_V a*KL(P||V) + b*KL(Q||V) with a,b > 0; returns (value, minimizer).
-
-    The minimizer is the weighted mixture (a*P + b*Q)/(a+b), and the value
-    is weighted_join_rows' one-row case.
-    """
-    P = as_dist(P, "P")
-    Q = as_dist(Q, "Q")
-    if P.size != Q.size:
-        raise ValueError("dimension mismatch")
-    if a <= 0 or b <= 0:
-        raise ValueError("weights must be positive")
-    M = (a * P + b * Q) / (a + b)
-    return float(weighted_join_rows(a, P, b, Q)[0]), M
-
-
-def gjs_rows(P, Q, alpha):
-    """Row-wise GJS(P_i||Q_i, alpha) over two (T, d) stacks, in bits:
-    weighted_join_rows with weights (alpha, 1)."""
-    return weighted_join_rows(alpha, P, 1.0, Q)
-
-
-def weighted_join_rows(a, P, b, Q):
-    """Row-wise a*KL(P_i||M_i) + b*KL(Q_i||M_i), M = (a*P + b*Q)/(a+b), over
-    two (T, d) stacks, in bits.
-
-    Each KL term sums the masked Q*ln(Q/M) left to right, which for d < 8
-    is the order numpy sums a short vector in, so every row equals the
-    scalar kl-based value bit for bit.
-    """
-    P = np.atleast_2d(P)
-    Q = np.atleast_2d(Q)
-    M = (a * P + b * Q) / (a + b)
-    return a * _kl_left_to_right(P, M) + b * _kl_left_to_right(Q, M)
-
-
-def _kl_left_to_right(Q, P):
-    mask = Q > 0
-    terms = np.zeros(Q.shape)
-    terms[mask] = Q[mask] * np.log(Q[mask] / P[mask])
-    acc = terms[:, 0]
-    for j in range(1, Q.shape[1]):
-        acc = acc + terms[:, j]
-    return acc / LN2
-
-
-def gjs_value(P, Q, alpha):
-    return gjs(P, Q, alpha)[0]
+    return float(renyi_matrix(P, Q, alpha)[0, 0]), tilted(Q, P, alpha / (1.0 + alpha))
 
 
 #: rows of P that gjs_cross takes at once: bounds its (chunk, M, d) temporaries
@@ -192,7 +183,7 @@ def bht_tradeoff(P0, P1, e0):
         raise ValueError("bht_tradeoff requires full-support distributions")
     if np.allclose(P0, P1):
         raise ValueError("P0 and P1 must be distinct")
-    if e0 <= 0:
+    if not e0 > 0:
         raise ValueError("e0 must be positive")
     if e0 >= kl(P1, P0):
         return 0.0
@@ -218,6 +209,7 @@ def kl_floor_projection(Q, eps):
     """
     Q = as_dist(Q, "Q")
     d = Q.size
+    check_eps(eps, d)
     order = np.argsort(Q)  # ascending; candidates for pinning at eps
     qs = Q[order]
     for k in range(d):

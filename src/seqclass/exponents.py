@@ -49,15 +49,13 @@ LambdaSpec = Union[ConstantLambda, ScaledRenyiLambda]
 
 
 def lambda_eval(spec, P0p, P1p, beta):
-    """Threshold value lambda(P0', P1') for a constraint family.
+    """Threshold value lambda(P0', P1') for a constraint family:
+    lambda_matrix's one-cell case.
 
     On the diagonal P0' = P1' the scaled-Renyi family returns its continuous
     extension xi * offset (the Renyi part vanishes there by continuity).
     """
-    if isinstance(spec, ConstantLambda):
-        return spec.lambda0
-    value, _ = dv.renyi_frac(P1p, P0p, beta)
-    return spec.xi * (value + spec.offset)
+    return float(lambda_matrix(spec, P0p, P1p, beta)[0, 0])
 
 
 def lambda_matrix(spec, P0rows, P1rows, beta):
@@ -66,10 +64,7 @@ def lambda_matrix(spec, P0rows, P1rows, beta):
     P1rows = np.atleast_2d(P1rows)
     if isinstance(spec, ConstantLambda):
         return np.full((P0rows.shape[0], P1rows.shape[0]), spec.lambda0)
-    w = beta / (1.0 + beta)
-    z = (P1rows**w) @ (P0rows ** (1.0 - w)).T  # (M,N)
-    ren = -(1.0 + beta) * np.log(z.T) / dv.LN2
-    return spec.xi * (ren + spec.offset)
+    return spec.xi * (dv.renyi_matrix(P1rows, P0rows, beta).T + spec.offset)
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
     Negative means some admissible null pair explains the tuple within its
     type-I budget.  Constant lambda collapses the P1' slot onto Q1 and the
     P0' slot onto the weighted join of Q0 and Q: the score is
-    weighted_join_rows(w0, Q0, wx, Q) - lambda0.
+    weighted_join(w0, Q0, wx, Q) - lambda0.
 
     Takes one tuple of distributions and returns a float, or three (N, d)
     stacks and returns one score per row.  Under a scaled-Renyi budget the
@@ -143,7 +138,7 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
         Q, Q0, Q1 = (as_dist(v, name)[None, :] for v, name in ((Q, "Q"), (Q0, "Q0"), (Q1, "Q1")))
     wx, w0, w1 = (1.0, inst.alpha, inst.beta) if weights is None else weights
     if isinstance(inst.lam, ConstantLambda):
-        out = dv.weighted_join_rows(w0, Q0, wx, Q) - inst.lam.lambda0
+        out = dv.weighted_join(w0, Q0, wx, Q) - inst.lam.lambda0
         return float(out[0]) if one else out
     check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
@@ -262,7 +257,7 @@ def kappa_search(inst, cfg=SearchConfig()):
             return _g1_diag_matrix(A, B, inst, cfg) < 0.0
 
     def objective(A, B):
-        return a * dv.kl_rows(A, P0)[:, None] + (1 + b) * dv.kl_rows(B, P1)[None, :]
+        return a * dv.kl(A, P0)[:, None] + (1 + b) * dv.kl(B, P1)[None, :]
 
     return min_simplex_pair(objective, constraint, inst.d, cfg, eps=inst.eps)
 
@@ -298,20 +293,20 @@ def mu_search(inst, cfg=SearchConfig()):
     P0, P1 = inst.p0, inst.p1
 
     def objective(A, B):
-        return a * dv.kl_rows(A, P0)[:, None] + b * dv.kl_rows(B, P1)[None, :]
+        return a * dv.kl(A, P0)[:, None] + b * dv.kl(B, P1)[None, :]
 
     if isinstance(inst.lam, ConstantLambda):
         lam0 = inst.lam.lambda0
 
         def constraint(A, B):
-            lead = a * dv.kl_rows(A, P1) - lam0  # (N,)
+            lead = a * dv.kl(A, P1) - lam0  # (N,)
             floor_cost = np.array([b * dv.kl_floor_projection(q, inst.eps)[0] for q in B])
             return lead[:, None] + floor_cost[None, :] < 0.0
 
     else:
 
         def constraint(A, B):
-            lead = a * dv.kl_rows(A, P1)  # (N,)
+            lead = a * dv.kl(A, P1)  # (N,)
             h = _mu_inner(B, inst, cfg)  # (M,)
             return lead[:, None] + h[None, :] < 0.0
 
@@ -378,7 +373,7 @@ def e_fix_search(inst, cfg=SearchConfig()):
             return SearchResult(0.0, (P1, P0, P1))
 
         def objective(A, B):
-            return dv.kl_rows(A, P1)[:, None] + a * dv.kl_rows(B, P0)[None, :]
+            return dv.kl(A, P1)[:, None] + a * dv.kl(B, P0)[None, :]
 
         def constraint(A, B):
             return dv.gjs_cross(B, A, a).T <= lam0

@@ -145,10 +145,10 @@ def early_phase(tup, n, model):
     inst = model.inst
     t0, t1, x = model.unpack(tup)
     eta = eta_n(n, inst.alpha, inst.beta, inst.d)
-    shell = dv.gjs_rows(t1, x, inst.beta) < eta
+    shell = dv.weighted_join(inst.beta, t1, 1.0, x) < eta
     rest = ~shell
     stop = shell.copy()
-    stop[rest] = dv.gjs_rows(t0[rest], x[rest], inst.alpha) < eta
+    stop[rest] = dv.weighted_join(inst.alpha, t0[rest], 1.0, x[rest]) < eta
     decision = np.zeros(stop.size, dtype=np.intp)
     if shell.any():
         decision[shell] = np.where(g1(x[shell], t0[shell], t1[shell], inst) < 0, 0, 1)

@@ -24,8 +24,8 @@ def oracle_kappa(inst, m=2000, inner_m=None):
     """Dense-grid kappa: pairs (Q0, Q1) on the eps-floored grid."""
     pg = grid_array(inst.d, m, eps=inst.eps)
     a, b = inst.alpha, inst.beta
-    obj0 = a * dv.kl_rows(pg, inst.p0)  # (N,)
-    obj1 = (1 + b) * dv.kl_rows(pg, inst.p1)  # (N,)
+    obj0 = a * dv.kl(pg, inst.p0)  # (N,)
+    obj1 = (1 + b) * dv.kl(pg, inst.p1)  # (N,)
     if isinstance(inst.lam, ConstantLambda):
         best = np.inf
         lam0 = inst.lam.lambda0
@@ -55,9 +55,9 @@ def oracle_mu(inst, m=2000, inner_m=None):
     """Dense-grid mu: pairs (Q0, Q1) on the full simplex grid."""
     pg = grid_array(inst.d, m)
     a, b = inst.alpha, inst.beta
-    obj0 = a * dv.kl_rows(pg, inst.p0)
-    obj1 = b * dv.kl_rows(pg, inst.p1)
-    lead = a * dv.kl_rows(pg, inst.p1)  # (N,) indexed by Q0
+    obj0 = a * dv.kl(pg, inst.p0)
+    obj1 = b * dv.kl(pg, inst.p1)
+    lead = a * dv.kl(pg, inst.p1)  # (N,) indexed by Q0
     if isinstance(inst.lam, ConstantLambda):
         floor_cost = np.array([b * dv.kl_floor_projection(q, inst.eps)[0] for q in pg])
         h = floor_cost - inst.lam.lambda0
@@ -90,8 +90,8 @@ def oracle_efix(inst, m=2000, coarse_m=100, inner_m=400, top_k=5):
     if isinstance(inst.lam, ConstantLambda):
         pg = grid_array(inst.d, m, eps=None)
         lam0 = inst.lam.lambda0
-        objq = dv.kl_rows(pg, P1)
-        objq0 = a * dv.kl_rows(pg, P0)
+        objq = dv.kl(pg, P1)
+        objq0 = a * dv.kl(pg, P0)
         best = np.inf
         for i in range(pg.shape[0]):  # Q0 index
             g = dv.gjs_cross(pg[i][None, :], pg, a)[0]  # over Q
@@ -108,9 +108,9 @@ def oracle_efix(inst, m=2000, coarse_m=100, inner_m=400, top_k=5):
         c1 = dv.kl_matrix(qgrid, ig)  # KL(Q||P0') (N,k)
         c2 = a * c1  # (N,k) for Q0
         t = _slot_min(b * c1, lam)  # (N,k) for Q1
-        objq = dv.kl_rows(qgrid, P1)
-        objq0 = a * dv.kl_rows(qgrid, P0)
-        objq1 = b * dv.kl_rows(qgrid, P1)
+        objq = dv.kl(qgrid, P1)
+        objq0 = a * dv.kl(qgrid, P0)
+        objq1 = b * dv.kl(qgrid, P1)
         N = qgrid.shape[0]
         vals = []  # (value, (iq, i0, i1))
         for i0 in range(N):
@@ -156,9 +156,9 @@ def _efix_local(inst, ig, lam, Qg, Q0g, Q1g):
     c1 = dv.kl_matrix(Qg, ig)
     c2 = a * dv.kl_matrix(Q0g, ig)
     t = _slot_min(b * dv.kl_matrix(Q1g, ig), lam)
-    objq = dv.kl_rows(Qg, inst.p1)
-    objq0 = a * dv.kl_rows(Q0g, inst.p0)
-    objq1 = b * dv.kl_rows(Q1g, inst.p1)
+    objq = dv.kl(Qg, inst.p1)
+    objq0 = a * dv.kl(Q0g, inst.p0)
+    objq1 = b * dv.kl(Q1g, inst.p1)
     best = np.inf
     for i0 in range(Q0g.shape[0]):
         for i1 in range(Q1g.shape[0]):

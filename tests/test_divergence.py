@@ -51,10 +51,10 @@ def test_renyi_vs_grid(a):
 @pytest.mark.parametrize("a", [0.38, 1.0, 2.0])
 def test_gjs_vs_grid(a):
     P, Q = binary(0.6), binary(0.1)
-    val, M = dv.gjs(P, Q, a)
-    grid = a * dv.kl_matrix(P[None, :], PG)[0] + dv.kl_matrix(Q[None, :], PG)[0]
+    val = dv.gjs_value(P, Q, a)
+    grid = a * dv.kl(P, PG) + dv.kl(Q, PG)
     assert val == pytest.approx(float(grid.min()), abs=1e-4)
-    np.testing.assert_allclose(M, (a * P + Q) / (a + 1), atol=1e-12)
+    np.testing.assert_allclose(PG[grid.argmin()], (a * P + Q) / (a + 1), atol=1e-4)
 
 
 def test_gjs_cross_matches_scalar():
@@ -66,13 +66,26 @@ def test_gjs_cross_matches_scalar():
             assert got[i, j] == pytest.approx(dv.gjs_value(A[i], B[j], 0.7), abs=1e-12)
 
 
-def test_weighted_join_min_closed_form():
+def test_weighted_join_closed_form():
     P, Q = binary(0.6), binary(0.1)
     a, b = 1.3, 0.4
-    val, M = dv.weighted_join_min(a, P, b, Q)
-    np.testing.assert_allclose(M, (a * P + b * Q) / (a + b), atol=1e-12)
-    grid = a * dv.kl_matrix(P[None, :], PG)[0] + b * dv.kl_matrix(Q[None, :], PG)[0]
+    val = dv.weighted_join(a, P, b, Q)
+    grid = a * dv.kl(P, PG) + b * dv.kl(Q, PG)
     assert val == pytest.approx(float(grid.min()), abs=1e-4)
+    np.testing.assert_allclose(PG[grid.argmin()], (a * P + b * Q) / (a + b), atol=1e-4)
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan])
+def test_weights_must_be_positive_and_finite(w):
+    P, Q = binary(0.6), binary(0.1)
+    for call in (
+        lambda: dv.gjs_value(P, Q, w),
+        lambda: dv.weighted_join(w, P, 1.0, Q),
+        lambda: dv.weighted_join(1.0, P, w, Q),
+        lambda: dv.renyi_frac(P, Q, w),
+    ):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()
 
 
 def test_bht_vs_grid():
@@ -88,7 +101,11 @@ def test_bht_vs_grid():
 def test_bht_endpoints():
     P0, P1 = binary(0.6), binary(0.1)
     assert dv.bht_tradeoff(P0, P1, dv.kl(P1, P0) + 0.01) == 0.0
+    assert dv.bht_tradeoff(P0, P1, math.inf) == 0.0
     assert dv.bht_tradeoff(P0, P1, 1e-14) == pytest.approx(dv.kl(P0, P1), abs=1e-6)
+    for e0 in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="e0 must be positive"):
+            dv.bht_tradeoff(P0, P1, e0)
 
 
 def test_kl_floor_projection():
@@ -102,6 +119,10 @@ def test_kl_floor_projection():
     want = float(dv.kl_matrix(Qx[None, :], pg)[0].min())
     assert val == pytest.approx(want, abs=1e-5)
     assert (P >= eps - 1e-12).all()
+    # the floor must leave room for a distribution: 0 < eps < 1/d
+    for bad in (0.6, 0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            dv.kl_floor_projection(Q, bad)
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
@@ -146,32 +167,49 @@ def _type_vectors(d):
     st.sampled_from([1.0, 0.6, 3.0, 7.6, 20.0]),
 )
 @settings(max_examples=200, deadline=None)
-def test_gjs_rows_equal_scalar_gjs(data, d, alpha, weight):
+def test_one_row_calls_equal_stacked_rows(data, d, alpha, weight):
     rows = data.draw(st.integers(1, 5))
     P = np.stack([data.draw(_type_vectors(d)) for _ in range(rows)])
     Q = np.stack([data.draw(_type_vectors(d)) for _ in range(rows)])
-    got = dv.gjs_rows(P, Q, alpha)
-    joined = dv.weighted_join_rows(alpha, P, weight, Q)
-    assert got.shape == joined.shape == (rows,)
-    for g, j, p, q in zip(got, joined, P, Q):
-        assert g == dv.gjs_value(p, q, alpha)
-        # the scalar arithmetic gjs had before it became gjs_rows' one-row
-        # case: kl sums its masked terms with np.sum
-        M = (alpha * p + q) / (alpha + 1.0)
-        assert g == alpha * dv.kl(p, M) + dv.kl(q, M)
-        # and weighted_join_min's, which the late phase used before
+    kls = dv.kl(Q, P)
+    joined = dv.weighted_join(alpha, P, weight, Q)
+    gjs = dv.gjs_value(P, Q, alpha)
+    assert kls.shape == joined.shape == gjs.shape == (rows,)
+    # +inf exactly on the rows where some q > 0 = p
+    assert np.isinf(kls).tolist() == ((Q > 0) & (P == 0)).any(axis=1).tolist()
+    for i, (p, q) in enumerate(zip(P, Q)):
+        # each validated 1-D call is its row of the stacked call, bit for bit
+        assert dv.kl(q, p) == kls[i]
+        assert dv.kl(Q, p)[i] == kls[i]  # a single row pairs with every row
+        # the left-to-right sum is numpy's own sum of the masked terms (d < 8)
+        m = q > 0
+        if (p[m] > 0).all():
+            assert kls[i] == np.sum(q[m] * np.log(q[m] / p[m])) / dv.LN2
+        assert dv.weighted_join(alpha, p, weight, q) == joined[i]
+        assert dv.gjs_value(p, q, alpha) == gjs[i]
+        # the join's value is its definition at the mixture
         M = (alpha * p + weight * q) / (alpha + weight)
-        assert j == alpha * dv.kl(p, M) + weight * dv.kl(q, M)
-        assert j == dv.weighted_join_min(alpha, p, weight, q)[0]
+        assert joined[i] == alpha * dv.kl(p, M) + weight * dv.kl(q, M)
+        # a point mass beside q's largest entry puts p = 0 < q there
+        off = np.eye(d)[(int(q.argmax()) + 1) % d]
+        assert math.isinf(dv.kl(q, off))
+        assert math.isinf(dv.kl(Q, off)[i])
+    # renyi_frac's value is the matching cell of the Renyi kernel
+    Pf, Qf = (P + 1.0 / d) / 2, (Q + 1.0 / d) / 2
+    ren = dv.renyi_matrix(Pf, Qf, alpha)
+    assert ren.shape == (rows, rows)
+    for i in range(rows):
+        for j in range(rows):
+            assert dv.renyi_frac(Pf[i], Qf[j], alpha)[0] == ren[i, j]
 
 
-def test_gjs_rows_full_support_values():
+def test_weighted_join_full_support_values():
     rng = np.random.Generator(np.random.Philox(key=np.uint64(21)))
     for d in range(2, 7):
         P = rng.dirichlet(np.ones(d), size=50)
         Q = rng.dirichlet(np.ones(d), size=50)
         for alpha in (0.38, 1.0, 2.0):
-            got = dv.gjs_rows(P, Q, alpha)
+            got = dv.gjs_value(P, Q, alpha)
             M = (alpha * P + Q) / (alpha + 1.0)
             want = [alpha * dv.kl(p, m) + dv.kl(q, m) for p, q, m in zip(P, Q, M)]
             assert [float(g) for g in got] == want

@@ -206,7 +206,7 @@ def test_gn_constant_matches_weighted_join():
     x = np.array([0.5, 0.5])
     tup = (t0[None, :], t1[None, :], x[None, :])
     n = 20
-    val, _ = dv.weighted_join_min(0.5 * n, t0, 1.0 * n, x)
+    val = dv.weighted_join(0.5 * n, t0, 1.0 * n, x)
     model = make_model(SetupKind.FullySeq, inst_const(alpha=0.5, beta=0.7))
     assert late_score(tup, n, model).tolist() == [val - 0.05]
     for lam0, decision in ((val, 1), (np.nextafter(val, np.inf), 0)):
@@ -225,7 +225,7 @@ def test_gn_generic_close_to_constant_structure():
 
 
 # Late-phase scores g_n.  The constant-budget cases were recorded with the
-# scalar weighted_join_min; the scaled-Renyi ones with g1's inner grid and
+# scalar weighted join; the scaled-Renyi ones with g1's inner grid and
 # polish under the late weights.  Each case scores the tuples of TUPLES[d]
 # with the late weights of one setup at one n.
 LATE_INSTANCES = {
