@@ -116,6 +116,14 @@ def _inner_density(inst, cfg):
     return 2 * m if inst.d == 2 else m
 
 
+def _inner_table(inst, cfg, rows=None):
+    """The inner grid of the scaled-Renyi minima and lambda on it: (pg, lam)
+    with lam[i, j] = lambda(rows_i, pg_j), rows the grid itself by default.
+    A search builds it once and hands it to every call that scores a grid."""
+    pg = grid_array(inst.d, _inner_density(inst, cfg), eps=inst.eps)
+    return pg, lambda_matrix(inst.lam, pg if rows is None else rows, pg, inst.beta)
+
+
 def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
     """Sequential-decision score: how lambda-close (Q, Q0, Q1) is to a null pair.
 
@@ -142,8 +150,7 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
         return float(out[0]) if one else out
     check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
-    pg = grid_array(inst.d, k, eps=inst.eps)
-    lam = lambda_matrix(inst.lam, pg, pg, inst.beta)  # (k0, k1)
+    pg, lam = _inner_table(inst, cfg)  # lam: (k0, k1)
     out = np.empty(len(Q))
     for i in range(len(Q)):
         a = wx * dv.kl_matrix(Q[i], pg) + w0 * dv.kl_matrix(Q0[i], pg)  # (1, k0)
@@ -252,9 +259,10 @@ def kappa_search(inst, cfg=SearchConfig()):
     elif kappa_certified_infinite(inst):
         return SearchResult(math.inf, None)
     else:
+        table = _inner_table(inst, cfg)
 
         def constraint(A, B):
-            return _g1_diag_matrix(A, B, inst, cfg) < 0.0
+            return _g1_diag_matrix(A, B, inst, table) < 0.0
 
     def objective(A, B):
         return a * dv.kl(A, P0)[:, None] + (1 + b) * dv.kl(B, P1)[None, :]
@@ -262,17 +270,16 @@ def kappa_search(inst, cfg=SearchConfig()):
     return min_simplex_pair(objective, constraint, inst.d, cfg, eps=inst.eps)
 
 
-def _g1_diag_matrix(Q0rows, Q1rows, inst, cfg):
-    """(N,M) matrix of g1(Q1_j, Q0_i, Q1_j) for the scaled-Renyi family."""
-    k = _inner_density(inst, cfg)
-    pg = grid_array(inst.d, k, eps=inst.eps)
-    lam = lambda_matrix(inst.lam, pg, pg, inst.beta)
+def _g1_diag_matrix(Q0rows, Q1rows, inst, table):
+    """(N,M) matrix of g1(Q1_j, Q0_i, Q1_j) for the scaled-Renyi family,
+    unpolished, over the inner grid and lambda table of `_inner_table`."""
+    pg, lam = table
     ka = inst.alpha * dv.kl_matrix(Q0rows, pg)  # (N, k)
     c1 = dv.kl_matrix(Q1rows, pg)  # (M, k)
     u = c1 + _p1_slot_min(inst.beta * c1, lam)  # (M, k)
-    out = np.empty((Q0rows.shape[0], Q1rows.shape[0]))
-    for i in range(Q0rows.shape[0]):
-        out[i] = (ka[i][None, :] + u).min(axis=1)
+    out = np.empty((ka.shape[0], u.shape[0]))
+    for j, row in enumerate(u):
+        out[:, j] = (ka + row[None, :]).min(axis=1)
     return out
 
 
@@ -317,8 +324,8 @@ def _mu_inner(Q1rows, inst, cfg):
     """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1'), vectorized."""
     b = inst.beta
     k = _inner_density(inst, cfg)
-    pg = grid_array(inst.d, k, eps=inst.eps)
-    lamv = lambda_matrix(inst.lam, inst.p1[None, :], pg, b)[0]  # (k,)
+    pg, lam = _inner_table(inst, cfg, rows=inst.p1[None, :])
+    lamv = lam[0]  # (k,)
     scores = b * dv.kl_matrix(Q1rows, pg) - lamv[None, :]
     h = scores.min(axis=1)
     arg = scores.argmin(axis=1)
@@ -390,8 +397,11 @@ def e_fix_search(inst, cfg=SearchConfig()):
     return min_simplex_pair(objective, ALWAYS_TRUE, inst.d, cfg, eps=inst.eps)
 
 
-#: cells of the e_fix dual solved together: a chunk's (d, K) arrays stay in L2
-_DUAL_CHUNK = 4096
+#: cells of the e_fix dual solved together.  The three blocks of a chunk
+#: are tilted in one pass over (3, d, K) arrays; at 2048 cells the dual's
+#: peak memory on the fig1 coarse grid (2.2 MiB) stays below that of
+#: tilting one (d, K) block at a time over 4096 cells (2.5 MiB)
+_DUAL_CHUNK = 2048
 #: slack of the Lagrangian bound per unit of (1 + s), where s is the
 #: multiplier it was taken at: about 1e5 times the rounding error of the
 #: bound and of the value the cell's own bisection reaches
@@ -412,9 +422,10 @@ def _efix_dual_matrix(Urows, Vrows, inst):
 
     Cells with L <= 0 are infeasible (inf), and cells whose unconstrained
     optimum (s = 0) already lies in the ball are worth 0.  The remaining
-    active cells are searched in chunks of _DUAL_CHUNK cells; the tilts are
-    stored (d, K), so each max or sum over the alphabet is d - 1 vector
-    operations, taken left to right.  Per active cell, the bracket [0, hi]
+    active cells are searched in chunks of _DUAL_CHUNK cells; the tilts of
+    the three blocks are stored together (3, d, K), so each max or sum over
+    the alphabet is d - 1 vector operations, taken left to right, for all
+    three blocks at once.  Per active cell, the bracket [0, hi]
     starts at hi = 1 and hi doubles while the constraint at hi exceeds L, at
     most 70 times; only the cells still growing are evaluated.
 
@@ -452,14 +463,14 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     logv = np.log(V).T  # (d, M)
     logP0 = np.log(inst.p0)[:, None]
     logP1 = np.log(inst.p1)[:, None]
+    # the blocks Q, Q0, Q1 of the tuple: targets, and weights in the objective
+    targets = np.stack([logP1, logP0, logP1])  # (3, d, 1)
+    weights = np.array([[1.0], [inst.alpha], [inst.beta]])  # (3, 1)
 
     def blocks_of(cells):
         rows, cols = np.divmod(cells, M)
-        return (
-            (logP1, logu[:, rows], 1.0),
-            (logP0, logu[:, rows], inst.alpha),
-            (logP1, logv[:, cols], inst.beta),
-        )
+        ref_u = logu[:, rows]
+        return targets, np.stack([ref_u, ref_u, logv[:, cols]]), weights
 
     out = np.full(Lflat.size, np.inf)
     ub = np.inf
@@ -518,43 +529,49 @@ def _efix_dual_matrix(Urows, Vrows, inst):
 
 
 def _take(blocks, cells):
-    return tuple((target, ref[:, cells], wt) for target, ref, wt in blocks)
+    targets, refs, weights = blocks
+    return targets, refs[:, :, cells], weights
 
 
 def _tilted_blocks(s, blocks, objective=False):
     """Constraint value c, and with `objective` the objective f, at multiplier s.
 
-    s: (K,) per cell; blocks: (target (d, 1), reference (d, K), weight) per
-    block of the tuple.  Returns (c, f) with f None unless asked for.
+    s: (K,) per cell; blocks: targets (B, d, 1), references (B, d, K) and
+    weights (B, 1), one entry per block of the tuple.  Every block is
+    tilted in one pass; the weighted block terms are then added in block
+    order, as a loop over the blocks would.  Returns (c, f) with f None
+    unless asked for.
     """
+    targets, refs, weights = blocks
     w = s / (1.0 + s)
     keep = 1.0 - w
-    c = np.zeros_like(s)
-    f = np.zeros_like(s) if objective else None
-    for target, ref, wt in blocks:
-        lz = keep * target
-        lz += w * ref
-        mx = lz[0]
-        for row in lz[1:]:
-            mx = np.maximum(mx, row)
-        lz -= mx
-        z = np.exp(lz, out=lz)
-        z /= _alphabet_sum(z)
-        lq = np.log(np.where(z > 0, z, 1.0))
-        gap = lq - ref
-        gap *= z
-        c += wt * _alphabet_sum(gap) / dv.LN2
-        if objective:
-            f += wt * _alphabet_sum(z * (lq - target)) / dv.LN2
+    lz = keep * targets  # (B, d, K)
+    lz += w * refs
+    mx = lz[:, 0]
+    for j in range(1, lz.shape[1]):
+        mx = np.maximum(mx, lz[:, j])
+    lz -= mx[:, None, :]
+    z = np.exp(lz, out=lz)
+    z /= _alphabet_sum(z)[:, None, :]
+    lq = np.log(np.where(z > 0, z, 1.0))
+    gap = lq - refs
+    gap *= z
+    c = _ordered_sum(weights * _alphabet_sum(gap) / dv.LN2)
+    f = _ordered_sum(weights * _alphabet_sum(z * (lq - targets)) / dv.LN2) if objective else None
     return c, f
 
 
 def _alphabet_sum(x):
-    # sum over axis 0 of a (d, K) array, left to right: the order in which
-    # numpy reduces a short last axis, which fixed the recorded e_fix values
-    total = x[0]
-    for row in x[1:]:
-        total = total + row
+    # sum over the alphabet axis of a (B, d, K) array
+    return _ordered_sum(x.swapaxes(0, 1))
+
+
+def _ordered_sum(parts):
+    # parts[0] + parts[1] + ..., left to right: the order in which numpy
+    # reduces a short last axis, which fixed the recorded e_fix values
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
     return total
 
 

@@ -1,7 +1,7 @@
 """Constrained minimization over the product of two probability simplices.
 
-Strategy: enumerate an exact coarse grid, filter by the constraint, then
-re-grid L-infinity boxes around the incumbent; `box_schedule` gives each
+Strategy: enumerate an exact coarse grid, keep its least feasible cell,
+then re-grid L-infinity boxes around the incumbent; `box_schedule` gives each
 round's half-width and density (2/m and REFINE_FACTOR * m after a grid at
 density m).  The feasible sets arising from unions of lambda-balls are non-convex, so global
 enumeration plus local refinement is the method of record here.  The coarse
@@ -10,9 +10,11 @@ N before anything is allocated.  That admits d = 2 and d = 3 at their
 default densities, and d = 4, 5, 6 only with coarse_m at most 30, 16, 11.
 
 The objective and the constraint are pair callables: they take two row
-stacks of shapes (N, d) and (M, d) and return an (N, M) matrix.  All
-closures must be side-effect-free.  With `eps` set, every grid point is
-clamped into the epsilon-floored simplex.
+stacks of shapes (N, d) and (M, d) and return an (N, M) matrix.  The
+objective is evaluated on every cell, the constraint only on the columns
+that can still hold the minimum (`_best_over_pair`).  All closures must be
+side-effect-free.  With `eps` set, every grid point is clamped into the
+epsilon-floored simplex.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,8 @@ from .simplex import box_grid, grid_array, grid_count
 PAIR_CELL_LIMIT = 2**25
 #: density growth from one box re-gridding round to the next
 REFINE_FACTOR = 10
+#: columns of a pair grid whose constraint is evaluated together
+CONSTRAINT_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,45 @@ def box_schedule(density, rounds):
         yield halfwidth, density
 
 
-def _best_over_pair(objective, constraint, A, B):
+def _best_over_pair(objective, constraint, A, B, cutoff=np.inf):
+    """Least objective over the feasible cells of the pair grid A x B, and
+    its pair: (value, a, b), or (inf, None, None) when no cell is found.
+
+    The objective is evaluated whole; the constraint only on the columns
+    of B that can still win.  Columns are visited in ascending order of
+    their least objective, CONSTRAINT_BATCH at a time, while that least
+    value is <= the best feasible value found so far (at first the
+    cutoff): every cell of a later column lies above it.  The visited
+    cells are scattered back by column, so the masked minimum and its
+    first flat index among ties are those of evaluating every cell.  When
+    that minimum is at or above the cutoff, the value returned is too.
+    """
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.inf, None, None
-    feas = np.asarray(constraint(A, B), dtype=bool)
-    obj = np.where(feas, np.asarray(objective(A, B), dtype=np.float64), np.inf)
-    i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
-    if not np.isfinite(obj[i, j]):
+    obj = np.asarray(objective(A, B), dtype=np.float64)
+    colmin = obj.min(axis=0)
+    order = np.argsort(colmin, kind="stable")
+    masked = np.full(obj.shape, np.inf)
+    best = cutoff
+    for start in range(0, order.size, CONSTRAINT_BATCH):
+        cols = order[start : start + CONSTRAINT_BATCH]
+        cols = cols[colmin[cols] <= best]
+        if cols.size == 0:
+            break
+        if cols.size == 1 and order.size > 1:
+            # numpy multiplies a one-row matrix by the matrix-vector
+            # product, which rounds unlike the matrix-matrix one that a
+            # constraint built on kl_matrix takes for wider B; so a lone
+            # column goes with a neighbour in the order, and every cell
+            # keeps the bits it has when B is evaluated whole
+            cols = order[start : start + 2] if start + 1 < order.size else order[start - 1 : start + 1]
+        feas = np.asarray(constraint(A, B[cols]), dtype=bool)
+        masked[:, cols] = np.where(feas, obj[:, cols], np.inf)
+        best = min(best, float(masked[:, cols].min()))
+    i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+    if not np.isfinite(masked[i, j]):
         return np.inf, None, None
-    return float(obj[i, j]), A[i], B[j]
+    return float(masked[i, j]), A[i], B[j]
 
 
 def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
@@ -90,7 +124,9 @@ def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
     The coarse grid's minimiser (a, b) is refined for cfg.refine_rounds
     rounds of `box_schedule`, each of up to six steps alternating a and b.
     A step re-grids one block's box with the other held fixed and keeps the
-    box minimiser only if it beats the incumbent value.  A round stops once
+    box minimiser only if it beats the incumbent value, so the incumbent
+    is the step's cutoff: the constraint is evaluated only on columns that
+    could beat it (see `_best_over_pair`).  A round stops once
     two steps in a row, one per block, have moved nothing: each later step
     would repeat an earlier call on identical (a, b, value), so stopping
     changes no bit and no box pair is evaluated twice.
@@ -109,7 +145,7 @@ def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
             k = step % 2
             blocks = [x[None, :] for x in pair]
             blocks[k] = box_grid(pair[k], halfwidth, density, eps)
-            v, *best = _best_over_pair(objective, constraint, *blocks)
+            v, *best = _best_over_pair(objective, constraint, *blocks, cutoff=value)
             if v < value:
                 value, pair[k], moved = v, best[k], step
     return SearchResult(value, tuple(pair))

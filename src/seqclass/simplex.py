@@ -279,7 +279,9 @@ def box_grid(center, halfwidth, density, eps=None):
 
     The first d-1 coordinates are gridded around `center`; the last takes
     the remaining mass.  Points more than 1e-12 below the floor (0, or eps
-    when set) are dropped, and with eps set the rest are clamped into it.
+    when set) are dropped.  With eps set the rest are clamped into it;
+    without, a rounding residue in [-1e-12, 0) becomes exactly 0, so every
+    point is a distribution.
     """
     d = center.size
     steps = _box_steps(halfwidth, density)
@@ -295,8 +297,8 @@ def box_grid(center, halfwidth, density, eps=None):
     if pts.shape[0] == 0:
         return pts.reshape(0, d)
     if eps is not None:
-        pts = clamp_rows(pts, eps)
-    return pts
+        return clamp_rows(pts, eps)
+    return np.where(pts < 0.0, 0.0, pts)
 
 
 def _box_steps(halfwidth, density):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass.optimizer import SearchConfig, box_schedule
@@ -141,7 +142,7 @@ def test_kappa_scaled_renyi_certificate():
     assert math.isinf(res.value) and res.argmin is None
     # grid emptiness cross-check at modest density
     pg = grid_array(2, 100, eps=inst.eps)
-    gm = ex._g1_diag_matrix(pg, pg, inst, FAST)
+    gm = ex._g1_diag_matrix(pg, pg, inst, ex._inner_table(inst, FAST))
     assert (gm >= -1e-12).all()
 
 
@@ -340,7 +341,7 @@ def test_g1_kernels_pinned_values():
     assert tuple(ex.g1(Q, Q0, Q1, inst, FAST)) == G1_PINNED
     assert tuple(ex._mu_inner(Q1, inst, FAST)) == MU_INNER_PINNED
     pg = grid_array(2, 60, eps=inst.eps)
-    assert float(ex._g1_diag_matrix(pg, pg, inst, FAST).sum()) == G1_DIAG_SUM_PINNED
+    assert float(ex._g1_diag_matrix(pg, pg, inst, ex._inner_table(inst, FAST)).sum()) == G1_DIAG_SUM_PINNED
 
 
 def test_g1_stack_equals_one_row_calls():
@@ -355,6 +356,102 @@ def test_g1_stack_equals_one_row_calls():
     # a constant budget's stack is the weighted join, row for row
     const = const_inst()
     assert ex.g1(Q, Q0, Q1, const).tolist() == [ex.g1(q, q0, q1, const) for q, q0, q1 in zip(Q, Q0, Q1)]
+
+
+# columns the kappa constraint (_g1_diag_matrix) was evaluated on in one
+# fig1 search at xi = 0.5, default solver, when every column of every grid
+# was evaluated
+KAPPA_COLUMNS_EVALUATE_ALL = 329
+
+
+def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
+    inst = cli.load_config(preset="fig1").instance(xi=0.5)
+    want = ex.kappa_search(inst)
+    columns = []
+    diag = ex._g1_diag_matrix
+
+    def counted(Q0rows, Q1rows, inst_, table):
+        columns.append(Q1rows.shape[0])
+        return diag(Q0rows, Q1rows, inst_, table)
+
+    monkeypatch.setattr(ex, "_g1_diag_matrix", counted)
+    got = ex.kappa_search(inst)
+    assert got.value == want.value
+    assert 0 < sum(columns) <= KAPPA_COLUMNS_EVALUATE_ALL // 2
+
+
+def test_g1_diag_matrix_cells_keep_their_bits():
+    # the pair search evaluates kappa's constraint on a few columns at a
+    # time; each cell must equal its value in the whole matrix
+    inst = renyi_inst()
+    table = ex._inner_table(inst, FAST)
+    pg = grid_array(2, 30, eps=inst.eps)
+    full = ex._g1_diag_matrix(pg, pg, inst, table)
+    assert np.array_equal(ex._g1_diag_matrix(pg, pg[3:5], inst, table), full[:, 3:5])
+    assert np.array_equal(ex._g1_diag_matrix(pg[7:9], pg, inst, table), full[7:9])
+
+
+def _tilted_blocks_loop(s, blocks, objective=False):
+    """The e_fix tilt as a loop over the blocks of the tuple, each block a
+    (target (d, 1), reference (d, K), weight) triple: the form the fused
+    kernel must reproduce bit for bit."""
+
+    def alphabet_sum(x):
+        total = x[0]
+        for row in x[1:]:
+            total = total + row
+        return total
+
+    w = s / (1.0 + s)
+    keep = 1.0 - w
+    c = np.zeros_like(s)
+    f = np.zeros_like(s) if objective else None
+    for target, ref, wt in blocks:
+        lz = keep * target
+        lz += w * ref
+        mx = lz[0]
+        for row in lz[1:]:
+            mx = np.maximum(mx, row)
+        lz -= mx
+        z = np.exp(lz, out=lz)
+        z /= alphabet_sum(z)
+        lq = np.log(np.where(z > 0, z, 1.0))
+        gap = lq - ref
+        gap *= z
+        c += wt * alphabet_sum(gap) / dv.LN2
+        if objective:
+            f += wt * alphabet_sum(z * (lq - target)) / dv.LN2
+    return c, f
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("objective", [False, True])
+def test_fused_tilt_equals_block_loop(d, objective):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(d)))
+    K = 300
+    targets = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=3))[:, :, None]  # (3, d, 1)
+    refs = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=(3, K))).transpose(0, 2, 1)  # (3, d, K)
+    weights = np.array([[1.0], [0.38], [0.6]])
+    # multipliers from 0 through the doubling range and bisection midpoints
+    s = np.concatenate([[0.0], 2.0 ** rng.integers(0, 70, K // 2), rng.random(K - K // 2 - 1) * 50])
+    got = ex._tilted_blocks(s, (targets, refs, weights), objective=objective)
+    want = _tilted_blocks_loop(s, [(targets[b], refs[b], float(weights[b, 0])) for b in range(3)], objective)
+    assert np.array_equal(got[0], want[0])
+    if objective:
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] is None and want[1] is None
+
+
+def test_d3_report_near_the_simplex_boundary():
+    # mu's search runs without the eps floor; a box point whose last
+    # coordinate came out as -2.2e-16 used to reach as_dist and raise
+    inst = ex.ProblemInstance((0.216, 0.33, 0.454), (0.946, 0.043, 0.011), 0.38, 0.6,
+                              ex.ConstantLambda(0.122416999096))
+    rep = ex.report(inst)
+    assert all(math.isfinite(v) and v >= 0.0 for v in rep.as_dict().values())
+    res = ex.mu_search(inst)
+    assert all((q >= 0.0).all() for q in res.argmin)
 
 
 def test_p1_slot_min_matches_broadcast():

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass.optimizer import (
     ALWAYS_TRUE,
+    CONSTRAINT_BATCH,
     SearchConfig,
+    _best_over_pair,
     check_pair_grid,
     min_simplex_pair,
 )
@@ -211,3 +215,61 @@ def test_pair_grid_bound():
 
     with pytest.raises(ValueError, match="pair grid too large"):
         min_simplex_pair(never_called, never_called, 4)
+
+
+def indexed(table):
+    """A pair callable reading table[i, j] for grid rows that hold (i,) and (j,)."""
+    return lambda A, B: table[A[:, 0].astype(int)][:, B[:, 0].astype(int)]
+
+
+def brute_force(obj, feas):
+    masked = np.where(feas, obj, np.inf)
+    i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+    return (float(masked[i, j]), (i, j)) if np.isfinite(masked[i, j]) else (np.inf, None)
+
+
+@st.composite
+def pair_grids(draw):
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 3 * CONSTRAINT_BATCH))
+    # few distinct integer values, so ties are common; +inf among them
+    cell = st.one_of(st.integers(0, 5).map(float), st.just(np.inf))
+    obj = np.array(draw(st.lists(cell, min_size=n * m, max_size=n * m))).reshape(n, m)
+    feas = st.lists(st.booleans(), min_size=n * m, max_size=n * m)
+    feas = draw(st.one_of(feas, st.just([False] * (n * m))))
+    cutoff = draw(st.one_of(st.just(np.inf), st.integers(-1, 6).map(float), st.floats(-1, 6)))
+    return obj, np.array(feas).reshape(n, m), cutoff
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_grids())
+def test_best_over_pair_equals_brute_force(grid):
+    obj, feas, cutoff = grid
+    A = np.arange(obj.shape[0], dtype=float)[:, None]
+    B = np.arange(obj.shape[1], dtype=float)[:, None]
+    seen, widths = [], []
+
+    def constraint(A_, B_):
+        seen.extend(B_[:, 0].astype(int).tolist())
+        widths.append(B_.shape[0])
+        return indexed(feas)(A_, B_)
+
+    want, where = brute_force(obj, feas)
+    full, *full_pair = _best_over_pair(indexed(obj), constraint, A, B)
+    assert full == want
+    if where is None:
+        assert full_pair == [None, None]
+    else:
+        assert (int(full_pair[0][0]), int(full_pair[1][0])) == where
+    # the constraint saw every column whose least objective ties or beats
+    # the minimum
+    colmin = obj.min(axis=0)
+    assert set(np.flatnonzero(colmin <= want)) <= set(seen)
+    # a wider B is never cut down to one column (see _best_over_pair)
+    assert min(widths, default=2) >= min(2, obj.shape[1])
+    value, *pair = _best_over_pair(indexed(obj), indexed(feas), A, B, cutoff=cutoff)
+    if want < cutoff:
+        assert value == want
+        assert (int(pair[0][0]), int(pair[1][0])) == where
+    else:
+        assert value >= cutoff

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqclass.simplex import (
     as_dist,
+    box_grid,
     clamp_rows,
     compositions,
     grid_array,
@@ -199,3 +200,16 @@ def test_type_rows_match_empirical():
     types = type_rows(x, 3)
     for row, t in zip(x, types):
         assert (t == np.bincount(row, minlength=3) / 17).all()
+
+
+def test_box_grid_without_floor_returns_distributions():
+    # around this center the last coordinate, 1 minus the others, comes out
+    # as -2.2e-16 on some mesh points; those points are kept as exact zeros
+    center = np.array([0.9450000000000001, 0.043333333333333335, 0.011666666666666603])
+    pts = box_grid(center, 1 / 30, 600)
+    assert (pts[:, 2] == 0.0).any()
+    assert (pts >= 0.0).all()
+    for p in pts:
+        as_dist(p)
+    # with a floor the points are clamped into it, as before
+    assert (box_grid(center, 1 / 30, 600, eps=0.01) >= 0.01 - 1e-15).all()
