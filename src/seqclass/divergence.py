@@ -106,6 +106,19 @@ def kl_matrix(Q, P):
     return (ent[:, None] - cross) / LN2
 
 
+def kl_matrix_stacked(Q, P):
+    """kl_matrix(Q, P) with every row rounded as it is inside any stack of
+    two or more rows.  numpy takes the matrix-vector product for a one-row
+    stack, which rounds unlike the matrix-matrix product it takes for a
+    taller one, so a lone row is evaluated inside a two-row stack.  A pair
+    search that evaluates its constraint a few columns at a time thus gets
+    the bits of evaluating them all together."""
+    Q = np.atleast_2d(Q)
+    if Q.shape[0] == 1:
+        return kl_matrix(np.vstack([Q, Q]), P)[:1]
+    return kl_matrix(Q, P)
+
+
 def renyi_matrix(Prows, Qrows, alpha):
     """(N,M) matrix of the Renyi value of (P_i, Q_j) with weight alpha, in bits:
         min_V alpha*KL(V||P_i) + KL(V||Q_j)

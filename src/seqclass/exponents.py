@@ -275,7 +275,7 @@ def _g1_diag_matrix(Q0rows, Q1rows, inst, table):
     unpolished, over the inner grid and lambda table of `_inner_table`."""
     pg, lam = table
     ka = inst.alpha * dv.kl_matrix(Q0rows, pg)  # (N, k)
-    c1 = dv.kl_matrix(Q1rows, pg)  # (M, k)
+    c1 = dv.kl_matrix_stacked(Q1rows, pg)  # (M, k)
     u = c1 + _p1_slot_min(inst.beta * c1, lam)  # (M, k)
     out = np.empty((ka.shape[0], u.shape[0]))
     for j, row in enumerate(u):
@@ -311,22 +311,25 @@ def mu_search(inst, cfg=SearchConfig()):
             return lead[:, None] + floor_cost[None, :] < 0.0
 
     else:
+        table = _inner_table(inst, cfg, rows=P1[None, :])
 
         def constraint(A, B):
             lead = a * dv.kl(A, P1)  # (N,)
-            h = _mu_inner(B, inst, cfg)  # (M,)
+            h = _mu_inner(B, inst, cfg, table)  # (M,)
             return lead[:, None] + h[None, :] < 0.0
 
     return min_simplex_pair(objective, constraint, inst.d, cfg)
 
 
-def _mu_inner(Q1rows, inst, cfg):
-    """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1'), vectorized."""
+def _mu_inner(Q1rows, inst, cfg, table):
+    """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1'), vectorized,
+    over the inner grid and lambda row of `_inner_table(inst, cfg,
+    rows=P1[None, :])`."""
     b = inst.beta
     k = _inner_density(inst, cfg)
-    pg, lam = _inner_table(inst, cfg, rows=inst.p1[None, :])
+    pg, lam = table
     lamv = lam[0]  # (k,)
-    scores = b * dv.kl_matrix(Q1rows, pg) - lamv[None, :]
+    scores = b * dv.kl_matrix_stacked(Q1rows, pg) - lamv[None, :]
     h = scores.min(axis=1)
     arg = scores.argmin(axis=1)
     # polish each row's inner minimum (smooth in P1')

@@ -12,9 +12,10 @@ default densities, and d = 4, 5, 6 only with coarse_m at most 30, 16, 11.
 The objective and the constraint are pair callables: they take two row
 stacks of shapes (N, d) and (M, d) and return an (N, M) matrix.  The
 objective is evaluated on every cell, the constraint only on the columns
-that can still hold the minimum (`_best_over_pair`).  All closures must be
-side-effect-free.  With `eps` set, every grid point is clamped into the
-epsilon-floored simplex.
+that can still hold the minimum (`_best_over_pair`), so a constraint must
+give a cell the same value whichever columns share its call.  All closures
+must be side-effect-free.  With `eps` set, every grid point is clamped into
+the epsilon-floored simplex.
 """
 
 from dataclasses import dataclass
@@ -102,13 +103,6 @@ def _best_over_pair(objective, constraint, A, B, cutoff=np.inf):
         cols = cols[colmin[cols] <= best]
         if cols.size == 0:
             break
-        if cols.size == 1 and order.size > 1:
-            # numpy multiplies a one-row matrix by the matrix-vector
-            # product, which rounds unlike the matrix-matrix one that a
-            # constraint built on kl_matrix takes for wider B; so a lone
-            # column goes with a neighbour in the order, and every cell
-            # keeps the bits it has when B is evaluated whole
-            cols = order[start : start + 2] if start + 1 < order.size else order[start - 1 : start + 1]
         feas = np.asarray(constraint(A, B[cols]), dtype=bool)
         masked[:, cols] = np.where(feas, obj[:, cols], np.inf)
         best = min(best, float(masked[:, cols].min()))

@@ -146,9 +146,6 @@ def early_phase(tup, n, model):
     t0, t1, x = model.unpack(tup)
     eta = eta_n(n, inst.alpha, inst.beta, inst.d)
     shell = dv.weighted_join(inst.beta, t1, 1.0, x) < eta
-    if shell.all():
-        # every row stops and g1 decides: score the stacks as they are
-        return shell, np.where(g1(x, t0, t1, inst) < 0, 0, 1)
     rest = ~shell
     stop = shell.copy()
     stop[rest] = dv.weighted_join(inst.alpha, t0[rest], 1.0, x[rest]) < eta

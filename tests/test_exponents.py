@@ -339,7 +339,7 @@ def test_g1_kernels_pinned_values():
     inst = renyi_inst()
     Q, Q0, Q1 = PIN_ROWS, PIN_ROWS[[1, 2, 3, 0]], PIN_ROWS[[2, 3, 0, 1]]
     assert tuple(ex.g1(Q, Q0, Q1, inst, FAST)) == G1_PINNED
-    assert tuple(ex._mu_inner(Q1, inst, FAST)) == MU_INNER_PINNED
+    assert tuple(ex._mu_inner(Q1, inst, FAST, ex._inner_table(inst, FAST, rows=inst.p1[None, :]))) == MU_INNER_PINNED
     pg = grid_array(2, 60, eps=inst.eps)
     assert float(ex._g1_diag_matrix(pg, pg, inst, ex._inner_table(inst, FAST)).sum()) == G1_DIAG_SUM_PINNED
 
@@ -380,15 +380,24 @@ def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
     assert 0 < sum(columns) <= KAPPA_COLUMNS_EVALUATE_ALL // 2
 
 
-def test_g1_diag_matrix_cells_keep_their_bits():
-    # the pair search evaluates kappa's constraint on a few columns at a
-    # time; each cell must equal its value in the whole matrix
-    inst = renyi_inst()
-    table = ex._inner_table(inst, FAST)
-    pg = grid_array(2, 30, eps=inst.eps)
-    full = ex._g1_diag_matrix(pg, pg, inst, table)
-    assert np.array_equal(ex._g1_diag_matrix(pg, pg[3:5], inst, table), full[:, 3:5])
-    assert np.array_equal(ex._g1_diag_matrix(pg[7:9], pg, inst, table), full[7:9])
+@pytest.mark.parametrize("d", [2, 3])
+def test_constraint_cells_keep_their_bits(d):
+    # the pair search evaluates kappa's and mu's constraints on a few
+    # columns at a time, down to one; each cell must equal its value when
+    # every column is evaluated together
+    p0, p1 = (P0, P1) if d == 2 else ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7))
+    inst = ex.ProblemInstance(p0, p1, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
+    cfg = SearchConfig(coarse_m=30 if d == 2 else 20, refine_rounds=2)
+    rows = grid_array(d, 20, eps=inst.eps)[:: 1 if d == 2 else 6]
+    kappa_table = ex._inner_table(inst, cfg)
+    mu_table = ex._inner_table(inst, cfg, rows=inst.p1[None, :])
+    full = ex._g1_diag_matrix(rows, rows, inst, kappa_table)
+    h = ex._mu_inner(rows, inst, cfg, mu_table)
+    for width in range(1, 9):
+        for j in range(0, len(rows) - width + 1, width):
+            cols = slice(j, j + width)
+            assert np.array_equal(ex._g1_diag_matrix(rows, rows[cols], inst, kappa_table), full[:, cols])
+            assert np.array_equal(ex._mu_inner(rows[cols], inst, cfg, mu_table), h[cols])
 
 
 def _tilted_blocks_loop(s, blocks, objective=False):
