@@ -12,7 +12,6 @@ from .divergence import (
     bht_tradeoff,
     gjs_value,
     kl,
-    kl_floor_projection,
     renyi_frac,
     weighted_join,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "grid_array",
     "kappa",
     "kl",
-    "kl_floor_projection",
     "lambda_eval",
     "make_model",
     "min_simplex_pair",

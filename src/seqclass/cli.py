@@ -240,7 +240,8 @@ class RunConfig:
                 coarse_m=int(coarse) if coarse is not None else None,
                 refine_rounds=int(raw.get("solver_refine_rounds", "3")),
             )
-            check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
+            if fam == "scaled_renyi":  # a constant budget searches no pair grid
+                check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
         except ValueError as e:
             raise ConfigError(f"bad solver settings: {e}")
         setups = raw.get("sim_setups", "fullyseq")

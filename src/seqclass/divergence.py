@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .simplex import as_dist, check_eps
+from .simplex import as_dist
 
 LN2 = np.log(2.0)
 
@@ -158,48 +158,26 @@ def renyi_frac(P, Q, alpha):
     return float(renyi_matrix(P, Q, alpha)[0, 0]), tilted(Q, P, alpha / (1.0 + alpha))
 
 
-#: rows of P that gjs_cross takes at once: bounds its (chunk, M, d) temporaries
-_CROSS_CHUNK = 256
-
-
-def gjs_cross(Prows, Qrows, alpha):
-    """(N,M) matrix of GJS(P_i||Q_j, alpha) over two row stacks, in bits."""
-    Prows = np.atleast_2d(Prows)
-    Qrows = np.atleast_2d(Qrows)
-    N = Prows.shape[0]
-    out = np.empty((N, Qrows.shape[0]))
-    entP = _xlogx(Prows).sum(axis=1)
-    entQ = _xlogx(Qrows).sum(axis=1)
-    for i0 in range(0, N, _CROSS_CHUNK):
-        rows = slice(i0, i0 + _CROSS_CHUNK)
-        P = Prows[rows]
-        M = (alpha * P[:, None, :] + Qrows[None, :, :]) / (alpha + 1.0)
-        logM = np.log(np.where(M > 0, M, 1.0))
-        crossP = np.einsum("nd,nmd->nm", P, logM)
-        crossQ = np.einsum("md,nmd->nm", Qrows, logM)
-        out[rows] = (
-            alpha * (entP[rows, None] - crossP) + (entQ[None, :] - crossQ)
-        ) / LN2
-    return out
-
-
 def bht_tradeoff(P0, P1, e0):
-    """Optimal binary-hypothesis exponent trade-off.
+    """Optimal binary-hypothesis exponent trade-off: inf over
+    {Q : KL(Q||P0) <= e0} of KL(Q||P1), read at bht_minimizer(P0, P1, e0).
+    For e0 >= KL(P1||P0) the answer is 0 (Q = P1 is feasible)."""
+    return kl(bht_minimizer(P0, P1, e0), P1)
 
-    Returns inf over {Q : KL(Q||P0) <= e0} of KL(Q||P1), found by bisecting
-    the tilt parameter rho so that KL(P_rho||P0) = e0 (monotone in rho).
-    For e0 >= KL(P1||P0) the answer is 0 (Q = P1 is feasible).
+
+def bht_minimizer(P0, P1, e0):
+    """The Q that attains bht_tradeoff(P0, P1, e0): P1 itself when
+    e0 >= KL(P1||P0), which covers P0 = P1, and otherwise the tilt P_rho,
+    with rho bisected so that KL(P_rho||P0) = e0 (monotone in rho).
     """
     P0 = as_dist(P0, "P0")
     P1 = as_dist(P1, "P1")
     if np.any(P0 == 0) or np.any(P1 == 0):
         raise ValueError("bht_tradeoff requires full-support distributions")
-    if np.allclose(P0, P1):
-        raise ValueError("P0 and P1 must be distinct")
     if not e0 > 0:
         raise ValueError("e0 must be positive")
     if e0 >= kl(P1, P0):
-        return 0.0
+        return P1
     lo, hi = 0.0, 1.0
     for _ in range(BHT_MAX_ITER):
         if hi - lo <= BHT_TOL * max(lo, 1e-300):
@@ -210,36 +188,4 @@ def bht_tradeoff(P0, P1, e0):
             lo = mid
         else:
             hi = mid
-    rho = 0.5 * (lo + hi)
-    return kl(tilted(P0, P1, rho), P1)
-
-
-def kl_floor_projection(Q, eps):
-    """min over {P in the eps-floored simplex} of KL(Q||P), in bits.
-
-    Water-filling: small entries of P are pinned at eps, the rest stay
-    proportional to Q.  Returns (value, argmin).
-    """
-    Q = as_dist(Q, "Q")
-    d = Q.size
-    check_eps(eps, d)
-    order = np.argsort(Q)  # ascending; candidates for pinning at eps
-    qs = Q[order]
-    for k in range(d):
-        # pin the k smallest entries of Q at eps
-        tail = qs[k:].sum()
-        if tail <= 0:
-            continue
-        nu = tail / (1.0 - k * eps)
-        # validity: pinned entries want mass <= eps, free entries > eps
-        ok_low = k == 0 or qs[k - 1] / nu <= eps + 1e-15
-        ok_high = qs[k] / nu >= eps - 1e-15
-        if ok_low and ok_high:
-            P = np.empty(d)
-            P[order[:k]] = eps
-            P[order[k:]] = qs[k:] / nu
-            return kl(Q, P), P
-    # fall through only on degenerate input; pin everything but the largest
-    P = np.full(d, eps)
-    P[order[-1]] = 1.0 - (d - 1) * eps
-    return kl(Q, P), P
+    return tilted(P0, P1, 0.5 * (lo + hi))

@@ -4,8 +4,9 @@ exponent, assembled into per-setup optimal type-II exponents.
 
 Two constraint families are supported:
 
-* ``ConstantLambda(lambda0)`` — closed-form rewrites exist for g1, kappa and
-  the fixed-length exponent (everything reduces to GJS threshold problems).
+* ``ConstantLambda(lambda0)`` — g1 and mu have closed forms, and kappa and
+  the fixed-length exponent are convex programs, solved exactly through
+  their Lagrangian (`_join_budget_min`) with no grid.
 * ``ScaledRenyiLambda(xi, offset)`` — lambda = xi * (Renyi(P1'||P0') + offset);
   the searches run over explicit simplex grids.  With offset = 0 and
   xi <= 1 the lambda-balls can never produce a false sequential decision,
@@ -239,6 +240,81 @@ def kappa_certified_infinite(inst):
     return isinstance(inst.lam, ScaledRenyiLambda) and inst.lam.offset == 0.0
 
 
+#: the fixed-point step and the duality gap (relative to 1 + value) at
+#: which `_join_budget_min` stops
+_JOIN_TOL = 1e-15
+
+
+def _join_budget_min(inst, w):
+    """min over (A, B) of alpha*KL(A||P0) + w*KL(B||P1) subject to
+    weighted_join(alpha, A, 1, B) <= lambda0, a constant budget: (value, A, B).
+    kappa has w = 1 + beta and (A, B) = (Q0, Q1); e_fix w = 1 and (Q0, Q).
+
+    A convex program (the join is jointly convex), solved through its
+    Lagrangian at multipliers s: see `_join_fixed_point`.  The join c(s) at
+    its minimiser falls as s grows.  s doubles from 1 until c(s) <= lambda0,
+    then secant steps, or bisection where they leave the bracket, close in
+    on c(s) = lambda0.  A feasible s gives the value f(s) and the dual
+    bound f(s) - s*(lambda0 - c(s)); the search stops when they agree to
+    _JOIN_TOL.  The value is 0, at (P0, P1), exactly when
+    GJS(P0, P1, alpha) <= lambda0.
+    """
+    a, lam0 = inst.alpha, inst.lam.lambda0
+    P0, P1 = inst.p0, inst.p1
+    c = dv.gjs_value(P0, P1, a)
+    if c <= lam0:
+        return 0.0, P0, P1
+    V = (a * P0 + P1) / (1.0 + a)
+    # A = B = V has join 0; it stands in should rounding never fit the budget
+    best = (a * dv.kl(V, P0) + w * dv.kl(V, P1), V, V)
+    lo, hi, s, last = 0.0, math.inf, 1.0, (0.0, c)
+    for _ in range(200):
+        A, B, V = _join_fixed_point(inst, w, s, V)
+        c = dv.weighted_join(a, A, 1.0, B)
+        if c <= lam0:
+            hi, best = s, (a * dv.kl(A, P0) + w * dv.kl(B, P1), A, B)
+            if s * (lam0 - c) <= _JOIN_TOL * (1.0 + best[0]):
+                break
+        else:
+            lo = s
+        (s1, c1), last = last, (s, c)
+        if math.isinf(hi):
+            s *= 2.0
+            continue
+        s = s - (c - lam0) * (s - s1) / (c - c1) if c != c1 else lo
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break  # lo and hi are adjacent floats
+    return best
+
+
+def _join_fixed_point(inst, w, s, V):
+    """Minimise alpha*KL(A||P0) + w*KL(B||P1) + s*(alpha*KL(A||V) + KL(B||V))
+    from V by alternating closed forms (Csiszar and Tusnady, 1984): A tilts
+    P0 toward V with weight s/(1+s), B tilts P1 toward V with weight
+    s/(w+s), V = F(V) = (alpha*A + B)/(1+alpha).  Returns (A, B, V).  The
+    fixed point lies in the eps floor, as P0 and P1 do: Hoelder bounds a
+    tilt's normaliser by 1, so where V_x < eps both tilts exceed V_x, and
+    so would F(V)_x.  F contracts slowly for large s, so each step
+    is a Newton step on V = F(V) (dA_x/dV_y = t*A_x*(delta_xy - A_y)/V_y
+    for a tilt of weight t), or F itself where Newton leaves the simplex.
+    """
+    a = inst.alpha
+    ta, tb = s / (1.0 + s), s / (w + s)
+    slopes = np.array([a * ta, tb]) / (1.0 + a)
+    for _ in range(50):
+        A, B = dv.tilted(inst.p0, V, ta), dv.tilted(inst.p1, V, tb)
+        F = (a * A + B) / (1.0 + a)
+        if np.abs(F - V).max() <= _JOIN_TOL:
+            break
+        T = np.stack([A, B])
+        jac = np.diag(slopes @ (T / V)) - (slopes[:, None] * T).T @ (T / V)
+        newton = V + np.linalg.solve(np.eye(V.size) - jac, F - V)
+        V = newton if (newton > 0.0).all() else F
+    return A, B, F
+
+
 def kappa(inst, cfg=SearchConfig()):
     return kappa_search(inst, cfg).value
 
@@ -249,20 +325,15 @@ def kappa_search(inst, cfg=SearchConfig()):
     a, b = inst.alpha, inst.beta
     P0, P1 = inst.p0, inst.p1
     if isinstance(inst.lam, ConstantLambda):
-        lam0 = inst.lam.lambda0
-        if dv.gjs_value(P0, P1, a) <= lam0:
-            return SearchResult(0.0, (P0, P1))
-
-        def constraint(A, B):
-            return dv.gjs_cross(A, B, a) <= lam0
-
-    elif kappa_certified_infinite(inst):
+        # g1(Q1, Q0, Q1) < 0 reads weighted_join(alpha, Q0, 1, Q1) < lambda0
+        value, q0, q1 = _join_budget_min(inst, 1.0 + b)
+        return SearchResult(value, (q0, q1))
+    if kappa_certified_infinite(inst):
         return SearchResult(math.inf, None)
-    else:
-        table = _inner_table(inst, cfg)
+    table = _inner_table(inst, cfg)
 
-        def constraint(A, B):
-            return _g1_diag_matrix(A, B, inst, table) < 0.0
+    def constraint(A, B):
+        return _g1_diag_matrix(A, B, inst, table) < 0.0
 
     def objective(A, B):
         return a * dv.kl(A, P0)[:, None] + (1 + b) * dv.kl(B, P1)[None, :]
@@ -295,28 +366,26 @@ def mu_search(inst, cfg=SearchConfig()):
         g(Q0, Q1) = inf over P1' in the eps floor of
             alpha*KL(Q0||P1) + beta*KL(Q1||P1') - lambda(P1, P1').
     The puncture P1' != P1 is closed via the continuous lambda extension.
+
+    Constant lambda: Q1 = P1 zeroes both of its terms, leaving the binary
+    trade-off mu = alpha * bht_tradeoff(P1, P0, lambda0/alpha), which is 0
+    when lambda0/alpha >= KL(P0||P1).
     """
     a, b = inst.alpha, inst.beta
     P0, P1 = inst.p0, inst.p1
+    if isinstance(inst.lam, ConstantLambda):
+        q0 = dv.bht_minimizer(P1, P0, inst.lam.lambda0 / a)
+        return SearchResult(a * dv.kl(q0, P0), (q0, P1))
 
     def objective(A, B):
         return a * dv.kl(A, P0)[:, None] + b * dv.kl(B, P1)[None, :]
 
-    if isinstance(inst.lam, ConstantLambda):
-        lam0 = inst.lam.lambda0
+    table = _inner_table(inst, cfg, rows=P1[None, :])
 
-        def constraint(A, B):
-            lead = a * dv.kl(A, P1) - lam0  # (N,)
-            floor_cost = np.array([b * dv.kl_floor_projection(q, inst.eps)[0] for q in B])
-            return lead[:, None] + floor_cost[None, :] < 0.0
-
-    else:
-        table = _inner_table(inst, cfg, rows=P1[None, :])
-
-        def constraint(A, B):
-            lead = a * dv.kl(A, P1)  # (N,)
-            h = _mu_inner(B, inst, cfg, table)  # (M,)
-            return lead[:, None] + h[None, :] < 0.0
+    def constraint(A, B):
+        lead = a * dv.kl(A, P1)  # (N,)
+        h = _mu_inner(B, inst, cfg, table)  # (M,)
+        return lead[:, None] + h[None, :] < 0.0
 
     return min_simplex_pair(objective, constraint, inst.d, cfg)
 
@@ -364,7 +433,7 @@ def e_fix_search(inst, cfg=SearchConfig()):
         KL(Q||P1) + alpha*KL(Q0||P0) + beta*KL(Q1||P1).
 
     Constant lambda: the Q1 block is unconstrained and collapses to P1,
-    leaving a pair problem over (Q, Q0) with a GJS feasibility threshold.
+    leaving the convex problem of `_join_budget_min` over (Q0, Q).
     Scaled-Renyi: swap the infima — search candidate pairs (P0', P1') and,
     for each, solve the convex inner problem (minimize the objective subject
     to the tuple lying in that pair's lambda-ball) exactly by Lagrangian
@@ -375,24 +444,9 @@ def e_fix_search(inst, cfg=SearchConfig()):
     grid's minimum and argmin, and so the result, are those of solving
     every pair.
     """
-    a, b = inst.alpha, inst.beta
-    P0, P1 = inst.p0, inst.p1
     if isinstance(inst.lam, ConstantLambda):
-        lam0 = inst.lam.lambda0
-        if dv.gjs_value(P0, P1, a) <= lam0:
-            return SearchResult(0.0, (P1, P0, P1))
-
-        def objective(A, B):
-            return dv.kl(A, P1)[:, None] + a * dv.kl(B, P0)[None, :]
-
-        def constraint(A, B):
-            return dv.gjs_cross(B, A, a).T <= lam0
-
-        res = min_simplex_pair(objective, constraint, inst.d, cfg)
-        if res.argmin is None:
-            return res
-        q, q0 = res.argmin
-        return SearchResult(res.value, (q, q0, P1))
+        value, q0, q = _join_budget_min(inst, 1.0)
+        return SearchResult(value, (q, q0, inst.p1))
 
     def objective(A, B):
         return _efix_dual_matrix(A, B, inst)

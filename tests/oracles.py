@@ -30,7 +30,7 @@ def oracle_kappa(inst, m=2000, inner_m=None):
         best = np.inf
         lam0 = inst.lam.lambda0
         for i in range(pg.shape[0]):
-            g = dv.gjs_cross(pg[i][None, :], pg, a)[0]
+            g = dv.weighted_join(a, pg[i][None, :], 1.0, pg)
             ok = g <= lam0
             if ok.any():
                 cand = obj0[i] + obj1[ok].min()
@@ -59,7 +59,7 @@ def oracle_mu(inst, m=2000, inner_m=None):
     obj1 = b * dv.kl(pg, inst.p1)
     lead = a * dv.kl(pg, inst.p1)  # (N,) indexed by Q0
     if isinstance(inst.lam, ConstantLambda):
-        floor_cost = np.array([b * dv.kl_floor_projection(q, inst.eps)[0] for q in pg])
+        floor_cost = np.array([b * kl_floor_projection(q, inst.eps)[0] for q in pg])
         h = floor_cost - inst.lam.lambda0
     else:
         inner_m = inner_m or m
@@ -94,7 +94,7 @@ def oracle_efix(inst, m=2000, coarse_m=100, inner_m=400, top_k=5):
         objq0 = a * dv.kl(pg, P0)
         best = np.inf
         for i in range(pg.shape[0]):  # Q0 index
-            g = dv.gjs_cross(pg[i][None, :], pg, a)[0]  # over Q
+            g = dv.weighted_join(a, pg[i][None, :], 1.0, pg)  # over Q
             ok = g <= lam0
             if ok.any():
                 best = min(best, float(objq0[i] + objq[ok].min()))
@@ -141,6 +141,38 @@ def oracle_efix(inst, m=2000, coarse_m=100, inner_m=400, top_k=5):
         v = _efix_local(inst, ig, lam, *locals_)
         best = min(best, v)
     return best
+
+
+def kl_floor_projection(Q, eps):
+    """min over {P in the eps-floored simplex} of KL(Q||P), in bits.
+
+    Water-filling: small entries of P are pinned at eps, the rest stay
+    proportional to Q.  Returns (value, argmin).
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    d = Q.size
+    if not 0.0 < eps < 1.0 / d:
+        raise ValueError(f"epsilon must be in (0, 1/{d}), got {eps}")
+    order = np.argsort(Q)  # ascending; candidates for pinning at eps
+    qs = Q[order]
+    for k in range(d):
+        # pin the k smallest entries of Q at eps
+        tail = qs[k:].sum()
+        if tail <= 0:
+            continue
+        nu = tail / (1.0 - k * eps)
+        # validity: pinned entries want mass <= eps, free entries > eps
+        ok_low = k == 0 or qs[k - 1] / nu <= eps + 1e-15
+        ok_high = qs[k] / nu >= eps - 1e-15
+        if ok_low and ok_high:
+            P = np.empty(d)
+            P[order[:k]] = eps
+            P[order[k:]] = qs[k:] / nu
+            return dv.kl(Q, P), P
+    # fall through only on degenerate input; pin everything but the largest
+    P = np.full(d, eps)
+    P[order[-1]] = 1.0 - (d - 1) * eps
+    return dv.kl(Q, P), P
 
 
 def _slot_min(bm, lam):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from seqclass import cli
+from seqclass import exponents as ex
 from seqclass import montecarlo as mc
 
 import oracles as orc
@@ -91,9 +92,9 @@ def test_exit_code_config_error(tmp_path):
         {"sweep_parameter": "xi", "sweep_from": "0.1", "sweep_to": "0.5"},
         {"sim_trials": "0"},
         {"sim_late_cap": "0"},
-        # d = 4 at the default density: a 39,711-point pair grid, N^2 far
-        # past check_pair_grid's bound
-        {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4"},
+        # a scaled-Renyi budget at d = 4 and the default density: a
+        # 39,711-point pair grid, N^2 far past check_pair_grid's bound
+        {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi", "xi": "0.5"},
         # the late time would read fewer samples than the early phase at n - 1
         {"sim_late_cap": "5", "sim_n_grid": "20"},
         # the box schedule's density factor is fixed, not a setting
@@ -151,6 +152,35 @@ offset = 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kappa"] == "inf"
     assert payload["kappa_note"] == "analytic"
+
+
+def test_exponents_constant_d5(tmp_path, capsys):
+    # a constant budget needs no pair grid, so d = 5 passes the solver gate
+    raw = dict(cli.parse_config_text(GOOD_CFG), p0="0.3,0.25,0.2,0.15,0.1", p1="0.1,0.15,0.2,0.25,0.3")
+    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    assert cli.main(["exponents", "--config", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for key in ("renyi_term", "kappa", "mu", "nu", "e_fix", "e_seq", "e_semi1", "e_semi2"):
+        assert math.isfinite(payload[key])
+
+
+@pytest.mark.parametrize(
+    "family",
+    [{"lambda_family": "constant", "lambda0": "0.05"},
+     {"lambda_family": "scaled_renyi", "xi": "0.5", "offset": "0"}],
+    ids=["constant", "scaled_renyi"],
+)
+def test_nearly_equal_pair_is_valid(tmp_path, capsys, family):
+    # a pair numpy's allclose calls equal is still a distinct pair
+    raw = dict(cli.parse_config_text(GOOD_CFG), p0="0.5,0.5", p1="0.500001,0.499999")
+    raw.pop("lambda0")
+    raw.update(family)
+    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    rep = ex.report(cli.load_config(path).instance())
+    assert all(v >= 0.0 for v in rep.as_dict().values())
+    assert cli.main(["exponents", "--config", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nu"] == rep.nu
 
 
 def test_fmt_parse_roundtrip():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqclass import cli
 from seqclass import divergence as dv
@@ -161,11 +163,11 @@ def test_mu_constant_vs_oracle():
 
 
 def test_report_d3_constant_vs_oracles():
-    # d = 3 under the default solver (coarse m = 60 at d = 3) against the
-    # grid oracles at m = 60.  The oracles minimise over the 1/60 grid alone,
-    # so they can only overestimate; the solver refines below them.  Measured
-    # gaps (oracle - solver): kappa 1.4e-3, mu 2.5e-3, e_fix 2.4e-3.  The
-    # tolerance is test_03's 5e-3, twice the largest gap.
+    # d = 3 against the grid oracles at m = 60.  The oracles minimise over
+    # the 1/60 grid alone, so they can only overestimate; a constant budget
+    # is solved exactly, with no grid.  Measured gaps (oracle - solver):
+    # kappa 1.5e-3, mu 2.5e-3, e_fix 2.4e-3.  The tolerance is test_03's
+    # 5e-3, twice the largest gap.
     inst = ex.ProblemInstance(
         (0.6, 0.3, 0.1), (0.1, 0.3, 0.6), 0.5, 0.7, ex.ConstantLambda(0.08)
     )
@@ -174,6 +176,155 @@ def test_report_d3_constant_vs_oracles():
     assert rep.kappa == pytest.approx(orc.oracle_kappa(inst, m=60), abs=5e-3)
     assert rep.mu == pytest.approx(orc.oracle_mu(inst, m=60), abs=5e-3)
     assert rep.e_fix == pytest.approx(orc.oracle_efix(inst, m=60), abs=5e-3)
+
+
+def _join_dual_gap(inst, w, value, A, B):
+    """value minus a certified lower bound on the constant-budget problem
+    of ex._join_budget_min, built from its argmin alone.
+
+    The multiplier s is read off the argmin: A is the tilt of P0 toward
+    V = (alpha*A + B)/(1+alpha) with weight t = s/(1+s), so log A - log P0
+    is t * (log V - log P0) plus a constant.  For any s and V the dual
+        alpha*R(V, P0, s) + w*R(V, P1, s/w) - s*lambda0,
+    with R(V, P, r) = min_X r*KL(X||V) + KL(X||P) (dv.renyi_matrix), minus
+    the Frank-Wolfe gap of its convex V-part, is a lower bound (weak
+    duality); so is 0.
+    """
+    a, lam0, P0, P1 = inst.alpha, inst.lam.lambda0, inst.p0, inst.p1
+    V = (a * A + B) / (1.0 + a)
+    x, y = np.log(V / P0), np.log(A / P0)
+    x, y = x - x.mean(), y - y.mean()
+    t = float(x @ y / (x @ x))
+    s = t / (1.0 - t)
+    h = a * dv.renyi_matrix(V, P0, s)[0, 0] + w * dv.renyi_matrix(V, P1, s / w)[0, 0]
+    grad = -s * (a * dv.tilted(P0, V, t) + dv.tilted(P1, V, s / (w + s))) / V / dv.LN2
+    bound = h - s * lam0 - (grad @ V - grad.min())
+    return value - max(bound, 0.0)
+
+
+@st.composite
+def constant_instances(draw, dims=(2, 6)):
+    d = draw(st.integers(*dims))
+    eps = 0.01
+
+    def dist():
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)))
+        return tuple(eps + (1.0 - d * eps) * w / w.sum())
+
+    P0, P1 = dist(), dist()
+    assume(not np.array_equal(P0, P1))
+    alpha, beta = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+    gjs = dv.gjs_value(np.asarray(P0), np.asarray(P1), alpha)
+    assume(gjs > 1e-3)
+    lam0 = gjs * draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.99, 1.0, 1.5]))
+    return ex.ProblemInstance(P0, P1, alpha, beta, ex.ConstantLambda(lam0), eps=eps)
+
+
+def _check_join_kernel(inst, w):
+    value, A, B = ex._join_budget_min(inst, w)
+    a, lam0 = inst.alpha, inst.lam.lambda0
+    assert value == a * dv.kl(A, inst.p0) + w * dv.kl(B, inst.p1)
+    assert dv.weighted_join(a, A, 1.0, B) <= lam0 + 1e-12
+    assert (value == 0.0) == (dv.gjs_value(inst.p0, inst.p1, a) <= lam0)
+    assert min(A.min(), B.min()) >= inst.eps  # the floor holds with no projection
+    if value > 0.0:
+        assert _join_dual_gap(inst, w, value, A, B) <= 1e-12
+    return value
+
+
+@given(constant_instances())
+@settings(max_examples=40, deadline=None)
+def test_constant_budget_solved_exactly(inst):
+    kappa = _check_join_kernel(inst, 1.0 + inst.beta)
+    e_fix = _check_join_kernel(inst, 1.0)
+    assert ex.kappa(inst) == kappa and ex.e_fix(inst) == e_fix
+    mu = ex.mu(inst)
+    assert mu == inst.alpha * dv.bht_tradeoff(inst.p1, inst.p0, inst.lam.lambda0 / inst.alpha)
+    assert kappa <= mu  # Prop. 5: semi-sequential-1 equals sequential
+
+
+@given(constant_instances(dims=(2, 3)))
+@settings(max_examples=10, deadline=None)
+def test_constant_budget_never_above_the_grid_oracles(inst):
+    m = 200 if inst.d == 2 else 40
+    assert ex.kappa(inst) <= orc.oracle_kappa(inst, m=m) + 1e-12
+    assert ex.e_fix(inst) <= orc.oracle_efix(inst, m=m) + 1e-12
+
+
+# kappa, mu and e_fix of the 50 fig2 points under the constrained pair-grid
+# search that the exact constant-budget solvers replaced
+FIG2_GRID_VALUES = (
+    (0.8959604261406864, 1.5299057748365283, 0.6268243979208644),
+    (0.7180340240799126, 1.385629484490085, 0.5005302266411042),
+    (0.6302551530486737, 1.3097318274814929, 0.4373676265611346),
+    (0.5647253297178636, 1.251777124373576, 0.391098123054063),
+    (0.5113681958050152, 1.2033634083195845, 0.35452708082844986),
+    (0.46506343876283995, 1.1611470905808376, 0.323275133417429),
+    (0.4255339322746415, 1.1233952190927738, 0.2962947462846736),
+    (0.3919000777866713, 1.0890270867056107, 0.27239694592136776),
+    (0.36113607005345016, 1.057363456999223, 0.2503172550894819),
+    (0.33296325522736203, 1.0279445952796982, 0.2314987996407431),
+    (0.30670904570715707, 1.0003738725376887, 0.21410065260108627),
+    (0.28468276876396564, 0.9744139901497412, 0.19628532818568994),
+    (0.2634864091855501, 0.9498444237587511, 0.18119518240165067),
+    (0.24402034497873126, 0.9265096772345572, 0.16736363082801364),
+    (0.22416176878838698, 0.9042393947002154, 0.15455633697767449),
+    (0.20620468346468487, 0.8829711763727699, 0.1430886179261657),
+    (0.18998203378845202, 0.8625741026900381, 0.13329634222518966),
+    (0.17533670393038286, 0.8429957730810238, 0.12235819953813849),
+    (0.16214967640261946, 0.824163200898078, 0.11177884411213208),
+    (0.14863865367089438, 0.8059841795305249, 0.10305089691418629),
+    (0.13619156029418028, 0.7884395198984848, 0.09454624383492892),
+    (0.1262295530980095, 0.7714884065881804, 0.08652202100111928),
+    (0.11391005747478745, 0.7550697939836586, 0.07952421387272351),
+    (0.10507725908737187, 0.7391693274635653, 0.07214748609991647),
+    (0.0945819806959945, 0.7237299787221343, 0.0663908571813667),
+    (0.08722524090735775, 0.7087613927518024, 0.06007432203203575),
+    (0.07768774784876051, 0.6941882487724687, 0.05382677166073891),
+    (0.07013934022154053, 0.680022008573079, 0.049272663013036906),
+    (0.0637142436180145, 0.6662322729782119, 0.04373871577975586),
+    (0.05657253857841339, 0.6528102650916684, 0.03904345593768496),
+    (0.05059662872092915, 0.6397273727672055, 0.035223900208708615),
+    (0.045584498094830395, 0.6269561670403053, 0.03176630991508244),
+    (0.039144452354866514, 0.614509629377576, 0.02763919494771446),
+    (0.03435409809155507, 0.6023611885400836, 0.02375605586630555),
+    (0.030321633142066352, 0.5904853459606247, 0.020734887304312125),
+    (0.025764212380718656, 0.5788766132566062, 0.01810659269592896),
+    (0.022349065774825837, 0.5675296369441302, 0.0158550666806049),
+    (0.018459770140673203, 0.5564391935123983, 0.01354556949749616),
+    (0.015304929077358472, 0.5456001847850321, 0.011001809716424116),
+    (0.012909797718943034, 0.5349713082975419, 0.008820923005586638),
+    (0.010109172911669538, 0.5245848173960983, 0.006970773757710019),
+    (0.007823949956904226, 0.5144004030198104, 0.005589273544429778),
+    (0.00616714560560705, 0.5044321329523971, 0.004142691011146152),
+    (0.0047313901876929, 0.49465861036847764, 0.0030088238694975554),
+    (0.002985858954784839, 0.4850764709964717, 0.002090895581334835),
+    (0.0020870111312455515, 0.47568241635034114, 0.001308526295312417),
+    (0.001628219935916419, 0.4664732117173175, 0.0007651879891999515),
+    (0.000518704592121464, 0.45744568424322013, 0.00032287675677318604),
+    (0.00026303810511012346, 0.4485967211098092, 0.00013151905255506173),
+    (0.0, 0.4399069589368117, 0.0),
+)
+
+
+def test_fig2_exact_values_never_above_the_grid_search():
+    cfg = cli.load_config(preset="fig2")
+    for lam0, old in zip(cfg.sweep_values(), FIG2_GRID_VALUES):
+        inst = cfg.instance(lambda0=float(lam0))
+        new = (ex.kappa(inst), ex.mu(inst), ex.e_fix(inst))
+        assert all(n <= o for n, o in zip(new, old)), (lam0, new, old)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_constant_report_at_large_alphabets(d):
+    # no pair grid: a constant budget reports at every d the README promises
+    P0 = tuple(np.linspace(1.0, 2.0, d) / np.linspace(1.0, 2.0, d).sum())
+    P1 = P0[::-1]
+    inst = ex.ProblemInstance(P0, P1, 1.0, 1.0, ex.ConstantLambda(0.01))
+    rep = ex.report(inst)
+    assert all(math.isfinite(v) and v > 0.0 for v in rep.as_dict().values())
+    assert rep.kappa <= rep.mu
+    assert rep.e_fix <= min(rep.e_semi1, rep.e_semi2)
 
 
 def test_nu_constant():
