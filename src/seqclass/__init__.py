@@ -37,7 +37,6 @@ from .testbench import (
     SetupKind,
     TestOutcome,
     eta_n,
-    fixed_length_test,
     make_model,
     stream_sizes,
     two_phase_test,
@@ -61,7 +60,6 @@ __all__ = [
     "e_fix",
     "estimate_exponent",
     "eta_n",
-    "fixed_length_test",
     "g1",
     "gjs_value",
     "grid_array",

@@ -235,13 +235,18 @@ class RunConfig:
                 if self.sweep["from"] > 1 or self.sweep["to"] > 1:
                     raise ConfigError("xi sweep must stay within (0, 1]")
         coarse = raw.get("solver_coarse_m")
+        if fam == "constant":
+            for key in ("solver_coarse_m", "solver_refine_rounds"):
+                if key in raw:
+                    raise ConfigError(f"{key} does nothing under a constant budget, which searches no grid")
         try:
             self.solver = SearchConfig(
                 coarse_m=int(coarse) if coarse is not None else None,
                 refine_rounds=int(raw.get("solver_refine_rounds", "3")),
             )
-            if fam == "scaled_renyi":  # a constant budget searches no pair grid
+            if fam == "scaled_renyi":
                 check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
+                ex.check_kappa_refinement(inst, self.solver)
         except ValueError as e:
             raise ConfigError(f"bad solver settings: {e}")
         setups = raw.get("sim_setups", "fullyseq")
@@ -264,10 +269,8 @@ class RunConfig:
         if self.sim_late_cap is not None and self.sim_late_cap < 1:
             raise ConfigError("sim_late_cap must be >= 1")
         self.svg_log_x = raw.get("svg_log_x", "false").lower() in ("1", "true", "yes")
-        # every two-phase cell's streams must hold what its early phase reads
+        # a capped late phase must read at least what the early phase reads
         for setup in self.sim_setups:
-            if setup is SetupKind.FixedLength:
-                continue
             model = make_model(setup, inst)
             for n in self.sim_n_grid:
                 try:
@@ -320,11 +323,12 @@ def fmt_value(v):
 
 def report_to_json(rep, cfg):
     payload = {k: ("inf" if math.isinf(v) else v) for k, v in rep.as_dict().items()}
-    payload["solver"] = {
-        "coarse_m": cfg.solver.resolve_m(len(cfg.p0)),
-        "refine_rounds": cfg.solver.refine_rounds,
-        "refine_factor": REFINE_FACTOR,
-    }
+    if isinstance(cfg.lam, ex.ScaledRenyiLambda):  # a constant budget searches no grid
+        payload["solver"] = {
+            "coarse_m": cfg.solver.resolve_m(len(cfg.p0)),
+            "refine_rounds": cfg.solver.refine_rounds,
+            "refine_factor": REFINE_FACTOR,
+        }
     if rep.kappa_note:
         payload["kappa_note"] = rep.kappa_note
     return json.dumps(payload, indent=2, sort_keys=True)

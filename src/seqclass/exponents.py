@@ -22,7 +22,7 @@ import numpy as np
 
 from . import divergence as dv
 from .optimizer import ALWAYS_TRUE, PAIR_CELL_LIMIT, SearchConfig, SearchResult, box_schedule, min_simplex_pair
-from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, satisfies_floor
+from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, grid_count, satisfies_floor
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,27 @@ def check_g1_polish(inst, cfg=SearchConfig()):
             )
 
 
+def check_kappa_refinement(inst, cfg=SearchConfig()):
+    """Raise ValueError if a refinement step of kappa's scaled-Renyi pair
+    search could score more than PAIR_CELL_LIMIT cells.
+
+    A step that re-grids the Q0 block scores every point of its box against
+    the inner grid (`_g1_diag_matrix`); each box is bounded by its mesh
+    size, so nothing is allocated.  At the default three rounds that admits
+    d = 2 and d = 3 at their default densities, d = 4 up to coarse_m 12 and
+    no d >= 5.
+    """
+    inner = grid_count(inst.d, _inner_density(inst, cfg))
+    for halfwidth, density in box_schedule(cfg.resolve_m(inst.d), cfg.refine_rounds):
+        box = box_mesh_size(inst.d, halfwidth, density)
+        if box * inner > PAIR_CELL_LIMIT:
+            raise ValueError(
+                f"kappa refinement too large at d={inst.d}: a box of up to {box} points "
+                f"against {inner} inner grid points makes {box * inner} cells > "
+                f"{PAIR_CELL_LIMIT}; lower the coarse density"
+            )
+
+
 def _polish(score, centers, density, eps):
     """Lowest score found over the _POLISH_ROUNDS rounds of box re-gridding.
 
@@ -330,6 +351,7 @@ def kappa_search(inst, cfg=SearchConfig()):
         return SearchResult(value, (q0, q1))
     if kappa_certified_infinite(inst):
         return SearchResult(math.inf, None)
+    check_kappa_refinement(inst, cfg)
     table = _inner_table(inst, cfg)
 
     def constraint(A, B):

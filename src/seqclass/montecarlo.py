@@ -7,14 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import sample_rows, stream_keys, type_rows
-from .testbench import (
-    SetupKind,
-    early_phase,
-    fixed_length_test,
-    make_model,
-    stream_sizes,
-    two_phase_test,
-)
+from .testbench import early_phase, late_phase, make_model, stream_sizes, two_phase_test
 
 #: per-n error-count floor below which a point is too rare to trust
 RARE_EVENT_FLOOR = 5
@@ -66,9 +59,11 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
 
     Deterministic for a fixed seed: each trial's streams are keyed by
     (seed, trial, block), so growing `trials` extends, never reshuffles.
-    Trials run in chunks as row stacks.  A two-phase trial draws only the
-    prefix its early phase reads; the trials the early rule defers redraw
-    their full streams, which extend that prefix, for two_phase_test.
+    Trials run in chunks as row stacks, each drawing the prefix its first
+    decision reads.  A fixed-length trial, whose blocks are all fixed,
+    decides by the late-phase rule at time n.  A two-phase trial reads that
+    prefix at time n - 1; the trials the early rule defers redraw their full
+    streams, which extend that prefix, for two_phase_test.
     """
     if theta not in (0, 1):
         raise ValueError("theta must be 0 or 1")
@@ -79,32 +74,29 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     tau = np.empty(trials, dtype=np.intp)
     early = 0
     capped = False
-    if setup is SetupKind.FixedLength:
-        laws = (inst.p1 if theta else inst.p0, inst.p0, inst.p1)
-        sizes = (n, math.ceil(inst.alpha * n), math.ceil(inst.beta * n))
-        for lo, hi in _chunks(trials, sum(sizes)):
-            x, t0, t1 = (type_rows(s, d) for s in _draw(laws, sizes, seed, np.arange(lo, hi)))
-            decision[lo:hi] = fixed_length_test(x, t0, t1, inst)
-        tau[:] = n
-    else:
-        model = make_model(setup, inst)
-        laws = model.laws(theta)
-        prefix, full, _, _ = stream_sizes(model, n, late_cap)
-        for lo, hi in _chunks(trials, sum(prefix)):
-            ids = np.arange(lo, hi)
-            tup = tuple(type_rows(s, d) for s in _draw(laws, prefix, seed, ids))
-            stop, dec = early_phase(tup, n, model)
-            decision[lo:hi] = dec
-            tau[lo:hi] = n - 1
-            early += int(np.count_nonzero(stop))
-            deferred = ids[~stop]
-            for dlo, dhi in _chunks(deferred.size, sum(full)):
-                rows = deferred[dlo:dhi]
-                streams = _draw(laws, full, seed, rows)
-                for r, t in enumerate(rows):
-                    out = two_phase_test([s[r] for s in streams], n, model, late_cap=late_cap)
-                    decision[t], tau[t] = out.decision, out.tau
-                    capped = capped or out.capped
+    model = make_model(setup, inst)
+    laws = model.laws(theta)
+    prefix, full, _, _ = stream_sizes(model, n, late_cap)
+    for lo, hi in _chunks(trials, sum(prefix)):
+        ids = np.arange(lo, hi)
+        tup = tuple(type_rows(s, d) for s in _draw(laws, prefix, seed, ids))
+        if model.ell == len(model.blocks):
+            # no sequential block: one decision at time n
+            decision[lo:hi] = late_phase(tup, n, model)
+            tau[lo:hi] = n
+            continue
+        stop, dec = early_phase(tup, n, model)
+        decision[lo:hi] = dec
+        tau[lo:hi] = n - 1
+        early += int(np.count_nonzero(stop))
+        deferred = ids[~stop]
+        for dlo, dhi in _chunks(deferred.size, sum(full)):
+            rows = deferred[dlo:dhi]
+            streams = _draw(laws, full, seed, rows)
+            for r, t in enumerate(rows):
+                out = two_phase_test([s[r] for s in streams], n, model, late_cap=late_cap)
+                decision[t], tau[t] = out.decision, out.tau
+                capped = capped or out.capped
     errors = int(np.count_nonzero(decision != theta))
     taus = tau.astype(np.float64)
     values, first, counts = np.unique(tau, return_index=True, return_counts=True)

@@ -5,14 +5,13 @@ sum to one.  Everything downstream (divergences, optimizers, the test bench)
 works on these arrays, so validation lives here.
 """
 
-from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 SUM_TOL = 1e-12
 
-#: hard cap on the number of grid points a single enumeration may produce
+#: hard cap on the number of mesh points a single grid may lay out
 GRID_POINT_LIMIT = 50_000_000
 
 
@@ -219,35 +218,14 @@ def grid_count(d, m):
     return comb(m + d - 1, d - 1)
 
 
-def compositions(d, m):
-    """Iterate over all integer compositions (k_1,...,k_d) with sum m."""
-    # stars and bars: positions of the d-1 bars among m+d-1 slots
-    for bars in combinations(range(m + d - 1), d - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(m + d - 2 - prev)
-        yield tuple(parts)
-
-
 def grid_array(d, m, eps=None):
-    """Dense (N, d) array of all grid points at density m, lexicographic order.
+    """Dense (N, d) array of all grid points at density m, lexicographic
+    order: box_grid over the whole simplex.
 
     With eps set, every point is clamped into the epsilon floor (duplicates
-    are kept so indexing stays aligned with the raw compositions).
+    are kept so indexing stays aligned with the unclamped grid).
     """
-    if grid_count(d, m) > GRID_POINT_LIMIT:
-        raise ValueError(f"grid too large: C({m + d - 1},{d - 1}) points")
-    if d == 2:
-        k = np.arange(m + 1, dtype=np.float64)
-        pts = np.column_stack([k, m - k]) / m
-    else:
-        pts = np.array(list(compositions(d, m)), dtype=np.float64) / m
-    if eps is not None:
-        pts = clamp_rows(pts, eps)
-    return pts
+    return box_grid(np.zeros(d), 1.0, m, eps)
 
 
 def clamp_rows(pts, eps):
@@ -277,28 +255,27 @@ def clamp_rows(pts, eps):
 def box_grid(center, halfwidth, density, eps=None):
     """Grid points of spacing 1/density inside an L-inf box on the simplex.
 
-    The first d-1 coordinates are gridded around `center`; the last takes
-    the remaining mass.  Points more than 1e-12 below the floor (0, or eps
-    when set) are dropped.  With eps set the rest are clamped into it;
-    without, a rounding residue in [-1e-12, 0) becomes exactly 0, so every
-    point is a distribution.
+    The first d-1 coordinates are center_i + j/density, and the last takes
+    the remaining mass.  A point more than 1e-12 below 0 is off the simplex
+    and dropped; a rounding residue in [-1e-12, 0) becomes exactly 0, so
+    every point is a distribution.  With eps set, every point is then
+    clamped into the epsilon floor.  Points come in lexicographic order of
+    their first d-1 coordinates.  Raises ValueError before allocating when
+    the mesh would pass GRID_POINT_LIMIT points.
     """
     d = center.size
     steps = _box_steps(halfwidth, density)
     offs = np.arange(-steps, steps + 1) / density
-    axes = [center[i] + offs for i in range(d - 1)]
+    axes = [axis[axis >= -1e-12] for axis in (center[i] + offs for i in range(d - 1))]
+    size = prod(axis.size for axis in axes)
+    if size > GRID_POINT_LIMIT:
+        raise ValueError(f"grid too large: {size} mesh points > {GRID_POINT_LIMIT}")
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    last = 1.0 - pts.sum(axis=1)
-    pts = np.column_stack([pts, last])
-    lo = eps if eps is not None else 0.0
-    keep = (pts >= lo - 1e-12).all(axis=1)
-    pts = pts[keep]
-    if pts.shape[0] == 0:
-        return pts.reshape(0, d)
-    if eps is not None:
-        return clamp_rows(pts, eps)
-    return np.where(pts < 0.0, 0.0, pts)
+    pts = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
+    pts = pts[pts[:, -1] >= -1e-12]
+    pts[pts < 0.0] = 0.0
+    return pts if eps is None else clamp_rows(pts, eps)
 
 
 def _box_steps(halfwidth, density):
@@ -306,6 +283,7 @@ def _box_steps(halfwidth, density):
 
 
 def box_mesh_size(d, halfwidth, density):
-    """Points of the mesh box_grid lays out before it drops those off the
-    simplex: an upper bound on the rows it returns, found without building it."""
+    """Points of box_grid's mesh before any axis value or point is dropped
+    off the simplex: an upper bound on the rows it returns, found without
+    building it."""
     return (2 * _box_steps(halfwidth, density) + 1) ** (d - 1)

@@ -1,5 +1,5 @@
 """The universal two-phase sequential test and the fixed-length test,
-instantiated for the three sequential classification setups.
+instantiated for the four classification setups.
 
 A classification trial observes three sequences: the testing sequence X
 (law P0 or P1, unknown which) and two training sequences T0 ~ P0, T1 ~ P1.
@@ -9,12 +9,14 @@ by arranging them in an order where the first `ell` blocks are fixed:
 * Semi1     — order (T0, T1, X), ell = 2: training fixed, testing sequential
 * Semi2     — order (X, T0, T1), ell = 1: testing fixed, training sequential
 * FullySeq  — order (T0, T1, X), ell = 0: everything sequential
-* FixedLength — no stopping time; a single n-sample decision
+* FixedLength — order (X, T0, T1), ell = 3: everything fixed, so there is
+  no stopping time; one decision at time n by the late-phase rule, whose
+  weights are then g1's own (1, alpha, beta)
 
-The test looks at the empirical tuple at time n-1.  If it is eta_n-close to
-either hypothesis class it stops and decides by the sign of g1; otherwise
-it defers to time n^2 where a fixed-length rule with n-weighted sequential
-blocks (g_n) decides.
+The two-phase test looks at the empirical tuple at time n-1.  If it is
+eta_n-close to either hypothesis class it stops and decides by the sign of
+g1; otherwise it defers to time n^2 where a fixed-length rule with
+n-weighted sequential blocks (g_n) decides.
 """
 
 import math
@@ -60,7 +62,7 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class HypothesisModel:
-    """The block layout of a sequential setup.
+    """The block layout of a setup.
 
     A trial's three sequences form blocks in setup order: `blocks` names
     each one ("t0", "t1" or "x"), the first `ell` are fixed-length, and
@@ -83,10 +85,10 @@ class HypothesisModel:
 
 
 def make_model(setup, inst):
-    if setup is SetupKind.FixedLength:
-        raise ValueError("FixedLength has no sequential model; use fixed_length_test")
     a, b = inst.alpha, inst.beta
-    if setup is SetupKind.Semi2:
+    if setup is SetupKind.FixedLength:
+        ell, alphas, blocks = 3, (1.0, a, b), ("x", "t0", "t1")
+    elif setup is SetupKind.Semi2:
         ell, alphas, blocks = 1, (1.0, a, b), ("x", "t0", "t1")
     elif setup is SetupKind.Semi1:
         ell, alphas, blocks = 2, (a, b, 1.0), ("t0", "t1", "x")
@@ -119,16 +121,6 @@ def stream_sizes(model, n, late_cap=None):
         if early[i] > late[i]:
             raise ValueError("stream exhausted: needs %d samples, has %d" % (early[i], late[i]))
     return tuple(early), tuple(late), tau, capped
-
-
-def fixed_length_test(Phat, P0hat, P1hat, inst):
-    """Decide 0 iff the empirical tuple scores g1 < 0 (ties go to 1).
-
-    Takes one tuple of distributions and returns an int, or (T, d) stacks
-    of tuples and returns one decision per row.
-    """
-    dec = np.where(g1(Phat, P0hat, P1hat, inst) < 0, 0, 1)
-    return dec if np.ndim(Phat) == 2 else int(dec)
 
 
 def early_phase(tup, n, model):
@@ -187,8 +179,12 @@ def two_phase_test(streams, n, model, late_cap=None):
 
     streams: three integer index sequences in setup order, each at least as
     long as stream_sizes says the phases read (the late counts are needed
-    only when the early phase defers).  Returns a TestOutcome.
+    only when the early phase defers).  Returns a TestOutcome.  A layout
+    with no sequential block (FixedLength) has no early phase: it is
+    refused, and decided by late_phase at time n instead.
     """
+    if model.ell == len(model.blocks):
+        raise ValueError("no sequential block, so no early phase: decide by late_phase at time n")
     early, late, tau, capped = stream_sizes(model, n, late_cap)
     d = model.inst.d
     stop, decision = early_phase(_types(streams, early, d), n, model)

@@ -1,6 +1,7 @@
 """Test-only references: pure grid-enumeration oracles for the exponent
-terms, the alpha*beta < 1 instance where mu drops below the Renyi term, and
-a reader for curve.csv.
+terms, a stars-and-bars enumeration of the simplex grid to check the grid
+builder against, the alpha*beta < 1 instance where mu drops below the Renyi
+term, and a reader for curve.csv.
 
 The oracles deliberately avoid the solver's refinement and duality
 machinery: every quantity is a minimum over explicit dense simplex grids,
@@ -11,6 +12,7 @@ seqclass.  The tests check the solver against these oracles.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -18,6 +20,20 @@ from seqclass import divergence as dv
 from seqclass.cli import CURVE_COLUMNS
 from seqclass.exponents import ConstantLambda, ProblemInstance, ScaledRenyiLambda, lambda_matrix
 from seqclass.simplex import box_grid, grid_array
+
+
+def compositions(d, m):
+    """Iterate over all integer compositions (k_1,...,k_d) with sum m, in
+    lexicographic order."""
+    # stars and bars: positions of the d-1 bars among m+d-1 slots
+    for bars in combinations(range(m + d - 1), d - 1):
+        prev = -1
+        parts = []
+        for b in bars:
+            parts.append(b - prev - 1)
+            prev = b
+        parts.append(m + d - 2 - prev)
+        yield tuple(parts)
 
 
 def oracle_kappa(inst, m=2000, inner_m=None):

@@ -208,6 +208,25 @@ def test_09_figure_reproduction(tmp_path):
     assert time.time() - start < 900
 
 
+#: the benchmark's recorded sweep_renyi reports, read and never written
+SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "reference" / "sweep_renyi.json"
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig3"])
+def test_09b_reports_match_the_benchmark_reference(preset):
+    # a change that moves a gated value fails here, not only in the benchmark
+    recorded = json.loads(SWEEP_REFERENCE.read_text())["outputs"]
+    cfg = cli.load_config(preset=preset)
+    xs = cfg.sweep_values()
+    for i in (0, 10, 20, 30, 40):
+        got = ex.report(cfg.instance(xi=float(xs[i])), cfg.solver).as_dict()
+        for key, want in recorded[f"{preset}/{i}"].items():
+            if want == "inf":
+                assert got[key] == math.inf, (preset, i, key)
+            else:
+                assert abs(got[key] - want) <= 1e-9, (preset, i, key, got[key], want)
+
+
 # simulation instance: well-separated pair with sampling ratios
 # alpha = beta = 0.3, chosen so the rare-event floor (>= 5 errors) holds at
 # every n in the grid

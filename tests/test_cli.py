@@ -6,6 +6,7 @@ import pytest
 from seqclass import cli
 from seqclass import exponents as ex
 from seqclass import montecarlo as mc
+from seqclass.optimizer import SearchConfig
 
 import oracles as orc
 
@@ -85,7 +86,7 @@ def test_exit_code_config_error(tmp_path):
 @pytest.mark.parametrize(
     "changes",
     [
-        {"solver_coarse_m": "1"},
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "solver_coarse_m": "1"},
         {"lambda_family": "scaled_renyi", "xi": "0.5", "sweep_parameter": "xi",
          "sweep_from": "0.5", "sweep_to": "1.5"},
         {"sim_n_grid": "1,10"},
@@ -109,10 +110,21 @@ def test_exit_code_config_error(tmp_path):
         {"sweep_parameter": "lambda0", "sweep_from": "0.001", "sweep_to": "inf"},
         {"alpha": "inf"},
         {"alpha": "nan"},
+        # a constant budget searches no grid, so the solver keys do nothing
+        {"solver_coarse_m": "30"},
+        {"solver_refine_rounds": "2"},
+        # kappa's refinement would score a 41^3-point box against the inner
+        # grid: 68,921 x 560 cells at d = 4, m = 13, past PAIR_CELL_LIMIT
+        {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi",
+         "xi": "0.5", "offset": "0.003", "solver_coarse_m": "13"},
+        # at d = 5 even the coarsest grid's refinement is too large
+        {"p0": "0.3,0.25,0.2,0.15,0.1", "p1": "0.1,0.15,0.2,0.25,0.3", "lambda_family": "scaled_renyi",
+         "xi": "0.5", "offset": "0.003", "solver_coarse_m": "2"},
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
          "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
-         "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan"],
+         "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan",
+         "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5"],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts
@@ -127,6 +139,29 @@ def test_config_mistake_exits_2(tmp_path, changes):
         assert cli.main([cmd[0], "--config", path] + cmd[1:]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key", ["solver_coarse_m", "solver_refine_rounds"])
+def test_constant_budget_refuses_solver_keys_by_name(tmp_path, key):
+    path = write(tmp_path, GOOD_CFG + f"{key} = 3\n")
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.load_config(path)
+
+
+def test_kappa_refinement_gate_admits_d4_up_to_coarse_m_12(tmp_path, monkeypatch):
+    cfg = (
+        "schema = 1\np0 = 0.4,0.3,0.2,0.1\np1 = 0.1,0.2,0.3,0.4\nalpha = 0.38\nbeta = 0.6\n"
+        "lambda_family = scaled_renyi\nxi = 0.5\noffset = 0.003\n"
+    )
+    inst = cli.load_config(write(tmp_path, cfg + "solver_coarse_m = 12\n")).instance()
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the inner grid was built")
+
+    monkeypatch.setattr(ex, "_inner_table", never_called)
+    # the library refuses the config the loader refuses, before allocating
+    with pytest.raises(ValueError, match="kappa refinement too large"):
+        ex.kappa_search(inst, SearchConfig(coarse_m=13))
+
+
 def test_exponents_json(tmp_path, capsys):
     path = write(tmp_path, GOOD_CFG)
     assert cli.main(["exponents", "--config", path]) == 0
@@ -134,6 +169,7 @@ def test_exponents_json(tmp_path, capsys):
     for key in ("renyi_term", "kappa", "mu", "nu", "e_fix", "e_seq", "e_semi1", "e_semi2"):
         assert key in payload
     assert payload["e_seq"] == min(payload["renyi_term"], payload["kappa"])
+    assert "solver" not in payload  # a constant budget searches no grid
 
 
 def test_exponents_json_inf_token(tmp_path, capsys):
@@ -152,6 +188,7 @@ offset = 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kappa"] == "inf"
     assert payload["kappa_note"] == "analytic"
+    assert payload["solver"] == {"coarse_m": 200, "refine_rounds": 3, "refine_factor": 10}
 
 
 def test_exponents_constant_d5(tmp_path, capsys):
@@ -262,7 +299,7 @@ def test_simulate_refuses_oversized_g1_polish(tmp_path, monkeypatch):
     # solver_coarse_m, but g1's polish would score ~2.7e9 pairs per round
     cfg = (
         "schema = 1\np0 = 0.4,0.3,0.2,0.1\np1 = 0.1,0.2,0.3,0.4\nalpha = 0.38\nbeta = 0.6\n"
-        "lambda_family = scaled_renyi\nxi = 0.5\noffset = 0.003\nsolver_coarse_m = 30\n"
+        "lambda_family = scaled_renyi\nxi = 0.5\noffset = 0.003\nsolver_coarse_m = 12\n"
         "sim_setups = fixed\nsim_n_grid = 5\nsim_trials = 2\n"
     )
     path = write(tmp_path, cfg)

@@ -479,11 +479,12 @@ def test_efix_dual_memory_stays_flat():
 
 # g1 (refined) over a row stack and _mu_inner on fig1 tuples under FAST, and
 # the sum of _g1_diag_matrix over the eps-floored m = 60 grid; recorded before
-# g1's and mu's polish loops were merged into one routine
+# g1's and mu's polish loops were merged into one routine.  The sum is over
+# box_grid's whole-simplex grid, whose last coordinate is 1 - the others
 PIN_ROWS = np.array([[0.3, 0.7], [0.55, 0.45], [0.12, 0.88], [0.8, 0.2]])
 G1_PINNED = (-0.050220719979256256, -0.011959964532929024, 0.42290306586501475, 0.2018219418381768)
 MU_INNER_PINNED = (-0.0022988094237127265, -0.6800964811539311, -0.053037708202143895, -0.2270407944916899)
-G1_DIAG_SUM_PINNED = 552.5886583919362
+G1_DIAG_SUM_PINNED = 552.588658391936
 
 
 def test_g1_kernels_pinned_values():

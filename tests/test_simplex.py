@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as orc
+from seqclass import simplex
 from seqclass.simplex import (
     as_dist,
     box_grid,
     clamp_rows,
-    compositions,
     grid_array,
     grid_count,
     philox_uniforms,
@@ -73,12 +74,50 @@ def test_grid_binary_m4():
     assert {tuple(r) for r in pts} == want
 
 
-@given(st.integers(2, 4), st.integers(1, 12))
-@settings(max_examples=30, deadline=None)
-def test_grid_count_matches_enumeration(d, m):
-    pts = list(compositions(d, m))
+@given(st.integers(2, 6), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_grid_array_holds_the_compositions_in_order(d, m):
+    # the builder against an independent stars-and-bars enumeration
+    want = np.array(list(orc.compositions(d, m)), dtype=np.float64)
+    pts = grid_array(d, m)
+    assert pts.shape == want.shape
     assert len(pts) == grid_count(d, m) == math.comb(m + d - 1, d - 1)
-    assert all(sum(c) == m for c in pts)
+    assert (np.rint(pts * m) == want).all()
+    assert np.abs(pts - want / m).max() <= 4.5e-16
+    assert (pts >= 0.0).all()
+
+
+@given(
+    st.integers(2, 3),
+    st.floats(0.0, 0.02),
+    st.floats(0.0, 1.0),
+    st.sampled_from([(1 / 30, 600), (0.02, 200), (0.05, 300)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_box_grid_clamps_points_below_the_floor(d, low, split, box):
+    # a box around a center near the floor keeps its points below eps and
+    # clamps them, as the whole-simplex grid does
+    eps = 0.01
+    center = np.array([low] + [(1.0 - low) * split, (1.0 - low) * (1.0 - split)][: d - 1])
+    center[-1] = 1.0 - center[:-1].sum()
+    halfwidth, density = box
+    raw = box_grid(center, halfwidth, density)
+    assert (raw[:, 0] < eps).any()
+    assert np.array_equal(box_grid(center, halfwidth, density, eps), clamp_rows(raw, eps))
+
+
+def test_builder_refuses_an_oversized_mesh_before_allocating(monkeypatch):
+    # grid_array(3, 12) keeps 91 points but meshes 13^2 = 169
+    monkeypatch.setattr(simplex, "GRID_POINT_LIMIT", 100)
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(np, "meshgrid", never_called)
+    with pytest.raises(ValueError, match="grid too large"):
+        grid_array(3, 12)
+    with pytest.raises(ValueError, match="grid too large"):
+        box_grid(np.array([0.3, 0.3, 0.4]), 0.1, 60)
 
 
 def test_clamp_interior_untouched():

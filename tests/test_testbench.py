@@ -15,7 +15,6 @@ from seqclass.testbench import (
     SetupKind,
     early_phase,
     eta_n,
-    fixed_length_test,
     late_phase,
     late_score,
     make_model,
@@ -48,12 +47,18 @@ def test_eta_n_vanishes():
     assert vals[-1] < 0.02
 
 
+def fixed_length_decision(Q, Q0, Q1, inst):
+    # the fixed-length test is the late-phase rule over the all-fixed layout
+    model = make_model(SetupKind.FixedLength, inst)
+    return int(late_phase((Q[None, :], Q0[None, :], Q1[None, :]), 7, model)[0])
+
+
 def test_fixed_length_decision_matches_g1_sign_constant():
     inst = inst_const()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
     for _ in range(100):
         Q, Q0, Q1 = (np.array([p, 1 - p]) for p in rng.random(3))
-        dec = fixed_length_test(Q, Q0, Q1, inst)
+        dec = fixed_length_decision(Q, Q0, Q1, inst)
         g = dv.gjs_value(Q0, Q, inst.alpha) - inst.lam.lambda0
         assert dec == (0 if g < 0 else 1)
 
@@ -71,15 +76,29 @@ def test_fixed_length_decision_matches_g1_sign_scaled():
         g_grid = float((a[:, None] + b[None, :] - lam).min())
         if abs(g_grid) < 1e-3:
             continue  # sign not grid-resolvable
-        dec = fixed_length_test(Q, Q0, Q1, inst)
+        dec = fixed_length_decision(Q, Q0, Q1, inst)
         assert dec == (0 if g_grid < 0 else 1)
         checked += 1
     assert checked >= 80
 
 
-def test_make_model_rejects_fixed_length():
-    with pytest.raises(ValueError):
-        make_model(SetupKind.FixedLength, inst_const())
+def test_fixed_length_is_the_all_fixed_layout():
+    inst = inst_const(alpha=0.3, beta=0.6)
+    m = make_model(SetupKind.FixedLength, inst)
+    assert (m.ell, m.alphas, m.blocks) == (3, (1.0, 0.3, 0.6), ("x", "t0", "t1"))
+    # every block keeps its n-sample prefix, whatever the late cap
+    for cap in (None, 5):
+        early, late, _, _ = stream_sizes(m, 20, cap)
+        assert early == late == (20, 6, 12)
+    # with no sequential block g_n is g1 at its own weights (1, alpha, beta)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    x, t0, t1 = (np.column_stack([p, 1 - p]) for p in rng.random((3, 50)))
+    for n in (2, 40):
+        assert np.array_equal(late_score((x, t0, t1), n, m), ex.g1(x, t0, t1, inst))
+    # and it has no early phase to run
+    streams = [sample_iid(p, k, stream_seed(i)) for i, (p, k) in enumerate(zip(m.laws(0), (20, 6, 12)))]
+    with pytest.raises(ValueError, match="no sequential block"):
+        two_phase_test(streams, 20, m)
 
 
 @pytest.mark.parametrize(
