@@ -97,13 +97,17 @@ def _xlogx(a):
 
 
 def kl_matrix(Q, P):
-    """(N,M) matrix of D(Q_i||P_j) in bits; P must have full support rows."""
+    """(N,M) matrix of D(Q_i||P_j) in bits; P must have full support rows.
+
+    Stacks (..., N, d) and (..., M, d) whose leading axes broadcast give
+    one (N, M) matrix per stack entry, each as a 2-D call computes it.
+    """
     Q = np.atleast_2d(Q)
     P = np.atleast_2d(P)
-    ent = _xlogx(Q).sum(axis=1)  # sum_x q log q
+    ent = _xlogx(Q).sum(axis=-1)  # sum_x q log q
     with np.errstate(divide="ignore"):
-        cross = Q @ np.log(P).T  # (N,M) of sum_x q_i log p_j
-    return (ent[:, None] - cross) / LN2
+        cross = Q @ np.swapaxes(np.log(P), -1, -2)  # (..., N, M) of sum_x q_i log p_j
+    return (ent[..., None] - cross) / LN2
 
 
 def kl_matrix_stacked(Q, P):
@@ -123,10 +127,11 @@ def renyi_matrix(Prows, Qrows, alpha):
     """(N,M) matrix of the Renyi value of (P_i, Q_j) with weight alpha, in bits:
         min_V alpha*KL(V||P_i) + KL(V||Q_j)
           = -(1+alpha) * log2 sum_x P_i(x)^(alpha/(1+alpha)) Q_j(x)^(1/(1+alpha)).
-    Rows must have full support.
+    Rows must have full support.  Stacks with leading batch axes give one
+    matrix per stack entry, as kl_matrix does.
     """
     w = alpha / (1.0 + alpha)
-    z = (np.atleast_2d(Prows) ** w) @ (np.atleast_2d(Qrows) ** (1.0 - w)).T
+    z = (np.atleast_2d(Prows) ** w) @ np.swapaxes(np.atleast_2d(Qrows) ** (1.0 - w), -1, -2)
     return -(1.0 + alpha) * np.log(z) / LN2
 
 

@@ -60,12 +60,14 @@ def lambda_eval(spec, P0p, P1p, beta):
 
 
 def lambda_matrix(spec, P0rows, P1rows, beta):
-    """(N,M) matrix of lambda over two row stacks of candidate pairs."""
+    """(N,M) matrix of lambda over two row stacks of candidate pairs, or one
+    such matrix per entry of stacks with leading batch axes."""
     P0rows = np.atleast_2d(P0rows)
     P1rows = np.atleast_2d(P1rows)
     if isinstance(spec, ConstantLambda):
-        return np.full((P0rows.shape[0], P1rows.shape[0]), spec.lambda0)
-    return spec.xi * (dv.renyi_matrix(P1rows, P0rows, beta).T + spec.offset)
+        batch = np.broadcast_shapes(P0rows.shape[:-2], P1rows.shape[:-2])
+        return np.full((*batch, P0rows.shape[-2], P1rows.shape[-2]), spec.lambda0)
+    return spec.xi * (np.swapaxes(dv.renyi_matrix(P1rows, P0rows, beta), -1, -2) + spec.offset)
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,13 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
         j = int(scores.argmin())
         l = int((b[0] - lam[j]).argmin())
         # local polish around the argmin pair; the objective is smooth in
-        # (P0', P1') so a couple of shrinking box passes suffice
-        score = partial(_g1_box, Q[i], Q0[i], Q1[i], (wx, w0, w1), inst)
-        out[i] = min(scores[j], _polish(score, (pg[j], pg[l]), k, inst.eps))
+        # (P0', P1') so a couple of shrinking box passes suffice.  A
+        # one-row stack keeps each box unpadded: the two-box lambda matrix
+        # is a matrix-matrix product, which rounds differently once padding
+        # rows enter it
+        one_row = slice(i, i + 1)
+        score = partial(_g1_box, Q[one_row], Q0[one_row], Q1[one_row], (wx, w0, w1), inst)
+        out[i] = min(scores[j], _polish(score, (pg[j][None], pg[l][None]), k, inst.eps)[0])
     return float(out[0]) if one else out
 
 
@@ -176,14 +182,16 @@ def _p1_slot_min(b, lam):
 
 
 def _g1_box(Q, Q0, Q1, weights, inst, U, V):
-    """The weighted score of one tuple over P0' rows U and P1' rows V:
+    """The weighted score of each tuple row r over its P0' rows U[r] and P1'
+    rows V[r]:
         wx*KL(Q||P0') + w0*KL(Q0||P0') + w1*KL(Q1||P1') - lambda(P0', P1')
-    as a (|U|, |V|) matrix, with g1's weights = (wx, w0, w1)."""
+    as an (R, |U[r]|, |V[r]|) array, with g1's weights = (wx, w0, w1); Q, Q0
+    and Q1 are (R, d) and U, V (R, S, d) stacks."""
     wx, w0, w1 = weights
     lam = lambda_matrix(inst.lam, U, V, inst.beta)
-    a = (wx * dv.kl_matrix(Q[None, :], U) + w0 * dv.kl_matrix(Q0[None, :], U))[0]
-    b = w1 * dv.kl_matrix(Q1[None, :], V)[0]
-    return a[:, None] + b[None, :] - lam
+    a = (wx * dv.kl_matrix(Q[:, None], U) + w0 * dv.kl_matrix(Q0[:, None], U))[:, 0]
+    b = w1 * dv.kl_matrix(Q1[:, None], V)[:, 0]
+    return a[:, :, None] + b[:, None, :] - lam
 
 
 def check_g1_polish(inst, cfg=SearchConfig()):
@@ -228,20 +236,30 @@ def check_kappa_refinement(inst, cfg=SearchConfig()):
 
 
 def _polish(score, centers, density, eps):
-    """Lowest score found over the _POLISH_ROUNDS rounds of box re-gridding.
+    """Lowest score of each row over the _POLISH_ROUNDS rounds of box
+    re-gridding: an (R,) array.
 
-    Each round of `box_schedule` grids a box around every block's center,
-    scores all combinations (score takes one row stack per block and
-    returns an array with one axis per block) and moves the centers to the
-    box minimiser.
+    centers holds one (R, d) stack of centres per block.  Each round of
+    `box_schedule` grids a box around every row's centre of each block in
+    one `box_grid` call, and scores every row's combinations in one call:
+    score takes one (R, S, d) stack per block and returns an array with a
+    row axis, then one axis per block.  The padded cells of the boxes are
+    set to +inf; each row takes its first argmin, which box order makes
+    the one a call on that row alone takes, and moves its centres there.
     """
-    best = np.inf
+    rows = np.arange(centers[0].shape[0])
+    best = np.full(rows.size, np.inf)
     for halfwidth, density in box_schedule(density, _POLISH_ROUNDS):
-        boxes = [box_grid(c, halfwidth, density, eps) for c in centers]
+        boxes, masks = zip(*(box_grid(c, halfwidth, density, eps) for c in centers))
         s = score(*boxes)
-        idx = np.unravel_index(int(np.argmin(s)), s.shape)
-        best = min(best, float(s[idx]))
-        centers = [box[i] for box, i in zip(boxes, idx)]
+        for block, mask in enumerate(masks, start=1):
+            view = [rows.size] + [1] * (s.ndim - 1)
+            view[block] = mask.shape[1]
+            s = np.where(mask.reshape(view), s, np.inf)
+        flat = s.reshape(rows.size, -1)
+        at = flat.argmin(axis=1)
+        best = np.minimum(best, flat[rows, at])
+        centers = [box[rows, i] for box, i in zip(boxes, np.unravel_index(at, s.shape[1:]))]
     return best
 
 
@@ -413,27 +431,26 @@ def mu_search(inst, cfg=SearchConfig()):
 
 
 def _mu_inner(Q1rows, inst, cfg, table):
-    """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1'), vectorized,
-    over the inner grid and lambda row of `_inner_table(inst, cfg,
-    rows=P1[None, :])`."""
-    b = inst.beta
-    k = _inner_density(inst, cfg)
+    """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1') for each
+    row of Q1rows, over the inner grid and lambda row of `_inner_table(inst,
+    cfg, rows=P1[None, :])`, then polished around each row's grid argmin;
+    the polish takes every row at once.  Each row's value is that of a call
+    on that row alone, bit for bit."""
     pg, lam = table
-    lamv = lam[0]  # (k,)
-    scores = b * dv.kl_matrix_stacked(Q1rows, pg) - lamv[None, :]
+    scores = inst.beta * dv.kl_matrix_stacked(Q1rows, pg) - lam[0][None, :]
     h = scores.min(axis=1)
-    arg = scores.argmin(axis=1)
     # polish each row's inner minimum (smooth in P1')
-    for i in range(Q1rows.shape[0]):
-        score = partial(_mu_box, Q1rows[i], inst)
-        h[i] = min(h[i], _polish(score, (pg[arg[i]],), k, inst.eps))
-    return h
+    centers = pg[scores.argmin(axis=1)]
+    polished = _polish(partial(_mu_box, Q1rows, inst), (centers,), _inner_density(inst, cfg), inst.eps)
+    return np.minimum(h, polished)
 
 
-def _mu_box(Q1, inst, V):
-    """The objective of h at one Q1 row over P1' rows V."""
-    lam = lambda_matrix(inst.lam, inst.p1[None, :], V, inst.beta)[0]
-    return inst.beta * dv.kl_matrix(Q1[None, :], V)[0] - lam
+def _mu_box(Q1rows, inst, V):
+    """The objective of h for each Q1 row r over its P1' rows V[r]: an (R, S)
+    array from an (R, S, d) stack.  Both of its matrix products are
+    matrix-vector ones, so padding in V does not move a bit."""
+    lam = lambda_matrix(inst.lam, inst.p1[None, :], V, inst.beta)[:, 0]
+    return inst.beta * dv.kl_matrix(Q1rows[:, None], V)[:, 0] - lam
 
 
 def nu(inst):

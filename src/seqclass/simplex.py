@@ -234,21 +234,24 @@ def clamp_rows(pts, eps):
     Deficient entries of each row of the (N, d) array are raised to eps; the
     surplus is taken from the remaining entries proportionally to their
     mass.  Iterates in case the renormalization pushes further entries below
-    the floor.  Idempotent.
+    the floor.  Idempotent.  An (R, N, d) stack is clamped box by box: each
+    (N, d) box stops iterating when it alone would, so it gets the bits it
+    gets in a call of its own.
     """
-    d = pts.shape[1]
+    d = pts.shape[-1]
     eps = check_eps(eps, d)
     out = pts.copy()
     frozen = np.zeros(pts.shape, dtype=bool)
     for _ in range(d):
         low = (out < eps) & ~frozen
-        if not low.any():
+        moving = low.any(axis=(-2, -1), keepdims=True)
+        if not moving.any():
             break
         frozen |= low
-        budget = 1.0 - eps * frozen.sum(axis=1, keepdims=True)
-        rest_mass = np.where(frozen, 0.0, pts).sum(axis=1, keepdims=True)
+        budget = 1.0 - eps * frozen.sum(axis=-1, keepdims=True)
+        rest_mass = np.where(frozen, 0.0, pts).sum(axis=-1, keepdims=True)
         safe = np.where(rest_mass > 0, rest_mass, 1.0)
-        out = np.where(frozen, eps, pts * (budget / safe))
+        out = np.where(moving, np.where(frozen, eps, pts * (budget / safe)), out)
     return out
 
 
@@ -260,22 +263,48 @@ def box_grid(center, halfwidth, density, eps=None):
     and dropped; a rounding residue in [-1e-12, 0) becomes exactly 0, so
     every point is a distribution.  With eps set, every point is then
     clamped into the epsilon floor.  Points come in lexicographic order of
-    their first d-1 coordinates.  Raises ValueError before allocating when
-    the mesh would pass GRID_POINT_LIMIT points.
+    their first d-1 coordinates.
+
+    A (d,) centre gives its (S, d) points.  An (R, d) stack of centres gives
+    every row's box at once: (R, S, d) points and an (R, S) mask, where S is
+    the largest number of points a row keeps.  Row r holds its kept points
+    first, in the order of a call on that centre alone and with the same
+    bits, then padding: copies of its first point, masked False.  So a
+    one-row stack is that call's box with no padding.
+
+    Raises ValueError before allocating when the mesh, R times the product
+    of the widest kept axis of each coordinate, would pass GRID_POINT_LIMIT
+    points.
     """
-    d = center.size
+    centers = np.atleast_2d(center)
+    rows, d = centers.shape
     steps = _box_steps(halfwidth, density)
     offs = np.arange(-steps, steps + 1) / density
-    axes = [axis[axis >= -1e-12] for axis in (center[i] + offs for i in range(d - 1))]
-    size = prod(axis.size for axis in axes)
+    # per axis, the mesh spans the offsets kept by the row with the largest
+    # coordinate; center_i + offs ascends, so every other row keeps a
+    # suffix of them, and a mesh point is off a row's box exactly when one
+    # of its coordinates, the last included, is below -1e-12
+    first = (centers[:, : d - 1].max(axis=0)[:, None] + offs < -1e-12).sum(axis=1)
+    size = rows * prod(offs.size - int(f) for f in first)
     if size > GRID_POINT_LIMIT:
         raise ValueError(f"grid too large: {size} mesh points > {GRID_POINT_LIMIT}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
-    pts = pts[pts[:, -1] >= -1e-12]
-    pts[pts < 0.0] = 0.0
-    return pts if eps is None else clamp_rows(pts, eps)
+    mesh = np.meshgrid(*(offs[f:] for f in first), indexing="ij")
+    full = np.empty((rows, mesh[0].size, d))
+    full[..., :-1] = centers[:, None, :-1] + np.stack([m.ravel() for m in mesh], axis=1)
+    full[..., -1] = 1.0 - full[..., :-1].sum(axis=-1)
+    keep = full[..., -1] >= -1e-12
+    for i in range(d - 1):
+        keep &= full[..., i] >= -1e-12
+    kept = keep.sum(axis=1)
+    mask = np.arange(kept.max()) < kept[:, None]
+    out = np.empty(mask.shape + (d,))
+    out[mask] = full[keep]
+    if not mask.all():
+        out = np.where(mask[..., None], out, out[:, :1])
+    out[out < 0.0] = 0.0
+    if eps is not None:
+        out = clamp_rows(out, eps)
+    return (out, mask) if np.ndim(center) == 2 else out[0]
 
 
 def _box_steps(halfwidth, density):

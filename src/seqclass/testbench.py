@@ -98,20 +98,24 @@ def make_model(setup, inst):
 
 
 def stream_sizes(model, n, late_cap=None):
-    """How many samples of each block a two-phase trial reads.
+    """How many samples of each block a trial reads.
 
     Returns (early, late, tau, capped): the per-block counts in setup order
     read at time n - 1 and at the late time tau, which is n^2, or late_cap
     when that is smaller (then capped is True).  At time t a fixed block
     has ceil(alpha_i * n) samples and a sequential one ceil(alpha_i * t).
-    Raises ValueError when the late time would read fewer samples of a
-    block than the early phase does.
+    A layout with no sequential block (FixedLength) decides once, at time
+    n: its late counts are its early ones, tau is n and capped is False,
+    whatever late_cap is.  Raises ValueError when the late time would read
+    fewer samples of a block than the early phase does.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     tau = n * n
     capped = late_cap is not None and late_cap < tau
-    if capped:
+    if model.ell == len(model.blocks):
+        tau, capped = n, False
+    elif capped:
         tau = late_cap
     early, late = [], []
     for i, a in enumerate(model.alphas):

@@ -532,6 +532,55 @@ def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
     assert 0 < sum(columns) <= KAPPA_COLUMNS_EVALUATE_ALL // 2
 
 
+def _mu_inner_loop(Q1rows, inst, cfg, table):
+    """_mu_inner as a loop over its rows, each polished alone through
+    one-centre boxes and 2-D kernels: the form the stacked polish must
+    reproduce bit for bit."""
+    pg, lam = table
+    out = []
+    for q in Q1rows:
+        scores = inst.beta * dv.kl_matrix_stacked(q[None], pg)[0] - lam[0]
+        best, center = scores.min(), pg[scores.argmin()]
+        for halfwidth, density in box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS):
+            V = box_grid(center, halfwidth, density, inst.eps)
+            v = inst.beta * dv.kl_matrix(q[None], V)[0] - ex.lambda_matrix(inst.lam, inst.p1[None], V, inst.beta)[0]
+            best, center = min(best, v.min()), V[v.argmin()]
+        out.append(best)
+    return out
+
+
+#: the d = 3 scaled-Renyi instance of the ROADMAP
+D3_RENYI = ex.ProblemInstance((0.5, 0.3, 0.2), (0.1, 0.2, 0.7), 0.7, 0.7, ex.ScaledRenyiLambda(0.6, 0.003))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("fig1", 0.2), ("fig1", 0.75), ("fig3", 0.3), ("fig3", 0.9), ("d3", None)],
+    ids=lambda c: f"{c[0]}-{c[1]}",
+)
+def test_mu_inner_stack_equals_each_row_alone(case):
+    preset, xi = case
+    if preset == "d3":
+        inst, cfg = D3_RENYI, SearchConfig()
+        rows = grid_array(3, 12, eps=inst.eps)[::3]
+    else:
+        config = cli.load_config(preset=preset)
+        inst, cfg = config.instance(xi=xi), config.solver
+        rows = np.vstack([grid_array(2, 40, eps=inst.eps)[::3], [[0.0, 1.0], [1.0, 0.0], [0.995, 0.005]]])
+    table = ex._inner_table(inst, cfg, rows=inst.p1[None, :])
+    got = ex._mu_inner(rows, inst, cfg, table)
+    assert got.tolist() == [ex._mu_inner(q[None], inst, cfg, table)[0] for q in rows]
+    assert got.tolist() == _mu_inner_loop(rows, inst, cfg, table)
+    if preset == "d3":
+        # the first polish boxes differ in size: some are cut by the simplex
+        # edge, so the stack carries padding
+        pg, lam = table
+        centers = pg[(inst.beta * dv.kl_matrix_stacked(rows, pg) - lam[0]).argmin(axis=1)]
+        (halfwidth, density), _ = box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS)
+        _, mask = box_grid(centers, halfwidth, density, inst.eps)
+        assert halfwidth > inst.eps and not mask.all()
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_constraint_cells_keep_their_bits(d):
     # the pair search evaluates kappa's and mu's constraints on a few

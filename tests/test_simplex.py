@@ -120,6 +120,70 @@ def test_builder_refuses_an_oversized_mesh_before_allocating(monkeypatch):
         box_grid(np.array([0.3, 0.3, 0.4]), 0.1, 60)
 
 
+def _edge_centers(d):
+    # rows of the simplex on and near its edge, where box axes and points
+    # are cut: entries are 0, a hair above it, or up to 1, then normalised
+    entry = st.one_of(st.just(0.0), st.floats(1e-4, 0.03), st.floats(0.0, 1.0))
+    row = st.lists(entry, min_size=d, max_size=d).filter(lambda v: sum(v) > 0.1)
+    return st.lists(row, min_size=1, max_size=6).map(lambda rows: np.array([np.array(v) / sum(v) for v in rows]))
+
+
+@given(
+    st.data(),
+    st.integers(2, 4),
+    st.sampled_from([(0.1, 60), (0.05, 100), (1 / 30, 600)]),
+    st.sampled_from([None, 0.01]),
+)
+@settings(max_examples=60, deadline=None)
+def test_box_grid_stack_rows_equal_their_own_boxes(data, d, box, eps):
+    halfwidth, density = box
+    if d == 4 and density == 600:
+        halfwidth, density = 0.05, 100  # keep the d = 4 mesh small
+    centers = data.draw(_edge_centers(d))
+    pts, mask = box_grid(centers, halfwidth, density, eps)
+    assert pts.shape[:2] == mask.shape and pts.shape[2] == d
+    for r, c in enumerate(centers):
+        alone = box_grid(c, halfwidth, density, eps)
+        n = len(alone)
+        # kept points first, in the one-centre order and with its bits
+        assert mask[r].tolist() == [True] * n + [False] * (mask.shape[1] - n)
+        assert pts[r, :n].tobytes() == alone.tobytes()
+        # padding is masked and copies a kept point
+        assert (pts[r, n:] == pts[r, 0]).all()
+    # the widest row sets the stack's width
+    assert mask.sum(axis=1).max() == mask.shape[1]
+    # a one-row stack is the one-centre box, unpadded
+    one, one_mask = box_grid(centers[:1], halfwidth, density, eps)
+    assert one_mask.all()
+    assert one[0].tobytes() == box_grid(centers[0], halfwidth, density, eps).tobytes()
+
+
+def test_box_grid_stack_refuses_an_oversized_mesh_before_allocating(monkeypatch):
+    # one interior centre meshes 13^2 = 169 points, under the limit; a stack
+    # of two meshes 338, over it
+    centers = np.array([[0.3, 0.3, 0.4], [0.4, 0.3, 0.3]])
+    monkeypatch.setattr(simplex, "GRID_POINT_LIMIT", 300)
+    assert len(box_grid(centers[0], 0.1, 60)) == 169
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(np, "meshgrid", never_called)
+    with pytest.raises(ValueError, match="grid too large: 338"):
+        box_grid(centers, 0.1, 60)
+
+
+def test_clamp_rows_clamps_a_stack_box_by_box():
+    # the first box has no entry below the floor, and its row sums to
+    # 1 + 2.2e-16; a lone call leaves it as it is, however long the second
+    # box, which starts below the floor, keeps iterating
+    boxes = np.array([[[0.3, 0.7000000000000001]], [[0.001, 0.999]]])
+    out = clamp_rows(boxes, 0.01)
+    for box, got in zip(boxes, out):
+        assert got.tobytes() == clamp_rows(box, 0.01).tobytes()
+    assert out[0].tobytes() == boxes[0].tobytes()
+
+
 def test_clamp_interior_untouched():
     np.testing.assert_allclose(clamp_rows(np.array([[0.5, 0.5]]), 0.01), [[0.5, 0.5]])
 

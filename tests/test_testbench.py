@@ -217,6 +217,14 @@ def test_stream_sizes_layout():
         stream_sizes(model, 1)
 
 
+def test_stream_sizes_all_fixed_layout():
+    # FixedLength decides once at time n on the acceptance instance: no late
+    # time past n and nothing to cap, whatever the cap
+    model = make_model(SetupKind.FixedLength, inst_const(alpha=0.3, beta=0.3))
+    for cap in (None, 5, 50, 1000):
+        assert stream_sizes(model, 20, cap) == ((20, 6, 6), (20, 6, 6), 20, False)
+
+
 def test_gn_constant_matches_weighted_join():
     # g_n joins T0 and X with the late weights (alpha*n, n) and subtracts
     # lambda0, so the decision flips exactly where lambda0 passes the join
