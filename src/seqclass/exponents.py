@@ -421,10 +421,18 @@ def mu_search(inst, cfg=SearchConfig()):
         return a * dv.kl(A, P0)[:, None] + b * dv.kl(B, P1)[None, :]
 
     table = _inner_table(inst, cfg, rows=P1[None, :])
+    # h of every Q1 row this search has met, by the row's bytes: the pair
+    # search meets the incumbent row at each Q0 box step, and a row's h
+    # does not depend on the rows solved with it
+    known = {}
 
     def constraint(A, B):
         lead = a * dv.kl(A, P1)  # (N,)
-        h = _mu_inner(B, inst, cfg, table)  # (M,)
+        keys = [row.tobytes() for row in B]
+        fresh = {key: i for i, key in enumerate(keys) if key not in known}
+        if fresh:
+            known.update(zip(fresh, _mu_inner(B[list(fresh.values())], inst, cfg, table)))
+        h = np.array([known[key] for key in keys])  # (M,)
         return lead[:, None] + h[None, :] < 0.0
 
     return min_simplex_pair(objective, constraint, inst.d, cfg)
@@ -493,10 +501,10 @@ def e_fix_search(inst, cfg=SearchConfig()):
     return min_simplex_pair(objective, ALWAYS_TRUE, inst.d, cfg, eps=inst.eps)
 
 
-#: cells of the e_fix dual solved together.  The three blocks of a chunk
-#: are tilted in one pass over (3, d, K) arrays; at 2048 cells the dual's
-#: peak memory on the fig1 coarse grid (2.2 MiB) stays below that of
-#: tilting one (d, K) block at a time over 4096 cells (2.5 MiB)
+#: cells of the e_fix dual solved together.  The three blocks of a
+#: bisection chunk are tilted in one pass over (3, d, K) arrays; at 2048
+#: cells the dual's peak memory on the fig1 coarse grid (1.6 MiB) stays
+#: below that of tilting one (d, K) block at a time over 4096 cells
 _DUAL_CHUNK = 2048
 #: slack of the Lagrangian bound per unit of (1 + s), where s is the
 #: multiplier it was taken at: about 1e5 times the rounding error of the
@@ -517,13 +525,21 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     finds the active-budget solution; strong duality makes it exact.
 
     Cells with L <= 0 are infeasible (inf), and cells whose unconstrained
-    optimum (s = 0) already lies in the ball are worth 0.  The remaining
-    active cells are searched in chunks of _DUAL_CHUNK cells; the tilts of
-    the three blocks are stored together (3, d, K), so each max or sum over
-    the alphabet is d - 1 vector operations, taken left to right, for all
-    three blocks at once.  Per active cell, the bracket [0, hi]
-    starts at hi = 1 and hi doubles while the constraint at hi exceeds L, at
-    most 70 times; only the cells still growing are evaluated.
+    optimum (s = 0) already lies in the ball are worth 0.  Per remaining
+    active cell, the bracket [0, hi] starts at hi = 1 and hi doubles while
+    the constraint at hi exceeds L, at most 70 times; only the cells still
+    growing are evaluated, in chunks of _DUAL_CHUNK cells.
+
+    Shared multipliers.  The s = 0 test and every doubling step evaluate
+    all their cells at one multiplier: 0, or 2**t at step t, since hi
+    starts at 1 for every cell and doubles for all growing cells together.
+    The tilts of blocks Q and Q0 depend only on (s, u) and that of Q1 only
+    on (s, v), so at each such s `_reference_terms` tilts the N rows of U
+    and the M rows of V once, and a cell's c and f are its two sums added
+    in block order.  The terms of a multiplier are computed once per call
+    and shared by every chunk.  Every operation of the kernel is
+    elementwise per (block, letter, cell), so each cell gets the bits a
+    per-cell `_tilted_blocks` call would give it.
 
     Branch and bound.  The tilts minimise the Lagrangian f + s*(c - L)
     exactly, so f + s*(c - L) at each evaluated hi is a lower bound on the
@@ -536,7 +552,10 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     stops growing and reads +inf.  Of each chunk only the surviving cells'
     flat index, hi and bound are kept; after the last chunk they are
     filtered by the final UB and bisected, again in chunks of _DUAL_CHUNK,
-    each from the hi its doubling reached.
+    each from the hi its doubling reached.  A bisection chunk tilts its
+    cells' own references (3, d, K) together through `_tilted_blocks`, so
+    each max or sum over the alphabet is d - 1 vector operations, taken
+    left to right, for all three blocks at once.
 
     At most 90 bisection steps follow.  A step maps (lo, hi) to new values
     by a deterministic elementwise function, so once a step leaves every
@@ -546,9 +565,11 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     steps).  The excluded cells never reach such a fixed point, since their
     hi would keep halving.  The constraint alone drives the bisection; the
     objective is evaluated once, at the final hi.  So every finite cell
-    equals a solve of that cell alone, and the matrix minimum and its first
-    argmin, all that min_simplex_pair reads, are those of solving every
-    cell; a 1 x 1 call is never pruned.
+    equals a solve of that cell alone under the same budget, and the matrix
+    minimum and its first argmin, all that min_simplex_pair reads, are
+    those of solving every cell; a 1 x 1 call is never pruned.  (The
+    budgets of a one-row or one-column call come from a matrix-vector
+    product, which can round L an ulp away from a 1 x 1 call's.)
     """
     U = np.atleast_2d(Urows)
     V = np.atleast_2d(Vrows)
@@ -562,11 +583,23 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     # the blocks Q, Q0, Q1 of the tuple: targets, and weights in the objective
     targets = np.stack([logP1, logP0, logP1])  # (3, d, 1)
     weights = np.array([[1.0], [inst.alpha], [inst.beta]])  # (3, 1)
+    # blocks Q and Q0 tilt toward u, block Q1 toward v
+    toward_u = targets[:2], np.stack([logu, logu]), weights[:2]
+    toward_v = targets[2:], logv[None], weights[2:]
+    shared = {}  # multiplier -> its reference terms, for this call only
 
     def blocks_of(cells):
         rows, cols = np.divmod(cells, M)
         ref_u = logu[:, rows]
         return targets, np.stack([ref_u, ref_u, logv[:, cols]]), weights
+
+    def at_shared(s, cells):
+        # (c, f) of the cells at a multiplier s that all of them share
+        if s not in shared:
+            shared[s] = _reference_terms(s, toward_u, toward_v)
+        cu, fu, cv, fv = shared[s]
+        rows, cols = np.divmod(cells, M)
+        return cu[rows] + cv[cols], fu[rows] + fv[cols]
 
     out = np.full(Lflat.size, np.inf)
     ub = np.inf
@@ -575,23 +608,22 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     feasible = np.flatnonzero(Lflat > 0.0)
     for start in range(0, feasible.size, _DUAL_CHUNK):
         cells = feasible[start : start + _DUAL_CHUNK]
-        blocks = blocks_of(cells)
         budget = Lflat[cells]
-        c0, _ = _tilted_blocks(np.zeros(cells.size), blocks)
+        c0, _ = at_shared(0.0, cells)
         # the complement of "unconstrained optimum already inside the ball"
         active = ~(c0 <= budget)
         if not active.all():
             out[cells[~active]] = 0.0
             ub = 0.0
-        cells, budget, blocks = cells[active], budget[active], _take(blocks, active)
+        cells, budget = cells[active], budget[active]
         hi = np.ones(cells.size)
         bound = np.full(cells.size, -np.inf)
         grow = np.arange(cells.size)  # cells whose constraint at hi still exceeds L
-        for _ in range(70):
+        for t in range(70):
             if grow.size == 0:
                 break
-            s = hi[grow]
-            c, f = _tilted_blocks(s, _take(blocks, grow), objective=True)
+            s = hi[grow]  # 2**t for every growing cell
+            c, f = at_shared(2.0**t, cells[grow])
             gap = c - budget[grow]
             bound[grow] = np.maximum(bound[grow], f + s * gap - _BOUND_SLACK * (1.0 + s))
             fits = gap <= 0.0
@@ -624,25 +656,32 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     return out.reshape(L.shape)
 
 
-def _take(blocks, cells):
-    targets, refs, weights = blocks
-    return targets, refs[:, :, cells], weights
-
-
 def _tilted_blocks(s, blocks, objective=False):
     """Constraint value c, and with `objective` the objective f, at multiplier s.
 
     s: (K,) per cell; blocks: targets (B, d, 1), references (B, d, K) and
-    weights (B, 1), one entry per block of the tuple.  Every block is
-    tilted in one pass; the weighted block terms are then added in block
-    order, as a loop over the blocks would.  Returns (c, f) with f None
-    unless asked for.
+    weights (B, 1), one entry per block of the tuple.  The block terms of
+    `_block_terms` are added in block order, as a loop over the blocks
+    would.  Returns (c, f) with f None unless asked for.
+    """
+    c, f = _block_terms(s, blocks, objective)
+    return _ordered_sum(c), None if f is None else _ordered_sum(f)
+
+
+def _block_terms(s, blocks, objective=False):
+    """The weighted terms of c, and with `objective` of f, block by block:
+    (B, K) arrays, one row per block and one column per reference, with f
+    None unless asked for.
+
+    s is one multiplier per reference (K,) or one for all of them (a
+    float); blocks as in `_tilted_blocks`.  Every block is tilted in one
+    pass.  Each operation is elementwise per (block, letter, reference), so
+    a column's terms depend only on its s and its references.
     """
     targets, refs, weights = blocks
     w = s / (1.0 + s)
     keep = 1.0 - w
-    lz = keep * targets  # (B, d, K)
-    lz += w * refs
+    lz = keep * targets + w * refs  # (B, d, K)
     mx = lz[:, 0]
     for j in range(1, lz.shape[1]):
         mx = np.maximum(mx, lz[:, j])
@@ -652,9 +691,24 @@ def _tilted_blocks(s, blocks, objective=False):
     lq = np.log(np.where(z > 0, z, 1.0))
     gap = lq - refs
     gap *= z
-    c = _ordered_sum(weights * _alphabet_sum(gap) / dv.LN2)
-    f = _ordered_sum(weights * _alphabet_sum(z * (lq - targets)) / dv.LN2) if objective else None
+    c = weights * _alphabet_sum(gap) / dv.LN2
+    f = weights * _alphabet_sum(z * (lq - targets)) / dv.LN2 if objective else None
     return c, f
+
+
+def _reference_terms(s, toward_u, toward_v):
+    """c and f at one multiplier s shared by every pair (u_i, v_j) of a
+    dual call, each reference tilted once: (cu, fu, cv, fv), where cu and fu
+    sum, in block order, the terms of the blocks that tilt toward u over
+    the N rows of U, and cv and fv those of the blocks that tilt toward v
+    over the M rows of V.  toward_u and toward_v are blocks as in
+    `_tilted_blocks`, with references (B, d, N) and (B', d, M).  The
+    blocks toward u come first in the tuple, so a pair's c is
+    cu[i] + cv[j] and its f fu[i] + fv[j]: `_tilted_blocks` of the pair's
+    blocks at s, bit for bit, since every block term is elementwise.
+    """
+    (cu, fu), (cv, fv) = (_block_terms(s, blocks, objective=True) for blocks in (toward_u, toward_v))
+    return _ordered_sum(cu), _ordered_sum(fu), _ordered_sum(cv), _ordered_sum(fv)
 
 
 def _alphabet_sum(x):

@@ -679,6 +679,102 @@ def test_efix_pinned_values(point, want):
     assert ex.e_fix(inst, DUAL_CFG) == want
 
 
+# e_fix and mu at the default solver on a fig1 and a fig3 sweep point (the
+# index into the preset's sweep): a 201 x 201 coarse dual solved in many
+# chunks, then three box rounds; recorded when the s = 0 test and the
+# doubling still tilted every cell's own references
+DEFAULT_PINNED = (
+    ("fig1", 24, 0.055747884198005415, 0.2225876554133018),
+    ("fig3", 40, 0.011417282558733737, 0.365132129574385),
+)
+
+
+@pytest.mark.parametrize("preset, point, e_fix, mu", DEFAULT_PINNED, ids=["fig1", "fig3"])
+def test_efix_pinned_at_the_default_solver(preset, point, e_fix, mu):
+    config = cli.load_config(preset=preset)
+    assert config.solver == SearchConfig()
+    assert ex.e_fix(config.instance(xi=float(config.sweep_values()[point])), SearchConfig()) == e_fix
+
+
+@pytest.mark.parametrize("preset, point, e_fix, mu", DEFAULT_PINNED, ids=["fig1", "fig3"])
+def test_mu_search_solves_each_q1_row_once(monkeypatch, preset, point, e_fix, mu):
+    # the pair search meets the incumbent Q1 row at every Q0 box step; its
+    # h is solved once per search, and the value does not move
+    config = cli.load_config(preset=preset)
+    solved = []
+    inner = ex._mu_inner
+
+    def counted(Q1rows, *args):
+        solved.extend(row.tobytes() for row in Q1rows)
+        return inner(Q1rows, *args)
+
+    monkeypatch.setattr(ex, "_mu_inner", counted)
+    assert ex.mu(config.instance(xi=float(config.sweep_values()[point])), SearchConfig()) == mu
+    assert 0 < len(solved) == len(set(solved))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_shared_multiplier_terms_equal_the_per_pair_kernel(d):
+    # the e_fix dual's s = 0 test and doubling tilt each reference once per
+    # multiplier and add the block terms per pair; that must give every
+    # pair the bits of _tilted_blocks on the pair's own references
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(40 + d)))
+    N, M = 13, 7
+    targets = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=3))[:, :, None]  # (3, d, 1)
+    weights = np.array([[1.0], [0.38], [0.6]])
+    logu = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=N)).T  # (d, N)
+    logv = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=M)).T  # (d, M)
+    toward_u = targets[:2], np.stack([logu, logu]), weights[:2]
+    toward_v = targets[2:], logv[None], weights[2:]
+    rows, cols = np.divmod(np.arange(N * M), M)
+    per_pair = targets, np.stack([logu[:, rows], logu[:, rows], logv[:, cols]]), weights
+    for s in [0.0] + [2.0**t for t in range(70)]:
+        cu, fu, cv, fv = ex._reference_terms(s, toward_u, toward_v)
+        assert cu.shape == fu.shape == (N,) and cv.shape == fv.shape == (M,)
+        c, f = ex._tilted_blocks(np.full(N * M, s), per_pair, objective=True)
+        assert np.array_equal(cu[rows] + cv[cols], c), s
+        assert np.array_equal(fu[rows] + fv[cols], f), s
+
+
+@pytest.mark.parametrize(
+    "p0, p1, alpha, beta, lam",
+    [
+        (P0, P1, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003)),  # fig1
+        (P0, P1, 0.7, 0.7, ex.ScaledRenyiLambda(0.5, 0.0)),  # fig3
+        (P0, P1, 0.38, 0.6, ex.ScaledRenyiLambda(1.0, 0.05)),  # fig1 with cells worth 0
+    ],
+    ids=["fig1", "fig3", "fig1_zero"],
+)
+def test_efix_dual_box_step_shapes(monkeypatch, p0, p1, alpha, beta, lam):
+    # a box step of the pair search calls the dual on a box of one block
+    # against the other block's incumbent, and a 1 x 1 call scores a pair.
+    # Each cell is solved alone under the budget the whole call computed:
+    # lambda_matrix takes the matrix-vector product for a one-row or
+    # one-column call, which can round a budget an ulp away from a 1 x 1
+    # call's
+    inst = ex.ProblemInstance(p0, p1, alpha, beta, lam)
+    u0, v0 = ex.e_fix_search(inst, DUAL_CFG).argmin
+    (halfwidth, density), = box_schedule(200, 1)
+    box_u, box_v = (box_grid(x, halfwidth, density, inst.eps) for x in (u0, v0))
+    assert len(box_u) == len(box_v) == 41
+    lambda_matrix = ex.lambda_matrix
+    for U, V in ((box_u, v0[None]), (u0[None], box_v), (u0[None], v0[None])):
+        got = ex._efix_dual_matrix(U, V, inst)
+        assert got.shape == (len(U), len(V))
+        L = lambda_matrix(inst.lam, U, V, inst.beta)
+        full = np.empty(L.shape)
+        for i, j in np.ndindex(L.shape):
+            monkeypatch.setattr(ex, "lambda_matrix", lambda *_: L[i : i + 1, j : j + 1])
+            full[i, j] = ex._efix_dual_matrix(U[i][None], V[j][None], inst)[0, 0]
+        monkeypatch.setattr(ex, "lambda_matrix", lambda_matrix)
+        assert np.isfinite(got.min())
+        assert got.min() == full.min()
+        assert got.argmin() == full.argmin()
+        finite = np.isfinite(got)
+        assert np.array_equal(got[finite], full[finite])
+        assert (full[~finite] > got.min()).all()
+
+
 def test_g1_polish_bound_sized_without_allocating():
     # the bound takes each box's mesh size, an upper bound on box_grid's rows
     for d, k in ((2, 400), (3, 60), (4, 60)):
