@@ -3,6 +3,8 @@ hypothesis-testing trade-off solver.
 
 Each divergence has one kernel over row stacks (kl, weighted_join,
 renyi_matrix); a validated call on one 1-D pair is its one-row case.
+Every sum over the alphabet is taken left to right (`ordered_sum`), and no
+matrix product is taken, so a matrix cell holds the bits of its 1 x 1 call.
 Conventions: 0*log(0/p) = 0, and q(x) > 0 = p(x) makes D(Q||P) +inf as a
 value (never an exception or a warning) so feasibility filters can compare
 it.  All returned values are base-2; accumulation happens in natural log
@@ -61,8 +63,8 @@ def gjs_value(P, Q, alpha):
 def _kl_sum(Q, P):
     """Row-wise D(Q_i||P_i) over two row stacks that broadcast, in bits.
 
-    The masked terms Q*ln(Q/P) are summed left to right, which for d < 8
-    is the order numpy sums a short vector in; q > 0 = p gives +inf.
+    The masked terms Q*ln(Q/P) are summed left to right; q > 0 = p gives
+    +inf.
     """
     if Q.shape != P.shape:
         Q, P = np.broadcast_arrays(Q, P)
@@ -70,10 +72,16 @@ def _kl_sum(Q, P):
     terms = np.zeros(Q.shape)
     with np.errstate(divide="ignore"):
         terms[mask] = Q[mask] * np.log(Q[mask] / P[mask])
-    acc = terms[:, 0]
-    for j in range(1, Q.shape[1]):
-        acc = acc + terms[:, j]
-    return acc / LN2
+    return ordered_sum(terms.T) / LN2
+
+
+def ordered_sum(parts):
+    """parts[0] + parts[1] + ..., left to right: the order of every sum
+    over the alphabet, and numpy's own for a vector shorter than 8."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
 
 
 def _pair(X, Y, names):
@@ -90,37 +98,20 @@ def _check_weights(**weights):
             raise ValueError(f"{name} must be positive and finite, got {w}")
 
 
-def _xlogx(a):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
-    return out
-
-
 def kl_matrix(Q, P):
     """(N,M) matrix of D(Q_i||P_j) in bits; P must have full support rows.
 
     Stacks (..., N, d) and (..., M, d) whose leading axes broadcast give
-    one (N, M) matrix per stack entry, each as a 2-D call computes it.
+    one (N, M) matrix per stack entry.  Each cell is a left-to-right sum
+    over the alphabet of products of its two rows (`_cell_sums`), so its
+    bits do not depend on the stack.
     """
     Q = np.atleast_2d(Q)
     P = np.atleast_2d(P)
-    ent = _xlogx(Q).sum(axis=-1)  # sum_x q log q
+    ent = ordered_sum(np.moveaxis(Q * np.log(np.where(Q > 0, Q, 1.0)), -1, 0))  # sum_x q log q
     with np.errstate(divide="ignore"):
-        cross = Q @ np.swapaxes(np.log(P), -1, -2)  # (..., N, M) of sum_x q_i log p_j
+        cross = _cell_sums(Q, np.log(P))  # (..., N, M) of sum_x q_i log p_j
     return (ent[..., None] - cross) / LN2
-
-
-def kl_matrix_stacked(Q, P):
-    """kl_matrix(Q, P) with every row rounded as it is inside any stack of
-    two or more rows.  numpy takes the matrix-vector product for a one-row
-    stack, which rounds unlike the matrix-matrix product it takes for a
-    taller one, so a lone row is evaluated inside a two-row stack.  A pair
-    search that evaluates its constraint a few columns at a time thus gets
-    the bits of evaluating them all together."""
-    Q = np.atleast_2d(Q)
-    if Q.shape[0] == 1:
-        return kl_matrix(np.vstack([Q, Q]), P)[:1]
-    return kl_matrix(Q, P)
 
 
 def renyi_matrix(Prows, Qrows, alpha):
@@ -128,11 +119,26 @@ def renyi_matrix(Prows, Qrows, alpha):
         min_V alpha*KL(V||P_i) + KL(V||Q_j)
           = -(1+alpha) * log2 sum_x P_i(x)^(alpha/(1+alpha)) Q_j(x)^(1/(1+alpha)).
     Rows must have full support.  Stacks with leading batch axes give one
-    matrix per stack entry, as kl_matrix does.
+    matrix per stack entry, and each cell is a left-to-right sum over the
+    alphabet of products of its two rows, as in kl_matrix.
     """
     w = alpha / (1.0 + alpha)
-    z = (np.atleast_2d(Prows) ** w) @ np.swapaxes(np.atleast_2d(Qrows) ** (1.0 - w), -1, -2)
+    z = _cell_sums(np.atleast_2d(Prows) ** w, np.atleast_2d(Qrows) ** (1.0 - w))
     return -(1.0 + alpha) * np.log(z) / LN2
+
+
+def _cell_sums(X, Y):
+    """(..., N, M) of sum_x X_i(x) * Y_j(x) over stacks (..., N, d) and
+    (..., M, d), summed left to right: a cell's bits follow from its two
+    rows alone, never from the shape of the stack."""
+    X = X[..., :, None, :]
+    Y = Y[..., None, :, :]
+    acc = X[..., 0] * Y[..., 0]
+    term = np.empty_like(acc)
+    for x in range(1, X.shape[-1]):
+        np.multiply(X[..., x], Y[..., x], out=term)
+        acc += term
+    return acc
 
 
 def tilted(P0, P1, rho):

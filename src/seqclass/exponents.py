@@ -109,6 +109,9 @@ class ProblemInstance:
 
 #: box re-gridding rounds of the polish around each inner grid minimum
 _POLISH_ROUNDS = 2
+#: most two-box cells one call of g1's polish scores; g1 polishes its rows
+#: in stacks of as many rows as fit
+_POLISH_CELLS = 2**20
 
 
 def _inner_density(inst, cfg):
@@ -141,8 +144,10 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
 
     Takes one tuple of distributions and returns a float, or three (N, d)
     stacks and returns one score per row.  Under a scaled-Renyi budget the
-    inner grid and lambda on it are built once per call and each row is
-    solved alone, so a row's score does not depend on the rest of its stack.
+    inner grid and lambda on it are built once per call, and the rows are
+    scored and polished in stacks of at most _POLISH_CELLS two-box cells;
+    every cell is computed from its own rows, so a row's score does not
+    depend on the rest of its stack.
     """
     one = np.ndim(Q) == 1
     if one:
@@ -154,21 +159,20 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
     check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
     pg, lam = _inner_table(inst, cfg)  # lam: (k0, k1)
+    step = max(1, _POLISH_CELLS // _polish_side(inst, cfg) ** 2)
     out = np.empty(len(Q))
-    for i in range(len(Q)):
-        a = wx * dv.kl_matrix(Q[i], pg) + w0 * dv.kl_matrix(Q0[i], pg)  # (1, k0)
-        b = w1 * dv.kl_matrix(Q1[i], pg)  # (1, k1)
-        scores = (a + _p1_slot_min(b, lam))[0]
-        j = int(scores.argmin())
-        l = int((b[0] - lam[j]).argmin())
-        # local polish around the argmin pair; the objective is smooth in
-        # (P0', P1') so a couple of shrinking box passes suffice.  A
-        # one-row stack keeps each box unpadded: the two-box lambda matrix
-        # is a matrix-matrix product, which rounds differently once padding
-        # rows enter it
-        one_row = slice(i, i + 1)
-        score = partial(_g1_box, Q[one_row], Q0[one_row], Q1[one_row], (wx, w0, w1), inst)
-        out[i] = min(scores[j], _polish(score, (pg[j][None], pg[l][None]), k, inst.eps)[0])
+    for start in range(0, len(Q), step):
+        rows = slice(start, start + step)
+        a = wx * dv.kl_matrix(Q[rows], pg) + w0 * dv.kl_matrix(Q0[rows], pg)  # (R, k0)
+        b = w1 * dv.kl_matrix(Q1[rows], pg)  # (R, k1)
+        scores = a + _p1_slot_min(b, lam)
+        j = scores.argmin(axis=1)
+        l = (b - lam[j]).argmin(axis=1)
+        # local polish around each row's argmin pair; the objective is
+        # smooth in (P0', P1') so a couple of shrinking box passes suffice
+        score = partial(_g1_box, Q[rows], Q0[rows], Q1[rows], (wx, w0, w1), inst)
+        polished = _polish(score, (pg[j], pg[l]), k, inst.eps)
+        out[rows] = np.minimum(scores[np.arange(j.size), j], polished)
     return float(out[0]) if one else out
 
 
@@ -196,7 +200,7 @@ def _g1_box(Q, Q0, Q1, weights, inst, U, V):
 
 def check_g1_polish(inst, cfg=SearchConfig()):
     """Raise ValueError if g1's polish could score more than PAIR_CELL_LIMIT
-    pairs in one round.
+    pairs for one row in one round.
 
     The round scores every pair of two box grids; each box is bounded by
     its mesh size, so nothing is allocated.  That admits d = 2 and d = 3 at
@@ -205,13 +209,17 @@ def check_g1_polish(inst, cfg=SearchConfig()):
     """
     if isinstance(inst.lam, ConstantLambda):
         return
-    for halfwidth, density in box_schedule(_inner_density(inst, cfg), _POLISH_ROUNDS):
-        side = box_mesh_size(inst.d, halfwidth, density)
-        if side * side > PAIR_CELL_LIMIT:
-            raise ValueError(
-                f"g1 polish too large at d={inst.d}: two boxes of up to {side} points "
-                f"make {side * side} cells > {PAIR_CELL_LIMIT}"
-            )
+    side = _polish_side(inst, cfg)
+    if side * side > PAIR_CELL_LIMIT:
+        raise ValueError(
+            f"g1 polish too large at d={inst.d}: two boxes of up to {side} points "
+            f"make {side * side} cells > {PAIR_CELL_LIMIT}"
+        )
+
+
+def _polish_side(inst, cfg):
+    # the widest mesh of a polish round's box, a bound on box_grid's rows
+    return max(box_mesh_size(inst.d, *box) for box in box_schedule(_inner_density(inst, cfg), _POLISH_ROUNDS))
 
 
 def check_kappa_refinement(inst, cfg=SearchConfig()):
@@ -386,7 +394,7 @@ def _g1_diag_matrix(Q0rows, Q1rows, inst, table):
     unpolished, over the inner grid and lambda table of `_inner_table`."""
     pg, lam = table
     ka = inst.alpha * dv.kl_matrix(Q0rows, pg)  # (N, k)
-    c1 = dv.kl_matrix_stacked(Q1rows, pg)  # (M, k)
+    c1 = dv.kl_matrix(Q1rows, pg)  # (M, k)
     u = c1 + _p1_slot_min(inst.beta * c1, lam)  # (M, k)
     out = np.empty((ka.shape[0], u.shape[0]))
     for j, row in enumerate(u):
@@ -445,7 +453,7 @@ def _mu_inner(Q1rows, inst, cfg, table):
     the polish takes every row at once.  Each row's value is that of a call
     on that row alone, bit for bit."""
     pg, lam = table
-    scores = inst.beta * dv.kl_matrix_stacked(Q1rows, pg) - lam[0][None, :]
+    scores = inst.beta * dv.kl_matrix(Q1rows, pg) - lam[0][None, :]
     h = scores.min(axis=1)
     # polish each row's inner minimum (smooth in P1')
     centers = pg[scores.argmin(axis=1)]
@@ -455,8 +463,7 @@ def _mu_inner(Q1rows, inst, cfg, table):
 
 def _mu_box(Q1rows, inst, V):
     """The objective of h for each Q1 row r over its P1' rows V[r]: an (R, S)
-    array from an (R, S, d) stack.  Both of its matrix products are
-    matrix-vector ones, so padding in V does not move a bit."""
+    array from an (R, S, d) stack."""
     lam = lambda_matrix(inst.lam, inst.p1[None, :], V, inst.beta)[:, 0]
     return inst.beta * dv.kl_matrix(Q1rows[:, None], V)[:, 0] - lam
 
@@ -567,9 +574,7 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     objective is evaluated once, at the final hi.  So every finite cell
     equals a solve of that cell alone under the same budget, and the matrix
     minimum and its first argmin, all that min_simplex_pair reads, are
-    those of solving every cell; a 1 x 1 call is never pruned.  (The
-    budgets of a one-row or one-column call come from a matrix-vector
-    product, which can round L an ulp away from a 1 x 1 call's.)
+    those of solving every cell; a 1 x 1 call is never pruned.
     """
     U = np.atleast_2d(Urows)
     V = np.atleast_2d(Vrows)
@@ -665,7 +670,7 @@ def _tilted_blocks(s, blocks, objective=False):
     would.  Returns (c, f) with f None unless asked for.
     """
     c, f = _block_terms(s, blocks, objective)
-    return _ordered_sum(c), None if f is None else _ordered_sum(f)
+    return dv.ordered_sum(c), None if f is None else dv.ordered_sum(f)
 
 
 def _block_terms(s, blocks, objective=False):
@@ -687,12 +692,12 @@ def _block_terms(s, blocks, objective=False):
         mx = np.maximum(mx, lz[:, j])
     lz -= mx[:, None, :]
     z = np.exp(lz, out=lz)
-    z /= _alphabet_sum(z)[:, None, :]
+    z /= dv.ordered_sum(z.swapaxes(0, 1))[:, None, :]
     lq = np.log(np.where(z > 0, z, 1.0))
     gap = lq - refs
     gap *= z
-    c = weights * _alphabet_sum(gap) / dv.LN2
-    f = weights * _alphabet_sum(z * (lq - targets)) / dv.LN2 if objective else None
+    c = weights * dv.ordered_sum(gap.swapaxes(0, 1)) / dv.LN2
+    f = weights * dv.ordered_sum((z * (lq - targets)).swapaxes(0, 1)) / dv.LN2 if objective else None
     return c, f
 
 
@@ -708,21 +713,7 @@ def _reference_terms(s, toward_u, toward_v):
     blocks at s, bit for bit, since every block term is elementwise.
     """
     (cu, fu), (cv, fv) = (_block_terms(s, blocks, objective=True) for blocks in (toward_u, toward_v))
-    return _ordered_sum(cu), _ordered_sum(fu), _ordered_sum(cv), _ordered_sum(fv)
-
-
-def _alphabet_sum(x):
-    # sum over the alphabet axis of a (B, d, K) array
-    return _ordered_sum(x.swapaxes(0, 1))
-
-
-def _ordered_sum(parts):
-    # parts[0] + parts[1] + ..., left to right: the order in which numpy
-    # reduces a short last axis, which fixed the recorded e_fix values
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+    return tuple(dv.ordered_sum(t) for t in (cu, fu, cv, fv))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ only with coarse_m at most 12, and no d >= 5.
 The objective and the constraint are pair callables: they take two row
 stacks of shapes (N, d) and (M, d) and return an (N, M) matrix.  The
 objective is evaluated on every cell, the constraint only on the columns
-that can still hold the minimum (`_best_over_pair`), so a constraint must
-give a cell the same value whichever columns share its call.  All closures
-must be side-effect-free.  With `eps` set, every grid point is clamped into
+that can still hold the minimum (`_best_over_pair`).  All closures must be
+side-effect-free.  With `eps` set, every grid point is clamped into
 the epsilon-floored simplex.
 """
 

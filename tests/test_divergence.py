@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqclass import divergence as dv
+from seqclass import exponents as ex
 from seqclass.simplex import grid_array
 
 import oracles as orc
@@ -196,24 +197,36 @@ def test_one_row_calls_equal_stacked_rows(data, d, alpha, weight):
             assert dv.renyi_frac(Pf[i], Qf[j], alpha)[0] == ren[i, j]
 
 
-@given(st.data(), st.integers(2, 4), st.sampled_from([0.38, 0.7, 2.0]))
-@settings(max_examples=60, deadline=None)
-def test_stacked_kernels_equal_their_2d_calls(data, d, alpha):
+@given(
+    st.data(),
+    st.integers(2, 6),
+    st.sampled_from([0.38, 0.7, 2.0]),
+    # the shape of each stack entry: one or several rows on either side
+    st.sampled_from([(1, 1), (1, 7), (6, 1), (6, 7)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_stacked_kernels_equal_their_2d_calls(data, d, alpha, entry):
     # stacks with a leading batch axis, either side possibly broadcast from
-    # one entry and holding one row (a matrix-vector product) or several
+    # one entry and holding one row or several
     batch = data.draw(st.integers(1, 4))
-    shapes = [(data.draw(st.sampled_from([1, batch])), data.draw(st.integers(1, 9))) for _ in range(2)]
+    shapes = [(data.draw(st.sampled_from([1, batch])), data.draw(st.integers(1, n))) for n in entry]
     rng = np.random.Generator(np.random.Philox(key=np.uint64(data.draw(st.integers(0, 2**32)))))
     F, P = (0.01 + 0.99 * rng.dirichlet(np.ones(d), size=shape) for shape in shapes)
     Q = F.copy()
     Q[..., 0] = np.where(rng.random(Q.shape[:-1]) < 0.3, 0.0, Q[..., 0])  # q = 0 entries
-    kls, ren = dv.kl_matrix(Q, P), dv.renyi_matrix(F, P, alpha)
+    spec = ex.ScaledRenyiLambda(0.6, 0.003)
+    kls, ren, lam = dv.kl_matrix(Q, P), dv.renyi_matrix(F, P, alpha), ex.lambda_matrix(spec, F, P, alpha)
     rows = max(len(Q), len(P))
-    assert kls.shape == ren.shape == (rows, shapes[0][1], shapes[1][1])
+    assert kls.shape == ren.shape == lam.shape == (rows, shapes[0][1], shapes[1][1])
     for b in range(rows):
         q, f, p = Q[b % len(Q)], F[b % len(F)], P[b % len(P)]
         assert kls[b].tobytes() == dv.kl_matrix(q, p).tobytes()
         assert ren[b].tobytes() == dv.renyi_matrix(f, p, alpha).tobytes()
+        # every cell is its 1 x 1 call, bit for bit, whatever the stack
+        for i, j in np.ndindex(kls.shape[1:]):
+            assert kls[b, i, j].tobytes() == dv.kl_matrix(q[i], p[j]).tobytes()
+            assert ren[b, i, j].tobytes() == dv.renyi_matrix(f[i], p[j], alpha).tobytes()
+            assert lam[b, i, j] == ex.lambda_eval(spec, f[i], p[j], alpha)
 
 
 def test_weighted_join_full_support_values():

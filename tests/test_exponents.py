@@ -478,13 +478,14 @@ def test_efix_dual_memory_stays_flat():
 
 
 # g1 (refined) over a row stack and _mu_inner on fig1 tuples under FAST, and
-# the sum of _g1_diag_matrix over the eps-floored m = 60 grid; recorded before
-# g1's and mu's polish loops were merged into one routine.  The sum is over
-# box_grid's whole-simplex grid, whose last coordinate is 1 - the others
+# the sum of _g1_diag_matrix over the eps-floored m = 60 grid; recorded once
+# every divergence matrix summed each cell over the alphabet left to right.
+# The sum is over box_grid's whole-simplex grid, whose last coordinate is
+# 1 - the others
 PIN_ROWS = np.array([[0.3, 0.7], [0.55, 0.45], [0.12, 0.88], [0.8, 0.2]])
-G1_PINNED = (-0.050220719979256256, -0.011959964532929024, 0.42290306586501475, 0.2018219418381768)
-MU_INNER_PINNED = (-0.0022988094237127265, -0.6800964811539311, -0.053037708202143895, -0.2270407944916899)
-G1_DIAG_SUM_PINNED = 552.588658391936
+G1_PINNED = (-0.050220719979256256, -0.01195996453292919, 0.42290306586501464, 0.2018219418381768)
+MU_INNER_PINNED = (-0.0022988094237127747, -0.6800964811539313, -0.053037708202143895, -0.2270407944916898)
+G1_DIAG_SUM_PINNED = 552.5886583919361
 
 
 def test_g1_kernels_pinned_values():
@@ -496,18 +497,45 @@ def test_g1_kernels_pinned_values():
     assert float(ex._g1_diag_matrix(pg, pg, inst, ex._inner_table(inst, FAST)).sum()) == G1_DIAG_SUM_PINNED
 
 
-def test_g1_stack_equals_one_row_calls():
-    # each row of a stack is solved alone, so stacking cannot change its
-    # BLAS rounding: the stacked scores equal the one-row calls bit for bit
-    inst = renyi_inst()
+@pytest.mark.parametrize("d, rows", [(2, 64), (2, 700), (3, 5)], ids=["d2", "d2-two-calls", "d3"])
+def test_g1_stack_equals_one_row_calls(d, rows):
+    # a stack is scored and polished in calls of at most _POLISH_CELLS
+    # two-box cells (623 rows at d = 2, one at d = 3), and every cell is
+    # computed from its own rows: the stacked scores equal the one-row calls
+    # bit for bit
+    if d == 2:
+        inst, cfg = renyi_inst(), FAST
+    else:
+        inst, cfg = D3_RENYI, SearchConfig(coarse_m=20)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
-    Q, Q0, Q1 = (0.02 + 0.96 * rng.dirichlet(np.ones(2), size=64) for _ in range(3))
-    got = ex.g1(Q, Q0, Q1, inst, FAST)
-    assert isinstance(got, np.ndarray) and got.shape == (64,)
-    assert got.tolist() == [ex.g1(q, q0, q1, inst, FAST) for q, q0, q1 in zip(Q, Q0, Q1)]
+    Q, Q0, Q1 = (0.02 + (1.0 - 0.02 * d) * rng.dirichlet(np.ones(d), size=rows) for _ in range(3))
+    got = ex.g1(Q, Q0, Q1, inst, cfg)
+    assert isinstance(got, np.ndarray) and got.shape == (rows,)
+    assert got.tolist() == [ex.g1(q, q0, q1, inst, cfg) for q, q0, q1 in zip(Q, Q0, Q1)]
     # a constant budget's stack is the weighted join, row for row
-    const = const_inst()
+    const = ex.ProblemInstance(inst.P0, inst.P1, 2.0, 1.0, ex.ConstantLambda(0.05))
     assert ex.g1(Q, Q0, Q1, const).tolist() == [ex.g1(q, q0, q1, const) for q, q0, q1 in zip(Q, Q0, Q1)]
+
+
+#: float64 arrays of _POLISH_CELLS cells that g1 may hold at once; a
+#: 2,000-row d = 2 stack peaks at 4.1 of them
+G1_STACK_PEAK_ARRAYS = 5
+
+
+def test_g1_stack_memory_is_bounded_by_the_polish_cap():
+    # 2,000 rows at d = 2 are polished in four calls of at most 623 rows,
+    # each scoring at most _POLISH_CELLS two-box cells; one call over every
+    # row would hold each (2000, 41, 41) score array, 27 MB, at once
+    inst = renyi_inst()
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(12)))
+    Q, Q0, Q1 = (0.02 + 0.96 * rng.dirichlet(np.ones(2), size=2000) for _ in range(3))
+    tracemalloc.start()
+    try:
+        ex.g1(Q, Q0, Q1, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < G1_STACK_PEAK_ARRAYS * 8 * ex._POLISH_CELLS
 
 
 # columns the kappa constraint (_g1_diag_matrix) was evaluated on in one
@@ -539,7 +567,7 @@ def _mu_inner_loop(Q1rows, inst, cfg, table):
     pg, lam = table
     out = []
     for q in Q1rows:
-        scores = inst.beta * dv.kl_matrix_stacked(q[None], pg)[0] - lam[0]
+        scores = inst.beta * dv.kl_matrix(q[None], pg)[0] - lam[0]
         best, center = scores.min(), pg[scores.argmin()]
         for halfwidth, density in box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS):
             V = box_grid(center, halfwidth, density, inst.eps)
@@ -575,7 +603,7 @@ def test_mu_inner_stack_equals_each_row_alone(case):
         # the first polish boxes differ in size: some are cut by the simplex
         # edge, so the stack carries padding
         pg, lam = table
-        centers = pg[(inst.beta * dv.kl_matrix_stacked(rows, pg) - lam[0]).argmin(axis=1)]
+        centers = pg[(inst.beta * dv.kl_matrix(rows, pg) - lam[0]).argmin(axis=1)]
         (halfwidth, density), _ = box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS)
         _, mask = box_grid(centers, halfwidth, density, inst.eps)
         assert halfwidth > inst.eps and not mask.all()
@@ -681,10 +709,10 @@ def test_efix_pinned_values(point, want):
 
 # e_fix and mu at the default solver on a fig1 and a fig3 sweep point (the
 # index into the preset's sweep): a 201 x 201 coarse dual solved in many
-# chunks, then three box rounds; recorded when the s = 0 test and the
-# doubling still tilted every cell's own references
+# chunks, then three box rounds; recorded once every divergence matrix
+# summed each cell over the alphabet left to right
 DEFAULT_PINNED = (
-    ("fig1", 24, 0.055747884198005415, 0.2225876554133018),
+    ("fig1", 24, 0.05574788419800541, 0.2225876554133018),
     ("fig3", 40, 0.011417282558733737, 0.365132129574385),
 )
 
@@ -745,28 +773,21 @@ def test_shared_multiplier_terms_equal_the_per_pair_kernel(d):
     ],
     ids=["fig1", "fig3", "fig1_zero"],
 )
-def test_efix_dual_box_step_shapes(monkeypatch, p0, p1, alpha, beta, lam):
+def test_efix_dual_box_step_shapes(p0, p1, alpha, beta, lam):
     # a box step of the pair search calls the dual on a box of one block
-    # against the other block's incumbent, and a 1 x 1 call scores a pair.
-    # Each cell is solved alone under the budget the whole call computed:
-    # lambda_matrix takes the matrix-vector product for a one-row or
-    # one-column call, which can round a budget an ulp away from a 1 x 1
-    # call's
+    # against the other block's incumbent, and a 1 x 1 call scores a pair:
+    # each cell is solved alone, under its own 1 x 1 budget
     inst = ex.ProblemInstance(p0, p1, alpha, beta, lam)
     u0, v0 = ex.e_fix_search(inst, DUAL_CFG).argmin
     (halfwidth, density), = box_schedule(200, 1)
     box_u, box_v = (box_grid(x, halfwidth, density, inst.eps) for x in (u0, v0))
     assert len(box_u) == len(box_v) == 41
-    lambda_matrix = ex.lambda_matrix
     for U, V in ((box_u, v0[None]), (u0[None], box_v), (u0[None], v0[None])):
         got = ex._efix_dual_matrix(U, V, inst)
         assert got.shape == (len(U), len(V))
-        L = lambda_matrix(inst.lam, U, V, inst.beta)
-        full = np.empty(L.shape)
-        for i, j in np.ndindex(L.shape):
-            monkeypatch.setattr(ex, "lambda_matrix", lambda *_: L[i : i + 1, j : j + 1])
+        full = np.empty(got.shape)
+        for i, j in np.ndindex(got.shape):
             full[i, j] = ex._efix_dual_matrix(U[i][None], V[j][None], inst)[0, 0]
-        monkeypatch.setattr(ex, "lambda_matrix", lambda_matrix)
         assert np.isfinite(got.min())
         assert got.min() == full.min()
         assert got.argmin() == full.argmin()

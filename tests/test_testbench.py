@@ -253,8 +253,9 @@ def test_gn_generic_close_to_constant_structure():
 
 # Late-phase scores g_n.  The constant-budget cases were recorded with the
 # scalar weighted join; the scaled-Renyi ones with g1's inner grid and
-# polish under the late weights.  Each case scores the tuples of TUPLES[d]
-# with the late weights of one setup at one n.
+# polish under the late weights, and re-recorded once every divergence
+# matrix summed each cell over the alphabet left to right.  Each case scores
+# the tuples of TUPLES[d] with the late weights of one setup at one n.
 LATE_INSTANCES = {
     "constant": ex.ProblemInstance((0.8, 0.2), (0.2, 0.8), 0.3, 0.7, ex.ConstantLambda(0.05)),
     "constant_d3": ex.ProblemInstance(
