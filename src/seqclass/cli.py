@@ -19,7 +19,7 @@ from . import divergence as dv
 from . import exponents as ex
 from . import montecarlo as mc
 from .optimizer import REFINE_FACTOR, SearchConfig, check_pair_grid
-from .simplex import grid_array
+from .simplex import grid_array, philox_uniforms, stream_keys
 from .testbench import SetupKind, make_model, stream_sizes
 
 EXIT_OK = 0
@@ -509,6 +509,23 @@ def tradeoff_gap(pairs, fracs):
     return float(np.max(gaps, initial=0.0))
 
 
+def sampler_mismatches(seed, trials, sizes):
+    """Keys and uniform rows where the simulator's sampler and numpy's own
+    generators differ, as (keys, rows) counts: stream_keys(seed, trial,
+    block) against SeedSequence(seed, spawn_key=(trial, block)) for a seed
+    in [0, 2**63), and philox_uniforms on those keys against
+    Generator(Philox(key)).random, sizes[block] values per block."""
+    keys = stream_keys(seed, np.asarray(trials)[:, None], np.arange(len(sizes)))
+    uniforms = philox_uniforms(keys, sizes)
+    bad_keys = bad_rows = 0
+    for r, t in enumerate(trials):
+        for b, k in enumerate(sizes):
+            want = np.random.SeedSequence(seed, spawn_key=(t, b)).generate_state(1, np.uint64)[0]
+            bad_keys += int(keys[r, b] != want)
+            bad_rows += int((uniforms[b][r] != np.random.Generator(np.random.Philox(key=want)).random(k)).any())
+    return bad_keys, bad_rows
+
+
 def _binary(p):
     return np.array([p, 1 - p])
 
@@ -529,6 +546,15 @@ def _verify_checks(level):
     pairs = [(_binary(p), _binary(q)) for p, q in draws if abs(p - q) >= 0.1]
     worst = tradeoff_gap(pairs, np.linspace(0.1, 0.9, 3))
     yield "bht-tradeoff-vs-grid", worst <= tol, f"worst gap {worst:.2e} vs tol {tol:g}"
+
+    # the sampler against numpy's SeedSequence and Philox, which it
+    # reproduces: a numpy release that changed either would move every
+    # simulated count
+    trials, sizes = [0, 1, 2**32 + 5], [1, 6, 13]
+    bad_keys, bad_rows = sampler_mismatches(20240917, trials, sizes)
+    yield "sampler-matches-numpy", bad_keys == bad_rows == 0, (
+        f"{bad_keys} of {len(trials) * len(sizes)} keys and {bad_rows} uniform rows differ"
+    )
 
     if level != "full":
         return

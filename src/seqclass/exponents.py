@@ -122,12 +122,22 @@ def _inner_density(inst, cfg):
     return 2 * m if inst.d == 2 else m
 
 
+class _InnerTable(tuple):
+    """The pair (pg, lam) of `_inner_table`, which also holds the pieces
+    `_g1_diag_matrix` has computed on it (see there)."""
+
+    def __new__(cls, pg, lam):
+        table = super().__new__(cls, (pg, lam))
+        table.q0, table.lead, table.u = None, None, {}
+        return table
+
+
 def _inner_table(inst, cfg, rows=None):
     """The inner grid of the scaled-Renyi minima and lambda on it: (pg, lam)
     with lam[i, j] = lambda(rows_i, pg_j), rows the grid itself by default.
     A search builds it once and hands it to every call that scores a grid."""
     pg = grid_array(inst.d, _inner_density(inst, cfg), eps=inst.eps)
-    return pg, lambda_matrix(inst.lam, pg if rows is None else rows, pg, inst.beta)
+    return _InnerTable(pg, lambda_matrix(inst.lam, pg if rows is None else rows, pg, inst.beta))
 
 
 def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
@@ -391,11 +401,26 @@ def kappa_search(inst, cfg=SearchConfig()):
 
 def _g1_diag_matrix(Q0rows, Q1rows, inst, table):
     """(N,M) matrix of g1(Q1_j, Q0_i, Q1_j) for the scaled-Renyi family,
-    unpolished, over the inner grid and lambda table of `_inner_table`."""
+    unpolished, over the inner grid and lambda table of `_inner_table`: the
+    least sum over P0' of alpha*KL(Q0_i||P0') and u(Q1_j), where u =
+    KL(Q1||P0') + the P1'-slot minimum of beta*KL(Q1||P1') - lambda.
+
+    The table keeps both pieces for the search it serves.  A pair-grid call
+    scores one Q0 stack against batch after batch of Q1 columns, so the
+    lead of the last Q0 stack is kept; the box steps meet the incumbent Q1
+    row again and again, so u is kept for every Q1 row, by the row's bytes.
+    Each piece is a row's own, so a kept one has the bits of a fresh one.
+    """
     pg, lam = table
-    ka = inst.alpha * dv.kl_matrix(Q0rows, pg)  # (N, k)
-    c1 = dv.kl_matrix(Q1rows, pg)  # (M, k)
-    u = c1 + _p1_slot_min(inst.beta * c1, lam)  # (M, k)
+    if Q0rows is not table.q0:
+        table.q0, table.lead = Q0rows, inst.alpha * dv.kl_matrix(Q0rows, pg)
+    keys = [row.tobytes() for row in Q1rows]
+    fresh = {key: i for i, key in enumerate(keys) if key not in table.u}
+    if fresh:
+        c1 = dv.kl_matrix(Q1rows[list(fresh.values())], pg)
+        table.u.update(zip(fresh, c1 + _p1_slot_min(inst.beta * c1, lam)))
+    ka = table.lead  # (N, k)
+    u = np.array([table.u[key] for key in keys])  # (M, k)
     out = np.empty((ka.shape[0], u.shape[0]))
     for j, row in enumerate(u):
         out[:, j] = (ka + row[None, :]).min(axis=1)

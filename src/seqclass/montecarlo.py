@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import sample_rows, stream_keys, type_rows
+from .simplex import sample_rows, sample_types, stream_keys
 from .testbench import early_phase, late_phase, make_model, stream_sizes, two_phase_test
 
 #: per-n error-count floor below which a point is too rare to trust
@@ -48,10 +48,10 @@ def _chunks(trials, samples_per_trial):
         yield lo, min(lo + step, trials)
 
 
-def _draw(laws, sizes, seed, ids):
-    """Each block's samples for the trials `ids`: block i of trial t is the
-    first sizes[i] values of stream (seed, t, i)."""
-    return sample_rows(laws, sizes, stream_keys(seed, ids[:, None], np.arange(len(laws))))
+def _keys(seed, ids, blocks):
+    """The (T, blocks) stream keys of the trials `ids`: block i of trial t
+    reads stream (seed, t, i)."""
+    return stream_keys(seed, ids[:, None], np.arange(blocks))
 
 
 def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
@@ -59,17 +59,17 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
 
     Deterministic for a fixed seed: each trial's streams are keyed by
     (seed, trial, block), so growing `trials` extends, never reshuffles.
-    Trials run in chunks as row stacks, each drawing the prefix its first
-    decision reads.  A fixed-length trial, whose blocks are all fixed,
-    decides by the late-phase rule at time n.  A two-phase trial reads that
-    prefix at time n - 1; the trials the early rule defers redraw their full
-    streams, which extend that prefix, for two_phase_test.
+    Trials run in chunks as row stacks, each counting the types of the
+    prefix its first decision reads straight from the uniforms.  A
+    fixed-length trial, whose blocks are all fixed, decides by the
+    late-phase rule at time n.  A two-phase trial reads that prefix at time
+    n - 1; the trials the early rule defers draw their full streams as
+    indices, which extend that prefix, for two_phase_test.
     """
     if theta not in (0, 1):
         raise ValueError("theta must be 0 or 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = inst.d
     decision = np.empty(trials, dtype=np.intp)
     tau = np.empty(trials, dtype=np.intp)
     early = 0
@@ -79,7 +79,7 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     prefix, full, _, _ = stream_sizes(model, n, late_cap)
     for lo, hi in _chunks(trials, sum(prefix)):
         ids = np.arange(lo, hi)
-        tup = tuple(type_rows(s, d) for s in _draw(laws, prefix, seed, ids))
+        tup = tuple(sample_types(laws, prefix, _keys(seed, ids, len(laws))))
         if model.ell == len(model.blocks):
             # no sequential block: one decision at time n
             decision[lo:hi] = late_phase(tup, n, model)
@@ -92,7 +92,7 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
         deferred = ids[~stop]
         for dlo, dhi in _chunks(deferred.size, sum(full)):
             rows = deferred[dlo:dhi]
-            streams = _draw(laws, full, seed, rows)
+            streams = sample_rows(laws, full, _keys(seed, rows, len(laws)))
             for r, t in enumerate(rows):
                 out = two_phase_test([s[r] for s in streams], n, model, late_cap=late_cap)
                 decision[t], tau[t] = out.decision, out.tau

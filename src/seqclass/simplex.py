@@ -57,23 +57,25 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
-def _hasher():
-    """SeedSequence's hashmix over uint32 arrays; each call advances the
-    shared multiplier, as the pool mixing does."""
-    const = [_INIT_A]
+def _chain(start, mult, calls):
+    """The multiplier chain of `calls` hashmix calls: call i xors with
+    entry i and multiplies by entry i + 1."""
+    out = [start]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    return out
 
-    def hashmix(v):
-        v = v ^ np.uint32(const[0])
-        const[0] = const[0] * _MULT_A & _MASK32
-        v = v * np.uint32(const[0])
-        return v ^ (v >> np.uint32(16))
 
-    return hashmix
+def _hashmix(v, xor, mult):
+    """SeedSequence's hashmix of v, an int below 2**32 or a uint32 array:
+    xor with one constant of the multiplier chain, multiply by the next."""
+    v = (v ^ xor) * mult & _MASK32
+    return v ^ (v >> 16)
 
 
 def _mix(x, y):
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> np.uint32(16))
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
 
 
 def _id_words(ids, rows):
@@ -96,7 +98,8 @@ def stream_keys(seed, *ids):
     """Philox keys of the sub-streams (seed, *ids), one per broadcast row.
 
     Each key is SeedSequence(entropy=seed & (2**63 - 1), spawn_key=ids)
-    .generate_state(1, np.uint64)[0], computed in uint32 array arithmetic.
+    .generate_state(1, np.uint64)[0], computed in uint32 arithmetic: the
+    seed's stage once, on ints, and the spawn words on arrays of rows.
     The ids are integers in [0, 2**64) or arrays of them; the result has
     their broadcast shape.  A key depends only on (seed, ids), so adding
     streams never reshuffles earlier ones.
@@ -110,29 +113,32 @@ def stream_keys(seed, *ids):
     shape = np.broadcast_shapes(*(c.shape for c in cols))
     rows = int(np.prod(shape))
     words, count = _id_words([np.broadcast_to(c, shape).ravel() for c in cols], rows)
-    hashmix = _hasher()
+    # hashmix call i xors with chain[i] and multiplies by chain[i + 1]: the
+    # seed stage makes 16 calls, then each spawn word one per pool word
+    chain = _chain(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * words.shape[1])
     # the seed's words, zero-filled to the pool size, then mixed together;
-    # this stage is the same for every row
+    # this stage is the same for every row, so it runs once, on ints
     entropy = int(seed) & (2**63 - 1)
     seed_words = [entropy & _MASK32, entropy >> 32] + [0] * (_POOL - 2)
-    pool = [hashmix(np.full(rows, w, dtype=np.uint32)) for w in seed_words]
+    pool = [_hashmix(w, chain[i], chain[i + 1]) for i, w in enumerate(seed_words)]
+    call = _POOL
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    # then every spawn word of a row into each pool word; rows with fewer
-    # words keep their pool, while the multiplier advances for all
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[call], chain[call + 1]))
+                call += 1
+    # then every spawn word of a row into each pool word, the pool words as
+    # the rows of one (4, rows) stack; rows with fewer words keep their
+    # pool, while the multiplier advances for all
+    pool = np.repeat(np.array(pool, dtype=np.uint32)[:, None], rows, axis=1)
+    links = np.array(chain, dtype=np.uint32)[:, None]
     for j in range(words.shape[1]):
-        live = j < count
-        for dst in range(_POOL):
-            pool[dst] = np.where(live, _mix(pool[dst], hashmix(words[:, j])), pool[dst])
-    out = []
-    const = _INIT_B
-    for v in pool[:2]:
-        v = v ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        v = v * np.uint32(const)
-        out.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+        at = call + _POOL * j
+        mixed = _mix(pool, _hashmix(words[:, j], links[at : at + _POOL], links[at + 1 : at + _POOL + 1]))
+        pool = mixed if j < count.min() else np.where(j < count, mixed, pool)
+    # the key: the first two pool words, hashed on a chain of their own
+    links = np.array(_chain(_INIT_B, _MULT_B, 2), dtype=np.uint32)[:, None]
+    out = _hashmix(pool[:2], links[:2], links[1:]).astype(np.uint64)
     return (out[0] | (out[1] << np.uint64(32))).reshape(shape)
 
 
@@ -142,15 +148,24 @@ def stream_seed(seed, *ids):
 
 
 def _mulhilo(m, x):
-    """High and low 64-bit words of the 128-bit product of the constant m and x."""
+    """High and low 64-bit words of the 128-bit products m * x, for uint64
+    arrays that broadcast; the high word by the four-multiply form of
+    Hacker's Delight, section 8-2."""
     lo32 = np.uint64(_MASK32)
     s32 = np.uint64(32)
-    mh, ml = np.uint64(m >> 32), np.uint64(m & _MASK32)
-    xh, xl = x >> s32, x & lo32
-    ll, lh, hl = xl * ml, xl * mh, xh * ml
-    mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
-    hi = xh * mh + (lh >> s32) + (hl >> s32) + (mid >> s32)
-    return hi, x * np.uint64(m)
+    ml, mh = m & lo32, m >> s32
+    xl, xh = x & lo32, x >> s32
+    t = xl * ml
+    t >>= s32
+    t += xh * ml
+    xl *= mh
+    xl += t & lo32
+    t >>= s32
+    xh *= mh
+    xh += t
+    xl >>= s32
+    xh += xl
+    return xh, x * m
 
 
 def philox_uniforms(keys, sizes):
@@ -167,19 +182,29 @@ def philox_uniforms(keys, sizes):
     rows = keys.shape[0]
     nblocks = [(k + 3) // 4 for k in sizes]
     k0 = np.concatenate([np.repeat(keys[:, i], nb) for i, nb in enumerate(nblocks)])
-    c0 = np.concatenate([np.tile(np.arange(1, nb + 1, dtype=np.uint64), rows) for nb in nblocks])
-    c1 = c2 = c3 = np.zeros_like(c0)
+    # lanes (c0, c2) and (c1, c3) as the rows of two (2, n) stacks, so that
+    # one kernel takes both products of a round
+    even = np.zeros((2, k0.size), dtype=np.uint64)
+    even[0] = np.concatenate([np.tile(np.arange(1, nb + 1, dtype=np.uint64), rows) for nb in nblocks])
+    odd = np.zeros_like(even)
+    mult = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
     for r in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        k1 = np.uint64(r * _PHILOX_W[1] & _MASK64)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0 = k0 + np.uint64(_PHILOX_W[0])
-    raw = np.stack([c0, c1, c2, c3], axis=-1).ravel()
+        hi, lo = _mulhilo(mult, even)
+        # (c0, c2) <- (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1) and (c1, c3) <- (lo1, lo0)
+        odd ^= hi[::-1]
+        odd[0] ^= k0
+        odd[1] ^= np.uint64(r * _PHILOX_W[1] & _MASK64)
+        even, odd = odd, lo[::-1]
+        k0 += np.uint64(_PHILOX_W[0])
+    raw = np.empty((k0.size, 4), dtype=np.uint64)
+    raw[:, 0::2] = even.T
+    raw[:, 1::2] = odd.T
+    raw = raw.ravel()
+    raw >>= np.uint64(11)
     out, at = [], 0
     for k, nb in zip(sizes, nblocks):
         block = raw[at : at + rows * 4 * nb].reshape(rows, 4 * nb)[:, :k]
-        out.append((block >> np.uint64(11)) * (1.0 / 9007199254740992.0))
+        out.append(block * (1.0 / 9007199254740992.0))
         at += rows * 4 * nb
     return out
 
@@ -191,12 +216,38 @@ def sample_rows(laws, sizes, keys):
     inverse CDF, row r driven by the stream keys[r, i].  The laws must
     already be validated distributions (see as_dist).
     """
+    return [np.searchsorted(_cdf(p), u, side="right") for p, u in zip(laws, philox_uniforms(keys, sizes))]
+
+
+def sample_types(laws, sizes, keys):
+    """The (R, d) empirical types of sample_rows' blocks, counted from the
+    uniforms without drawing an index: entry i equals type_rows(
+    sample_rows(laws, sizes, keys)[i], d) bit for bit.
+
+    A uniform u draws the first letter x with u < cdf[x], so #(u < cdf[x])
+    samples of a row fall at or below letter x; letter x counts the
+    difference of successive such counts.
+    """
     out = []
     for p, u in zip(laws, philox_uniforms(keys, sizes)):
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0  # guard against rounding in the last bin
-        out.append(np.searchsorted(cdf, u, side="right"))
+        rows, k = u.shape
+        counts = np.empty((rows, p.size), dtype=np.intp)
+        below = 0
+        for x, c in enumerate(_cdf(p)[:-1]):
+            now = np.count_nonzero(u < c, axis=1)
+            counts[:, x] = now - below
+            below = now
+        counts[:, -1] = k - below
+        out.append(counts / k)
     return out
+
+
+def _cdf(p):
+    """The inverse-CDF table of a law: its running sum, with the last entry
+    forced to 1.0 against rounding in the last bin."""
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    return cdf
 
 
 def sample_iid(p, n, seed):

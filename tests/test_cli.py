@@ -6,6 +6,7 @@ import pytest
 from seqclass import cli
 from seqclass import exponents as ex
 from seqclass import montecarlo as mc
+from seqclass import simplex
 from seqclass.optimizer import SearchConfig
 
 import oracles as orc
@@ -274,7 +275,16 @@ def test_verify_quick_passes(capsys):
     assert cli.cmd_verify("quick") == 0
     out = capsys.readouterr().out
     assert "PASS divergence-closed-form-vs-grid" in out
+    assert "PASS sampler-matches-numpy" in out
     assert out.strip().endswith("(quick level)")
+
+
+def test_verify_fails_when_the_sampler_leaves_numpy(monkeypatch, capsys):
+    # a key that no longer equals SeedSequence's fails the check, exit 5
+    monkeypatch.setattr(cli, "stream_keys", lambda seed, *ids: simplex.stream_keys(seed + 1, *ids))
+    assert cli.cmd_verify("quick") == cli.EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert "FAIL sampler-matches-numpy: 9 of 9 keys" in out
 
 
 def test_verify_tol_override_names_failed_check(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
@@ -16,6 +16,7 @@ from seqclass.simplex import (
     philox_uniforms,
     sample_iid,
     sample_rows,
+    sample_types,
     satisfies_floor,
     stream_keys,
     stream_seed,
@@ -251,6 +252,18 @@ def test_stream_keys_rows_equal_seed_sequence(seed, trials, block):
         assert [int(k) for k in keys] == [_seed_sequence_key(seed, spawn(i)) for i in trials]
 
 
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_stream_keys_trial_block_grid_equal_seed_sequence(seed):
+    # run_trials' call shape: a column of trial ids against a row of block
+    # ids, the trial ids on both sides of 2**32
+    wide = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    for trials in (np.arange(2**32 - 3, 2**32 + 3), wide):
+        keys = stream_keys(seed, trials[:, None], np.arange(3))
+        assert keys.shape == (trials.size, 3)
+        for t, row in zip(trials, keys):
+            assert [int(k) for k in row] == [_seed_sequence_key(seed, (int(t), i)) for i in range(3)]
+
+
 def test_stream_keys_reject_bad_ids():
     for bad in (-1, 2**64, 0.5, np.array([3, -1])):
         with pytest.raises(ValueError):
@@ -296,6 +309,42 @@ def test_sample_iid_is_the_one_row_case():
     assert not (rows == 1).any()  # a zero-mass symbol is never drawn
     # a short stream is a prefix of a longer one
     assert (sample_rows([p], [13], keys[:, :1])[0] == rows[:, :13]).all()
+
+
+#: a law as integer weights over 2..6 letters, zero weights allowed
+WEIGHTS = st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(0, 5), min_size=d, max_size=d)).filter(any)
+EDGE_KEY = st.sampled_from([0, 2**64 - 1]) | KEY
+
+
+@given(
+    st.lists(st.tuples(WEIGHTS, st.integers(1, 300)), min_size=1, max_size=3),
+    st.lists(st.lists(EDGE_KEY, min_size=3, max_size=3), min_size=1, max_size=3),
+)
+@example([([3, 1, 0], 1), ([0, 2, 0, 0, 0, 7], 299), ([1, 2, 7, 0], 6)], [[0, 2**64 - 1, 5]])
+@settings(max_examples=60, deadline=None)
+def test_sample_types_equal_types_of_sample_rows(blocks, keys):
+    # the types counted from the uniforms are those of the drawn indices,
+    # zero-mass letters (the last one too) and partial Philox blocks included
+    laws = [as_dist(np.array(w) / sum(w)) for w, _ in blocks]
+    sizes = [k for _, k in blocks]
+    keys = np.array(keys, dtype=np.uint64)[:, : len(blocks)]
+    got = sample_types(laws, sizes, keys)
+    for types, x, p in zip(got, sample_rows(laws, sizes, keys), laws):
+        want = type_rows(x, p.size)
+        assert types.shape == want.shape
+        assert types.tobytes() == want.tobytes()
+
+
+def test_sample_types_break_ties_as_sample_rows(monkeypatch):
+    # a uniform equal to a cdf entry draws the next letter with mass, in
+    # both routes
+    p = as_dist([0.25, 0.25, 0.0, 0.5])
+    u = np.array([[0.0, 0.25, 0.5, 0.5 - 2**-53, 1 - 2**-53, 0.75]])
+    monkeypatch.setattr(simplex, "philox_uniforms", lambda keys, sizes: [u])
+    (x,) = sample_rows([p], [6], [[0]])
+    (types,) = sample_types([p], [6], [[0]])
+    assert list(x[0]) == [0, 1, 3, 1, 3, 3]
+    assert types.tobytes() == type_rows(x, 4).tobytes()
 
 
 def test_type_rows_match_empirical():
