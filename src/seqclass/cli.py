@@ -7,6 +7,7 @@ key list.  Outputs (CSV/JSON/SVG) are written atomically.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -39,6 +40,8 @@ CURVE_COLUMNS = (
     "e_semi1",
     "e_semi2",
 )
+
+TRIAL_COLUMNS = ("setup", "n", "theta", "trials", "errors", "mean_tau", "ci95_tau", "capped")
 
 CONFIG_KEYS = {
     "schema",
@@ -103,7 +106,7 @@ PRESETS = {
         "lambda0": "0.05",
         "sweep_parameter": "lambda0",
         "sweep_from": "0.001",
-        # sweep_to filled at load time with GJS(P0||P1, alpha)
+        # a lambda0 sweep with no sweep_to ends at GJS(P0||P1, alpha)
         "sweep_points": "50",
         "sweep_scale": "linear",
     },
@@ -145,6 +148,9 @@ def parse_config_text(text):
 
 
 def load_config(path=None, preset=None):
+    """The RunConfig of a preset and/or a config file.  Every refusal while
+    the config loads is a ConfigError: a missing key, a value that does not
+    parse, or one that the objects the config describes refuse."""
     raw = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -161,7 +167,12 @@ def load_config(path=None, preset=None):
         raise ConfigError("need --config and/or --preset")
     if raw.get("schema") != "1":
         raise ConfigError("config must declare 'schema = 1'")
-    return RunConfig(raw, preset=preset)
+    try:
+        return RunConfig(raw)
+    except KeyError as e:
+        raise ConfigError(f"missing key {e.args[0]!r}")
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 def _floats(s):
@@ -169,122 +180,84 @@ def _floats(s):
 
 
 class RunConfig:
-    """Validated run configuration (instance + sweep + solver + sim)."""
+    """Run configuration (instance + sweep + solver + sim), checked by
+    building what it describes: the instance, the instance at each end of
+    the sweep, the SearchConfig with its grid gates, and the stream layout
+    of every sim cell.  A missing key raises KeyError, and a value that
+    does not parse or that any of those refuses raises ValueError."""
 
-    def __init__(self, raw, preset=None):
-        try:
-            self.p0 = _floats(raw["p0"])
-            self.p1 = _floats(raw["p1"])
-            self.alpha = float(raw["alpha"])
-            self.beta = float(raw["beta"])
-            self.epsilon = float(raw.get("epsilon", "0.01"))
-        except KeyError as e:
-            raise ConfigError(f"missing key {e.args[0]!r}")
-        except ValueError as e:
-            raise ConfigError(str(e))
+    def __init__(self, raw):
+        self.p0 = _floats(raw["p0"])
+        self.p1 = _floats(raw["p1"])
+        self.alpha = float(raw["alpha"])
+        self.beta = float(raw["beta"])
+        self.epsilon = float(raw.get("epsilon", "0.01"))
         fam = raw.get("lambda_family", "constant")
         if fam == "constant":
-            try:
-                self.lam = ex.ConstantLambda(float(raw.get("lambda0", "0")))
-            except ValueError as e:
-                raise ConfigError(f"bad constant lambda: {e}")
+            self.lam = ex.ConstantLambda(float(raw.get("lambda0", "0")))
         elif fam == "scaled_renyi":
-            try:
-                self.lam = ex.ScaledRenyiLambda(
-                    float(raw.get("xi", "1")), float(raw.get("offset", "0"))
-                )
-            except ValueError as e:
-                raise ConfigError(f"bad scaled_renyi lambda: {e}")
+            self.lam = ex.ScaledRenyiLambda(float(raw.get("xi", "1")), float(raw.get("offset", "0")))
         else:
-            raise ConfigError(f"unknown lambda_family {fam!r}")
-        try:
-            inst = self.instance()  # validate eagerly
-        except ValueError as e:
-            raise ConfigError(str(e))
+            raise ValueError(f"unknown lambda_family {fam!r}")
+        inst = self.instance()
         self.sweep = None
         if "sweep_parameter" in raw:
             param = raw["sweep_parameter"]
             if param not in ("lambda0", "xi", "beta"):
-                raise ConfigError(f"unsupported sweep_parameter {param!r}")
-            to = raw.get("sweep_to")
-            if to is None and preset == "fig2":
-                to = repr(dv.gjs_value(np.asarray(self.p0), np.asarray(self.p1), self.alpha))
-            if to is None:
-                raise ConfigError("sweep_to missing")
-            try:
-                self.sweep = {
-                    "parameter": param,
-                    "from": float(raw["sweep_from"]),
-                    "to": float(to),
-                    "points": int(raw.get("sweep_points", "50")),
-                    "scale": raw.get("sweep_scale", "linear"),
-                }
-            except (KeyError, ValueError) as e:
-                raise ConfigError(f"bad sweep: {e}")
+                raise ValueError(f"unsupported sweep_parameter {param!r}")
+            # a lambda0 sweep ends at GJS(P0||P1, alpha) unless sweep_to says otherwise
+            if param == "lambda0":
+                raw = {"sweep_to": dv.gjs_value(np.asarray(self.p0), np.asarray(self.p1), self.alpha), **raw}
+            self.sweep = {
+                "parameter": param,
+                "from": float(raw["sweep_from"]),
+                "to": float(raw["sweep_to"]),
+                "points": int(raw.get("sweep_points", "50")),
+                "scale": raw.get("sweep_scale", "linear"),
+            }
             if self.sweep["points"] < 2:
-                raise ConfigError("sweep_points must be >= 2")
-            if not all(0.0 < self.sweep[end] < math.inf for end in ("from", "to")):
-                raise ConfigError("sweep range must be positive and finite")
+                raise ValueError("sweep_points must be >= 2")
             if self.sweep["scale"] not in ("linear", "log"):
-                raise ConfigError("sweep_scale must be linear or log")
-            if param == "lambda0" and fam != "constant":
-                raise ConfigError("sweep_parameter lambda0 needs lambda_family constant")
-            if param == "xi":
-                if fam != "scaled_renyi":
-                    raise ConfigError("sweep_parameter xi needs lambda_family scaled_renyi")
-                if self.sweep["from"] > 1 or self.sweep["to"] > 1:
-                    raise ConfigError("xi sweep must stay within (0, 1]")
-        coarse = raw.get("solver_coarse_m")
-        if fam == "constant":
+                raise ValueError("sweep_scale must be linear or log")
+            for end in ("from", "to"):
+                self.instance(**{param: self.sweep[end]})
+        if isinstance(self.lam, ex.ConstantLambda):
             for key in ("solver_coarse_m", "solver_refine_rounds"):
                 if key in raw:
-                    raise ConfigError(f"{key} does nothing under a constant budget, which searches no grid")
-        try:
-            self.solver = SearchConfig(
-                coarse_m=int(coarse) if coarse is not None else None,
-                refine_rounds=int(raw.get("solver_refine_rounds", "3")),
-            )
-            if fam == "scaled_renyi":
-                check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
-                ex.check_kappa_refinement(inst, self.solver)
-        except ValueError as e:
-            raise ConfigError(f"bad solver settings: {e}")
-        setups = raw.get("sim_setups", "fullyseq")
-        try:
-            self.sim_setups = tuple(SetupKind(s.strip()) for s in setups.split(","))
-        except ValueError:
-            raise ConfigError(f"bad sim_setups {setups!r}")
-        try:
-            self.sim_n_grid = tuple(int(x) for x in raw.get("sim_n_grid", "20,40,60").split(","))
-            self.sim_trials = int(raw.get("sim_trials", "10000"))
-            self.sim_seed = int(raw.get("sim_seed", "0"))
-            cap = raw.get("sim_late_cap")
-            self.sim_late_cap = int(cap) if cap is not None else None
-        except ValueError as e:
-            raise ConfigError(f"bad sim settings: {e}")
-        if min(self.sim_n_grid) < 2:
-            raise ConfigError("sim_n_grid entries must be >= 2")
+                    raise ValueError(f"{key} does nothing under a constant budget, which searches no grid")
+        coarse = raw.get("solver_coarse_m")
+        self.solver = SearchConfig(
+            coarse_m=int(coarse) if coarse is not None else None,
+            refine_rounds=int(raw.get("solver_refine_rounds", "3")),
+        )
+        if isinstance(self.lam, ex.ScaledRenyiLambda):
+            check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
+            ex.check_kappa_refinement(inst, self.solver)
+        self.sim_setups = tuple(SetupKind(s.strip()) for s in raw.get("sim_setups", "fullyseq").split(","))
+        self.sim_n_grid = tuple(int(x) for x in raw.get("sim_n_grid", "20,40,60").split(","))
+        self.sim_trials = int(raw.get("sim_trials", "10000"))
+        self.sim_seed = int(raw.get("sim_seed", "0"))
+        cap = raw.get("sim_late_cap")
+        self.sim_late_cap = int(cap) if cap is not None else None
         if self.sim_trials < 1:
-            raise ConfigError("sim_trials must be >= 1")
+            raise ValueError("sim_trials must be >= 1")
         if self.sim_late_cap is not None and self.sim_late_cap < 1:
-            raise ConfigError("sim_late_cap must be >= 1")
+            raise ValueError("sim_late_cap must be >= 1")
         self.svg_log_x = raw.get("svg_log_x", "false").lower() in ("1", "true", "yes")
-        # a capped late phase must read at least what the early phase reads
         for setup in self.sim_setups:
             model = make_model(setup, inst)
             for n in self.sim_n_grid:
-                try:
-                    stream_sizes(model, n, self.sim_late_cap)
-                except ValueError as e:
-                    raise ConfigError(f"sim_late_cap too small for {setup.value} at n = {n}: {e}")
+                stream_sizes(model, n, self.sim_late_cap)
 
-    def instance(self, **overrides):
-        lam = self.lam
-        beta = overrides.get("beta", self.beta)
-        if "lambda0" in overrides:
-            lam = ex.ConstantLambda(overrides["lambda0"])
-        if "xi" in overrides:
-            lam = ex.ScaledRenyiLambda(overrides["xi"], self.lam.offset)
+    def instance(self, beta=None, **budget):
+        """The problem instance, with beta or fields of the budget (lambda0,
+        or xi and offset) overridden; a field the budget family lacks is a
+        ValueError."""
+        extra = set(budget) - {f.name for f in dataclasses.fields(self.lam)}
+        if extra:
+            raise ValueError(f"{', '.join(sorted(extra))} does not fit a {type(self.lam).__name__} budget")
+        lam = dataclasses.replace(self.lam, **budget)
+        beta = self.beta if beta is None else beta
         return ex.ProblemInstance(self.p0, self.p1, self.alpha, beta, lam, eps=self.epsilon)
 
     def sweep_values(self):
@@ -347,15 +320,13 @@ def curve_rows(cfg):
         inst = cfg.instance(**{cfg.sweep["parameter"]: float(v)})
         rep = ex.report(inst, cfg.solver)
         d = rep.as_dict()
-        rows.append([float(v)] + [d[c] for c in CURVE_COLUMNS[1:]])
+        rows.append([float(v)] + [float(d[c]) for c in CURVE_COLUMNS[1:]])
     return rows
 
 
-def rows_to_csv(rows):
-    lines = [",".join(CURVE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(fmt_value(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(rows, header=CURVE_COLUMNS):
+    """CSV text: the header line, then one line of fmt_value per row."""
+    return "".join(",".join(map(fmt_value, line)) + "\n" for line in (header, *rows))
 
 
 def cmd_curve(cfg, outdir):
@@ -426,8 +397,7 @@ def cmd_simulate(cfg, outdir):
         ex.check_g1_polish(inst)
     except ValueError as e:
         raise ConfigError(f"cannot simulate: {e}")
-    header = "setup,n,theta,trials,errors,mean_tau,ci95_tau,capped"
-    lines = [header]
+    rows = []
     reports = {}
     for setup in cfg.sim_setups:
         for theta in (0, 1):
@@ -437,21 +407,9 @@ def cmd_simulate(cfg, outdir):
                     late_cap=cfg.sim_late_cap,
                 )
                 reports.setdefault((setup, theta), []).append(r)
-                lines.append(
-                    ",".join(
-                        [
-                            setup.value,
-                            str(n),
-                            str(theta),
-                            str(r.trials),
-                            str(r.errors),
-                            fmt_value(float(r.mean_tau)),
-                            fmt_value(float(r.ci95_tau)),
-                            str(r.capped).lower(),
-                        ]
-                    )
-                )
-    atomic_write(os.path.join(outdir, "trials.csv"), "\n".join(lines) + "\n")
+                rows.append([setup.value, n, theta, r.trials, r.errors, r.mean_tau, r.ci95_tau,
+                             str(r.capped).lower()])
+    atomic_write(os.path.join(outdir, "trials.csv"), rows_to_csv(rows, TRIAL_COLUMNS))
     summary = {"fits": {}, "floor_failures": []}
     for (setup, theta), reps in reports.items():
         key = f"{setup.value}/theta{theta}"

@@ -41,7 +41,7 @@ class ScaledRenyiLambda:
 
     def __post_init__(self):
         if not 0.0 < self.xi <= 1.0:
-            raise ValueError("xi must lie in (0, 1]")
+            raise ValueError(f"xi must lie in (0, 1], got {self.xi}")
         if not 0.0 <= self.offset < math.inf:
             raise ValueError(f"offset must be >= 0 and finite, got {self.offset}")
 

@@ -110,7 +110,7 @@ def stream_sizes(model, n, late_cap=None):
     fewer samples of a block than the early phase does.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError(f"n must be >= 2, got {n}")
     tau = n * n
     capped = late_cap is not None and late_cap < tau
     if model.ell == len(model.blocks):
@@ -123,7 +123,10 @@ def stream_sizes(model, n, late_cap=None):
         early.append(math.ceil(a * (n if fixed else n - 1)))
         late.append(math.ceil(a * (n if fixed else tau)))
         if early[i] > late[i]:
-            raise ValueError("stream exhausted: needs %d samples, has %d" % (early[i], late[i]))
+            raise ValueError(
+                f"stream exhausted: late_cap {late_cap} reads {late[i]} samples of block {i}, "
+                f"fewer than the {early[i]} the early phase reads at n = {n}"
+            )
     return tuple(early), tuple(late), tau, capped
 
 

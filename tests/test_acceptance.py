@@ -3,6 +3,7 @@ structural propositions of the exponent theory, figure reproduction through
 the CLI, and simulator behavior against the computed exponents."""
 
 import ast
+import hashlib
 import json
 import math
 import time
@@ -266,6 +267,17 @@ def test_10_simulator_universality():
     assert time.time() - start < 600
 
 
+#: sha256 of the test_11 outputs as first recorded (numpy 2.4, x86-64): a
+#: change that moves a byte of them, between commits as well as between two
+#: runs of one commit, fails here
+OUTPUT_SHA256 = {
+    "curve.csv": "5493847cc01d077f9927f345955478ab6d7b06c220cffb7a9ba240829c894c5f",
+    "curve.svg": "f36bd9ba18be3d55718700fcdc14c7bc02da90ce9535af1dc98b319f6edb96ed",
+    "trials.csv": "fb7486cb58f33681a073c3b44d7694ebc753f170c9e5fff8717c6e4ef4f06b13",
+    "summary.json": "007616cf8ed4d6a6df612f50915918cd945beef5ca55f08b71fc2bdf5ef718f4",
+}
+
+
 def test_11_determinism_byte_identical(tmp_path):
     cfgtext = (
         "schema = 1\np0 = 0.8,0.2\np1 = 0.2,0.8\nalpha = 0.3\nbeta = 0.3\n"
@@ -288,6 +300,8 @@ def test_11_determinism_byte_identical(tmp_path):
             + (sim / "summary.json").read_bytes()
         )
     assert blobs[0] == blobs[1]
+    for path in (out / "curve.csv", out / "curve.svg", sim / "trials.csv", sim / "summary.json"):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == OUTPUT_SHA256[path.name], path.name
     reports = []
     for _ in range(2):
         rep = ex.report(FIG2_INST, SOLVER)

@@ -1,9 +1,14 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqclass import cli
+from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass import montecarlo as mc
 from seqclass import simplex
@@ -27,6 +32,12 @@ beta = 1
 lambda_family = constant
 lambda0 = 0.05
 """
+
+
+def write_changed(tmp_path, changes):
+    """GOOD_CFG with each key of changes set to its value, or dropped for None."""
+    raw = {k: v for k, v in dict(cli.parse_config_text(GOOD_CFG), **changes).items() if v is not None}
+    return write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
 
 
 def test_parse_rejects_unknown_key():
@@ -84,6 +95,27 @@ def test_exit_code_config_error(tmp_path):
     assert cli.main(["curve", "--preset", "fig2", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+#: refusals that reach the loader as a library ValueError or a KeyError,
+#: each with the key or value that its message names
+REROUTED = {
+    "unknown_family": ({"lambda_family": "linear"}, "'linear'"),
+    "unknown_sweep_parameter": ({"sweep_parameter": "alpha", "sweep_from": "1", "sweep_to": "3"}, "'alpha'"),
+    "sweep_points_1": ({"sweep_parameter": "lambda0", "sweep_from": "0.01", "sweep_points": "1"}, "sweep_points"),
+    "sweep_scale_x": ({"sweep_parameter": "lambda0", "sweep_from": "0.01", "sweep_scale": "x"}, "sweep_scale"),
+    "sim_setups_x": ({"sim_setups": "x"}, "'x'"),
+    "sim_trials_1.5": ({"sim_trials": "1.5"}, "'1.5'"),
+    "missing_p0": ({"p0": None}, "'p0'"),
+    # a lambda0 sweep has a default end but no default start
+    "missing_sweep_from": ({"sweep_parameter": "lambda0"}, "'sweep_from'"),
+}
+#: REROUTED, and two cases of test_config_mistake_exits_2 whose message stream_sizes writes
+NAMED = dict(
+    REROUTED,
+    late_cap_below_n=({"sim_late_cap": "5", "sim_n_grid": "20"}, "late_cap 5"),
+    n_grid_1=({"sim_n_grid": "1,10"}, "got 1"),
+)
+
+
 @pytest.mark.parametrize(
     "changes",
     [
@@ -121,16 +153,17 @@ def test_exit_code_config_error(tmp_path):
         # at d = 5 even the coarsest grid's refinement is too large
         {"p0": "0.3,0.25,0.2,0.15,0.1", "p1": "0.1,0.15,0.2,0.25,0.3", "lambda_family": "scaled_renyi",
          "xi": "0.5", "offset": "0.003", "solver_coarse_m": "2"},
+        *(changes for changes, _ in REROUTED.values()),
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
          "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
          "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan",
-         "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5"],
+         "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5",
+         *REROUTED],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts
-    raw = dict(cli.parse_config_text(GOOD_CFG), **changes)
-    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    path = write_changed(tmp_path, changes)
     with pytest.raises(cli.ConfigError) as err:
         cli.load_config(path)
     if {"nan", "inf"} & set(changes.values()):
@@ -138,6 +171,83 @@ def test_config_mistake_exits_2(tmp_path, changes):
         assert "finite" in str(err.value)
     for cmd in (["exponents"], ["curve", "--out", str(tmp_path / "c")], ["simulate", "--out", str(tmp_path / "s")]):
         assert cli.main([cmd[0], "--config", path] + cmd[1:]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("changes, named", NAMED.values(), ids=list(NAMED))
+def test_refusal_names_its_fault(tmp_path, changes, named):
+    with pytest.raises(cli.ConfigError, match=re.escape(named)):
+        cli.load_config(write_changed(tmp_path, changes))
+
+
+#: values a config key accepts, and the usual mistakes (None drops the key)
+VALID = {
+    "p0": ("0.6,0.4",),
+    "p1": ("0.1,0.9", "0.3,0.7"),
+    "alpha": ("2", "0.38"),
+    "beta": ("1", "0.6"),
+    "epsilon": ("0.01", "0.001"),
+    "lambda_family": ("constant", "scaled_renyi"),
+    "lambda0": ("0.05",),
+    "xi": ("0.5", "1"),
+    "offset": ("0.003",),
+    "sweep_parameter": ("lambda0", "xi", "beta"),
+    "sweep_from": ("0.001", "0.5"),
+    "sweep_to": ("0.9", "2"),
+    "sweep_points": ("50", "3"),
+    "sweep_scale": ("linear", "log"),
+    "solver_coarse_m": ("30",),
+    "solver_refine_rounds": ("2",),
+    "sim_setups": ("fullyseq", "fixed,semi1"),
+    "sim_n_grid": ("20,40", "10"),
+    "sim_trials": ("100",),
+    "sim_seed": ("5",),
+    "sim_late_cap": ("50", "400"),
+    "svg_log_x": ("true",),
+}
+MISTAKES = ("0", "-1", "nan", "inf", "x", "", None)
+
+
+@st.composite
+def config_texts(draw):
+    """A schema 1 config: the keys with no default and lambda0, a random
+    subset of the other keys, each with a value it accepts, then up to
+    three keys given a mistake."""
+    keys = {"p0", "p1", "alpha", "beta", "lambda0"} | draw(st.sets(st.sampled_from(sorted(VALID))))
+    raw = {k: draw(st.sampled_from(VALID[k])) for k in sorted(keys)}
+    for k in sorted(draw(st.sets(st.sampled_from(sorted(VALID)), max_size=3))):
+        raw[k] = draw(st.sampled_from(MISTAKES))
+    return "schema = 1\n" + "".join(f"{k} = {v}\n" for k, v in raw.items() if v is not None)
+
+
+@given(config_texts())
+@settings(max_examples=200, deadline=None)
+def test_every_config_loads_or_exits_2(tmp_path_factory, text):
+    # the loader's one wrap is the only road from a refusal to exit 2: any
+    # other exception here is a refusal that escaped it
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text)
+    try:
+        cli.load_config(str(path))
+    except cli.ConfigError:
+        assert cli.main(["exponents", "--config", str(path)]) == cli.EXIT_CONFIG
+
+
+def test_lambda0_sweep_ends_at_gjs_by_default(tmp_path):
+    cfg = cli.load_config(write(tmp_path, GOOD_CFG + "sweep_parameter = lambda0\nsweep_from = 0.001\n"))
+    end = dv.gjs_value(np.array([0.6, 0.4]), np.array([0.1, 0.9]), 2.0)
+    assert cfg.sweep["to"] == end
+    assert cfg.sweep_values()[-1] == end
+
+
+def test_instance_refuses_an_override_of_the_other_budget_family():
+    fig1, fig2 = cli.load_config(preset="fig1"), cli.load_config(preset="fig2")
+    with pytest.raises(ValueError, match="xi"):
+        fig2.instance(xi=0.5)
+    with pytest.raises(ValueError, match="lambda0"):
+        fig1.instance(lambda0=0.05)
+    assert fig1.instance(xi=0.4).lam == ex.ScaledRenyiLambda(0.4, 0.003)
+    assert fig2.instance(lambda0=0.1, beta=2.0).lam == ex.ConstantLambda(0.1)
+    assert fig2.instance(beta=2.0).beta == 2.0
 
 
 @pytest.mark.parametrize("key", ["solver_coarse_m", "solver_refine_rounds"])
