@@ -199,6 +199,9 @@ class RunConfig:
             self.lam = ex.ScaledRenyiLambda(float(raw.get("xi", "1")), float(raw.get("offset", "0")))
         else:
             raise ValueError(f"unknown lambda_family {fam!r}")
+        for key in ("lambda0", "xi", "offset"):
+            if key in raw and key not in {f.name for f in dataclasses.fields(self.lam)}:
+                raise ValueError(f"{key} does nothing under a {fam} budget")
         inst = self.instance()
         self.sweep = None
         if "sweep_parameter" in raw:
@@ -237,6 +240,8 @@ class RunConfig:
         self.sim_n_grid = tuple(int(x) for x in raw.get("sim_n_grid", "20,40,60").split(","))
         self.sim_trials = int(raw.get("sim_trials", "10000"))
         self.sim_seed = int(raw.get("sim_seed", "0"))
+        if not 0 <= self.sim_seed < 2**63:
+            raise ValueError(f"sim_seed must lie in [0, 2**63), got {self.sim_seed}")
         cap = raw.get("sim_late_cap")
         self.sim_late_cap = int(cap) if cap is not None else None
         if self.sim_trials < 1:

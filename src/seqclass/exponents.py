@@ -112,6 +112,8 @@ _POLISH_ROUNDS = 2
 #: most two-box cells one call of g1's polish scores; g1 polishes its rows
 #: in stacks of as many rows as fit
 _POLISH_CELLS = 2**20
+#: most sums one pass of `_min_plus` holds (1 MiB)
+_MIN_PLUS_CELLS = 2**17
 
 
 def _inner_density(inst, cfg):
@@ -122,22 +124,14 @@ def _inner_density(inst, cfg):
     return 2 * m if inst.d == 2 else m
 
 
-class _InnerTable(tuple):
-    """The pair (pg, lam) of `_inner_table`, which also holds the pieces
-    `_g1_diag_matrix` has computed on it (see there)."""
-
-    def __new__(cls, pg, lam):
-        table = super().__new__(cls, (pg, lam))
-        table.q0, table.lead, table.u = None, None, {}
-        return table
-
-
 def _inner_table(inst, cfg, rows=None):
-    """The inner grid of the scaled-Renyi minima and lambda on it: (pg, lam)
-    with lam[i, j] = lambda(rows_i, pg_j), rows the grid itself by default.
-    A search builds it once and hands it to every call that scores a grid."""
+    """The inner grid of the scaled-Renyi minima and -lambda on it: (pg, nlam)
+    with nlam[i, j] = -lambda(rows_i, pg_j), rows the grid by default, so
+    every slot minimum adds (x - y and x + (-y) round alike).  A search
+    builds it once and hands it to every call that scores a grid."""
     pg = grid_array(inst.d, _inner_density(inst, cfg), eps=inst.eps)
-    return _InnerTable(pg, lambda_matrix(inst.lam, pg if rows is None else rows, pg, inst.beta))
+    lam = lambda_matrix(inst.lam, pg if rows is None else rows, pg, inst.beta)
+    return pg, np.negative(lam, out=lam)
 
 
 def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
@@ -168,16 +162,16 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
         return float(out[0]) if one else out
     check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
-    pg, lam = _inner_table(inst, cfg)  # lam: (k0, k1)
+    pg, nlam = _inner_table(inst, cfg)  # nlam: (k0, k1)
     step = max(1, _POLISH_CELLS // _polish_side(inst, cfg) ** 2)
     out = np.empty(len(Q))
     for start in range(0, len(Q), step):
         rows = slice(start, start + step)
         a = wx * dv.kl_matrix(Q[rows], pg) + w0 * dv.kl_matrix(Q0[rows], pg)  # (R, k0)
         b = w1 * dv.kl_matrix(Q1[rows], pg)  # (R, k1)
-        scores = a + _p1_slot_min(b, lam)
+        scores = a + _min_plus(b, nlam)
         j = scores.argmin(axis=1)
-        l = (b - lam[j]).argmin(axis=1)
+        l = (b + nlam[j]).argmin(axis=1)
         # local polish around each row's argmin pair; the objective is
         # smooth in (P0', P1') so a couple of shrinking box passes suffice
         score = partial(_g1_box, Q[rows], Q0[rows], Q1[rows], (wx, w0, w1), inst)
@@ -186,12 +180,14 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
     return float(out[0]) if one else out
 
 
-def _p1_slot_min(b, lam):
-    """t[i, j] = min over l of b[i, l] - lam[j, l]: the P1' slot minimised
-    out for each P0' of the grid, one row of b at a time."""
-    t = np.empty((b.shape[0], lam.shape[0]))
-    for i in range(b.shape[0]):
-        t[i] = (b[i] - lam).min(axis=1)
+def _min_plus(rows, table):
+    """t[i, j] = min over k of rows[i, k] + table[j, k]: every slot minimum of
+    g1, kappa and mu, over blocks of as many rows as fit _MIN_PLUS_CELLS
+    sums (at least one).  The minimum is exact, so no order moves a bit."""
+    step = max(1, _MIN_PLUS_CELLS // table.size)
+    t = np.empty((rows.shape[0], table.shape[0]))
+    for start in range(0, rows.shape[0], step):
+        t[start : start + step] = (rows[start : start + step, None, :] + table[None, :, :]).min(axis=2)
     return t
 
 
@@ -237,7 +233,7 @@ def check_kappa_refinement(inst, cfg=SearchConfig()):
     search could score more than PAIR_CELL_LIMIT cells.
 
     A step that re-grids the Q0 block scores every point of its box against
-    the inner grid (`_g1_diag_matrix`); each box is bounded by its mesh
+    the inner grid (`_g1_diag`); each box is bounded by its mesh
     size, so nothing is allocated.  At the default three rounds that admits
     d = 2 and d = 3 at their default densities, d = 4 up to coarse_m 12 and
     no d >= 5.
@@ -379,52 +375,65 @@ def kappa(inst, cfg=SearchConfig()):
 def kappa_search(inst, cfg=SearchConfig()):
     """inf over (Q0, Q1) in the eps floor with g1(Q1, Q0, Q1) < 0 of
     (1+beta)*KL(Q1||P1) + alpha*KL(Q0||P0)."""
-    a, b = inst.alpha, inst.beta
-    P0, P1 = inst.p0, inst.p1
     if isinstance(inst.lam, ConstantLambda):
         # g1(Q1, Q0, Q1) < 0 reads weighted_join(alpha, Q0, 1, Q1) < lambda0
-        value, q0, q1 = _join_budget_min(inst, 1.0 + b)
+        value, q0, q1 = _join_budget_min(inst, 1.0 + inst.beta)
         return SearchResult(value, (q0, q1))
     if kappa_certified_infinite(inst):
         return SearchResult(math.inf, None)
     check_kappa_refinement(inst, cfg)
-    table = _inner_table(inst, cfg)
-
-    def constraint(A, B):
-        return _g1_diag_matrix(A, B, inst, table) < 0.0
-
-    def objective(A, B):
-        return a * dv.kl(A, P0)[:, None] + (1 + b) * dv.kl(B, P1)[None, :]
-
-    return min_simplex_pair(objective, constraint, inst.d, cfg, eps=inst.eps)
+    constraint = partial(_negative, _g1_diag(inst, cfg))
+    return min_simplex_pair(_separable(inst, 1.0 + inst.beta), constraint, inst.d, cfg, eps=inst.eps)
 
 
-def _g1_diag_matrix(Q0rows, Q1rows, inst, table):
-    """(N,M) matrix of g1(Q1_j, Q0_i, Q1_j) for the scaled-Renyi family,
-    unpolished, over the inner grid and lambda table of `_inner_table`: the
-    least sum over P0' of alpha*KL(Q0_i||P0') and u(Q1_j), where u =
-    KL(Q1||P0') + the P1'-slot minimum of beta*KL(Q1||P1') - lambda.
+def _separable(inst, w):
+    """alpha*KL(A||P0) + w*KL(B||P1): kappa's (w = 1 + beta) and mu's (w = beta) pair objective."""
+    a, P0, P1 = inst.alpha, inst.p0, inst.p1
+    return lambda A, B: a * dv.kl(A, P0)[:, None] + w * dv.kl(B, P1)[None, :]
 
-    The table keeps both pieces for the search it serves.  A pair-grid call
-    scores one Q0 stack against batch after batch of Q1 columns, so the
-    lead of the last Q0 stack is kept; the box steps meet the incumbent Q1
-    row again and again, so u is kept for every Q1 row, by the row's bytes.
-    Each piece is a row's own, so a kept one has the bits of a fresh one.
+
+def _negative(g, A, B):
+    return g(A, B) < 0.0
+
+
+def _slot_min(lead, per_row):
+    """g(A, B)[i, j] = min over the P0' slot k of lead(A)[i, k] +
+    per_row(B)[j, k], the constraint value of kappa's and mu's searches;
+    lead and per_row map a row stack to one row of k values per row.
+
+    A pair-grid call scores one A stack against batch after batch of B
+    columns, so the lead of the last A stack is kept, matched by identity;
+    the box steps meet the incumbent B row again and again, so per_row is
+    kept for every B row met, by its bytes.  Each is a row's own, so a
+    kept one has the bits of a fresh one.
     """
-    pg, lam = table
-    if Q0rows is not table.q0:
-        table.q0, table.lead = Q0rows, inst.alpha * dv.kl_matrix(Q0rows, pg)
-    keys = [row.tobytes() for row in Q1rows]
-    fresh = {key: i for i, key in enumerate(keys) if key not in table.u}
-    if fresh:
-        c1 = dv.kl_matrix(Q1rows[list(fresh.values())], pg)
-        table.u.update(zip(fresh, c1 + _p1_slot_min(inst.beta * c1, lam)))
-    ka = table.lead  # (N, k)
-    u = np.array([table.u[key] for key in keys])  # (M, k)
-    out = np.empty((ka.shape[0], u.shape[0]))
-    for j, row in enumerate(u):
-        out[:, j] = (ka + row[None, :]).min(axis=1)
-    return out
+    last = [None, None]  # the last A stack and its lead
+    known = {}
+
+    def g(A, B):
+        if A is not last[0]:
+            last[:] = A, lead(A)
+        keys = [row.tobytes() for row in B]
+        fresh = {key: i for i, key in enumerate(keys) if key not in known}
+        if fresh:
+            known.update(zip(fresh, per_row(B[list(fresh.values())])))
+        return _min_plus(last[1], np.array([known[key] for key in keys]))
+
+    return g
+
+
+def _g1_diag(inst, cfg):
+    """g(Q0rows, Q1rows) of kappa_search: g1(Q1_j, Q0_i, Q1_j) for the
+    scaled-Renyi family, unpolished, over the grid of `_inner_table`: the
+    least sum over P0' of alpha*KL(Q0_i||P0') and u(Q1_j), where u =
+    KL(Q1||P0') + the P1'-slot minimum of beta*KL(Q1||P1') - lambda."""
+    pg, nlam = _inner_table(inst, cfg)
+
+    def u(Q1rows):
+        c1 = dv.kl_matrix(Q1rows, pg)
+        return c1 + _min_plus(inst.beta * c1, nlam)
+
+    return _slot_min(lambda Q0rows: inst.alpha * dv.kl_matrix(Q0rows, pg), u)
 
 
 def mu(inst, cfg=SearchConfig()):
@@ -449,36 +458,26 @@ def mu_search(inst, cfg=SearchConfig()):
     if isinstance(inst.lam, ConstantLambda):
         q0 = dv.bht_minimizer(P1, P0, inst.lam.lambda0 / a)
         return SearchResult(a * dv.kl(q0, P0), (q0, P1))
+    return min_simplex_pair(_separable(inst, b), partial(_negative, _mu_g(inst, cfg)), inst.d, cfg)
 
-    def objective(A, B):
-        return a * dv.kl(A, P0)[:, None] + b * dv.kl(B, P1)[None, :]
 
+def _mu_g(inst, cfg):
+    """g(Q0rows, Q1rows) of mu_search: alpha*KL(Q0_i||P1) + h(Q1_j) (see
+    `_mu_inner`), a slot minimum whose P0' slot holds P1 alone."""
+    P1 = inst.p1
     table = _inner_table(inst, cfg, rows=P1[None, :])
-    # h of every Q1 row this search has met, by the row's bytes: the pair
-    # search meets the incumbent row at each Q0 box step, and a row's h
-    # does not depend on the rows solved with it
-    known = {}
-
-    def constraint(A, B):
-        lead = a * dv.kl(A, P1)  # (N,)
-        keys = [row.tobytes() for row in B]
-        fresh = {key: i for i, key in enumerate(keys) if key not in known}
-        if fresh:
-            known.update(zip(fresh, _mu_inner(B[list(fresh.values())], inst, cfg, table)))
-        h = np.array([known[key] for key in keys])  # (M,)
-        return lead[:, None] + h[None, :] < 0.0
-
-    return min_simplex_pair(objective, constraint, inst.d, cfg)
+    lead = lambda A: inst.alpha * dv.kl(A, P1)[:, None]
+    return _slot_min(lead, lambda B: _mu_inner(B, inst, cfg, table)[:, None])
 
 
 def _mu_inner(Q1rows, inst, cfg, table):
     """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1') for each
-    row of Q1rows, over the inner grid and lambda row of `_inner_table(inst,
+    row of Q1rows, over the inner grid and -lambda row of `_inner_table(inst,
     cfg, rows=P1[None, :])`, then polished around each row's grid argmin;
     the polish takes every row at once.  Each row's value is that of a call
     on that row alone, bit for bit."""
-    pg, lam = table
-    scores = inst.beta * dv.kl_matrix(Q1rows, pg) - lam[0][None, :]
+    pg, nlam = table
+    scores = inst.beta * dv.kl_matrix(Q1rows, pg) + nlam[0][None, :]
     h = scores.min(axis=1)
     # polish each row's inner minimum (smooth in P1')
     centers = pg[scores.argmin(axis=1)]

@@ -147,7 +147,7 @@ def test_06_renyi_dominated_lambda_kappa_infinite(xi):
     assert math.isinf(res.value)
     # grid emptiness cross-check: no (Q0, Q1) at m=100 scores g1 < 0
     pg = grid_array(2, 100, eps=inst.eps)
-    gm = ex._g1_diag_matrix(pg, pg, inst, ex._inner_table(inst, SOLVER))
+    gm = ex._g1_diag(inst, SOLVER)(pg, pg)
     assert (gm >= -1e-12).all()
     rep = ex.report(inst, SOLVER)
     assert rep.e_seq == rep.renyi_term

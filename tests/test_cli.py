@@ -108,9 +108,20 @@ REROUTED = {
     # a lambda0 sweep has a default end but no default start
     "missing_sweep_from": ({"sweep_parameter": "lambda0"}, "'sweep_from'"),
 }
-#: REROUTED, and two cases of test_config_mistake_exits_2 whose message stream_sizes writes
+#: budget keys of the other family, and seeds outside [0, 2**63), which
+#: the stream keys would fold onto seeds inside it
+FOREIGN_OR_FOLDED = {
+    "xi_constant": ({"xi": "7"}, "xi"),
+    "offset_constant": ({"offset": "0.003"}, "offset"),
+    "lambda0_scaled_renyi": ({"lambda_family": "scaled_renyi", "xi": "0.5", "lambda0": "-4"}, "lambda0"),
+    "sim_seed_negative": ({"sim_seed": "-1"}, "sim_seed"),
+    "sim_seed_2_63": ({"sim_seed": str(2**63)}, "sim_seed"),
+}
+#: REROUTED, FOREIGN_OR_FOLDED, and two cases of test_config_mistake_exits_2
+#: whose message stream_sizes writes
 NAMED = dict(
     REROUTED,
+    **FOREIGN_OR_FOLDED,
     late_cap_below_n=({"sim_late_cap": "5", "sim_n_grid": "20"}, "late_cap 5"),
     n_grid_1=({"sim_n_grid": "1,10"}, "got 1"),
 )
@@ -119,8 +130,8 @@ NAMED = dict(
 @pytest.mark.parametrize(
     "changes",
     [
-        {"lambda_family": "scaled_renyi", "xi": "0.5", "solver_coarse_m": "1"},
-        {"lambda_family": "scaled_renyi", "xi": "0.5", "sweep_parameter": "xi",
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "lambda0": None, "solver_coarse_m": "1"},
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "lambda0": None, "sweep_parameter": "xi",
          "sweep_from": "0.5", "sweep_to": "1.5"},
         {"sim_n_grid": "1,10"},
         {"sweep_parameter": "xi", "sweep_from": "0.1", "sweep_to": "0.5"},
@@ -128,17 +139,18 @@ NAMED = dict(
         {"sim_late_cap": "0"},
         # a scaled-Renyi budget at d = 4 and the default density: a
         # 39,711-point pair grid, N^2 far past check_pair_grid's bound
-        {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi", "xi": "0.5"},
+        {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi", "xi": "0.5",
+         "lambda0": None},
         # the late time would read fewer samples than the early phase at n - 1
         {"sim_late_cap": "5", "sim_n_grid": "20"},
         # the box schedule's density factor is fixed, not a setting
         {"solver_refine_factor": "10"},
         # a lambda0 sweep would swap the scaled-Renyi budget for a constant one
-        {"lambda_family": "scaled_renyi", "xi": "0.5", "sweep_parameter": "lambda0",
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "lambda0": None, "sweep_parameter": "lambda0",
          "sweep_from": "0.01", "sweep_to": "0.1"},
         # NaN and infinity are rejected like any other out-of-range value
         {"lambda0": "nan"},
-        {"lambda_family": "scaled_renyi", "xi": "0.5", "offset": "nan"},
+        {"lambda_family": "scaled_renyi", "xi": "0.5", "lambda0": None, "offset": "nan"},
         {"sweep_parameter": "lambda0", "sweep_from": "nan", "sweep_to": "0.1"},
         {"sweep_parameter": "lambda0", "sweep_from": "0.001", "sweep_to": "inf"},
         {"alpha": "inf"},
@@ -149,17 +161,18 @@ NAMED = dict(
         # kappa's refinement would score a 41^3-point box against the inner
         # grid: 68,921 x 560 cells at d = 4, m = 13, past PAIR_CELL_LIMIT
         {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi",
-         "xi": "0.5", "offset": "0.003", "solver_coarse_m": "13"},
+         "xi": "0.5", "offset": "0.003", "lambda0": None, "solver_coarse_m": "13"},
         # at d = 5 even the coarsest grid's refinement is too large
         {"p0": "0.3,0.25,0.2,0.15,0.1", "p1": "0.1,0.15,0.2,0.25,0.3", "lambda_family": "scaled_renyi",
-         "xi": "0.5", "offset": "0.003", "solver_coarse_m": "2"},
+         "xi": "0.5", "offset": "0.003", "lambda0": None, "solver_coarse_m": "2"},
         *(changes for changes, _ in REROUTED.values()),
+        *(changes for changes, _ in FOREIGN_OR_FOLDED.values()),
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
          "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
          "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan",
          "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5",
-         *REROUTED],
+         *REROUTED, *FOREIGN_OR_FOLDED],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts
@@ -207,13 +220,22 @@ VALID = {
 MISTAKES = ("0", "-1", "nan", "inf", "x", "", None)
 
 
+#: the budget keys of each lambda_family
+BUDGET_KEYS = {"constant": {"lambda0"}, "scaled_renyi": {"xi", "offset"}}
+
+
 @st.composite
 def config_texts(draw):
-    """A schema 1 config: the keys with no default and lambda0, a random
-    subset of the other keys, each with a value it accepts, then up to
-    three keys given a mistake."""
-    keys = {"p0", "p1", "alpha", "beta", "lambda0"} | draw(st.sets(st.sampled_from(sorted(VALID))))
+    """A schema 1 config: a budget family, the keys with no default and the
+    family's budget keys, a random subset of the other keys but those of
+    the other family, each with a value it accepts, then up to three keys
+    given a mistake."""
+    family = draw(st.sampled_from(sorted(BUDGET_KEYS)))
+    foreign = set().union(*BUDGET_KEYS.values()) - BUDGET_KEYS[family]
+    keys = {"p0", "p1", "alpha", "beta"} | BUDGET_KEYS[family] | draw(st.sets(st.sampled_from(sorted(set(VALID) - foreign))))
     raw = {k: draw(st.sampled_from(VALID[k])) for k in sorted(keys)}
+    if family != "constant" or "lambda_family" in raw:  # constant is the default
+        raw["lambda_family"] = family
     for k in sorted(draw(st.sets(st.sampled_from(sorted(VALID)), max_size=3))):
         raw[k] = draw(st.sampled_from(MISTAKES))
     return "schema = 1\n" + "".join(f"{k} = {v}\n" for k, v in raw.items() if v is not None)

@@ -144,7 +144,7 @@ def test_kappa_scaled_renyi_certificate():
     assert math.isinf(res.value) and res.argmin is None
     # grid emptiness cross-check at modest density
     pg = grid_array(2, 100, eps=inst.eps)
-    gm = ex._g1_diag_matrix(pg, pg, inst, ex._inner_table(inst, FAST))
+    gm = ex._g1_diag(inst, FAST)(pg, pg)
     assert (gm >= -1e-12).all()
 
 
@@ -478,7 +478,7 @@ def test_efix_dual_memory_stays_flat():
 
 
 # g1 (refined) over a row stack and _mu_inner on fig1 tuples under FAST, and
-# the sum of _g1_diag_matrix over the eps-floored m = 60 grid; recorded once
+# the sum of kappa's g (_g1_diag) over the eps-floored m = 60 grid; recorded once
 # every divergence matrix summed each cell over the alphabet left to right.
 # The sum is over box_grid's whole-simplex grid, whose last coordinate is
 # 1 - the others
@@ -494,7 +494,7 @@ def test_g1_kernels_pinned_values():
     assert tuple(ex.g1(Q, Q0, Q1, inst, FAST)) == G1_PINNED
     assert tuple(ex._mu_inner(Q1, inst, FAST, ex._inner_table(inst, FAST, rows=inst.p1[None, :]))) == MU_INNER_PINNED
     pg = grid_array(2, 60, eps=inst.eps)
-    assert float(ex._g1_diag_matrix(pg, pg, inst, ex._inner_table(inst, FAST)).sum()) == G1_DIAG_SUM_PINNED
+    assert float(ex._g1_diag(inst, FAST)(pg, pg).sum()) == G1_DIAG_SUM_PINNED
 
 
 @pytest.mark.parametrize("d, rows", [(2, 64), (2, 700), (3, 5)], ids=["d2", "d2-two-calls", "d3"])
@@ -538,7 +538,7 @@ def test_g1_stack_memory_is_bounded_by_the_polish_cap():
     assert peak < G1_STACK_PEAK_ARRAYS * 8 * ex._POLISH_CELLS
 
 
-# columns the kappa constraint (_g1_diag_matrix) was evaluated on in one
+# columns the kappa constraint (the g of _g1_diag) was evaluated on in one
 # fig1 search at xi = 0.5, default solver, when every column of every grid
 # was evaluated
 KAPPA_COLUMNS_EVALUATE_ALL = 329
@@ -548,13 +548,18 @@ def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
     inst = cli.load_config(preset="fig1").instance(xi=0.5)
     want = ex.kappa_search(inst)
     columns = []
-    diag = ex._g1_diag_matrix
+    diag = ex._g1_diag
 
-    def counted(Q0rows, Q1rows, inst_, table):
-        columns.append(Q1rows.shape[0])
-        return diag(Q0rows, Q1rows, inst_, table)
+    def counted(inst_, cfg):
+        g = diag(inst_, cfg)
 
-    monkeypatch.setattr(ex, "_g1_diag_matrix", counted)
+        def wrapped(Q0rows, Q1rows):
+            columns.append(Q1rows.shape[0])
+            return g(Q0rows, Q1rows)
+
+        return wrapped
+
+    monkeypatch.setattr(ex, "_g1_diag", counted)
     got = ex.kappa_search(inst)
     assert got.value == want.value
     assert 0 < sum(columns) <= KAPPA_COLUMNS_EVALUATE_ALL // 2
@@ -564,10 +569,10 @@ def _mu_inner_loop(Q1rows, inst, cfg, table):
     """_mu_inner as a loop over its rows, each polished alone through
     one-centre boxes and 2-D kernels: the form the stacked polish must
     reproduce bit for bit."""
-    pg, lam = table
+    pg, nlam = table
     out = []
     for q in Q1rows:
-        scores = inst.beta * dv.kl_matrix(q[None], pg)[0] - lam[0]
+        scores = inst.beta * dv.kl_matrix(q[None], pg)[0] + nlam[0]
         best, center = scores.min(), pg[scores.argmin()]
         for halfwidth, density in box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS):
             V = box_grid(center, halfwidth, density, inst.eps)
@@ -602,8 +607,8 @@ def test_mu_inner_stack_equals_each_row_alone(case):
     if preset == "d3":
         # the first polish boxes differ in size: some are cut by the simplex
         # edge, so the stack carries padding
-        pg, lam = table
-        centers = pg[(inst.beta * dv.kl_matrix(rows, pg) - lam[0]).argmin(axis=1)]
+        pg, nlam = table
+        centers = pg[(inst.beta * dv.kl_matrix(rows, pg) + nlam[0]).argmin(axis=1)]
         (halfwidth, density), _ = box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS)
         _, mask = box_grid(centers, halfwidth, density, inst.eps)
         assert halfwidth > inst.eps and not mask.all()
@@ -612,21 +617,30 @@ def test_mu_inner_stack_equals_each_row_alone(case):
 @pytest.mark.parametrize("d", [2, 3])
 def test_constraint_cells_keep_their_bits(d):
     # the pair search evaluates kappa's and mu's constraints on a few
-    # columns at a time, down to one; each cell must equal its value when
-    # every column is evaluated together
+    # columns at a time, down to one, through one g per search that keeps
+    # what it has computed; each cell must equal its value when every
+    # column is evaluated together by a fresh g
     p0, p1 = (P0, P1) if d == 2 else ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7))
     inst = ex.ProblemInstance(p0, p1, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
     cfg = SearchConfig(coarse_m=30 if d == 2 else 20, refine_rounds=2)
     rows = grid_array(d, 20, eps=inst.eps)[:: 1 if d == 2 else 6]
-    kappa_table = ex._inner_table(inst, cfg)
     mu_table = ex._inner_table(inst, cfg, rows=inst.p1[None, :])
-    full = ex._g1_diag_matrix(rows, rows, inst, kappa_table)
     h = ex._mu_inner(rows, inst, cfg, mu_table)
     for width in range(1, 9):
         for j in range(0, len(rows) - width + 1, width):
-            cols = slice(j, j + width)
-            assert np.array_equal(ex._g1_diag_matrix(rows, rows[cols], inst, kappa_table), full[:, cols])
-            assert np.array_equal(ex._mu_inner(rows[cols], inst, cfg, mu_table), h[cols])
+            assert np.array_equal(ex._mu_inner(rows[j : j + width], inst, cfg, mu_table), h[j : j + width])
+    for build in (ex._g1_diag, ex._mu_g):
+        full = build(inst, cfg)(rows, rows)
+        kept = build(inst, cfg)  # met every column at an earlier width
+        for width in range(1, 9):
+            g = build(inst, cfg)
+            for j in range(0, len(rows) - width + 1, width):
+                cols = slice(j, j + width)
+                assert np.array_equal(g(rows, rows[cols]), full[:, cols])
+                assert np.array_equal(kept(rows, rows[cols]), full[:, cols])
+    # mu's P0' slot holds P1 alone: its g adds the lead and h, cell by cell
+    want = inst.alpha * dv.kl(rows, inst.p1)[:, None] + h[None, :]
+    assert np.array_equal(ex._mu_g(inst, cfg)(rows, rows), want)
 
 
 def _tilted_blocks_loop(s, blocks, objective=False):
@@ -692,12 +706,34 @@ def test_d3_report_near_the_simplex_boundary():
     assert all((q >= 0.0).all() for q in res.argmin)
 
 
-def test_p1_slot_min_matches_broadcast():
-    # the row loop takes the same differences and the same exact min as one
-    # (N, k0, k1) broadcast, so the bits are equal
-    rng = np.random.default_rng(5)
-    b, lam = rng.random((7, 11)), rng.random((13, 11))
-    assert np.array_equal(ex._p1_slot_min(b, lam), (b[:, None, :] - lam[None, :, :]).min(axis=2))
+@pytest.mark.parametrize(
+    "R, J, K, blocks",
+    [(7, 13, 11, 1), (3, 401, 401, 3), (201, 8, 401, 6), (201, 8, 1, 1), (2000, 13, 11, 3)],
+    ids=["small", "p1-slot-d2", "kappa-combine", "mu-combine", "many-blocks"],
+)
+def test_min_plus_matches_broadcast(R, J, K, blocks):
+    # the shapes of g1's P1' slot (R, k1) x (k0, k1), kappa's combine
+    # (N, k) x (M, k) and mu's (N, 1) x (M, 1); the blocked loop takes the
+    # same sums and the same exact min as one (R, J, K) broadcast, +inf
+    # entries and an all-+inf row included
+    assert math.ceil(R / max(1, ex._MIN_PLUS_CELLS // (J * K))) == blocks
+    rng = np.random.default_rng(R * J * K)
+    rows, table = rng.normal(size=(R, K)), rng.normal(size=(J, K))
+    rows[rng.random(rows.shape) < 0.1] = np.inf
+    table[rng.random(table.shape) < 0.1] = np.inf
+    rows[R // 2] = np.inf
+    tracemalloc.start()
+    try:
+        got = ex._min_plus(rows, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, (rows[:, None, :] + table[None, :, :]).min(axis=2))
+    assert np.isinf(got[R // 2]).all()
+    # besides the result, one block's sums (one row's, when a row passes
+    # the cap) and less again for its minimum and numpy's reduction buffer;
+    # one kappa-combine broadcast would hold 5.2 MB
+    assert peak <= got.nbytes + 2 * 8 * max(ex._MIN_PLUS_CELLS, J * K)
 
 
 @pytest.mark.parametrize("point, want", EFIX_PINNED)
@@ -739,6 +775,43 @@ def test_mu_search_solves_each_q1_row_once(monkeypatch, preset, point, e_fix, mu
     monkeypatch.setattr(ex, "_mu_inner", counted)
     assert ex.mu(config.instance(xi=float(config.sweep_values()[point])), SearchConfig()) == mu
     assert 0 < len(solved) == len(set(solved))
+
+
+# kappa_search and mu_search, value and argmin as float.hex, at two fig1
+# sweep points (the index into the preset's sweep), one fig3 point (mu
+# only: kappa is inf there) and the d = 3 instance at coarse_m 12; recorded
+# before kappa's and mu's constraints shared one slot minimum.  The
+# benchmark holds these values only to 1e-9
+SLOT_MIN_PINNED = (
+    (("fig1", 10), "kappa", "0x1.f05f30561079ep-3",
+     (("0x1.5cfaacd9e83e5p-3", "0x1.a8c154c985f07p-1"), ("0x1.3318fc504816fp-3", "0x1.b339c0ebedfa4p-1"))),
+    (("fig1", 10), "mu", "0x1.13fc93fb27e45p-2",
+     (("0x1.48beb5b2d4d40p-3", "0x1.add052934acb0p-1"), ("0x1.47ae147ae147bp-6", "0x1.f5c28f5c28f5cp-1"))),
+    (("fig1", 40), "kappa", "0x1.afc5301f157f5p-3",
+     (("0x1.9102363b25700p-3", "0x1.9bbf727136a40p-1"), ("0x1.28f5c28f5c28fp-3", "0x1.b5c28f5c28f5cp-1"))),
+    (("fig1", 40), "mu", "0x1.7de5706d32f08p-3",
+     (("0x1.23fe5c91d14e3p-2", "0x1.6e00d1b71758ep-1"), ("0x1.f5c28f5c28f5cp-3", "0x1.828f5c28f5c29p-1"))),
+    (("fig3", 25), "mu", "0x1.bbeeb4aac78a2p-2",
+     (("0x1.73eab367a0f90p-3", "0x1.a305532617c1cp-1"), ("0x1.eb851eb851eb8p-7", "0x1.f851eb851eb85p-1"))),
+    (("d3", None), "kappa", "0x1.bb73ca41024f4p-2",
+     (("0x1.792c5f92c5f92p-3", "0x1.0a94d242e6bddp-2", "0x1.1c6a7ef9db22dp-1"), ("0x1.53cc1e098ead6p-3", "0x1.fef9db22d0e56p-3", "0x1.2b4e81b4e81b5p-1"))),
+    (("d3", None), "mu", "0x1.c960195edaa77p-2",
+     (("0x1.5b7a32846ff51p-3", "0x1.00f04c756b2dcp-2", "0x1.28a94d242e6bep-1"), ("0x1.7e4b17e4b17e3p-6", "0x1.53a06d3a06d3ap-3", "0x1.9f258bf258bf2p-1"))),
+)
+
+
+@pytest.mark.parametrize("case, search, value, argmin", SLOT_MIN_PINNED,
+                         ids=[f"{c[0]}-{c[1]}-{s}" for c, s, _, _ in SLOT_MIN_PINNED])
+def test_kappa_and_mu_searches_keep_their_bits(case, search, value, argmin):
+    preset, point = case
+    if preset == "d3":
+        inst, cfg = D3_RENYI, SearchConfig(coarse_m=12)
+    else:
+        config = cli.load_config(preset=preset)
+        inst, cfg = config.instance(xi=float(config.sweep_values()[point])), config.solver
+    res = getattr(ex, f"{search}_search")(inst, cfg)
+    assert float(res.value).hex() == value
+    assert tuple(tuple(float(x).hex() for x in q) for q in res.argmin) == argmin
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
