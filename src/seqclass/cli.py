@@ -248,7 +248,10 @@ class RunConfig:
             raise ValueError("sim_trials must be >= 1")
         if self.sim_late_cap is not None and self.sim_late_cap < 1:
             raise ValueError("sim_late_cap must be >= 1")
-        self.svg_log_x = raw.get("svg_log_x", "false").lower() in ("1", "true", "yes")
+        log_x = raw.get("svg_log_x", "false").lower()
+        if log_x not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"svg_log_x must be true or false, got {raw['svg_log_x']!r}")
+        self.svg_log_x = log_x in ("1", "true", "yes")
         for setup in self.sim_setups:
             model = make_model(setup, inst)
             for n in self.sim_n_grid:

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from . import divergence as dv
-from .optimizer import ALWAYS_TRUE, PAIR_CELL_LIMIT, SearchConfig, SearchResult, box_schedule, min_simplex_pair
+from .optimizer import PAIR_CELL_LIMIT, SearchConfig, SearchResult, box_schedule, min_simplex_pair
 from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, grid_count, satisfies_floor
 
 
@@ -114,6 +114,9 @@ _POLISH_ROUNDS = 2
 _POLISH_CELLS = 2**20
 #: most sums one pass of `_min_plus` holds (1 MiB)
 _MIN_PLUS_CELLS = 2**17
+#: columns of a pair grid whose constraint kappa's and mu's scores
+#: evaluate together
+CONSTRAINT_BATCH = 8
 
 
 def _inner_density(inst, cfg):
@@ -257,19 +260,17 @@ def _polish(score, centers, density, eps):
     `box_schedule` grids a box around every row's centre of each block in
     one `box_grid` call, and scores every row's combinations in one call:
     score takes one (R, S, d) stack per block and returns an array with a
-    row axis, then one axis per block.  The padded cells of the boxes are
-    set to +inf; each row takes its first argmin, which box order makes
-    the one a call on that row alone takes, and moves its centres there.
+    row axis, then one axis per block, each cell computed from its own
+    rows.  A box's padding copies its first point bit for bit, so a padded
+    cell scores exactly like a kept cell that comes before it.  Each row
+    takes its first argmin, which is therefore never padding and is the
+    one a call on that row alone takes, and moves its centres there.
     """
     rows = np.arange(centers[0].shape[0])
     best = np.full(rows.size, np.inf)
     for halfwidth, density in box_schedule(density, _POLISH_ROUNDS):
-        boxes, masks = zip(*(box_grid(c, halfwidth, density, eps) for c in centers))
+        boxes = [box_grid(c, halfwidth, density, eps) for c in centers]
         s = score(*boxes)
-        for block, mask in enumerate(masks, start=1):
-            view = [rows.size] + [1] * (s.ndim - 1)
-            view[block] = mask.shape[1]
-            s = np.where(mask.reshape(view), s, np.inf)
         flat = s.reshape(rows.size, -1)
         at = flat.argmin(axis=1)
         best = np.minimum(best, flat[rows, at])
@@ -382,8 +383,8 @@ def kappa_search(inst, cfg=SearchConfig()):
     if kappa_certified_infinite(inst):
         return SearchResult(math.inf, None)
     check_kappa_refinement(inst, cfg)
-    constraint = partial(_negative, _g1_diag(inst, cfg))
-    return min_simplex_pair(_separable(inst, 1.0 + inst.beta), constraint, inst.d, cfg, eps=inst.eps)
+    score = _constrained(_separable(inst, 1.0 + inst.beta), *_g1_diag(inst, cfg))
+    return min_simplex_pair(score, inst.d, cfg, eps=inst.eps)
 
 
 def _separable(inst, w):
@@ -392,48 +393,65 @@ def _separable(inst, w):
     return lambda A, B: a * dv.kl(A, P0)[:, None] + w * dv.kl(B, P1)[None, :]
 
 
-def _negative(g, A, B):
-    return g(A, B) < 0.0
+def _constrained(objective, lead, per_row):
+    """The pair score of kappa's and mu's searches: objective(A, B)[i, j]
+    where the constraint value g[i, j] = min over the P0' slot k of
+    lead(A)[i, k] + per_row(B)[j, k] is negative, +inf elsewhere; lead and
+    per_row map a row stack to one row of k values per row.
 
-
-def _slot_min(lead, per_row):
-    """g(A, B)[i, j] = min over the P0' slot k of lead(A)[i, k] +
-    per_row(B)[j, k], the constraint value of kappa's and mu's searches;
-    lead and per_row map a row stack to one row of k values per row.
-
-    A pair-grid call scores one A stack against batch after batch of B
-    columns, so the lead of the last A stack is kept, matched by identity;
-    the box steps meet the incumbent B row again and again, so per_row is
-    kept for every B row met, by its bytes.  Each is a row's own, so a
-    kept one has the bits of a fresh one.
+    The objective is evaluated whole; the constraint only on the columns
+    of B that can still win.  Columns are visited in ascending order of
+    their least objective, CONSTRAINT_BATCH at a time, while that least
+    value is <= the best feasible value found so far (at first the
+    cutoff): every cell of a later column lies above it and reads +inf.
+    So when the least cell lies below the cutoff, it and its first flat
+    index are those of evaluating every cell.  A call computes lead(A)
+    once, when it visits its first column.  The
+    box steps meet the incumbent B row again and again, so per_row is kept
+    for every B row met, by its bytes; each is a row's own, so a kept one
+    has the bits of a fresh one.
     """
-    last = [None, None]  # the last A stack and its lead
     known = {}
 
-    def g(A, B):
-        if A is not last[0]:
-            last[:] = A, lead(A)
-        keys = [row.tobytes() for row in B]
-        fresh = {key: i for i, key in enumerate(keys) if key not in known}
-        if fresh:
-            known.update(zip(fresh, per_row(B[list(fresh.values())])))
-        return _min_plus(last[1], np.array([known[key] for key in keys]))
+    def score(A, B, cutoff):
+        obj = objective(A, B)
+        colmin = obj.min(axis=0)
+        order = np.argsort(colmin, kind="stable")
+        out = np.full(obj.shape, np.inf)
+        best, head = cutoff, None
+        for start in range(0, order.size, CONSTRAINT_BATCH):
+            cols = order[start : start + CONSTRAINT_BATCH]
+            cols = cols[colmin[cols] <= best]
+            if cols.size == 0:
+                break
+            if head is None:
+                head = lead(A)
+            rows = B[cols]
+            keys = [row.tobytes() for row in rows]
+            fresh = {key: i for i, key in enumerate(keys) if key not in known}
+            if fresh:
+                known.update(zip(fresh, per_row(rows[list(fresh.values())])))
+            g = _min_plus(head, np.array([known[key] for key in keys]))
+            out[:, cols] = np.where(g < 0.0, obj[:, cols], np.inf)
+            best = min(best, float(out[:, cols].min()))
+        return out
 
-    return g
+    return score
 
 
 def _g1_diag(inst, cfg):
-    """g(Q0rows, Q1rows) of kappa_search: g1(Q1_j, Q0_i, Q1_j) for the
-    scaled-Renyi family, unpolished, over the grid of `_inner_table`: the
-    least sum over P0' of alpha*KL(Q0_i||P0') and u(Q1_j), where u =
-    KL(Q1||P0') + the P1'-slot minimum of beta*KL(Q1||P1') - lambda."""
+    """(lead, per_row) of kappa_search's constraint g(Q0_i, Q1_j) =
+    g1(Q1_j, Q0_i, Q1_j) for the scaled-Renyi family, unpolished, over the
+    grid of `_inner_table`: the least sum over P0' of lead =
+    alpha*KL(Q0_i||P0') and per_row = u(Q1_j), where u = KL(Q1||P0') + the
+    P1'-slot minimum of beta*KL(Q1||P1') - lambda."""
     pg, nlam = _inner_table(inst, cfg)
 
     def u(Q1rows):
         c1 = dv.kl_matrix(Q1rows, pg)
         return c1 + _min_plus(inst.beta * c1, nlam)
 
-    return _slot_min(lambda Q0rows: inst.alpha * dv.kl_matrix(Q0rows, pg), u)
+    return (lambda Q0rows: inst.alpha * dv.kl_matrix(Q0rows, pg)), u
 
 
 def mu(inst, cfg=SearchConfig()):
@@ -458,16 +476,16 @@ def mu_search(inst, cfg=SearchConfig()):
     if isinstance(inst.lam, ConstantLambda):
         q0 = dv.bht_minimizer(P1, P0, inst.lam.lambda0 / a)
         return SearchResult(a * dv.kl(q0, P0), (q0, P1))
-    return min_simplex_pair(_separable(inst, b), partial(_negative, _mu_g(inst, cfg)), inst.d, cfg)
+    return min_simplex_pair(_constrained(_separable(inst, b), *_mu_g(inst, cfg)), inst.d, cfg)
 
 
 def _mu_g(inst, cfg):
-    """g(Q0rows, Q1rows) of mu_search: alpha*KL(Q0_i||P1) + h(Q1_j) (see
-    `_mu_inner`), a slot minimum whose P0' slot holds P1 alone."""
+    """(lead, per_row) of mu_search's constraint g(Q0_i, Q1_j) =
+    alpha*KL(Q0_i||P1) + h(Q1_j) (see `_mu_inner`), a slot minimum whose P0'
+    slot holds P1 alone."""
     P1 = inst.p1
     table = _inner_table(inst, cfg, rows=P1[None, :])
-    lead = lambda A: inst.alpha * dv.kl(A, P1)[:, None]
-    return _slot_min(lead, lambda B: _mu_inner(B, inst, cfg, table)[:, None])
+    return (lambda A: inst.alpha * dv.kl(A, P1)[:, None]), (lambda B: _mu_inner(B, inst, cfg, table)[:, None])
 
 
 def _mu_inner(Q1rows, inst, cfg, table):
@@ -516,20 +534,17 @@ def e_fix_search(inst, cfg=SearchConfig()):
     for each, solve the convex inner problem (minimize the objective subject
     to the tuple lying in that pair's lambda-ball) exactly by Lagrangian
     bisection on the multiplier; all block minimizers are tilted families.
-    Each grid of pairs is solved by branch and bound (_efix_dual_matrix):
-    a pair whose Lagrangian lower bound exceeds the least feasible value
-    found, by more than a slack of 1e-9 * (1 + s), is never bisected.  The
-    grid's minimum and argmin, and so the result, are those of solving
-    every pair.
+    Each grid of pairs is solved by branch and bound (_efix_dual_matrix),
+    starting from the incumbent value: a pair whose Lagrangian lower bound
+    exceeds the least feasible value known, by more than a slack of
+    1e-9 * (1 + s), is never bisected.  The grid's minimum and argmin, and
+    so the result, are those of solving every pair.
     """
     if isinstance(inst.lam, ConstantLambda):
         value, q0, q = _join_budget_min(inst, 1.0)
         return SearchResult(value, (q, q0, inst.p1))
-
-    def objective(A, B):
-        return _efix_dual_matrix(A, B, inst)
-
-    return min_simplex_pair(objective, ALWAYS_TRUE, inst.d, cfg, eps=inst.eps)
+    score = lambda A, B, cutoff: _efix_dual_matrix(A, B, inst, cutoff)
+    return min_simplex_pair(score, inst.d, cfg, eps=inst.eps)
 
 
 #: cells of the e_fix dual solved together.  The three blocks of a
@@ -543,9 +558,10 @@ _DUAL_CHUNK = 2048
 _BOUND_SLACK = 1e-9
 
 
-def _efix_dual_matrix(Urows, Vrows, inst):
+def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     """For each candidate pair (P0', P1'), the exact inner fixed-length value,
-    or +inf where the Lagrangian bound shows it cannot be the minimum.
+    or +inf where the Lagrangian bound shows it cannot be the minimum, or
+    cannot go below the cutoff.
 
     Inner problem at pair (u, v) with budget L = lambda(u, v):
         minimize  f = KL(Q||P1) + alpha*KL(Q0||P0) + beta*KL(Q1||P1)
@@ -576,11 +592,11 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     exactly, so f + s*(c - L) at each evaluated hi is a lower bound on the
     cell's value (weak duality).  An evaluation with c <= L gives a feasible
     value f, which bounds from above what the cell's bisection reaches from
-    there, since f grows with s.  The running minimum UB of these feasible
-    values over all chunks (0 once any cell lies in the ball) bounds the
-    matrix minimum from above.  A cell whose best lower bound, less the
-    slack _BOUND_SLACK * (1 + s), exceeds UB cannot hold the minimum: it
-    stops growing and reads +inf.  Of each chunk only the surviving cells'
+    there, since f grows with s.  UB starts at the cutoff and is the running
+    minimum of these feasible values over all chunks (0 once any cell lies
+    in the ball).  A cell whose best lower bound, less the slack
+    _BOUND_SLACK * (1 + s), exceeds UB cannot hold the minimum, or cannot
+    go below the cutoff: it stops growing and reads +inf.  Of each chunk only the surviving cells'
     flat index, hi and bound are kept; after the last chunk they are
     filtered by the final UB and bisected, again in chunks of _DUAL_CHUNK,
     each from the hi its doubling reached.  A bisection chunk tilts its
@@ -598,7 +614,9 @@ def _efix_dual_matrix(Urows, Vrows, inst):
     objective is evaluated once, at the final hi.  So every finite cell
     equals a solve of that cell alone under the same budget, and the matrix
     minimum and its first argmin, all that min_simplex_pair reads, are
-    those of solving every cell; a 1 x 1 call is never pruned.
+    those of solving every cell whenever that minimum is below the cutoff,
+    since then every upper bound found is at or above it.  A 1 x 1 call
+    with no cutoff is never pruned.
     """
     U = np.atleast_2d(Urows)
     V = np.atleast_2d(Vrows)
@@ -631,7 +649,7 @@ def _efix_dual_matrix(Urows, Vrows, inst):
         return cu[rows] + cv[cols], fu[rows] + fv[cols]
 
     out = np.full(Lflat.size, np.inf)
-    ub = np.inf
+    ub = cutoff
     # flat index, hi and lower bound of each chunk's surviving active cells
     kept = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
     feasible = np.flatnonzero(Lflat > 0.0)

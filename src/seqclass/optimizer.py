@@ -1,22 +1,27 @@
-"""Constrained minimization over the product of two probability simplices.
+"""Minimization of a pair score over the product of two probability simplices.
 
-Strategy: enumerate an exact coarse grid, keep its least feasible cell,
-then re-grid L-infinity boxes around the incumbent; `box_schedule` gives each
+Strategy: enumerate an exact coarse grid and keep its least cell, then
+re-grid L-infinity boxes around the incumbent; `box_schedule` gives each
 round's half-width and density (2/m and REFINE_FACTOR * m after a grid at
-density m).  The feasible sets arising from unions of lambda-balls are non-convex, so global
-enumeration plus local refinement is the method of record here.  The coarse
-pair grid is evaluated whole, as N x N matrices, so `check_pair_grid` bounds
-N before anything is allocated.  kappa's refinement steps score a box
-against an inner grid, bounded by `exponents.check_kappa_refinement`.
-Together they admit d = 2 and d = 3 at their default densities, d = 4
-only with coarse_m at most 12, and no d >= 5.
+density m).  The feasible sets arising from unions of lambda-balls are
+non-convex, so global enumeration plus local refinement is the method of
+record here.  The coarse pair grid is evaluated whole, as N x N matrices,
+so `check_pair_grid` bounds N before anything is allocated.  kappa's
+refinement steps score a box against an inner grid, bounded by
+`exponents.check_kappa_refinement`.  Together they admit d = 2 and d = 3
+at their default densities, d = 4 only with coarse_m at most 12, and no
+d >= 5.
 
-The objective and the constraint are pair callables: they take two row
-stacks of shapes (N, d) and (M, d) and return an (N, M) matrix.  The
-objective is evaluated on every cell, the constraint only on the columns
-that can still hold the minimum (`_best_over_pair`).  All closures must be
-side-effect-free.  With `eps` set, every grid point is clamped into
-the epsilon-floored simplex.
+A search takes one score: score(A, B, cutoff) takes two row stacks of
+shapes (N, d) and (M, d) and the incumbent value, and returns an (N, M)
+matrix whose minimum and first argmin are the search's answer over A x B.
+A cell reads +inf where it is infeasible, and may read +inf where it
+cannot be the first least cell, or cannot go below the cutoff.  So when
+the least cell lies below the cutoff it keeps its value and its place,
+and otherwise no cell reads below the cutoff.  Each score owns its
+pruning; the optimizer only takes the first argmin.  Scores must be
+side-effect-free but for caches that keep every bit.  With `eps` set,
+every grid point is clamped into the epsilon-floored simplex.
 """
 
 from dataclasses import dataclass
@@ -31,8 +36,6 @@ from .simplex import box_grid, grid_array, grid_count
 PAIR_CELL_LIMIT = 2**25
 #: density growth from one box re-gridding round to the next
 REFINE_FACTOR = 10
-#: columns of a pair grid whose constraint is evaluated together
-CONSTRAINT_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,6 @@ class SearchResult:
     argmin: Optional[tuple]  # None when no grid point is feasible
 
 
-ALWAYS_TRUE = lambda A, B: np.ones((A.shape[0], B.shape[0]), dtype=bool)
-
-
 def check_pair_grid(d, m):
     """Raise ValueError if the pair grid at density m is too large to search."""
     n = grid_count(d, m)
@@ -79,57 +79,33 @@ def box_schedule(density, rounds):
         yield halfwidth, density
 
 
-def _best_over_pair(objective, constraint, A, B, cutoff=np.inf):
-    """Least objective over the feasible cells of the pair grid A x B, and
-    its pair: (value, a, b), or (inf, None, None) when no cell is found.
-
-    The objective is evaluated whole; the constraint only on the columns
-    of B that can still win.  Columns are visited in ascending order of
-    their least objective, CONSTRAINT_BATCH at a time, while that least
-    value is <= the best feasible value found so far (at first the
-    cutoff): every cell of a later column lies above it.  The visited
-    cells are scattered back by column, so the masked minimum and its
-    first flat index among ties are those of evaluating every cell.  When
-    that minimum is at or above the cutoff, the value returned is too.
-    """
-    if A.shape[0] == 0 or B.shape[0] == 0:
+def _best_over_pair(score, A, B, cutoff=np.inf):
+    """The least cell of score(A, B, cutoff) and its pair: (value, a, b), its
+    first argmin in flat order, or (inf, None, None) when every cell is
+    +inf.  A value at or above the cutoff says only that no cell beats it."""
+    s = score(A, B, cutoff)
+    i, j = np.unravel_index(int(np.argmin(s)), s.shape)
+    if not np.isfinite(s[i, j]):
         return np.inf, None, None
-    obj = np.asarray(objective(A, B), dtype=np.float64)
-    colmin = obj.min(axis=0)
-    order = np.argsort(colmin, kind="stable")
-    masked = np.full(obj.shape, np.inf)
-    best = cutoff
-    for start in range(0, order.size, CONSTRAINT_BATCH):
-        cols = order[start : start + CONSTRAINT_BATCH]
-        cols = cols[colmin[cols] <= best]
-        if cols.size == 0:
-            break
-        feas = np.asarray(constraint(A, B[cols]), dtype=bool)
-        masked[:, cols] = np.where(feas, obj[:, cols], np.inf)
-        best = min(best, float(masked[:, cols].min()))
-    i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-    if not np.isfinite(masked[i, j]):
-        return np.inf, None, None
-    return float(masked[i, j]), A[i], B[j]
+    return float(s[i, j]), A[i], B[j]
 
 
-def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
-    """Minimize a pair objective over the product of two simplex grids.
+def min_simplex_pair(score, d, cfg=SearchConfig(), eps=None):
+    """Minimize a pair score over the product of two simplex grids.
 
     The coarse grid's minimiser (a, b) is refined for cfg.refine_rounds
     rounds of `box_schedule`, each of up to six steps alternating a and b.
     A step re-grids one block's box with the other held fixed and keeps the
     box minimiser only if it beats the incumbent value, so the incumbent
-    is the step's cutoff: the constraint is evaluated only on columns that
-    could beat it (see `_best_over_pair`).  A round stops once
-    two steps in a row, one per block, have moved nothing: each later step
-    would repeat an earlier call on identical (a, b, value), so stopping
-    changes no bit and no box pair is evaluated twice.
+    is the step's cutoff.  A round stops once two steps in a row, one per
+    block, have moved nothing: each later step would repeat an earlier call
+    on identical (a, b, value), so stopping changes no bit and no box pair
+    is evaluated twice.
     """
     m = cfg.resolve_m(d)
     check_pair_grid(d, m)
     pts = grid_array(d, m, eps=eps)
-    value, *pair = _best_over_pair(objective, constraint, pts, pts)
+    value, *pair = _best_over_pair(score, pts, pts)
     if pair[0] is None:
         return SearchResult(np.inf, None)
     for halfwidth, density in box_schedule(m, cfg.refine_rounds):
@@ -140,7 +116,7 @@ def min_simplex_pair(objective, constraint, d, cfg=SearchConfig(), eps=None):
             k = step % 2
             blocks = [x[None, :] for x in pair]
             blocks[k] = box_grid(pair[k], halfwidth, density, eps)
-            v, *best = _best_over_pair(objective, constraint, *blocks, cutoff=value)
+            v, *best = _best_over_pair(score, *blocks, cutoff=value)
             if v < value:
                 value, pair[k], moved = v, best[k], step
     return SearchResult(value, tuple(pair))

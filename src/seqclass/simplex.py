@@ -317,11 +317,11 @@ def box_grid(center, halfwidth, density, eps=None):
     their first d-1 coordinates.
 
     A (d,) centre gives its (S, d) points.  An (R, d) stack of centres gives
-    every row's box at once: (R, S, d) points and an (R, S) mask, where S is
-    the largest number of points a row keeps.  Row r holds its kept points
-    first, in the order of a call on that centre alone and with the same
-    bits, then padding: copies of its first point, masked False.  So a
-    one-row stack is that call's box with no padding.
+    every row's box at once as (R, S, d) points, where S is the largest
+    number of points a row keeps.  Row r holds its kept points first, in
+    the order of a call on that centre alone and with the same bits, then
+    padding: copies of its first point, bit for bit.  So a one-row stack is
+    that call's box with no padding.
 
     Raises ValueError before allocating when the mesh, R times the product
     of the widest kept axis of each coordinate, would pass GRID_POINT_LIMIT
@@ -355,7 +355,7 @@ def box_grid(center, halfwidth, density, eps=None):
     out[out < 0.0] = 0.0
     if eps is not None:
         out = clamp_rows(out, eps)
-    return (out, mask) if np.ndim(center) == 2 else out[0]
+    return out if np.ndim(center) == 2 else out[0]
 
 
 def _box_steps(halfwidth, density):

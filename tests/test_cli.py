@@ -117,13 +117,14 @@ FOREIGN_OR_FOLDED = {
     "sim_seed_negative": ({"sim_seed": "-1"}, "sim_seed"),
     "sim_seed_2_63": ({"sim_seed": str(2**63)}, "sim_seed"),
 }
-#: REROUTED, FOREIGN_OR_FOLDED, and two cases of test_config_mistake_exits_2
-#: whose message stream_sizes writes
+#: REROUTED, FOREIGN_OR_FOLDED, two cases of test_config_mistake_exits_2
+#: whose message stream_sizes writes, and a misspelled flag
 NAMED = dict(
     REROUTED,
     **FOREIGN_OR_FOLDED,
     late_cap_below_n=({"sim_late_cap": "5", "sim_n_grid": "20"}, "late_cap 5"),
     n_grid_1=({"sim_n_grid": "1,10"}, "got 1"),
+    svg_log_x_misspelled=({"svg_log_x": "ture"}, "svg_log_x"),
 )
 
 
@@ -165,6 +166,8 @@ NAMED = dict(
         # at d = 5 even the coarsest grid's refinement is too large
         {"p0": "0.3,0.25,0.2,0.15,0.1", "p1": "0.1,0.15,0.2,0.25,0.3", "lambda_family": "scaled_renyi",
          "xi": "0.5", "offset": "0.003", "lambda0": None, "solver_coarse_m": "2"},
+        # a misspelled flag would otherwise read as false
+        {"svg_log_x": "ture"},
         *(changes for changes, _ in REROUTED.values()),
         *(changes for changes, _ in FOREIGN_OR_FOLDED.values()),
     ],
@@ -172,6 +175,7 @@ NAMED = dict(
          "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
          "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan",
          "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5",
+         "svg_log_x_misspelled",
          *REROUTED, *FOREIGN_OR_FOLDED],
 )
 def test_config_mistake_exits_2(tmp_path, changes):

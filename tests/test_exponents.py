@@ -144,7 +144,8 @@ def test_kappa_scaled_renyi_certificate():
     assert math.isinf(res.value) and res.argmin is None
     # grid emptiness cross-check at modest density
     pg = grid_array(2, 100, eps=inst.eps)
-    gm = ex._g1_diag(inst, FAST)(pg, pg)
+    lead, per_row = ex._g1_diag(inst, FAST)
+    gm = ex._min_plus(lead(pg), per_row(pg))
     assert (gm >= -1e-12).all()
 
 
@@ -494,7 +495,8 @@ def test_g1_kernels_pinned_values():
     assert tuple(ex.g1(Q, Q0, Q1, inst, FAST)) == G1_PINNED
     assert tuple(ex._mu_inner(Q1, inst, FAST, ex._inner_table(inst, FAST, rows=inst.p1[None, :]))) == MU_INNER_PINNED
     pg = grid_array(2, 60, eps=inst.eps)
-    assert float(ex._g1_diag(inst, FAST)(pg, pg).sum()) == G1_DIAG_SUM_PINNED
+    lead, per_row = ex._g1_diag(inst, FAST)
+    assert float(ex._min_plus(lead(pg), per_row(pg)).sum()) == G1_DIAG_SUM_PINNED
 
 
 @pytest.mark.parametrize("d, rows", [(2, 64), (2, 700), (3, 5)], ids=["d2", "d2-two-calls", "d3"])
@@ -545,19 +547,22 @@ KAPPA_COLUMNS_EVALUATE_ALL = 329
 
 
 def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
+    # counts the Q1 rows whose per_row the constraint computes; a row met
+    # again is read from the score's memo, so this is at most the columns
+    # visited
     inst = cli.load_config(preset="fig1").instance(xi=0.5)
     want = ex.kappa_search(inst)
     columns = []
     diag = ex._g1_diag
 
     def counted(inst_, cfg):
-        g = diag(inst_, cfg)
+        lead, per_row = diag(inst_, cfg)
 
-        def wrapped(Q0rows, Q1rows):
+        def wrapped(Q1rows):
             columns.append(Q1rows.shape[0])
-            return g(Q0rows, Q1rows)
+            return per_row(Q1rows)
 
-        return wrapped
+        return lead, wrapped
 
     monkeypatch.setattr(ex, "_g1_diag", counted)
     got = ex.kappa_search(inst)
@@ -610,8 +615,8 @@ def test_mu_inner_stack_equals_each_row_alone(case):
         pg, nlam = table
         centers = pg[(inst.beta * dv.kl_matrix(rows, pg) + nlam[0]).argmin(axis=1)]
         (halfwidth, density), _ = box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS)
-        _, mask = box_grid(centers, halfwidth, density, inst.eps)
-        assert halfwidth > inst.eps and not mask.all()
+        width = box_grid(centers, halfwidth, density, inst.eps).shape[1]
+        assert halfwidth > inst.eps and min(len(box_grid(c, halfwidth, density, inst.eps)) for c in centers) < width
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -629,18 +634,25 @@ def test_constraint_cells_keep_their_bits(d):
     for width in range(1, 9):
         for j in range(0, len(rows) - width + 1, width):
             assert np.array_equal(ex._mu_inner(rows[j : j + width], inst, cfg, mu_table), h[j : j + width])
+    # a flat objective ties every column, so a score visits them all and
+    # reads the sign of g alone
+    flat = lambda A, B: np.zeros((len(A), len(B)))
     for build in (ex._g1_diag, ex._mu_g):
-        full = build(inst, cfg)(rows, rows)
-        kept = build(inst, cfg)  # met every column at an earlier width
+        lead, per_row = build(inst, cfg)
+        full = ex._min_plus(lead(rows), per_row(rows))
+        signs = np.where(full < 0.0, 0.0, np.inf)
+        kept = ex._constrained(flat, lead, per_row)  # met every column at an earlier width
         for width in range(1, 9):
-            g = build(inst, cfg)
+            score = ex._constrained(flat, lead, per_row)
             for j in range(0, len(rows) - width + 1, width):
                 cols = slice(j, j + width)
-                assert np.array_equal(g(rows, rows[cols]), full[:, cols])
-                assert np.array_equal(kept(rows, rows[cols]), full[:, cols])
+                assert np.array_equal(ex._min_plus(lead(rows), per_row(rows[cols])), full[:, cols])
+                assert np.array_equal(score(rows, rows[cols], np.inf), signs[:, cols])
+                assert np.array_equal(kept(rows, rows[cols], np.inf), signs[:, cols])
     # mu's P0' slot holds P1 alone: its g adds the lead and h, cell by cell
     want = inst.alpha * dv.kl(rows, inst.p1)[:, None] + h[None, :]
-    assert np.array_equal(ex._mu_g(inst, cfg)(rows, rows), want)
+    lead, per_row = ex._mu_g(inst, cfg)
+    assert np.array_equal(ex._min_plus(lead(rows), per_row(rows)), want)
 
 
 def _tilted_blocks_loop(s, blocks, objective=False):

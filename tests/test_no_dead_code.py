@@ -145,3 +145,23 @@ def test_every_config_key_is_read():
         elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
             read.add(_string(node.left))
     assert sorted(keys - read) == []
+
+
+def _parameters(node):
+    a = node.args
+    return [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]]
+
+
+def test_every_parameter_is_read():
+    # a parameter its body never reads is a contract the function does not
+    # keep: a search score that ignores its cutoff, say
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = (n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno}:{name}" for name in _parameters(node) if name not in read]
+    assert unread == []

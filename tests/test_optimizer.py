@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
-from seqclass.optimizer import (
-    ALWAYS_TRUE,
-    CONSTRAINT_BATCH,
-    SearchConfig,
-    _best_over_pair,
-    check_pair_grid,
-    min_simplex_pair,
-)
+from seqclass.optimizer import SearchConfig, check_pair_grid, min_simplex_pair
 from seqclass.simplex import grid_array
 
 TARGET = np.array([0.37, 0.63])
@@ -40,15 +33,25 @@ def separable(t1, t2):
     return lambda A, B: kl_split(A, t1)[:, None] + kl_split(B, t2)[None, :]
 
 
+def unconstrained(objective):
+    """The score of a search with no constraint: the objective, whatever the cutoff."""
+    return lambda A, B, cutoff: objective(A, B)
+
+
+def constrained(objective, constraint):
+    """The score of a search of objective where constraint holds, +inf elsewhere."""
+    return lambda A, B, cutoff: np.where(constraint(A, B), objective(A, B), np.inf)
+
+
 def test_min_simplex_finds_target():
-    res = min_simplex_pair(kl_to(TARGET), ALWAYS_TRUE, 2)
+    res = min_simplex_pair(unconstrained(kl_to(TARGET)), 2)
     assert res.value == pytest.approx(0.0, abs=1e-8)
     np.testing.assert_allclose(res.argmin[0], TARGET, atol=1e-4)
 
 
 def test_min_simplex_infeasible():
     never = lambda A, B: A[:, 0][:, None] + B[:, 0][None, :] > 2.0
-    res = min_simplex_pair(kl_to(TARGET), never, 2)
+    res = min_simplex_pair(constrained(kl_to(TARGET), never), 2)
     assert math.isinf(res.value)
     assert res.argmin is None
 
@@ -57,8 +60,8 @@ def test_refinement_improves_on_coarse():
     cfg0 = SearchConfig(coarse_m=50, refine_rounds=0)
     cfg3 = SearchConfig(coarse_m=50, refine_rounds=3)
     obj = separable(TARGET, np.array([0.5, 0.5]))
-    v0 = min_simplex_pair(obj, ALWAYS_TRUE, 2, cfg0).value
-    v3 = min_simplex_pair(obj, ALWAYS_TRUE, 2, cfg3).value
+    v0 = min_simplex_pair(unconstrained(obj), 2, cfg0).value
+    v3 = min_simplex_pair(unconstrained(obj), 2, cfg3).value
     assert v3 <= v0 + 1e-15
     assert v3 < 1e-6 < v0
 
@@ -66,13 +69,13 @@ def test_refinement_improves_on_coarse():
 def test_min_simplex_constraint_respected():
     # minimize KL(a||target) subject to a[0] >= 0.6
     con = lambda A, B: np.repeat((A[:, 0] >= 0.6)[:, None], B.shape[0], axis=1)
-    res = min_simplex_pair(kl_to(TARGET), con, 2)
+    res = min_simplex_pair(constrained(kl_to(TARGET), con), 2)
     assert res.argmin[0][0] >= 0.6 - 1e-12
     assert res.value == pytest.approx(dv.kl(np.array([0.6, 0.4]), TARGET), abs=1e-6)
 
 
 def check_separable(t1, t2, tol):
-    res = min_simplex_pair(separable(t1, t2), ALWAYS_TRUE, t1.size)
+    res = min_simplex_pair(unconstrained(separable(t1, t2)), t1.size)
     assert res.value == pytest.approx(0.0, abs=tol)
     np.testing.assert_allclose(res.argmin[0], t1, atol=1e-4)
     np.testing.assert_allclose(res.argmin[1], t2, atol=1e-4)
@@ -92,7 +95,7 @@ def test_pair_search_coupled_constraint():
     t2 = np.array([0.8, 0.2])
     obj = separable(t1, t2)
     con = lambda A, B: A[:, 0][:, None] + B[:, 0][None, :] <= 0.5
-    res = min_simplex_pair(obj, con, 2)
+    res = min_simplex_pair(constrained(obj, con), 2)
     a, b = res.argmin
     assert a[0] + b[0] <= 0.5 + 1e-9
     # brute-force reference on a fine product grid
@@ -104,7 +107,7 @@ def test_pair_search_coupled_constraint():
 def test_pair_search_infeasible():
     never = lambda A, B: np.zeros((A.shape[0], B.shape[0]), dtype=bool)
     obj = lambda A, B: np.zeros((A.shape[0], B.shape[0]))
-    res = min_simplex_pair(obj, never, 2)
+    res = min_simplex_pair(constrained(obj, never), 2)
     assert math.isinf(res.value) and res.argmin is None
 
 
@@ -115,7 +118,7 @@ def test_inf_objective_points_skipped():
         out[A[:, 0] < 0.5] = np.inf
         return out
 
-    res = min_simplex_pair(obj, ALWAYS_TRUE, 2)
+    res = min_simplex_pair(unconstrained(obj), 2)
     assert math.isfinite(res.value)
     assert res.argmin[0][0] >= 0.5 - 1e-12
 
@@ -151,21 +154,21 @@ SEARCH_PINNED = [
 
 @pytest.mark.parametrize("objective, d, value, argmin", SEARCH_PINNED, ids=["d2", "d3", "masked"])
 def test_search_pinned(objective, d, value, argmin):
-    res = min_simplex_pair(objective, ALWAYS_TRUE, d)
+    res = min_simplex_pair(unconstrained(objective), d)
     assert res.value == value
     assert [x.tolist() for x in res.argmin] == [list(x) for x in argmin]
 
 
 def recorded_search(calls):
-    """min_simplex_pair that logs the bytes of every box pair its objective
-    is called on."""
+    """min_simplex_pair that logs the bytes of every box pair its score is
+    called on."""
 
-    def search(objective, constraint, d, cfg=SearchConfig(), eps=None):
-        def logged(A, B):
+    def search(score, d, cfg=SearchConfig(), eps=None):
+        def logged(A, B, cutoff):
             calls.append((A.tobytes(), B.tobytes()))
-            return objective(A, B)
+            return score(A, B, cutoff)
 
-        return min_simplex_pair(logged, constraint, d, cfg, eps)
+        return min_simplex_pair(logged, d, cfg, eps)
 
     return search
 
@@ -174,7 +177,7 @@ def test_refinement_evaluates_each_box_once(monkeypatch):
     # once both blocks' steps have moved nothing, a further step would
     # repeat a call on identical inputs; the round stops there instead
     calls = []
-    recorded_search(calls)(SEARCH_PINNED[0][0], ALWAYS_TRUE, 2)
+    recorded_search(calls)(unconstrained(SEARCH_PINNED[0][0]), 2)
     searches = [calls]
     inst = cli.load_config(preset="fig1").instance()
     for run in (ex.kappa_search, ex.mu_search, ex.e_fix_search):
@@ -195,7 +198,7 @@ def test_search_config_validation():
 
 def test_eps_floor_respected():
     t = np.array([0.99, 0.01])
-    res = min_simplex_pair(separable(t, t), ALWAYS_TRUE, 2, eps=0.05)
+    res = min_simplex_pair(unconstrained(separable(t, t)), 2, eps=0.05)
     for block in res.argmin:
         assert block.min() >= 0.05 - 1e-12
     assert res.value == pytest.approx(2 * dv.kl(np.array([0.95, 0.05]), t), abs=1e-6)
@@ -210,11 +213,11 @@ def test_pair_grid_bound():
     with pytest.raises(ValueError, match="pair grid too large"):
         check_pair_grid(4, 60)
 
-    def never_called(A, B):
+    def never_called(A, B, cutoff):
         raise AssertionError("search started")
 
     with pytest.raises(ValueError, match="pair grid too large"):
-        min_simplex_pair(never_called, never_called, 4)
+        min_simplex_pair(never_called, 4)
 
 
 def indexed(table):
@@ -222,51 +225,62 @@ def indexed(table):
     return lambda A, B: table[A[:, 0].astype(int)][:, B[:, 0].astype(int)]
 
 
-def brute_force(obj, feas):
-    masked = np.where(feas, obj, np.inf)
-    i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-    return (float(masked[i, j]), (i, j)) if np.isfinite(masked[i, j]) else (np.inf, None)
+def first_argmin(s):
+    """The least cell of s and its first (i, j), or (inf, None) when none is finite."""
+    i, j = np.unravel_index(int(np.argmin(s)), s.shape)
+    return (float(s[i, j]), (i, j)) if np.isfinite(s[i, j]) else (np.inf, None)
 
 
 @st.composite
 def pair_grids(draw):
     n = draw(st.integers(1, 7))
-    m = draw(st.integers(1, 3 * CONSTRAINT_BATCH))
+    m = draw(st.integers(1, 3 * ex.CONSTRAINT_BATCH))
+    k = draw(st.integers(1, 3))
     # few distinct integer values, so ties are common; +inf among them
     cell = st.one_of(st.integers(0, 5).map(float), st.just(np.inf))
     obj = np.array(draw(st.lists(cell, min_size=n * m, max_size=n * m))).reshape(n, m)
-    feas = st.lists(st.booleans(), min_size=n * m, max_size=n * m)
-    feas = draw(st.one_of(feas, st.just([False] * (n * m))))
+    # slot values whose least sum is negative on some cells, none or all
+    slot = st.integers(-2, 2).map(float)
+    lead = np.array(draw(st.lists(slot, min_size=n * k, max_size=n * k))).reshape(n, k)
+    per_row = draw(st.one_of(st.lists(slot, min_size=m * k, max_size=m * k), st.just([3.0] * (m * k))))
     cutoff = draw(st.one_of(st.just(np.inf), st.integers(-1, 6).map(float), st.floats(-1, 6)))
-    return obj, np.array(feas).reshape(n, m), cutoff
+    return obj, lead, np.array(per_row).reshape(m, k), cutoff
 
 
 @settings(max_examples=200, deadline=None)
 @given(pair_grids())
-def test_best_over_pair_equals_brute_force(grid):
-    obj, feas, cutoff = grid
+def test_constrained_score_equals_brute_force(grid):
+    # kappa's and mu's score: the objective where the slot minimum of lead
+    # and per_row is negative, over the columns that can still win
+    obj, lead, per_row, cutoff = grid
     A = np.arange(obj.shape[0], dtype=float)[:, None]
     B = np.arange(obj.shape[1], dtype=float)[:, None]
-    seen = []
+    feas = (lead[:, None, :] + per_row[None, :, :]).min(axis=2) < 0.0
+    seen, leads = [], []
 
-    def constraint(A_, B_):
+    def lead_of(A_):
+        leads.append(len(A_))
+        return lead[A_[:, 0].astype(int)]
+
+    def per_row_of(B_):
         seen.extend(B_[:, 0].astype(int).tolist())
-        return indexed(feas)(A_, B_)
+        return per_row[B_[:, 0].astype(int)]
 
-    want, where = brute_force(obj, feas)
-    full, *full_pair = _best_over_pair(indexed(obj), constraint, A, B)
-    assert full == want
-    if where is None:
-        assert full_pair == [None, None]
-    else:
-        assert (int(full_pair[0][0]), int(full_pair[1][0])) == where
+    score = ex._constrained(indexed(obj), lead_of, per_row_of)
+    want, where = first_argmin(np.where(feas, obj, np.inf))
+    full = score(A, B, np.inf)
+    assert first_argmin(full) == (want, where)
+    # every cell kept is the objective at a feasible cell
+    kept = np.isfinite(full)
+    assert np.array_equal(full[kept], obj[kept]) and feas[kept].all()
     # the constraint saw every column whose least objective ties or beats
-    # the minimum
+    # the minimum, each row once; the lead was computed at most once
     colmin = obj.min(axis=0)
     assert set(np.flatnonzero(colmin <= want)) <= set(seen)
-    value, *pair = _best_over_pair(indexed(obj), indexed(feas), A, B, cutoff=cutoff)
+    assert len(seen) == len(set(seen)) and len(leads) <= 1
+    # a second call reads the kept rows and prunes by the cutoff
+    value, pair = first_argmin(score(A, B, cutoff))
     if want < cutoff:
-        assert value == want
-        assert (int(pair[0][0]), int(pair[1][0])) == where
+        assert (value, pair) == (want, where)
     else:
         assert value >= cutoff

@@ -141,21 +141,21 @@ def test_box_grid_stack_rows_equal_their_own_boxes(data, d, box, eps):
     if d == 4 and density == 600:
         halfwidth, density = 0.05, 100  # keep the d = 4 mesh small
     centers = data.draw(_edge_centers(d))
-    pts, mask = box_grid(centers, halfwidth, density, eps)
-    assert pts.shape[:2] == mask.shape and pts.shape[2] == d
+    pts = box_grid(centers, halfwidth, density, eps)
+    assert pts.shape[0] == len(centers) and pts.shape[2] == d
+    widths = []
     for r, c in enumerate(centers):
         alone = box_grid(c, halfwidth, density, eps)
         n = len(alone)
+        widths.append(n)
         # kept points first, in the one-centre order and with its bits
-        assert mask[r].tolist() == [True] * n + [False] * (mask.shape[1] - n)
         assert pts[r, :n].tobytes() == alone.tobytes()
-        # padding is masked and copies a kept point
-        assert (pts[r, n:] == pts[r, 0]).all()
-    # the widest row sets the stack's width
-    assert mask.sum(axis=1).max() == mask.shape[1]
+        # padding copies the row's first point, bit for bit
+        assert all(p.tobytes() == pts[r, 0].tobytes() for p in pts[r, n:])
+    # the widest one-centre box sets the stack's width
+    assert max(widths) == pts.shape[1]
     # a one-row stack is the one-centre box, unpadded
-    one, one_mask = box_grid(centers[:1], halfwidth, density, eps)
-    assert one_mask.all()
+    one = box_grid(centers[:1], halfwidth, density, eps)
     assert one[0].tobytes() == box_grid(centers[0], halfwidth, density, eps).tobytes()
 
 
