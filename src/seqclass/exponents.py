@@ -532,13 +532,14 @@ def e_fix_search(inst, cfg=SearchConfig()):
     leaving the convex problem of `_join_budget_min` over (Q0, Q).
     Scaled-Renyi: swap the infima — search candidate pairs (P0', P1') and,
     for each, solve the convex inner problem (minimize the objective subject
-    to the tuple lying in that pair's lambda-ball) exactly by Lagrangian
-    bisection on the multiplier; all block minimizers are tilted families.
-    Each grid of pairs is solved by branch and bound (_efix_dual_matrix),
-    starting from the incumbent value: a pair whose Lagrangian lower bound
-    exceeds the least feasible value known, by more than a slack of
-    1e-9 * (1 + s), is never bisected.  The grid's minimum and argmin, and
-    so the result, are those of solving every pair.
+    to the tuple lying in that pair's lambda-ball) through its Lagrangian,
+    by a safeguarded Newton search on the multiplier that stops at a
+    duality gap of 1e-12 * (1 + value); all block minimizers are tilted
+    families.  Each grid of pairs is solved by branch and bound
+    (_efix_dual_matrix), starting from the incumbent value: a pair whose
+    Lagrangian lower bound exceeds the least feasible value known, by more
+    than a slack of 1e-9 * (1 + s), is never searched.  The grid's minimum
+    and argmin, and so the result, are those of solving every pair.
     """
     if isinstance(inst.lam, ConstantLambda):
         value, q0, q = _join_budget_min(inst, 1.0)
@@ -548,14 +549,18 @@ def e_fix_search(inst, cfg=SearchConfig()):
 
 
 #: cells of the e_fix dual solved together.  The three blocks of a
-#: bisection chunk are tilted in one pass over (3, d, K) arrays; at 2048
-#: cells the dual's peak memory on the fig1 coarse grid (1.6 MiB) stays
-#: below that of tilting one (d, K) block at a time over 4096 cells
+#: multiplier-search chunk are tilted in one pass over (3, d, K) arrays; at
+#: 2048 cells the dual's peak memory on the fig1 coarse grid (1.6 MiB)
+#: stays below that of tilting one (d, K) block at a time over 4096 cells
 _DUAL_CHUNK = 2048
 #: slack of the Lagrangian bound per unit of (1 + s), where s is the
 #: multiplier it was taken at: about 1e5 times the rounding error of the
-#: bound and of the value the cell's own bisection reaches
+#: bound and of f at the feasible multiplier where the cell's own search
+#: stops
 _BOUND_SLACK = 1e-9
+#: duality gap s*(L - c), per unit of (1 + f), at which a cell's multiplier
+#: search stops: f is then within that gap of the cell's exact value
+_DUAL_GAP = 1e-12
 
 
 def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
@@ -568,7 +573,7 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
         s.t.      c = KL(Q||u) + alpha*KL(Q0||u) + beta*KL(Q1||v) <= L.
     Convex and separable per block once a multiplier s is fixed: each block
     minimizer is the tilt of its target toward u (or v) with weight s/(1+s).
-    The constraint value decreases monotonically in s, so bisection on s
+    The constraint value decreases monotonically in s, so a search on s
     finds the active-budget solution; strong duality makes it exact.
 
     Cells with L <= 0 are infeasible (inf), and cells whose unconstrained
@@ -591,27 +596,36 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     Branch and bound.  The tilts minimise the Lagrangian f + s*(c - L)
     exactly, so f + s*(c - L) at each evaluated hi is a lower bound on the
     cell's value (weak duality).  An evaluation with c <= L gives a feasible
-    value f, which bounds from above what the cell's bisection reaches from
+    value f, which bounds from above what the cell's search reaches from
     there, since f grows with s.  UB starts at the cutoff and is the running
     minimum of these feasible values over all chunks (0 once any cell lies
     in the ball).  A cell whose best lower bound, less the slack
     _BOUND_SLACK * (1 + s), exceeds UB cannot hold the minimum, or cannot
-    go below the cutoff: it stops growing and reads +inf.  Of each chunk only the surviving cells'
-    flat index, hi and bound are kept; after the last chunk they are
-    filtered by the final UB and bisected, again in chunks of _DUAL_CHUNK,
-    each from the hi its doubling reached.  A bisection chunk tilts its
-    cells' own references (3, d, K) together through `_tilted_blocks`, so
-    each max or sum over the alphabet is d - 1 vector operations, taken
-    left to right, for all three blocks at once.
+    go below the cutoff: it stops growing and reads +inf.  Of each chunk
+    only the surviving cells' flat index, hi, c and f at hi, and bound are
+    kept; after the last chunk they are filtered by the final UB and
+    solved, again in chunks of _DUAL_CHUNK.  A chunk tilts its cells' own
+    references (3, d, K) together through `_tilted_blocks`, so each max or
+    sum over the alphabet is d - 1 vector operations, taken left to right,
+    for all three blocks at once.
 
-    At most 90 bisection steps follow.  A step maps (lo, hi) to new values
-    by a deterministic elementwise function, so once a step leaves every
-    (lo, hi) of the chunk unchanged, all later steps would too: stopping
-    there gives each cell's 90-step result bit for bit, whichever cells
-    share its chunk (on the figure grids the stop comes after 53 or 54
-    steps).  The excluded cells never reach such a fixed point, since their
-    hi would keep halving.  The constraint alone drives the bisection; the
-    objective is evaluated once, at the final hi.  So every finite cell
+    Multiplier search.  Each cell starts from the bracket its doubling
+    left, [hi/2, hi], or [0, 1] when hi = 1: c > L at the low end and
+    c <= L at hi.  Its first trial fits c ~ (1 + s)^-2, the law of c at
+    large s, through c at hi.  Each pass evaluates c, f and dc/ds (closed
+    form, see `_block_terms`) at every cell's trial s, moves the end of the
+    bracket that s replaces, and takes a Newton step on log c against
+    log s, where c is close to linear.  The step aims at the point of
+    duality gap s*(L - c) = _DUAL_GAP * (1 + f) / 10, inside the window the
+    stop accepts, so rounding cannot hold a step just outside it.  A step
+    outside the bracket, or with no slope, takes the midpoint instead, so
+    the bracket shrinks at every pass.  A cell stops at a feasible s whose
+    gap is at most _DUAL_GAP * (1 + f), which puts f within that gap of
+    the cell's exact value, or when its bracket is 2 ulps wide; it reads f
+    at hi, its last feasible multiplier.  A stopped cell's s no longer
+    moves, so later passes give it the same bits, and the chunk runs until
+    every cell has stopped (on the figure grids after 3 to 8 passes).  So
+    a cell's value depends only on its own data: every finite cell
     equals a solve of that cell alone under the same budget, and the matrix
     minimum and its first argmin, all that min_simplex_pair reads, are
     those of solving every cell whenever that minimum is below the cutoff,
@@ -650,8 +664,9 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
 
     out = np.full(Lflat.size, np.inf)
     ub = cutoff
-    # flat index, hi and lower bound of each chunk's surviving active cells
-    kept = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
+    # flat index, hi, c and f at hi, and lower bound of each chunk's
+    # surviving active cells
+    kept = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 4]
     feasible = np.flatnonzero(Lflat > 0.0)
     for start in range(0, feasible.size, _DUAL_CHUNK):
         cells = feasible[start : start + _DUAL_CHUNK]
@@ -664,6 +679,8 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
             ub = 0.0
         cells, budget = cells[active], budget[active]
         hi = np.ones(cells.size)
+        chi = np.full(cells.size, np.nan)  # c at hi, once hi fits
+        fhi = np.full(cells.size, np.inf)  # f at hi, once hi fits
         bound = np.full(cells.size, -np.inf)
         grow = np.arange(cells.size)  # cells whose constraint at hi still exceeds L
         for t in range(70):
@@ -676,71 +693,100 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
             fits = gap <= 0.0
             if fits.any():
                 ub = min(ub, float(f[fits].min()))
+                chi[grow[fits]], fhi[grow[fits]] = c[fits], f[fits]
             grow = grow[~fits & ~(bound[grow] > ub)]
             hi[grow] *= 2.0
         live = ~(bound > ub)
-        kept.append((cells[live], hi[live], bound[live]))
-    cells, his, bounds = map(np.concatenate, zip(*kept))
+        kept.append((cells[live], hi[live], chi[live], fhi[live], bound[live]))
+    cells, his, chis, fhis, bounds = map(np.concatenate, zip(*kept))
     live = ~(bounds > ub)
-    cells, his = cells[live], his[live]
+    cells, his, chis, fhis = cells[live], his[live], chis[live], fhis[live]
     for start in range(0, cells.size, _DUAL_CHUNK):
-        part = cells[start : start + _DUAL_CHUNK]
-        blocks = blocks_of(part)
+        chunk = slice(start, start + _DUAL_CHUNK)
+        part, hi, fhi = cells[chunk], his[chunk], fhis[chunk]
         budget = Lflat[part]
-        hi = his[start : start + _DUAL_CHUNK]
-        lo = np.zeros(part.size)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            c, _ = _tilted_blocks(mid, blocks)
-            over = c > budget
-            lo_next = np.where(over, mid, lo)
-            hi_next = np.where(over, hi, mid)
-            if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+        blocks = blocks_of(part)
+        lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
+        # a trial or step that is not a number, or leaves the bracket,
+        # takes the midpoint
+        with np.errstate(invalid="ignore"):
+            s = (1.0 + hi) * np.sqrt(chis[chunk] / budget) - 1.0
+        s = np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi))
+        while True:
+            c, f, dc = _tilted_blocks(s, blocks, slope=True)
+            fits = c <= budget
+            np.copyto(hi, s, where=fits)
+            np.copyto(fhi, f, where=fits)
+            np.copyto(lo, s, where=~fits)
+            done = (fits & (s * (budget - c) <= _DUAL_GAP * (1.0 + f))) | (hi - lo <= 2.0 * np.spacing(hi))
+            if done.all():
                 break
-            lo, hi = lo_next, hi_next
-        _, fstar = _tilted_blocks(hi, blocks, objective=True)
-        out[part] = fstar
+            aim = budget - 0.1 * _DUAL_GAP * (1.0 + f) / s
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                step = s * np.exp(c * np.log(aim / c) / (s * dc))
+            np.copyto(s, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), where=~done)
+        out[part] = fhi
     return out.reshape(L.shape)
 
 
-def _tilted_blocks(s, blocks, objective=False):
+def _tilted_blocks(s, blocks, objective=False, slope=False):
     """Constraint value c, and with `objective` the objective f, at multiplier s.
 
     s: (K,) per cell; blocks: targets (B, d, 1), references (B, d, K) and
     weights (B, 1), one entry per block of the tuple.  The block terms of
     `_block_terms` are added in block order, as a loop over the blocks
-    would.  Returns (c, f) with f None unless asked for.
+    would.  Returns (c, f) with f None unless asked for, and with `slope`
+    (c, f, dc/ds).
     """
-    c, f = _block_terms(s, blocks, objective)
-    return dv.ordered_sum(c), None if f is None else dv.ordered_sum(f)
+    return tuple(None if t is None else dv.ordered_sum(t) for t in _block_terms(s, blocks, objective, slope))
 
 
-def _block_terms(s, blocks, objective=False):
+def _block_terms(s, blocks, objective=False, slope=False):
     """The weighted terms of c, and with `objective` of f, block by block:
     (B, K) arrays, one row per block and one column per reference, with f
-    None unless asked for.
+    None unless asked for.  With `slope` (which implies `objective`) the
+    terms of dc/ds follow: -weight * Var_z(ref - target) / ((1 + s)^3 ln 2)
+    for a block whose tilt is z.
 
     s is one multiplier per reference (K,) or one for all of them (a
     float); blocks as in `_tilted_blocks`.  Every block is tilted in one
     pass.  Each operation is elementwise per (block, letter, reference), so
-    a column's terms depend only on its s and its references.
+    a column's terms depend only on its s and its references.  f and the
+    slope reuse the (B, d, K) array of c once it is summed, so they leave
+    c and f bit for bit and add no array of that size.
     """
     targets, refs, weights = blocks
     w = s / (1.0 + s)
     keep = 1.0 - w
-    lz = keep * targets + w * refs  # (B, d, K)
+    lz = w * refs  # (B, d, K)
+    lz += keep * targets
     mx = lz[:, 0]
     for j in range(1, lz.shape[1]):
         mx = np.maximum(mx, lz[:, j])
     lz -= mx[:, None, :]
     z = np.exp(lz, out=lz)
     z /= dv.ordered_sum(z.swapaxes(0, 1))[:, None, :]
-    lq = np.log(np.where(z > 0, z, 1.0))
+    lq = np.where(z > 0, z, 1.0)
+    np.log(lq, out=lq)
     gap = lq - refs
     gap *= z
-    c = weights * dv.ordered_sum(gap.swapaxes(0, 1)) / dv.LN2
-    f = weights * dv.ordered_sum((z * (lq - targets)).swapaxes(0, 1)) / dv.LN2 if objective else None
-    return c, f
+    to_ref = dv.ordered_sum(gap.swapaxes(0, 1))  # KL(z || ref) in nats
+    c = weights * to_ref / dv.LN2
+    if not (objective or slope):
+        return c, None
+    gap = np.subtract(lq, targets, out=gap)
+    gap *= z
+    to_target = dv.ordered_sum(gap.swapaxes(0, 1))
+    f = weights * to_target / dv.LN2
+    if not slope:
+        return c, f
+    # log z is affine in (target, ref), so E_z[ref - target] is the
+    # difference of the two divergences
+    x = np.subtract(refs, targets, out=gap)
+    x *= x
+    x *= z
+    var = dv.ordered_sum(x.swapaxes(0, 1)) - (to_target - to_ref) ** 2
+    return c, f, -weights * var / ((1.0 + s) ** 3 * dv.LN2)
 
 
 def _reference_terms(s, toward_u, toward_v):

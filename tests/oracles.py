@@ -159,6 +159,47 @@ def oracle_efix(inst, m=2000, coarse_m=100, inner_m=400, top_k=5):
     return best
 
 
+def oracle_efix_cell(u, v, inst):
+    """The inner fixed-length value at one candidate pair (u, v) of a
+    scaled-Renyi instance, by scalar bisection on the Lagrange multiplier.
+
+        minimise  KL(Q||P1) + alpha*KL(Q0||P0) + beta*KL(Q1||P1)
+        s.t.      KL(Q||u) + alpha*KL(Q0||u) + beta*KL(Q1||v) <= L,
+    with L = lambda(u, v).  At a multiplier s each block minimiser is the
+    tilt of its target toward its reference with weight s/(1+s), and the
+    constraint falls as s grows.  hi doubles from 1 until the constraint
+    fits, then [0, hi] is halved until lo and hi are adjacent floats; the
+    objective at that hi is the value.  inf when L <= 0, 0 when (P1, P0,
+    P1) already fits.  Every block is built with `dv.tilted` and every
+    divergence with `dv.kl`, one pair at a time.
+    """
+    a, b = inst.alpha, inst.beta
+    P0, P1 = inst.p0, inst.p1
+    budget = float(lambda_matrix(inst.lam, u, v, b)[0, 0])
+    if budget <= 0.0:
+        return math.inf
+
+    def at(s):
+        rho = s / (1.0 + s)
+        Q, Q0, Q1 = dv.tilted(P1, u, rho), dv.tilted(P0, u, rho), dv.tilted(P1, v, rho)
+        c = dv.kl(Q, u) + a * dv.kl(Q0, u) + b * dv.kl(Q1, v)
+        f = dv.kl(Q, P1) + a * dv.kl(Q0, P0) + b * dv.kl(Q1, P1)
+        return c, f
+
+    if at(0.0)[0] <= budget:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while at(hi)[0] > budget:
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if at(mid)[0] > budget:
+            lo = mid
+        else:
+            hi = mid
+    return at(hi)[1]
+
+
 def kl_floor_projection(Q, eps):
     """min over {P in the eps-floored simplex} of KL(Q||P), in bits.
 

@@ -253,13 +253,19 @@ SWEEP_REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "refer
 
 
 @pytest.mark.parametrize("preset", ["fig1", "fig3"])
-def test_09b_reports_match_the_benchmark_reference(preset):
-    # a change that moves a gated value fails here, not only in the benchmark
+def test_09b_reports_match_the_benchmark_reference(preset_curves, preset):
+    # a change that moves a gated value fails here, not only in the
+    # benchmark.  Every point of the sweep is checked: `curve --preset`
+    # builds each report with cfg.instance(xi=...) and cfg.solver, as the
+    # workload does, and writes repr floats
+    paths, _ = preset_curves
     recorded = json.loads(SWEEP_REFERENCE.read_text())["outputs"]
-    cfg = cli.load_config(preset=preset)
-    xs = cfg.sweep_values()
-    for i in (0, 10, 20, 30, 40):
-        got = ex.report(cfg.instance(xi=float(xs[i])), cfg.solver).as_dict()
+    xs = cli.load_config(preset=preset).sweep_values()
+    rows = paths[preset]
+    assert len(rows) == len(xs) == 50
+    for i, row in enumerate(rows):
+        assert row[0] == float(xs[i])
+        got = dict(zip(cli.CURVE_COLUMNS, row))
         for key, want in recorded[f"{preset}/{i}"].items():
             if want == "inf":
                 assert got[key] == math.inf, (preset, i, key)

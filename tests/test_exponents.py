@@ -385,14 +385,16 @@ def test_find_mu_violation_requires_product_below_one():
 
 
 # e_fix at fig1 (alpha 0.38, beta 0.6, offset 0.003) and fig3 (alpha 0.7,
-# beta 0.7, offset 0) points under DUAL_CFG; recorded from the fixed-count
-# bisection (70 doublings, 90 halvings over every cell)
+# beta 0.7, offset 0) points under DUAL_CFG; recorded from the safeguarded
+# Newton search on each cell's multiplier (duality gap 1e-12 * (1 + value)).
+# Each lies about 1e-13 above the value of bisecting every multiplier to
+# its floating-point fixed point
 DUAL_CFG = SearchConfig(coarse_m=40, refine_rounds=1)
 EFIX_PINNED = (
-    ((0.38, 0.6, 0.003, 0.25), 0.1201913264200354),
-    ((0.38, 0.6, 0.003, 0.75), 0.01633368733725337),
-    ((0.7, 0.7, 0.0, 0.3), 0.14149709600818625),
-    ((0.7, 0.7, 0.0, 0.9), 0.004337865779895316),
+    ((0.38, 0.6, 0.003, 0.25), 0.12019132642016848),
+    ((0.38, 0.6, 0.003, 0.75), 0.01633368733735485),
+    ((0.7, 0.7, 0.0, 0.3), 0.1414970960083003),
+    ((0.7, 0.7, 0.0, 0.9), 0.0043378657799957865),
 )
 
 
@@ -459,6 +461,47 @@ def test_efix_dual_keeps_the_minimum(p0, p1, alpha, beta, lam, mu, mv):
     assert got.argmin() == full.argmin()
     if lam.offset == 0.05:
         assert full.min() == 0.0
+
+
+def _efix_oracle_cells():
+    """(instance, u, v) cells for the scalar oracle: random laws at d = 2, 3
+    and 4, random cells of the fig1 and fig3 coarse grids (the pinned sweep
+    points), and fig3's tiny budgets, neighbours on that grid (L from
+    2.5e-5 to 1.3e-4, where the doubling runs to s = 64 to 512)."""
+    cells = []
+    for d in (2, 3, 4):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(100 + d)))
+
+        def law():
+            return 0.02 + (1 - 0.02 * d) * rng.dirichlet(np.ones(d))
+
+        inst = ex.ProblemInstance(tuple(law()), tuple(law()), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
+        cells += [(f"d{d}", inst, law(), law()) for _ in range(8)]
+    for preset, point, _, _ in DEFAULT_PINNED:
+        config = cli.load_config(preset=preset)
+        inst = config.instance(xi=float(config.sweep_values()[point]))
+        grid = grid_array(2, 200, eps=inst.eps)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
+        cells += [(preset, inst, grid[i], grid[j]) for i, j in rng.integers(0, len(grid), size=(8, 2))]
+        if preset == "fig3":
+            cells += [("fig3-tiny", inst, grid[i], grid[i + k]) for i in (10, 60, 120, 180) for k in (-1, 1)]
+    return cells
+
+
+def test_efix_dual_cell_matches_the_scalar_oracle():
+    # a 1 x 1 dual is never pruned: it solves its cell, to a duality gap of
+    # 1e-12 * (1 + value), so it stays this close to a bisection of the
+    # multiplier built from the scalar primitives alone
+    kinds = set()
+    for kind, inst, u, v in _efix_oracle_cells():
+        got = ex._efix_dual_matrix(u, v, inst)[0, 0]
+        want = orc.oracle_efix_cell(u, v, inst)
+        assert 0.0 < want < math.inf, kind
+        assert abs(got - want) <= 1e-11 * (1.0 + want), (kind, u, v, got, want)
+        if kind == "fig3-tiny":
+            assert ex.lambda_matrix(inst.lam, u, v, inst.beta)[0, 0] < 2e-4
+        kinds.add(kind)
+    assert kinds == {"d2", "d3", "d4", "fig1", "fig3", "fig3-tiny"}
 
 
 # tracemalloc peak of _efix_dual_matrix on the fig1 201 x 201 coarse grid
@@ -757,12 +800,17 @@ def test_efix_pinned_values(point, want):
 
 # e_fix and mu at the default solver on a fig1 and a fig3 sweep point (the
 # index into the preset's sweep): a 201 x 201 coarse dual solved in many
-# chunks, then three box rounds; recorded once every divergence matrix
-# summed each cell over the alphabet left to right
+# chunks, then three box rounds.  mu was recorded once every divergence
+# matrix summed each cell over the alphabet left to right, e_fix from the
+# Newton search on each cell's multiplier
 DEFAULT_PINNED = (
-    ("fig1", 24, 0.05574788419800541, 0.2225876554133018),
-    ("fig3", 40, 0.011417282558733737, 0.365132129574385),
+    ("fig1", 24, 0.055747884198111025, 0.2225876554133018),
+    ("fig3", 40, 0.011417282558847865, 0.365132129574385),
 )
+#: the most tilt-kernel passes (`_block_terms` calls) e_fix_search may make
+#: at the DEFAULT_PINNED points: a third of the 478 and 612 that bisecting
+#: every cell's multiplier to its floating-point fixed point took
+EFIX_PASS_LIMIT = {"fig1": 160, "fig3": 204}
 
 
 @pytest.mark.parametrize("preset, point, e_fix, mu", DEFAULT_PINNED, ids=["fig1", "fig3"])
@@ -770,6 +818,23 @@ def test_efix_pinned_at_the_default_solver(preset, point, e_fix, mu):
     config = cli.load_config(preset=preset)
     assert config.solver == SearchConfig()
     assert ex.e_fix(config.instance(xi=float(config.sweep_values()[point])), SearchConfig()) == e_fix
+
+
+@pytest.mark.parametrize("preset, point, e_fix, mu", DEFAULT_PINNED, ids=["fig1", "fig3"])
+def test_efix_search_takes_few_kernel_passes(monkeypatch, preset, point, e_fix, mu):
+    # a count, not a time: each pass tilts every block of a chunk's cells
+    # (or of a shared multiplier's references) once
+    config = cli.load_config(preset=preset)
+    passes = []
+    kernel = ex._block_terms
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "_block_terms", counted)
+    assert ex.e_fix(config.instance(xi=float(config.sweep_values()[point])), SearchConfig()) == e_fix
+    assert 0 < len(passes) <= EFIX_PASS_LIMIT[preset]
 
 
 @pytest.mark.parametrize("preset, point, e_fix, mu", DEFAULT_PINNED, ids=["fig1", "fig3"])
