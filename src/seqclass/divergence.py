@@ -1,5 +1,5 @@
-"""Closed-form divergences in bits, their minimizers, and the binary
-hypothesis-testing trade-off solver.
+"""Closed-form divergences in bits, their minimizers, the binary
+hypothesis-testing trade-off solver, and the one Lagrangian multiplier search.
 
 Each divergence has one kernel over row stacks (kl, weighted_join,
 renyi_matrix); a validated call on one 1-D pair is its one-row case.
@@ -19,8 +19,9 @@ from .simplex import as_dist
 
 LN2 = np.log(2.0)
 
-BHT_TOL = 1e-10
-BHT_MAX_ITER = 200
+#: the duality gap, per unit of (1 + value), at which a one-cell multiplier
+#: search stops, and the step at which `exponents._join_fixed_point` stops
+CELL_TOL = 1e-15
 
 
 def kl(Q, P):
@@ -178,25 +179,73 @@ def bht_tradeoff(P0, P1, e0):
 
 def bht_minimizer(P0, P1, e0):
     """The Q that attains bht_tradeoff(P0, P1, e0): P1 itself when
-    e0 >= KL(P1||P0), which covers P0 = P1, and otherwise the tilt P_rho,
-    with rho bisected so that KL(P_rho||P0) = e0 (monotone in rho).
+    e0 >= KL(P1||P0), which covers P0 = P1, and otherwise the minimiser of
+    KL(Q||P1) + s*KL(Q||P0) at the s of `cell_multiplier`, the tilt of P1
+    toward P0 with weight s/(1+s) (P0 at s = inf), along which KL(Q||P0)
+    has slope -Var_Q(log P0 - log P1)/((1+s)^3 ln 2).
     """
-    P0 = as_dist(P0, "P0")
-    P1 = as_dist(P1, "P1")
+    P0, P1 = _pair(P0, P1, ("P0", "P1"))
     if np.any(P0 == 0) or np.any(P1 == 0):
         raise ValueError("bht_tradeoff requires full-support distributions")
-    if not e0 > 0:
-        raise ValueError("e0 must be positive")
     if e0 >= kl(P1, P0):
         return P1
-    lo, hi = 0.0, 1.0
-    for _ in range(BHT_MAX_ITER):
-        if hi - lo <= BHT_TOL * max(lo, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        v = kl(tilted(P0, P1, mid), P0)
-        if v < e0:
-            lo = mid
-        else:
-            hi = mid
-    return tilted(P0, P1, 0.5 * (lo + hi))
+    if not e0 > 0:
+        raise ValueError("e0 must be positive")
+    x = np.log(P0) - np.log(P1)
+
+    def evaluate(s):
+        Q = tilted(P1, P0, s / (1.0 + s))
+        var = ordered_sum(Q * x * x) - ordered_sum(Q * x) ** 2
+        return kl(Q, P0), kl(Q, P1), -var / ((1.0 + s) ** 3 * LN2)
+
+    s = cell_multiplier(evaluate, e0)
+    return P0 if math.isinf(s) else tilted(P1, P0, s / (1.0 + s))
+
+
+def cell_multiplier(evaluate, budget):
+    """The multiplier of one Lagrangian whose minimiser at s = 0 breaks its
+    budget: s doubles from 1, at most 70 times, until it fits, and then
+    `multiplier_search` (evaluate as there) returns the last s inside the
+    budget at a gap of CELL_TOL; inf when no s up to 2**69 fits."""
+    hi = 1.0
+    for _ in range(70):
+        c, f, _ = evaluate(hi)
+        if c <= budget:
+            return float(multiplier_search(evaluate, budget, hi, c, f, CELL_TOL)[0])
+        hi *= 2.0
+    return math.inf
+
+
+def multiplier_search(evaluate, budget, hi, c_hi, f_hi, gap):
+    """Safeguarded Newton search on the multiplier s of a stack of cells,
+    each a Lagrangian whose constraint value c falls as s grows.
+
+    evaluate(s) gives (c, f, dc/ds), floats or arrays, at each cell's
+    minimiser at s.  hi is the first power of two from 1 at which a cell
+    fits, c_hi <= budget with value f_hi: its bracket is [hi/2, hi], or
+    [0, 1] when hi = 1.  The first trial fits c ~ (1 + s)^-2, the law of c
+    at large s, through c at hi; each pass then moves an end of the bracket
+    and steps on log c against log s toward the gap s*(budget - c) =
+    gap * (1 + f) / 10, or bisects when a step is not a number or leaves
+    the bracket.  A cell stops, and keeps its s, at a gap of at most
+    gap * (1 + f), which puts f that close to its exact value, or at a
+    2-ulp bracket.  Returns (hi, f_hi): each cell's last feasible s and f.
+    """
+    hi, f_hi = np.array(hi), np.array(f_hi)
+    lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
+    with np.errstate(invalid="ignore"):
+        s = (1.0 + hi) * np.sqrt(c_hi / budget) - 1.0
+    s = np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi))
+    while True:
+        c, f, dc = map(np.asarray, evaluate(s))
+        fits = c <= budget
+        np.copyto(hi, s, where=fits)
+        np.copyto(f_hi, f, where=fits)
+        np.copyto(lo, s, where=~fits)
+        done = (fits & (s * (budget - c) <= gap * (1.0 + f))) | (hi - lo <= 2.0 * np.spacing(hi))
+        if done.all():
+            return hi, f_hi
+        aim = budget - 0.1 * gap * (1.0 + f) / s
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = s * np.exp(c * np.log(aim / c) / (s * dc))
+        np.copyto(s, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), where=~done)

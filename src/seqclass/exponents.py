@@ -294,52 +294,34 @@ def kappa_certified_infinite(inst):
     return isinstance(inst.lam, ScaledRenyiLambda) and inst.lam.offset == 0.0
 
 
-#: the fixed-point step and the duality gap (relative to 1 + value) at
-#: which `_join_budget_min` stops
-_JOIN_TOL = 1e-15
-
-
 def _join_budget_min(inst, w):
     """min over (A, B) of alpha*KL(A||P0) + w*KL(B||P1) subject to
     weighted_join(alpha, A, 1, B) <= lambda0, a constant budget: (value, A, B).
     kappa has w = 1 + beta and (A, B) = (Q0, Q1); e_fix w = 1 and (Q0, Q).
 
     A convex program (the join is jointly convex), solved through its
-    Lagrangian at multipliers s: see `_join_fixed_point`.  The join c(s) at
-    its minimiser falls as s grows.  s doubles from 1 until c(s) <= lambda0,
-    then secant steps, or bisection where they leave the bracket, close in
-    on c(s) = lambda0.  A feasible s gives the value f(s) and the dual
-    bound f(s) - s*(lambda0 - c(s)); the search stops when they agree to
-    _JOIN_TOL.  The value is 0, at (P0, P1), exactly when
-    GJS(P0, P1, alpha) <= lambda0.
+    Lagrangian at the multiplier of `dv.cell_multiplier`, with
+    `_join_fixed_point` warm-started from the last V.  The value is 0, at
+    (P0, P1), exactly when GJS(P0, P1, alpha) <= lambda0, and it is that
+    of A = B = (alpha*P0 + P1)/(1+alpha), the s -> inf limit, if no s fits.
     """
     a, lam0 = inst.alpha, inst.lam.lambda0
     P0, P1 = inst.p0, inst.p1
-    c = dv.gjs_value(P0, P1, a)
-    if c <= lam0:
+    if dv.gjs_value(P0, P1, a) <= lam0:
         return 0.0, P0, P1
     V = (a * P0 + P1) / (1.0 + a)
-    # A = B = V has join 0; it stands in should rounding never fit the budget
     best = (a * dv.kl(V, P0) + w * dv.kl(V, P1), V, V)
-    lo, hi, s, last = 0.0, math.inf, 1.0, (0.0, c)
-    for _ in range(200):
-        A, B, V = _join_fixed_point(inst, w, s, V)
+
+    def evaluate(s):
+        nonlocal V, best
+        A, B, V, dc = _join_fixed_point(inst, w, s, V)
         c = dv.weighted_join(a, A, 1.0, B)
+        f = a * dv.kl(A, P0) + w * dv.kl(B, P1)
         if c <= lam0:
-            hi, best = s, (a * dv.kl(A, P0) + w * dv.kl(B, P1), A, B)
-            if s * (lam0 - c) <= _JOIN_TOL * (1.0 + best[0]):
-                break
-        else:
-            lo = s
-        (s1, c1), last = last, (s, c)
-        if math.isinf(hi):
-            s *= 2.0
-            continue
-        s = s - (c - lam0) * (s - s1) / (c - c1) if c != c1 else lo
-        if not lo < s < hi:
-            s = 0.5 * (lo + hi)
-            if not lo < s < hi:
-                break  # lo and hi are adjacent floats
+            best = (f, A, B)
+        return c, f, dc
+
+    dv.cell_multiplier(evaluate, lam0)
     return best
 
 
@@ -347,26 +329,35 @@ def _join_fixed_point(inst, w, s, V):
     """Minimise alpha*KL(A||P0) + w*KL(B||P1) + s*(alpha*KL(A||V) + KL(B||V))
     from V by alternating closed forms (Csiszar and Tusnady, 1984): A tilts
     P0 toward V with weight s/(1+s), B tilts P1 toward V with weight
-    s/(w+s), V = F(V) = (alpha*A + B)/(1+alpha).  Returns (A, B, V).  The
-    fixed point lies in the eps floor, as P0 and P1 do: Hoelder bounds a
-    tilt's normaliser by 1, so where V_x < eps both tilts exceed V_x, and
-    so would F(V)_x.  F contracts slowly for large s, so each step
-    is a Newton step on V = F(V) (dA_x/dV_y = t*A_x*(delta_xy - A_y)/V_y
-    for a tilt of weight t), or F itself where Newton leaves the simplex.
+    s/(w+s), V = F(V) = (alpha*A + B)/(1+alpha).  Returns (A, B, V, dc/ds).
+    The fixed point lies in the eps floor, as P0 and P1 do: Hoelder bounds
+    a tilt's normaliser by 1, so where V_x < eps both tilts exceed V_x, and
+    so would F(V)_x.  F contracts slowly for large s, so each step is a
+    Newton step on V = F(V) (dX_x/dV_y = t*X_x*(delta_xy - X_y)/V_y for a
+    tilt X of weight t), or F itself where Newton leaves the simplex.
+
+    dc/ds, in bits, follows the fixed point: dV/ds = (I - J)^-1 dF/ds, with
+    the Newton step's I - J; a tilt X of P toward V with weight t moves by
+    X*(g - E_X[g]), g = t'(s)*log(V/P) + t*dV/V; and the join is a minimum
+    over its mixture F, so dc/ds = alpha*<log(A/F), dA> + <log(B/F), dB>.
     """
     a = inst.alpha
-    ta, tb = s / (1.0 + s), s / (w + s)
-    slopes = np.array([a * ta, tb]) / (1.0 + a)
+    t = np.array([s / (1.0 + s), s / (w + s)])
+    slopes = np.array([a, 1.0]) * t / (1.0 + a)
+    eye = np.eye(V.size)
     for _ in range(50):
-        A, B = dv.tilted(inst.p0, V, ta), dv.tilted(inst.p1, V, tb)
-        F = (a * A + B) / (1.0 + a)
-        if np.abs(F - V).max() <= _JOIN_TOL:
-            break
-        T = np.stack([A, B])
+        T = np.stack([dv.tilted(inst.p0, V, t[0]), dv.tilted(inst.p1, V, t[1])])
+        F = (a * T[0] + T[1]) / (1.0 + a)
         jac = np.diag(slopes @ (T / V)) - (slopes[:, None] * T).T @ (T / V)
-        newton = V + np.linalg.solve(np.eye(V.size) - jac, F - V)
+        if np.abs(F - V).max() <= dv.CELL_TOL:
+            break
+        newton = V + np.linalg.solve(eye - jac, F - V)
         V = newton if (newton > 0.0).all() else F
-    return A, B, F
+    tilt = lambda g: T * (g - (T * g).sum(axis=1, keepdims=True))
+    toward = np.array([[1.0 / (1.0 + s) ** 2], [w / (w + s) ** 2]]) * np.log(V / np.stack([inst.p0, inst.p1]))
+    dV = np.linalg.solve(eye - jac, np.array([a, 1.0]) @ tilt(toward) / (1.0 + a))
+    dT = tilt(toward + t[:, None] * dV / V)
+    return T[0], T[1], F, np.array([a, 1.0]) @ (np.log(T / F) * dT).sum(axis=1) / dv.LN2
 
 
 def kappa(inst, cfg=SearchConfig()):
@@ -512,10 +503,7 @@ def _mu_box(Q1rows, inst, V):
 
 def nu(inst):
     """Semi-sequential-2 term: binary trade-off at budget lambda(P0, P1)."""
-    lamP = lambda_eval(inst.lam, inst.p0, inst.p1, inst.beta)
-    if lamP >= dv.kl(inst.p1, inst.p0):
-        return 0.0
-    return dv.bht_tradeoff(inst.p0, inst.p1, lamP)
+    return dv.bht_tradeoff(inst.p0, inst.p1, lambda_eval(inst.lam, inst.p0, inst.p1, inst.beta))
 
 
 def e_fix(inst, cfg=SearchConfig()):
@@ -609,28 +597,13 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     sum over the alphabet is d - 1 vector operations, taken left to right,
     for all three blocks at once.
 
-    Multiplier search.  Each cell starts from the bracket its doubling
-    left, [hi/2, hi], or [0, 1] when hi = 1: c > L at the low end and
-    c <= L at hi.  Its first trial fits c ~ (1 + s)^-2, the law of c at
-    large s, through c at hi.  Each pass evaluates c, f and dc/ds (closed
-    form, see `_block_terms`) at every cell's trial s, moves the end of the
-    bracket that s replaces, and takes a Newton step on log c against
-    log s, where c is close to linear.  The step aims at the point of
-    duality gap s*(L - c) = _DUAL_GAP * (1 + f) / 10, inside the window the
-    stop accepts, so rounding cannot hold a step just outside it.  A step
-    outside the bracket, or with no slope, takes the midpoint instead, so
-    the bracket shrinks at every pass.  A cell stops at a feasible s whose
-    gap is at most _DUAL_GAP * (1 + f), which puts f within that gap of
-    the cell's exact value, or when its bracket is 2 ulps wide; it reads f
-    at hi, its last feasible multiplier.  A stopped cell's s no longer
-    moves, so later passes give it the same bits, and the chunk runs until
-    every cell has stopped (on the figure grids after 3 to 8 passes).  So
-    a cell's value depends only on its own data: every finite cell
-    equals a solve of that cell alone under the same budget, and the matrix
-    minimum and its first argmin, all that min_simplex_pair reads, are
-    those of solving every cell whenever that minimum is below the cutoff,
-    since then every upper bound found is at or above it.  A 1 x 1 call
-    with no cutoff is never pruned.
+    Multiplier search.  Each chunk runs `dv.multiplier_search` from its
+    cells' doubling, with one `_tilted_blocks` pass per step.  A cell's
+    value depends only on its own data, so every finite cell equals a solve
+    of that cell alone, and the matrix minimum and its first argmin, all
+    that min_simplex_pair reads, are those of solving every cell whenever
+    that minimum is below the cutoff, since then every upper bound found
+    is at or above it.  A 1 x 1 call with no cutoff is never pruned.
     """
     U = np.atleast_2d(Urows)
     V = np.atleast_2d(Vrows)
@@ -648,11 +621,6 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     toward_u = targets[:2], np.stack([logu, logu]), weights[:2]
     toward_v = targets[2:], logv[None], weights[2:]
     shared = {}  # multiplier -> its reference terms, for this call only
-
-    def blocks_of(cells):
-        rows, cols = np.divmod(cells, M)
-        ref_u = logu[:, rows]
-        return targets, np.stack([ref_u, ref_u, logv[:, cols]]), weights
 
     def at_shared(s, cells):
         # (c, f) of the cells at a multiplier s that all of them share
@@ -703,29 +671,11 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     cells, his, chis, fhis = cells[live], his[live], chis[live], fhis[live]
     for start in range(0, cells.size, _DUAL_CHUNK):
         chunk = slice(start, start + _DUAL_CHUNK)
-        part, hi, fhi = cells[chunk], his[chunk], fhis[chunk]
-        budget = Lflat[part]
-        blocks = blocks_of(part)
-        lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
-        # a trial or step that is not a number, or leaves the bracket,
-        # takes the midpoint
-        with np.errstate(invalid="ignore"):
-            s = (1.0 + hi) * np.sqrt(chis[chunk] / budget) - 1.0
-        s = np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi))
-        while True:
-            c, f, dc = _tilted_blocks(s, blocks, slope=True)
-            fits = c <= budget
-            np.copyto(hi, s, where=fits)
-            np.copyto(fhi, f, where=fits)
-            np.copyto(lo, s, where=~fits)
-            done = (fits & (s * (budget - c) <= _DUAL_GAP * (1.0 + f))) | (hi - lo <= 2.0 * np.spacing(hi))
-            if done.all():
-                break
-            aim = budget - 0.1 * _DUAL_GAP * (1.0 + f) / s
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                step = s * np.exp(c * np.log(aim / c) / (s * dc))
-            np.copyto(s, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)), where=~done)
-        out[part] = fhi
+        part = cells[chunk]
+        rows, cols = np.divmod(part, M)
+        blocks = targets, np.stack([logu[:, rows], logu[:, rows], logv[:, cols]]), weights
+        evaluate = partial(_tilted_blocks, blocks=blocks, slope=True)
+        _, out[part] = dv.multiplier_search(evaluate, Lflat[part], his[chunk], chis[chunk], fhis[chunk], _DUAL_GAP)
     return out.reshape(L.shape)
 
 

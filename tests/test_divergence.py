@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqclass import divergence as dv
@@ -96,10 +96,35 @@ def test_bht_endpoints():
     P0, P1 = binary(0.6), binary(0.1)
     assert dv.bht_tradeoff(P0, P1, dv.kl(P1, P0) + 0.01) == 0.0
     assert dv.bht_tradeoff(P0, P1, math.inf) == 0.0
-    assert dv.bht_tradeoff(P0, P1, 1e-14) == pytest.approx(dv.kl(P0, P1), abs=1e-6)
+    # tiny budgets: the multiplier grows huge, and Q tends to P0
+    for e0 in (1e-14, 1e-20, 1e-300):
+        assert dv.bht_tradeoff(P0, P1, e0) == pytest.approx(dv.kl(P0, P1), abs=1e-6)
     for e0 in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="e0 must be positive"):
             dv.bht_tradeoff(P0, P1, e0)
+
+
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.tuples(*[st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)] * 2)),
+    st.floats(0.001, 0.999),
+)
+@settings(max_examples=60, deadline=None)
+def test_bht_stays_inside_its_budget(weights, share):
+    P0, P1 = (np.array(w) / sum(w) for w in weights)
+    top = dv.kl(P1, P0)
+    assume(top > 1e-6)
+    e0 = share * top
+    Q = dv.bht_minimizer(P0, P1, e0)
+    value = dv.kl(Q, P1)
+    assert dv.kl(Q, P0) <= e0
+    # Q tilts P1 toward P0 with weight t = s/(1+s): log Q - log P1 is
+    # t * (log P0 - log P1) plus a constant.  Weak duality at that s bounds
+    # the value from below by min_Q KL(Q||P1) + s*KL(Q||P0) - s*e0
+    x, y = np.log(P0 / P1), np.log(Q / P1)
+    x, y = x - x.mean(), y - y.mean()
+    t = float(np.sum(x * y) / np.sum(x * x))
+    s = t / (1.0 - t)
+    assert value - (dv.renyi_matrix(P0, P1, s)[0, 0] - s * e0) <= 1e-12 * (1.0 + value)
 
 
 def test_kl_floor_projection():

@@ -179,26 +179,34 @@ def test_report_d3_constant_vs_oracles():
     assert rep.e_fix == pytest.approx(orc.oracle_efix(inst, m=60), abs=5e-3)
 
 
+def _join_multiplier(inst, A, B):
+    """(s, V): the multiplier s of ex._join_budget_min's argmin (A, B), read
+    off the argmin alone, and its reference V = (alpha*A + B)/(1+alpha).
+
+    A is the tilt of P0 toward V with weight t = s/(1+s), so log A - log P0
+    is t * (log V - log P0) plus a constant.  At (P0, P1) this reads s = 0.
+    """
+    V = (inst.alpha * A + B) / (1.0 + inst.alpha)
+    x, y = np.log(V / inst.p0), np.log(A / inst.p0)
+    x, y = x - x.mean(), y - y.mean()
+    t = float(x @ y / (x @ x))
+    return t / (1.0 - t), V
+
+
 def _join_dual_gap(inst, w, value, A, B):
     """value minus a certified lower bound on the constant-budget problem
     of ex._join_budget_min, built from its argmin alone.
 
-    The multiplier s is read off the argmin: A is the tilt of P0 toward
-    V = (alpha*A + B)/(1+alpha) with weight t = s/(1+s), so log A - log P0
-    is t * (log V - log P0) plus a constant.  For any s and V the dual
+    For the multiplier s of `_join_multiplier` and any V, the dual
         alpha*R(V, P0, s) + w*R(V, P1, s/w) - s*lambda0,
     with R(V, P, r) = min_X r*KL(X||V) + KL(X||P) (dv.renyi_matrix), minus
     the Frank-Wolfe gap of its convex V-part, is a lower bound (weak
     duality); so is 0.
     """
     a, lam0, P0, P1 = inst.alpha, inst.lam.lambda0, inst.p0, inst.p1
-    V = (a * A + B) / (1.0 + a)
-    x, y = np.log(V / P0), np.log(A / P0)
-    x, y = x - x.mean(), y - y.mean()
-    t = float(x @ y / (x @ x))
-    s = t / (1.0 - t)
+    s, V = _join_multiplier(inst, A, B)
     h = a * dv.renyi_matrix(V, P0, s)[0, 0] + w * dv.renyi_matrix(V, P1, s / w)[0, 0]
-    grad = -s * (a * dv.tilted(P0, V, t) + dv.tilted(P1, V, s / (w + s))) / V / dv.LN2
+    grad = -s * (a * dv.tilted(P0, V, s / (1.0 + s)) + dv.tilted(P1, V, s / (w + s))) / V / dv.LN2
     bound = h - s * lam0 - (grad @ V - grad.min())
     return value - max(bound, 0.0)
 
@@ -314,6 +322,62 @@ def test_fig2_exact_values_never_above_the_grid_search():
         inst = cfg.instance(lambda0=float(lam0))
         new = (ex.kappa(inst), ex.mu(inst), ex.e_fix(inst))
         assert all(n <= o for n, o in zip(new, old)), (lam0, new, old)
+
+
+def _fig2_joins():
+    """(inst, w, (value, A, B)) of the 100 constant-budget solves of the
+    fig2 sweep: kappa's (w = 1 + beta) and e_fix's (w = 1) at each point."""
+    cfg = cli.load_config(preset="fig2")
+    for lam0 in map(float, cfg.sweep_values()):
+        inst = cfg.instance(lambda0=lam0)
+        for w in (1.0 + inst.beta, 1.0):
+            yield inst, w, ex._join_budget_min(inst, w)
+
+
+def test_fig2_values_lie_on_their_envelope():
+    # kappa and e_fix are convex in lambda0 with slope -s* at the optimal
+    # multiplier (ROADMAP item 2), so between consecutive points the secant
+    # lies between the slopes at its two ends
+    curves = {}
+    for inst, w, (value, A, B) in _fig2_joins():
+        curves.setdefault(w, []).append((inst.lam.lambda0, value, _join_multiplier(inst, A, B)[0]))
+    assert [len(c) for c in curves.values()] == [50, 50]
+    for curve in curves.values():
+        for (l0, v0, s0), (l1, v1, s1) in zip(curve, curve[1:]):
+            assert -s0 <= (v1 - v0) / (l1 - l0) <= -s1, (l0, l1)
+
+
+def test_constant_budgets_take_few_fixed_point_solves(monkeypatch):
+    # a count, not a time: the secant search this Newton search replaced
+    # made 953 `_join_fixed_point` calls over fig2's 100 solves
+    calls = []
+    solve = ex._join_fixed_point
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(ex, "_join_fixed_point", counted)
+    assert sum(1 for _ in _fig2_joins()) == 100
+    assert 0 < len(calls) <= 953
+
+
+def test_nu_takes_few_tilts(monkeypatch):
+    # a count, not a time: bisecting rho took 3,632 `dv.tilted` calls for
+    # nu over the 100 fig1 and fig3 sweep points
+    calls = []
+    tilt = dv.tilted
+
+    def counted(*args):
+        calls.append(1)
+        return tilt(*args)
+
+    monkeypatch.setattr(dv, "tilted", counted)
+    for preset in ("fig1", "fig3"):
+        cfg = cli.load_config(preset=preset)
+        for xi in map(float, cfg.sweep_values()):
+            assert 0.0 < ex.nu(cfg.instance(xi=xi))
+    assert 0 < len(calls) <= 3632 // 3
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])

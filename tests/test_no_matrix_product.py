@@ -5,8 +5,10 @@ two rows (`divergence._cell_sums`), so a cell's bits do not depend on the
 shape of the stack it is computed in.  A BLAS product rounds a cell by the
 shape of its call, so none may come back: no ``@``, ``np.dot``,
 ``np.matmul``, ``np.einsum``, ``np.tensordot`` or ``np.inner``.  The one
-exception is the constant-budget Newton step, whose linear solve only
-chooses the next iterate.
+exception is the constant-budget fixed point, `_join_fixed_point`, whose
+linear solves only choose where the next step goes: its Newton step on V,
+and the slope dc/ds that the multiplier search steps s by.  Both solves
+live inside that one function, so it stays the only exempt one.
 """
 
 import ast
