@@ -1,5 +1,7 @@
 """Closed-form divergences in bits, their minimizers, the binary
-hypothesis-testing trade-off solver, and the one Lagrangian multiplier search.
+hypothesis-testing trade-off solver, and the two kernels every Lagrangian
+of the package shares: the one tilt (`tilt`), which gives each block's
+minimiser at a multiplier, and the one multiplier search.
 
 Each divergence has one kernel over row stacks (kl, weighted_join,
 renyi_matrix); a validated call on one 1-D pair is its one-row case.
@@ -142,17 +144,24 @@ def _cell_sums(X, Y):
     return acc
 
 
-def tilted(P0, P1, rho):
-    """Tilted distribution P_rho proportional to P0^(1-rho) * P1^rho."""
-    P0 = as_dist(P0, "P0")
-    P1 = as_dist(P1, "P1")
-    if np.any(P0 == 0) or np.any(P1 == 0):
-        raise ValueError("tilted requires full-support distributions")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0,1]")
-    logw = (1 - rho) * np.log(P0) + rho * np.log(P1)
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
+def tilt(targets, refs, rho):
+    """Normalised tilts z proportional to exp((1 - rho)*target + rho*ref)
+    over the alphabet axis -2 of log stacks (..., d, K) that broadcast: the
+    minimiser of KL(z||target) + s*KL(z||ref) at rho = s/(1+s), for one
+    target and reference per column.  rho * refs must have the shape of the
+    result.  The max and the sum over the alphabet run left to right, so a
+    column's bits follow from its own target, reference and rho alone.
+    Callers validate their inputs: full-support distributions, 0 <= rho <= 1.
+    """
+    z = rho * refs
+    z += (1.0 - rho) * targets
+    mx = z[..., 0, :]
+    for j in range(1, z.shape[-2]):
+        mx = np.maximum(mx, z[..., j, :])
+    z -= mx[..., None, :]
+    z = np.exp(z, out=z)
+    z /= ordered_sum(np.moveaxis(z, -2, 0))[..., None, :]
+    return z
 
 
 def renyi_frac(P, Q, alpha):
@@ -167,7 +176,8 @@ def renyi_frac(P, Q, alpha):
     _check_weights(alpha=alpha)
     if np.any(P == 0) or np.any(Q == 0):
         raise ValueError("renyi_frac requires full-support distributions")
-    return float(renyi_matrix(P, Q, alpha)[0, 0]), tilted(Q, P, alpha / (1.0 + alpha))
+    V = tilt(np.log(Q)[:, None], np.log(P)[:, None], alpha / (1.0 + alpha))
+    return float(renyi_matrix(P, Q, alpha)[0, 0]), V[:, 0]
 
 
 def bht_tradeoff(P0, P1, e0):
@@ -179,27 +189,32 @@ def bht_tradeoff(P0, P1, e0):
 
 def bht_minimizer(P0, P1, e0):
     """The Q that attains bht_tradeoff(P0, P1, e0): P1 itself when
-    e0 >= KL(P1||P0), which covers P0 = P1, and otherwise the minimiser of
+    e0 >= KL(P1||P0), which covers P0 = P1, P0 when e0 = 0, whose feasible
+    set is {P0}, and otherwise the minimiser of
     KL(Q||P1) + s*KL(Q||P0) at the s of `cell_multiplier`, the tilt of P1
-    toward P0 with weight s/(1+s) (P0 at s = inf), along which KL(Q||P0)
-    has slope -Var_Q(log P0 - log P1)/((1+s)^3 ln 2).
+    toward P0 with weight s/(1+s) (`tilt`; P0 at s = inf), along which
+    KL(Q||P0) has slope -Var_Q(log P0 - log P1)/((1+s)^3 ln 2).
     """
     P0, P1 = _pair(P0, P1, ("P0", "P1"))
     if np.any(P0 == 0) or np.any(P1 == 0):
         raise ValueError("bht_tradeoff requires full-support distributions")
     if e0 >= kl(P1, P0):
         return P1
-    if not e0 > 0:
-        raise ValueError("e0 must be positive")
-    x = np.log(P0) - np.log(P1)
+    if not e0 >= 0:
+        raise ValueError("e0 must be non-negative")
+    if e0 == 0:
+        return P0
+    log0, log1 = np.log(P0)[:, None], np.log(P1)[:, None]
+    x = (log0 - log1)[:, 0]
+    minimiser = lambda s: tilt(log1, log0, s / (1.0 + s))[:, 0]
 
     def evaluate(s):
-        Q = tilted(P1, P0, s / (1.0 + s))
+        Q = minimiser(s)
         var = ordered_sum(Q * x * x) - ordered_sum(Q * x) ** 2
         return kl(Q, P0), kl(Q, P1), -var / ((1.0 + s) ** 3 * LN2)
 
     s = cell_multiplier(evaluate, e0)
-    return P0 if math.isinf(s) else tilted(P1, P0, s / (1.0 + s))
+    return P0 if math.isinf(s) else minimiser(s)
 
 
 def cell_multiplier(evaluate, budget):

@@ -329,7 +329,8 @@ def _join_fixed_point(inst, w, s, V):
     """Minimise alpha*KL(A||P0) + w*KL(B||P1) + s*(alpha*KL(A||V) + KL(B||V))
     from V by alternating closed forms (Csiszar and Tusnady, 1984): A tilts
     P0 toward V with weight s/(1+s), B tilts P1 toward V with weight
-    s/(w+s), V = F(V) = (alpha*A + B)/(1+alpha).  Returns (A, B, V, dc/ds).
+    s/(w+s), both in one `dv.tilt` call, and V = F(V) = (alpha*A +
+    B)/(1+alpha).  Returns (A, B, V, dc/ds).
     The fixed point lies in the eps floor, as P0 and P1 do: Hoelder bounds
     a tilt's normaliser by 1, so where V_x < eps both tilts exceed V_x, and
     so would F(V)_x.  F contracts slowly for large s, so each step is a
@@ -345,8 +346,9 @@ def _join_fixed_point(inst, w, s, V):
     t = np.array([s / (1.0 + s), s / (w + s)])
     slopes = np.array([a, 1.0]) * t / (1.0 + a)
     eye = np.eye(V.size)
+    targets = np.log(np.stack([inst.p0, inst.p1]))[:, :, None]  # (2, d, 1)
     for _ in range(50):
-        T = np.stack([dv.tilted(inst.p0, V, t[0]), dv.tilted(inst.p1, V, t[1])])
+        T = dv.tilt(targets, np.log(V)[:, None], t[:, None, None])[..., 0]
         F = (a * T[0] + T[1]) / (1.0 + a)
         jac = np.diag(slopes @ (T / V)) - (slopes[:, None] * T).T @ (T / V)
         if np.abs(F - V).max() <= dv.CELL_TOL:
@@ -574,12 +576,12 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     all their cells at one multiplier: 0, or 2**t at step t, since hi
     starts at 1 for every cell and doubles for all growing cells together.
     The tilts of blocks Q and Q0 depend only on (s, u) and that of Q1 only
-    on (s, v), so at each such s `_reference_terms` tilts the N rows of U
-    and the M rows of V once, and a cell's c and f are its two sums added
-    in block order.  The terms of a multiplier are computed once per call
-    and shared by every chunk.  Every operation of the kernel is
-    elementwise per (block, letter, cell), so each cell gets the bits a
-    per-cell `_tilted_blocks` call would give it.
+    on (s, v), so at each such s `_block_terms` tilts the N rows of U and
+    the M rows of V once, and a cell's c and f are the sums of its blocks
+    toward u and toward v, added in block order.  The terms of a multiplier
+    are computed once per call and shared by every chunk.  Every operation
+    of the kernel is elementwise per (block, letter, cell), so each cell
+    gets the bits of `_block_terms` on its own references.
 
     Branch and bound.  The tilts minimise the Lagrangian f + s*(c - L)
     exactly, so f + s*(c - L) at each evaluated hi is a lower bound on the
@@ -593,12 +595,12 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     only the surviving cells' flat index, hi, c and f at hi, and bound are
     kept; after the last chunk they are filtered by the final UB and
     solved, again in chunks of _DUAL_CHUNK.  A chunk tilts its cells' own
-    references (3, d, K) together through `_tilted_blocks`, so each max or
+    references (3, d, K) together through `_block_terms`, so each max or
     sum over the alphabet is d - 1 vector operations, taken left to right,
     for all three blocks at once.
 
     Multiplier search.  Each chunk runs `dv.multiplier_search` from its
-    cells' doubling, with one `_tilted_blocks` pass per step.  A cell's
+    cells' doubling, with one `_block_terms` pass per step.  A cell's
     value depends only on its own data, so every finite cell equals a solve
     of that cell alone, and the matrix minimum and its first argmin, all
     that min_simplex_pair reads, are those of solving every cell whenever
@@ -625,7 +627,7 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     def at_shared(s, cells):
         # (c, f) of the cells at a multiplier s that all of them share
         if s not in shared:
-            shared[s] = _reference_terms(s, toward_u, toward_v)
+            shared[s] = [dv.ordered_sum(t) for blocks in (toward_u, toward_v) for t in _block_terms(s, blocks)]
         cu, fu, cv, fv = shared[s]
         rows, cols = np.divmod(cells, M)
         return cu[rows] + cv[cols], fu[rows] + fv[cols]
@@ -674,56 +676,35 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
         part = cells[chunk]
         rows, cols = np.divmod(part, M)
         blocks = targets, np.stack([logu[:, rows], logu[:, rows], logv[:, cols]]), weights
-        evaluate = partial(_tilted_blocks, blocks=blocks, slope=True)
+        evaluate = lambda s, blocks=blocks: [dv.ordered_sum(t) for t in _block_terms(s, blocks, slope=True)]
         _, out[part] = dv.multiplier_search(evaluate, Lflat[part], his[chunk], chis[chunk], fhis[chunk], _DUAL_GAP)
     return out.reshape(L.shape)
 
 
-def _tilted_blocks(s, blocks, objective=False, slope=False):
-    """Constraint value c, and with `objective` the objective f, at multiplier s.
-
-    s: (K,) per cell; blocks: targets (B, d, 1), references (B, d, K) and
-    weights (B, 1), one entry per block of the tuple.  The block terms of
-    `_block_terms` are added in block order, as a loop over the blocks
-    would.  Returns (c, f) with f None unless asked for, and with `slope`
-    (c, f, dc/ds).
-    """
-    return tuple(None if t is None else dv.ordered_sum(t) for t in _block_terms(s, blocks, objective, slope))
-
-
-def _block_terms(s, blocks, objective=False, slope=False):
-    """The weighted terms of c, and with `objective` of f, block by block:
-    (B, K) arrays, one row per block and one column per reference, with f
-    None unless asked for.  With `slope` (which implies `objective`) the
-    terms of dc/ds follow: -weight * Var_z(ref - target) / ((1 + s)^3 ln 2)
-    for a block whose tilt is z.
+def _block_terms(s, blocks, slope=False):
+    """The weighted terms of c and f, block by block: (B, K) arrays, one row
+    per block and one column per reference.  With `slope` the terms of
+    dc/ds follow: -weight * Var_z(ref - target) / ((1 + s)^3 ln 2) for a
+    block whose tilt is z.  Adding a column's terms in block order
+    (`dv.ordered_sum`) gives its c, f and dc/ds.
 
     s is one multiplier per reference (K,) or one for all of them (a
-    float); blocks as in `_tilted_blocks`.  Every block is tilted in one
-    pass.  Each operation is elementwise per (block, letter, reference), so
-    a column's terms depend only on its s and its references.  f and the
-    slope reuse the (B, d, K) array of c once it is summed, so they leave
-    c and f bit for bit and add no array of that size.
+    float); blocks are targets (B, d, 1), references (B, d, K) and weights
+    (B, 1), one entry per block of the tuple, as logs.  Every block is
+    tilted in one `dv.tilt` pass.  Each operation is elementwise per
+    (block, letter, reference), so a column's terms depend only on its s
+    and its references.  f and the slope reuse the (B, d, K) array of c
+    once it is summed, so they leave c and f bit for bit and add no array
+    of that size.
     """
     targets, refs, weights = blocks
-    w = s / (1.0 + s)
-    keep = 1.0 - w
-    lz = w * refs  # (B, d, K)
-    lz += keep * targets
-    mx = lz[:, 0]
-    for j in range(1, lz.shape[1]):
-        mx = np.maximum(mx, lz[:, j])
-    lz -= mx[:, None, :]
-    z = np.exp(lz, out=lz)
-    z /= dv.ordered_sum(z.swapaxes(0, 1))[:, None, :]
+    z = dv.tilt(targets, refs, s / (1.0 + s))  # (B, d, K)
     lq = np.where(z > 0, z, 1.0)
     np.log(lq, out=lq)
     gap = lq - refs
     gap *= z
     to_ref = dv.ordered_sum(gap.swapaxes(0, 1))  # KL(z || ref) in nats
     c = weights * to_ref / dv.LN2
-    if not (objective or slope):
-        return c, None
     gap = np.subtract(lq, targets, out=gap)
     gap *= z
     to_target = dv.ordered_sum(gap.swapaxes(0, 1))
@@ -737,21 +718,6 @@ def _block_terms(s, blocks, objective=False, slope=False):
     x *= z
     var = dv.ordered_sum(x.swapaxes(0, 1)) - (to_target - to_ref) ** 2
     return c, f, -weights * var / ((1.0 + s) ** 3 * dv.LN2)
-
-
-def _reference_terms(s, toward_u, toward_v):
-    """c and f at one multiplier s shared by every pair (u_i, v_j) of a
-    dual call, each reference tilted once: (cu, fu, cv, fv), where cu and fu
-    sum, in block order, the terms of the blocks that tilt toward u over
-    the N rows of U, and cv and fv those of the blocks that tilt toward v
-    over the M rows of V.  toward_u and toward_v are blocks as in
-    `_tilted_blocks`, with references (B, d, N) and (B', d, M).  The
-    blocks toward u come first in the tuple, so a pair's c is
-    cu[i] + cv[j] and its f fu[i] + fv[j]: `_tilted_blocks` of the pair's
-    blocks at s, bit for bit, since every block term is elementwise.
-    """
-    (cu, fu), (cv, fv) = (_block_terms(s, blocks, objective=True) for blocks in (toward_u, toward_v))
-    return tuple(dv.ordered_sum(t) for t in (cu, fu, cv, fv))
 
 
 @dataclass(frozen=True)

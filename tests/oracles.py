@@ -170,8 +170,9 @@ def oracle_efix_cell(u, v, inst):
     constraint falls as s grows.  hi doubles from 1 until the constraint
     fits, then [0, hi] is halved until lo and hi are adjacent floats; the
     objective at that hi is the value.  inf when L <= 0, 0 when (P1, P0,
-    P1) already fits.  Every block is built with `dv.tilted` and every
-    divergence with `dv.kl`, one pair at a time.
+    P1) already fits.  Every block is built in power form,
+    P^(1-rho) * u^rho / sum, not with the solver's log-space kernel, and
+    every divergence with `dv.kl`, one pair at a time.
     """
     a, b = inst.alpha, inst.beta
     P0, P1 = inst.p0, inst.p1
@@ -179,9 +180,13 @@ def oracle_efix_cell(u, v, inst):
     if budget <= 0.0:
         return math.inf
 
+    def tilt(P, ref, rho):
+        w = P ** (1.0 - rho) * ref**rho
+        return w / w.sum()
+
     def at(s):
         rho = s / (1.0 + s)
-        Q, Q0, Q1 = dv.tilted(P1, u, rho), dv.tilted(P0, u, rho), dv.tilted(P1, v, rho)
+        Q, Q0, Q1 = tilt(P1, u, rho), tilt(P0, u, rho), tilt(P1, v, rho)
         c = dv.kl(Q, u) + a * dv.kl(Q0, u) + b * dv.kl(Q1, v)
         f = dv.kl(Q, P1) + a * dv.kl(Q0, P0) + b * dv.kl(Q1, P1)
         return c, f

@@ -44,16 +44,23 @@ ORACLE_IMPORTS = {
     ("seqclass.exponents", "ScaledRenyiLambda"),
     ("seqclass.cli", "CURVE_COLUMNS"),
 }
+#: the solver's own kernels, which oracles.py may not read from the
+#: divergence module: an oracle builds its minimisers its own way
+ORACLE_FORBIDDEN_DV = {"tilt", "multiplier_search", "cell_multiplier", "bht_minimizer"}
 
 
 def test_oracles_import_only_primitives():
-    taken = set()
+    taken, divergence, read = set(), set(), set()
     for node in ast.walk(ast.parse(Path(orc.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             taken |= {(alias.name, None) for alias in node.names if alias.name.startswith("seqclass")}
         elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("seqclass")):
             taken |= {(node.module, alias.name) for alias in node.names}
+            divergence |= {alias.asname or alias.name for alias in node.names if alias.name == "divergence"}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            read.add((node.value.id, node.attr))
     assert taken <= ORACLE_IMPORTS
+    assert divergence and not {attr for name, attr in read if name in divergence} & ORACLE_FORBIDDEN_DV
 
 
 def _rng(seed):

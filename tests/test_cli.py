@@ -357,6 +357,19 @@ def test_nearly_equal_pair_is_valid(tmp_path, capsys, family):
     assert payload["nu"] == rep.nu
 
 
+def test_null_budget_reads_nu_at_p0(tmp_path, capsys):
+    # lambda(P0, P1) rounds to 0.0 on this pair: the budget admits P0
+    # alone, so nu is KL(P0||P1) rather than a refused e0 = 0
+    raw = dict(cli.parse_config_text(GOOD_CFG), p0="0.5,0.5", p1="0.50000001,0.49999999",
+               lambda_family="scaled_renyi", xi="0.5", offset="0")
+    raw.pop("lambda0")
+    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    inst = cli.load_config(path).instance()
+    assert ex.lambda_eval(inst.lam, inst.p0, inst.p1, inst.beta) == 0.0
+    assert cli.main(["exponents", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["nu"] == dv.kl(inst.p0, inst.p1)
+
+
 def test_fmt_parse_roundtrip():
     for v in (0.1, 1 / 3, 2.5e-17, math.inf):
         assert orc.parse_value(cli.fmt_value(v)) == v

@@ -37,9 +37,35 @@ def test_renyi_minimizer_alpha1():
     np.testing.assert_allclose(V, [0.28989, 0.71011], atol=1e-5)
 
 
-def test_tilted_midpoint():
-    V = dv.tilted(binary(0.6), binary(0.1), 0.5)
-    np.testing.assert_allclose(V, [0.28989, 0.71011], atol=1e-5)
+def _one_pair_tilt(target, ref, rho):
+    """The tilt of one distribution, given as logs, the one-pair way: the
+    form `dv.tilt` must reproduce column by column, bit for bit."""
+    logw = (1 - rho) * target + rho * ref
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_tilt_equals_the_one_pair_formula(d):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(70 + d)))
+    B, K = 3, 200
+    targets = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=B))[:, :, None]  # (B, d, 1)
+    refs = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=(B, K))).transpose(0, 2, 1)  # (B, d, K)
+    # rho = 0 and 1, s/(1+s) over the doubling range and bisection
+    # midpoints, and the join's s/(w+s)
+    s = np.concatenate([2.0 ** rng.integers(0, 70, K // 4), rng.random(K // 4 - 1) * 50])
+    w = rng.uniform(0.5, 3.0, s.size)
+    rho = np.concatenate([[0.0, 1.0], s / (1.0 + s), s / (w + s)])
+    got = dv.tilt(targets, refs, rho)
+    assert got.shape == (B, d, K)
+    for b in range(B):
+        for k in range(K):
+            want = _one_pair_tilt(targets[b, :, 0], refs[b, :, k], rho[k])
+            assert np.array_equal(got[b, :, k], want), (b, k, rho[k])
+    if d == 2:
+        # one pair as a (d, 1) stack, as renyi_frac and bht_minimizer call it
+        V = dv.tilt(np.log(binary(0.6))[:, None], np.log(binary(0.1))[:, None], 0.5)[:, 0]
+        np.testing.assert_allclose(V, [0.28989, 0.71011], atol=1e-5)
 
 
 @pytest.mark.parametrize("a", [0.38, 0.7, 1.0, 2.0])
@@ -99,8 +125,10 @@ def test_bht_endpoints():
     # tiny budgets: the multiplier grows huge, and Q tends to P0
     for e0 in (1e-14, 1e-20, 1e-300):
         assert dv.bht_tradeoff(P0, P1, e0) == pytest.approx(dv.kl(P0, P1), abs=1e-6)
-    for e0 in (0.0, -0.1, math.nan):
-        with pytest.raises(ValueError, match="e0 must be positive"):
+    # a zero budget admits P0 alone
+    assert dv.bht_tradeoff(P0, P1, 0.0) == dv.kl(P0, P1)
+    for e0 in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="e0 must be non-negative"):
             dv.bht_tradeoff(P0, P1, e0)
 
 

@@ -206,7 +206,9 @@ def _join_dual_gap(inst, w, value, A, B):
     a, lam0, P0, P1 = inst.alpha, inst.lam.lambda0, inst.p0, inst.p1
     s, V = _join_multiplier(inst, A, B)
     h = a * dv.renyi_matrix(V, P0, s)[0, 0] + w * dv.renyi_matrix(V, P1, s / w)[0, 0]
-    grad = -s * (a * dv.tilted(P0, V, s / (1.0 + s)) + dv.tilted(P1, V, s / (w + s))) / V / dv.LN2
+    rho = np.array([s / (1.0 + s), s / (w + s)])[:, None, None]
+    A, B = dv.tilt(np.log(np.stack([P0, P1]))[:, :, None], np.log(V)[:, None], rho)[..., 0]
+    grad = -s * (a * A + B) / V / dv.LN2
     bound = h - s * lam0 - (grad @ V - grad.min())
     return value - max(bound, 0.0)
 
@@ -363,16 +365,16 @@ def test_constant_budgets_take_few_fixed_point_solves(monkeypatch):
 
 
 def test_nu_takes_few_tilts(monkeypatch):
-    # a count, not a time: bisecting rho took 3,632 `dv.tilted` calls for
-    # nu over the 100 fig1 and fig3 sweep points
+    # a count, not a time: bisecting rho took 3,632 one-pair tilts for nu
+    # over the 100 fig1 and fig3 sweep points
     calls = []
-    tilt = dv.tilted
+    tilt = dv.tilt
 
     def counted(*args):
         calls.append(1)
         return tilt(*args)
 
-    monkeypatch.setattr(dv, "tilted", counted)
+    monkeypatch.setattr(dv, "tilt", counted)
     for preset in ("fig1", "fig3"):
         cfg = cli.load_config(preset=preset)
         for xi in map(float, cfg.sweep_values()):
@@ -762,10 +764,11 @@ def test_constraint_cells_keep_their_bits(d):
     assert np.array_equal(ex._min_plus(lead(rows), per_row(rows)), want)
 
 
-def _tilted_blocks_loop(s, blocks, objective=False):
-    """The e_fix tilt as a loop over the blocks of the tuple, each block a
-    (target (d, 1), reference (d, K), weight) triple: the form the fused
-    kernel must reproduce bit for bit."""
+def _block_loop(s, blocks):
+    """c, f and dc/ds of the e_fix tilt as a loop over the blocks of the
+    tuple, each block a (target (d, 1), reference (d, K), weight) triple:
+    the form the fused kernel, summed in block order, must reproduce bit
+    for bit."""
 
     def alphabet_sum(x):
         total = x[0]
@@ -775,8 +778,7 @@ def _tilted_blocks_loop(s, blocks, objective=False):
 
     w = s / (1.0 + s)
     keep = 1.0 - w
-    c = np.zeros_like(s)
-    f = np.zeros_like(s) if objective else None
+    c, f, dc = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
     for target, ref, wt in blocks:
         lz = keep * target
         lz += w * ref
@@ -789,15 +791,18 @@ def _tilted_blocks_loop(s, blocks, objective=False):
         lq = np.log(np.where(z > 0, z, 1.0))
         gap = lq - ref
         gap *= z
-        c += wt * alphabet_sum(gap) / dv.LN2
-        if objective:
-            f += wt * alphabet_sum(z * (lq - target)) / dv.LN2
-    return c, f
+        to_ref = alphabet_sum(gap)
+        to_target = alphabet_sum(z * (lq - target))
+        c += wt * to_ref / dv.LN2
+        f += wt * to_target / dv.LN2
+        var = alphabet_sum((ref - target) ** 2 * z) - (to_target - to_ref) ** 2
+        dc += -wt * var / ((1.0 + s) ** 3 * dv.LN2)
+    return c, f, dc
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("objective", [False, True])
-def test_fused_tilt_equals_block_loop(d, objective):
+@pytest.mark.parametrize("slope", [False, True])
+def test_fused_tilt_equals_block_loop(d, slope):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(d)))
     K = 300
     targets = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=3))[:, :, None]  # (3, d, 1)
@@ -805,13 +810,11 @@ def test_fused_tilt_equals_block_loop(d, objective):
     weights = np.array([[1.0], [0.38], [0.6]])
     # multipliers from 0 through the doubling range and bisection midpoints
     s = np.concatenate([[0.0], 2.0 ** rng.integers(0, 70, K // 2), rng.random(K - K // 2 - 1) * 50])
-    got = ex._tilted_blocks(s, (targets, refs, weights), objective=objective)
-    want = _tilted_blocks_loop(s, [(targets[b], refs[b], float(weights[b, 0])) for b in range(3)], objective)
-    assert np.array_equal(got[0], want[0])
-    if objective:
-        assert np.array_equal(got[1], want[1])
-    else:
-        assert got[1] is None and want[1] is None
+    got = [dv.ordered_sum(t) for t in ex._block_terms(s, (targets, refs, weights), slope=slope)]
+    want = _block_loop(s, [(targets[b], refs[b], float(weights[b, 0])) for b in range(3)])
+    assert len(got) == (3 if slope else 2)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_d3_report_near_the_simplex_boundary():
@@ -959,7 +962,8 @@ def test_kappa_and_mu_searches_keep_their_bits(case, search, value, argmin):
 def test_shared_multiplier_terms_equal_the_per_pair_kernel(d):
     # the e_fix dual's s = 0 test and doubling tilt each reference once per
     # multiplier and add the block terms per pair; that must give every
-    # pair the bits of _tilted_blocks on the pair's own references
+    # pair the bits of _block_terms on the pair's own references, summed in
+    # block order
     rng = np.random.Generator(np.random.Philox(key=np.uint64(40 + d)))
     N, M = 13, 7
     targets = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=3))[:, :, None]  # (3, d, 1)
@@ -971,9 +975,9 @@ def test_shared_multiplier_terms_equal_the_per_pair_kernel(d):
     rows, cols = np.divmod(np.arange(N * M), M)
     per_pair = targets, np.stack([logu[:, rows], logu[:, rows], logv[:, cols]]), weights
     for s in [0.0] + [2.0**t for t in range(70)]:
-        cu, fu, cv, fv = ex._reference_terms(s, toward_u, toward_v)
+        cu, fu, cv, fv = [dv.ordered_sum(t) for blocks in (toward_u, toward_v) for t in ex._block_terms(s, blocks)]
         assert cu.shape == fu.shape == (N,) and cv.shape == fv.shape == (M,)
-        c, f = ex._tilted_blocks(np.full(N * M, s), per_pair, objective=True)
+        c, f = [dv.ordered_sum(t) for t in ex._block_terms(np.full(N * M, s), per_pair)]
         assert np.array_equal(cu[rows] + cv[cols], c), s
         assert np.array_equal(fu[rows] + fv[cols], f), s
 
