@@ -111,7 +111,8 @@ def kl_matrix(Q, P):
     """
     Q = np.atleast_2d(Q)
     P = np.atleast_2d(P)
-    ent = ordered_sum(np.moveaxis(Q * np.log(np.where(Q > 0, Q, 1.0)), -1, 0))  # sum_x q log q
+    qlogq = Q * np.log(np.where(Q > 0, Q, 1.0))
+    ent = ordered_sum([qlogq[..., x] for x in range(qlogq.shape[-1])])  # sum_x q log q
     with np.errstate(divide="ignore"):
         cross = _cell_sums(Q, np.log(P))  # (..., N, M) of sum_x q_i log p_j
     return (ent[..., None] - cross) / LN2
@@ -127,7 +128,9 @@ def renyi_matrix(Prows, Qrows, alpha):
     """
     w = alpha / (1.0 + alpha)
     z = _cell_sums(np.atleast_2d(Prows) ** w, np.atleast_2d(Qrows) ** (1.0 - w))
-    return -(1.0 + alpha) * np.log(z) / LN2
+    # a cell whose sum rounds to 1 reads -(1+alpha)*0.0 = -0.0; + 0.0 makes
+    # it +0.0 and leaves every other value as it is
+    return -(1.0 + alpha) * np.log(z) / LN2 + 0.0
 
 
 def _cell_sums(X, Y):
@@ -160,7 +163,7 @@ def tilt(targets, refs, rho):
         mx = np.maximum(mx, z[..., j, :])
     z -= mx[..., None, :]
     z = np.exp(z, out=z)
-    z /= ordered_sum(np.moveaxis(z, -2, 0))[..., None, :]
+    z /= ordered_sum([z[..., j, :] for j in range(z.shape[-2])])[..., None, :]
     return z
 
 

@@ -115,7 +115,8 @@ _POLISH_CELLS = 2**20
 #: most sums one pass of `_min_plus` holds (1 MiB)
 _MIN_PLUS_CELLS = 2**17
 #: columns of a pair grid whose constraint kappa's and mu's scores
-#: evaluate together
+#: evaluate together while no feasible cell is known; once one is, every
+#: column that can still win goes in one pass
 CONSTRAINT_BATCH = 8
 
 
@@ -392,17 +393,23 @@ def _constrained(objective, lead, per_row):
     lead(A)[i, k] + per_row(B)[j, k] is negative, +inf elsewhere; lead and
     per_row map a row stack to one row of k values per row.
 
-    The objective is evaluated whole; the constraint only on the columns
-    of B that can still win.  Columns are visited in ascending order of
-    their least objective, CONSTRAINT_BATCH at a time, while that least
-    value is <= the best feasible value found so far (at first the
-    cutoff): every cell of a later column lies above it and reads +inf.
-    So when the least cell lies below the cutoff, it and its first flat
-    index are those of evaluating every cell.  A call computes lead(A)
-    once, when it visits its first column.  The
-    box steps meet the incumbent B row again and again, so per_row is kept
-    for every B row met, by its bytes; each is a row's own, so a kept one
-    has the bits of a fresh one.
+    The objective is evaluated whole; the constraint only on the cells
+    that can still win.  Columns are visited in ascending order of their
+    least objective while that least value is <= the best feasible value
+    found so far (at first the cutoff): every cell of a later column lies
+    above it and reads +inf.  While that best value is +inf, columns go
+    CONSTRAINT_BATCH at a time; once it is finite, as it always is at a
+    box step, whose cutoff is the incumbent, every remaining column that
+    can still win goes in one pass: one per_row call on its fresh rows and
+    one slot minimum.  A pass takes the slot minimum only on the rows of A
+    with an objective <= that best value in one of its columns; every
+    other cell lies above it and reads +inf.  So when the least cell lies
+    below the cutoff, it and its first flat index are those of evaluating
+    every cell.  A call computes lead(A) once, when it visits its first
+    column.  The box steps meet the incumbent B row again and again, so
+    per_row is kept for every B row met, by its bytes; each is a row's
+    own, and each slot minimum is exact, so a kept one, and a cell taken on
+    fewer rows, has the bits of a fresh one.
     """
     known = {}
 
@@ -411,22 +418,27 @@ def _constrained(objective, lead, per_row):
         colmin = obj.min(axis=0)
         order = np.argsort(colmin, kind="stable")
         out = np.full(obj.shape, np.inf)
-        best, head = cutoff, None
-        for start in range(0, order.size, CONSTRAINT_BATCH):
-            cols = order[start : start + CONSTRAINT_BATCH]
+        best, head, start = cutoff, None, 0
+        while start < order.size:
+            width = CONSTRAINT_BATCH if math.isinf(best) else order.size
+            cols = order[start : start + width]
+            start += width
             cols = cols[colmin[cols] <= best]
             if cols.size == 0:
                 break
             if head is None:
                 head = lead(A)
-            rows = B[cols]
-            keys = [row.tobytes() for row in rows]
-            fresh = {key: i for i, key in enumerate(keys) if key not in known}
+            part = obj[:, cols]
+            wins = np.flatnonzero((part <= best).any(axis=1))  # rows that can still win
+            part = part[wins]
+            keys = [row.tobytes() for row in B[cols]]
+            fresh = {key: j for j, key in zip(cols, keys) if key not in known}
             if fresh:
-                known.update(zip(fresh, per_row(rows[list(fresh.values())])))
-            g = _min_plus(head, np.array([known[key] for key in keys]))
-            out[:, cols] = np.where(g < 0.0, obj[:, cols], np.inf)
-            best = min(best, float(out[:, cols].min()))
+                known.update(zip(fresh, per_row(B[list(fresh.values())])))
+            g = _min_plus(head[wins], np.array([known[key] for key in keys]))
+            part[~(g < 0.0)] = np.inf
+            out[np.ix_(wins, cols)] = part
+            best = min(best, float(part.min()))
         return out
 
     return score
@@ -551,6 +563,9 @@ _BOUND_SLACK = 1e-9
 #: duality gap s*(L - c), per unit of (1 + f), at which a cell's multiplier
 #: search stops: f is then within that gap of the cell's exact value
 _DUAL_GAP = 1e-12
+#: multipliers of the e_fix dual's doubling ladder tilted in one pass: the
+#: s = 0 test and the first seven doublings, then eight doublings at a time
+_RUNG = 8
 
 
 def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
@@ -576,12 +591,17 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     all their cells at one multiplier: 0, or 2**t at step t, since hi
     starts at 1 for every cell and doubles for all growing cells together.
     The tilts of blocks Q and Q0 depend only on (s, u) and that of Q1 only
-    on (s, v), so at each such s `_block_terms` tilts the N rows of U and
-    the M rows of V once, and a cell's c and f are the sums of its blocks
-    toward u and toward v, added in block order.  The terms of a multiplier
-    are computed once per call and shared by every chunk.  Every operation
-    of the kernel is elementwise per (block, letter, cell), so each cell
-    gets the bits of `_block_terms` on its own references.
+    on (s, v), so the shared blocks fold onto one column axis of 2N + M
+    columns, Q and Q0 toward each u and Q1 toward each v, and a cell's c
+    and f are the sums of its blocks toward u and toward v, added in block
+    order.  The ladder of these multipliers is tilted in rungs of _RUNG
+    consecutive multipliers, {0, 2**0, ..., 2**6} and then eight
+    more doublings at a time, each rung in one `_block_terms` pass over
+    _RUNG copies of the folded columns, the first time a cell needs one of
+    its multipliers.  A rung is computed once per call and shared by every
+    chunk.  Every operation of the kernel is elementwise per (block,
+    letter, column), so each cell gets the bits of `_block_terms` on its
+    own references.
 
     Branch and bound.  The tilts minimise the Lagrangian f + s*(c - L)
     exactly, so f + s*(c - L) at each evaluated hi is a lower bound on the
@@ -610,7 +630,7 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     U = np.atleast_2d(Urows)
     V = np.atleast_2d(Vrows)
     L = lambda_matrix(inst.lam, U, V, inst.beta)  # (N, M)
-    M = L.shape[1]
+    N, M = L.shape
     Lflat = L.ravel()
     logu = np.log(U).T  # (d, N)
     logv = np.log(V).T  # (d, M)
@@ -619,16 +639,30 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     # the blocks Q, Q0, Q1 of the tuple: targets, and weights in the objective
     targets = np.stack([logP1, logP0, logP1])  # (3, d, 1)
     weights = np.array([[1.0], [inst.alpha], [inst.beta]])  # (3, 1)
-    # blocks Q and Q0 tilt toward u, block Q1 toward v
-    toward_u = targets[:2], np.stack([logu, logu]), weights[:2]
-    toward_v = targets[2:], logv[None], weights[2:]
-    shared = {}  # multiplier -> its reference terms, for this call only
+    # the shared blocks on one column axis: Q and Q0 toward each u, then Q1
+    # toward each v, repeated once per multiplier of a rung
+    width = 2 * N + M
+    folded = (
+        np.repeat(targets[:, :, 0].T, [N, N, M], axis=1)[None],  # (1, d, 2N + M)
+        np.concatenate([logu, logu, logv], axis=1)[None],
+        np.repeat(weights.T, [N, N, M], axis=-1),  # (1, 2N + M)
+    )
+    ladder = [0.0] + [2.0**t for t in range(70)]  # the multipliers of the s = 0 test and the doubling
+    rungs = {}  # rung -> the (cu, fu, cv, fv) of each of its multipliers, for this call only
 
-    def at_shared(s, cells):
-        # (c, f) of the cells at a multiplier s that all of them share
-        if s not in shared:
-            shared[s] = [dv.ordered_sum(t) for blocks in (toward_u, toward_v) for t in _block_terms(s, blocks)]
-        cu, fu, cv, fv = shared[s]
+    def at_step(step, cells):
+        # (c, f) of the cells at the ladder's step-th multiplier, 0 at step
+        # 0 and 2**(step - 1) after, which all of them share
+        rung, k = divmod(step, _RUNG)
+        if rung not in rungs:
+            s = np.array(ladder[rung * _RUNG : (rung + 1) * _RUNG])
+            blocks = [np.tile(x, len(s)) for x in folded]
+            c, f = (t[0].reshape(len(s), width) for t in _block_terms(np.repeat(s, width), blocks))
+            rungs[rung] = [
+                (x[:N] + x[N : 2 * N], y[:N] + y[N : 2 * N], x[2 * N :].copy(), y[2 * N :].copy())
+                for x, y in zip(c, f)
+            ]
+        cu, fu, cv, fv = rungs[rung][k]
         rows, cols = np.divmod(cells, M)
         return cu[rows] + cv[cols], fu[rows] + fv[cols]
 
@@ -641,7 +675,7 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     for start in range(0, feasible.size, _DUAL_CHUNK):
         cells = feasible[start : start + _DUAL_CHUNK]
         budget = Lflat[cells]
-        c0, _ = at_shared(0.0, cells)
+        c0, _ = at_step(0, cells)
         # the complement of "unconstrained optimum already inside the ball"
         active = ~(c0 <= budget)
         if not active.all():
@@ -653,11 +687,11 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
         fhi = np.full(cells.size, np.inf)  # f at hi, once hi fits
         bound = np.full(cells.size, -np.inf)
         grow = np.arange(cells.size)  # cells whose constraint at hi still exceeds L
-        for t in range(70):
+        for step in range(1, len(ladder)):
             if grow.size == 0:
                 break
-            s = hi[grow]  # 2**t for every growing cell
-            c, f = at_shared(2.0**t, cells[grow])
+            s = hi[grow]  # ladder[step] for every growing cell
+            c, f = at_step(step, cells[grow])
             gap = c - budget[grow]
             bound[grow] = np.maximum(bound[grow], f + s * gap - _BOUND_SLACK * (1.0 + s))
             fits = gap <= 0.0

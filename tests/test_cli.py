@@ -370,6 +370,20 @@ def test_null_budget_reads_nu_at_p0(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["nu"] == dv.kl(inst.p0, inst.p1)
 
 
+def test_near_null_pair_reports_no_negative_zero(tmp_path, capsys):
+    # the Renyi sum of this pair rounds to 1, and -(1+alpha)*log2(1) is
+    # -0.0; every exponent must read +0.0 there, as a sign test or a CSV
+    # diff sees the sign of a zero
+    raw = dict(cli.parse_config_text(GOOD_CFG), p0="0.5,0.5", p1="0.50000001,0.49999999",
+               lambda_family="scaled_renyi", xi="0.5", offset="0")
+    raw.pop("lambda0")
+    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+    assert cli.main(["exponents", "--config", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    keys = ("renyi_term", "kappa", "mu", "nu", "e_fix", "e_seq", "e_semi1", "e_semi2")
+    assert all(math.copysign(1.0, float(payload[k])) > 0 for k in keys), {k: payload[k] for k in keys}
+
+
 def test_fmt_parse_roundtrip():
     for v in (0.1, 1 / 3, 2.5e-17, math.inf):
         assert orc.parse_value(cli.fmt_value(v)) == v

@@ -679,6 +679,35 @@ def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
     assert 0 < sum(columns) <= KAPPA_COLUMNS_EVALUATE_ALL // 2
 
 
+#: the most per_row calls kappa's and mu's constraint may make in one fig1
+#: search at xi = 0.5, default solver: once a feasible cell is known, a
+#: score takes every column that can still win in one call (5 calls each;
+#: 16 and 19 when the columns went CONSTRAINT_BATCH at a time)
+CONSTRAINT_CALL_LIMIT = 6
+
+
+@pytest.mark.parametrize("build, search", [("_g1_diag", "kappa_search"), ("_mu_g", "mu_search")], ids=["kappa", "mu"])
+def test_constraint_takes_few_per_row_calls(monkeypatch, build, search):
+    inst = cli.load_config(preset="fig1").instance(xi=0.5)
+    want = getattr(ex, search)(inst)
+    calls = []
+    pieces = getattr(ex, build)
+
+    def counted(inst_, cfg):
+        lead, per_row = pieces(inst_, cfg)
+
+        def wrapped(rows):
+            calls.append(len(rows))
+            return per_row(rows)
+
+        return lead, wrapped
+
+    monkeypatch.setattr(ex, build, counted)
+    got = getattr(ex, search)(inst)
+    assert got.value == want.value
+    assert 0 < len(calls) <= CONSTRAINT_CALL_LIMIT
+
+
 def _mu_inner_loop(Q1rows, inst, cfg, table):
     """_mu_inner as a loop over its rows, each polished alone through
     one-centre boxes and 2-D kernels: the form the stacked polish must
@@ -875,9 +904,11 @@ DEFAULT_PINNED = (
     ("fig3", 40, 0.011417282558847865, 0.365132129574385),
 )
 #: the most tilt-kernel passes (`_block_terms` calls) e_fix_search may make
-#: at the DEFAULT_PINNED points: a third of the 478 and 612 that bisecting
-#: every cell's multiplier to its floating-point fixed point took
-EFIX_PASS_LIMIT = {"fig1": 160, "fig3": 204}
+#: at the DEFAULT_PINNED points: the doubling ladder tilted in rungs of
+#: _RUNG multipliers takes 40 and 62, where one pass per block side and
+#: multiplier took 70 and 94 and bisecting every cell's multiplier to its
+#: floating-point fixed point 478 and 612
+EFIX_PASS_LIMIT = {"fig1": 48, "fig3": 72}
 
 
 @pytest.mark.parametrize("preset, point, e_fix, mu", DEFAULT_PINNED, ids=["fig1", "fig3"])
@@ -958,28 +989,92 @@ def test_kappa_and_mu_searches_keep_their_bits(case, search, value, argmin):
     assert tuple(tuple(float(x).hex() for x in q) for q in res.argmin) == argmin
 
 
+# kappa_search, mu_search and e_fix_search, value and argmin as float.hex,
+# at the default solver on three fig1 and three fig3 sweep points (the index
+# into the preset's sweep; kappa is certified inf on fig3).  Recorded before
+# the e_fix dual tilted its doubling in rungs and the constraint score took
+# every column that can still win in one pass: a change that only makes
+# the searches faster must keep every one of these bits
+SEARCH_HEX_PINNED = (
+    (("fig1", 0), "kappa", "0x1.0e11021a37dd2p-2",
+     (("0x1.3fce3150dae3fp-3", "0x1.b00c73abc9470p-1"), ("0x1.3d1f601797cc3p-3", "0x1.b0b827fa1a0cfp-1"))),
+    (("fig1", 0), "mu", "0x1.33b005f7eb240p-2",
+     (("0x1.9da7b0b391927p-4", "0x1.cc4b09e98dcdbp-1"), ("0x1.999999999999ap-4", "0x1.ccccccccccccdp-1"))),
+    (("fig1", 0), "e_fix", "0x1.efa7bc5af1431p-3",
+     (("0x1.82b94d9407896p-3", "0x1.9f51ac9afe1dap-1"), ("0x1.85143bf727137p-4", "0x1.cf5d78811b1d9p-1"))),
+    (("fig1", 24), "kappa", "0x1.da89cdd5f58d6p-3",
+     (("0x1.a3f91e646f155p-3", "0x1.9701b866e43abp-1"), ("0x1.5c28f5c28f5c3p-3", "0x1.a8f5c28f5c28fp-1"))),
+    (("fig1", 24), "mu", "0x1.c7dc0963f2953p-3",
+     (("0x1.a4d2b2bfdb4ccp-3", "0x1.96cb5350092cdp-1"), ("0x1.47ae147ae147bp-6", "0x1.f5c28f5c28f5cp-1"))),
+    (("fig1", 24), "e_fix", "0x1.c8afc96e7774cp-5",
+     (("0x1.5c27a63736ce0p-2", "0x1.51ec2ce464990p-1"), ("0x1.47ae147ae147bp-7", "0x1.fae147ae147aep-1"))),
+    (("fig1", 49), "kappa", "0x1.52037319420c9p-6",
+     (("0x1.0cd2b2bfdb4ccp-1", "0x1.e65a9a8049668p-2"), ("0x1.147ae147ae148p-3", "0x1.bae147ae147aep-1"))),
+    (("fig1", 49), "mu", "0x1.2427c53367d34p-3",
+     (("0x1.62070b8cfbfc5p-2", "0x1.4efc7a398201ep-1"), ("0x1.eb851eb851eb8p-3", "0x1.851eb851eb852p-1"))),
+    (("fig1", 49), "e_fix", "0x1.20b50fbaf70c4p-11",
+     (("0x1.f39ffd60e94eep-2", "0x1.0630014f8b589p-1"), ("0x1.47ae147ae147bp-7", "0x1.fae147ae147aep-1"))),
+    (("fig3", 0), "kappa", "inf",
+     None),
+    (("fig3", 0), "mu", "0x1.1cb9d804e19d4p-1",
+     (("0x1.999999999999ap-4", "0x1.ccccccccccccdp-1"), ("0x1.9999999999999p-4", "0x1.ccccccccccccdp-1"))),
+    (("fig3", 0), "e_fix", "0x1.8488fc2d19074p-2",
+     (("0x1.ff77af640639dp-3", "0x1.80221426fe719p-1"), ("0x1.7ec56d5cfaacep-4", "0x1.d027525460aa6p-1"))),
+    (("fig3", 40), "kappa", "inf",
+     None),
+    (("fig3", 40), "mu", "0x1.75e5326cf6990p-2",
+     (("0x1.004189374bc6ap-2", "0x1.7fdf3b645a1cbp-1"), ("0x1.0f4f0d844d014p-2", "0x1.7858793dd97f6p-1"))),
+    (("fig3", 40), "e_fix", "0x1.761f1b9987574p-7",
+     (("0x1.f7b890d5a5b96p-2", "0x1.0423b7952d235p-1"), ("0x1.47ae147ae147bp-7", "0x1.fae147ae147aep-1"))),
+    (("fig3", 49), "kappa", "inf",
+     None),
+    (("fig3", 49), "mu", "0x1.28f7f28e8534cp-2",
+     (("0x1.47cc39ffd60e9p-2", "0x1.5c19e30014f8cp-1"), ("0x1.1eb851eb851ecp-2", "0x1.70a3d70a3d70ap-1"))),
+    (("fig3", 49), "e_fix", "0x1.45ea60bf55cedp-12",
+     (("0x1.16425aee631fap-1", "0x1.d37b4a2339c0cp-2"), ("0x1.47ae147ae147bp-7", "0x1.fae147ae147aep-1"))),
+)
+
+
+@pytest.mark.parametrize("case, search, value, argmin", SEARCH_HEX_PINNED,
+                         ids=[f"{c[0]}-{c[1]}-{s}" for c, s, _, _ in SEARCH_HEX_PINNED])
+def test_searches_keep_their_bits_at_the_default_solver(case, search, value, argmin):
+    preset, point = case
+    config = cli.load_config(preset=preset)
+    assert config.solver == SearchConfig()
+    res = getattr(ex, f"{search}_search")(config.instance(xi=float(config.sweep_values()[point])), SearchConfig())
+    assert float(res.value).hex() == value
+    got = None if res.argmin is None else tuple(tuple(float(x).hex() for x in q) for q in res.argmin)
+    assert got == argmin
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_shared_multiplier_terms_equal_the_per_pair_kernel(d):
-    # the e_fix dual's s = 0 test and doubling tilt each reference once per
-    # multiplier and add the block terms per pair; that must give every
-    # pair the bits of _block_terms on the pair's own references, summed in
-    # block order
+    # the e_fix dual's s = 0 test and doubling fold the blocks toward u
+    # and toward v onto one column axis, tilt each reference once per
+    # multiplier, a rung of _RUNG multipliers per pass, and add the block
+    # terms per pair; that must give every pair the bits of _block_terms
+    # on the pair's own references, summed in block order
     rng = np.random.Generator(np.random.Philox(key=np.uint64(40 + d)))
     N, M = 13, 7
     targets = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=3))[:, :, None]  # (3, d, 1)
     weights = np.array([[1.0], [0.38], [0.6]])
     logu = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=N)).T  # (d, N)
     logv = np.log(0.01 + 0.9 * rng.dirichlet(np.ones(d), size=M)).T  # (d, M)
-    toward_u = targets[:2], np.stack([logu, logu]), weights[:2]
-    toward_v = targets[2:], logv[None], weights[2:]
+    folded = (
+        np.repeat(targets[:, :, 0].T, [N, N, M], axis=1)[None],
+        np.concatenate([logu, logu, logv], axis=1)[None],
+        np.repeat(weights.T, [N, N, M], axis=-1),
+    )
     rows, cols = np.divmod(np.arange(N * M), M)
     per_pair = targets, np.stack([logu[:, rows], logu[:, rows], logv[:, cols]]), weights
-    for s in [0.0] + [2.0**t for t in range(70)]:
-        cu, fu, cv, fv = [dv.ordered_sum(t) for blocks in (toward_u, toward_v) for t in ex._block_terms(s, blocks)]
-        assert cu.shape == fu.shape == (N,) and cv.shape == fv.shape == (M,)
-        c, f = [dv.ordered_sum(t) for t in ex._block_terms(np.full(N * M, s), per_pair)]
-        assert np.array_equal(cu[rows] + cv[cols], c), s
-        assert np.array_equal(fu[rows] + fv[cols], f), s
+    ladder = [0.0] + [2.0**t for t in range(70)]
+    for start in range(0, len(ladder), ex._RUNG):
+        rung = np.array(ladder[start : start + ex._RUNG])
+        terms = ex._block_terms(np.repeat(rung, 2 * N + M), [np.tile(x, rung.size) for x in folded])
+        for s, x, y in zip(rung, *(t[0].reshape(rung.size, -1) for t in terms)):
+            c, f = [dv.ordered_sum(t) for t in ex._block_terms(np.full(N * M, s), per_pair)]
+            assert np.array_equal((x[:N] + x[N : 2 * N])[rows] + x[2 * N :][cols], c), s
+            assert np.array_equal((y[:N] + y[N : 2 * N])[rows] + y[2 * N :][cols], f), s
 
 
 @pytest.mark.parametrize(
