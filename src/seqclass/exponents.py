@@ -591,10 +591,10 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     all their cells at one multiplier: 0, or 2**t at step t, since hi
     starts at 1 for every cell and doubles for all growing cells together.
     The tilts of blocks Q and Q0 depend only on (s, u) and that of Q1 only
-    on (s, v), so the shared blocks fold onto one column axis of 2N + M
-    columns, Q and Q0 toward each u and Q1 toward each v, and a cell's c
-    and f are the sums of its blocks toward u and toward v, added in block
-    order.  The ladder of these multipliers is tilted in rungs of _RUNG
+    on (s, v), so the shared blocks fold onto one column axis, each block
+    toward every reference of its side, and a cell's c and f are the sums
+    of its blocks toward u and toward v, added in block order, u blocks
+    first.  The ladder of these multipliers is tilted in rungs of _RUNG
     consecutive multipliers, {0, 2**0, ..., 2**6} and then eight
     more doublings at a time, each rung in one `_block_terms` pass over
     _RUNG copies of the folded columns, the first time a cell needs one of
@@ -630,25 +630,33 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     U = np.atleast_2d(Urows)
     V = np.atleast_2d(Vrows)
     L = lambda_matrix(inst.lam, U, V, inst.beta)  # (N, M)
-    N, M = L.shape
+    M = L.shape[1]
     Lflat = L.ravel()
-    logu = np.log(U).T  # (d, N)
-    logv = np.log(V).T  # (d, M)
+    refs = np.log(U).T, np.log(V).T  # the references of each side of the pair: (d, N) and (d, M)
     logP0 = np.log(inst.p0)[:, None]
     logP1 = np.log(inst.p1)[:, None]
-    # the blocks Q, Q0, Q1 of the tuple: targets, and weights in the objective
+    # the blocks Q, Q0, Q1 of the tuple: targets, weights in the objective,
+    # and the side each is tilted toward (0: u, 1: v), u blocks first
     targets = np.stack([logP1, logP0, logP1])  # (3, d, 1)
     weights = np.array([[1.0], [inst.alpha], [inst.beta]])  # (3, 1)
-    # the shared blocks on one column axis: Q and Q0 toward each u, then Q1
-    # toward each v, repeated once per multiplier of a rung
-    width = 2 * N + M
+    sides = (0, 0, 1)
+    # the shared blocks on one column axis, each toward every reference of
+    # its side, repeated once per multiplier of a rung
+    widths = [refs[k].shape[1] for k in sides]
     folded = (
-        np.repeat(targets[:, :, 0].T, [N, N, M], axis=1)[None],  # (1, d, 2N + M)
-        np.concatenate([logu, logu, logv], axis=1)[None],
-        np.repeat(weights.T, [N, N, M], axis=-1),  # (1, 2N + M)
+        np.repeat(targets[:, :, 0].T, widths, axis=1)[None],  # (1, d, width)
+        np.concatenate([refs[k] for k in sides], axis=1)[None],
+        np.repeat(weights.T, widths, axis=-1),  # (1, width)
     )
+    width = sum(widths)
     ladder = [0.0] + [2.0**t for t in range(70)]  # the multipliers of the s = 0 test and the doubling
-    rungs = {}  # rung -> the (cu, fu, cv, fv) of each of its multipliers, for this call only
+    rungs = {}  # rung -> the per-side (c, f) sums of each of its multipliers, for this call only
+
+    def by_side(x):
+        # each side's terms of the folded columns x, added in block order;
+        # copies, so that a rung keeps no view of its pass's arrays
+        parts = np.split(x, np.cumsum(widths)[:-1])
+        return [dv.ordered_sum([p for p, k in zip(parts, sides) if k == side]).copy() for side in range(len(refs))]
 
     def at_step(step, cells):
         # (c, f) of the cells at the ladder's step-th multiplier, 0 at step
@@ -658,13 +666,9 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
             s = np.array(ladder[rung * _RUNG : (rung + 1) * _RUNG])
             blocks = [np.tile(x, len(s)) for x in folded]
             c, f = (t[0].reshape(len(s), width) for t in _block_terms(np.repeat(s, width), blocks))
-            rungs[rung] = [
-                (x[:N] + x[N : 2 * N], y[:N] + y[N : 2 * N], x[2 * N :].copy(), y[2 * N :].copy())
-                for x, y in zip(c, f)
-            ]
-        cu, fu, cv, fv = rungs[rung][k]
-        rows, cols = np.divmod(cells, M)
-        return cu[rows] + cv[cols], fu[rows] + fv[cols]
+            rungs[rung] = [(by_side(x), by_side(y)) for x, y in zip(c, f)]
+        at = np.divmod(cells, M)  # each cell's u row and v column
+        return [dv.ordered_sum([t[i] for t, i in zip(terms, at)]) for terms in rungs[rung][k]]
 
     out = np.full(Lflat.size, np.inf)
     ub = cutoff
@@ -708,8 +712,8 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     for start in range(0, cells.size, _DUAL_CHUNK):
         chunk = slice(start, start + _DUAL_CHUNK)
         part = cells[chunk]
-        rows, cols = np.divmod(part, M)
-        blocks = targets, np.stack([logu[:, rows], logu[:, rows], logv[:, cols]]), weights
+        at = np.divmod(part, M)
+        blocks = targets, np.stack([refs[k][:, at[k]] for k in sides]), weights
         evaluate = lambda s, blocks=blocks: [dv.ordered_sum(t) for t in _block_terms(s, blocks, slope=True)]
         _, out[part] = dv.multiplier_search(evaluate, Lflat[part], his[chunk], chis[chunk], fhis[chunk], _DUAL_GAP)
     return out.reshape(L.shape)
@@ -782,8 +786,7 @@ class ExponentReport:
 def report(inst, cfg=SearchConfig()):
     """All exponent terms plus the four per-setup optima."""
     r = renyi_term(inst)
-    ks = kappa_search(inst, cfg)
-    k = ks.value
+    k = kappa(inst, cfg)
     if math.isinf(k):
         note = "analytic" if kappa_certified_infinite(inst) else "resolution-limited"
     else:

@@ -88,6 +88,70 @@ def test_presets_load():
     )
 
 
+#: the RunConfig each preset loads to, recorded while every preset still
+#: spelled out all of its keys
+PRESET_CONFIGS = {
+    "fig1": {
+        "epsilon": 0.01,
+        "sweep": {"parameter": "xi", "from": 0.001, "to": 1.0, "points": 50, "scale": "linear"},
+        "solver": SearchConfig(coarse_m=None, refine_rounds=3),
+        "lam": ex.ScaledRenyiLambda(xi=0.5, offset=0.003),
+        "alpha": 0.38,
+        "beta": 0.6,
+        "p0": (0.6, 0.4),
+        "p1": (0.1, 0.9),
+    },
+    "fig2": {
+        "epsilon": 0.01,
+        "sweep": {"parameter": "lambda0", "from": 0.001, "to": 0.5505165406179398, "points": 50, "scale": "linear"},
+        "solver": SearchConfig(coarse_m=None, refine_rounds=3),
+        "lam": ex.ConstantLambda(lambda0=0.05),
+        "alpha": 2.0,
+        "beta": 1.0,
+        "p0": (0.6, 0.4),
+        "p1": (0.1, 0.9),
+    },
+    "fig3": {
+        "epsilon": 0.01,
+        "sweep": {"parameter": "xi", "from": 0.001, "to": 0.999, "points": 50, "scale": "linear"},
+        "solver": SearchConfig(coarse_m=None, refine_rounds=3),
+        "lam": ex.ScaledRenyiLambda(xi=0.5, offset=0.0),
+        "alpha": 0.7,
+        "beta": 0.7,
+        "p0": (0.6, 0.4),
+        "p1": (0.1, 0.9),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_CONFIGS))
+def test_preset_loads_to_its_recorded_config(name):
+    cfg = cli.load_config(preset=name)
+    want = PRESET_CONFIGS[name]
+    assert {key: getattr(cfg, key) for key in want} == want
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_every_preset_key_does_something(name, monkeypatch):
+    # a key equal to RunConfig's default for it would load the same config
+    # without it
+    raw = dict(cli.PRESETS[name])
+    whole = vars(cli.load_config(preset=name))
+    for key in raw:
+        monkeypatch.setitem(cli.PRESETS, name, {k: v for k, v in raw.items() if k != key})
+        try:
+            without = vars(cli.load_config(preset=name))
+        except cli.ConfigError:
+            continue
+        assert without != whole, key
+
+
+def test_curve_columns():
+    assert cli.CURVE_COLUMNS == (
+        "sweep_value", "renyi_term", "kappa", "mu", "nu", "e_fix", "e_seq", "e_semi1", "e_semi2",
+    )
+
+
 def test_exit_code_config_error(tmp_path):
     path = write(tmp_path, "schema = 1\nbogus = 1\n")
     assert cli.main(["exponents", "--config", path]) == cli.EXIT_CONFIG
@@ -520,3 +584,14 @@ def test_rare_event_floor_exits_4_by_type(monkeypatch):
     # the exit code follows the exception type, not its text
     monkeypatch.setattr(cli, "cmd_simulate", breach)
     assert cli.main(["simulate", "--preset", "fig2", "--out", "unused"]) == cli.EXIT_INVARIANT
+
+
+def test_simulate_fit_error_that_is_no_floor_exits_5(tmp_path, monkeypatch):
+    # only a RareEventFloorError is a rare-event floor; any other error of
+    # the fit is an invariant breach
+    def broken(reports, theta):
+        raise ValueError("not a floor")
+
+    monkeypatch.setattr(mc, "estimate_exponent", broken)
+    path = write(tmp_path, GOOD_CFG + "sim_setups = fullyseq\nsim_n_grid = 10\nsim_trials = 5\nsim_late_cap = 20\n")
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == cli.EXIT_INVARIANT

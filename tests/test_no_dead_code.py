@@ -3,11 +3,13 @@ reader, every dataclass field is read, and every setting is read.
 
 A definition counts as used when its name is read somewhere other than its
 own body: in a module of ``src/seqclass`` (the re-exports of ``__init__.py``
-do not count) or in a demo script.  The tests are no reader: code that only
-they call lives under ``tests/``.  A dataclass field counts as read when
-some module of the package or some demo reads an attribute of its name.
-Settings come only from config keys, never from the environment, and each
-key of ``cli.CONFIG_KEYS`` is read by name.
+do not count) or in a demo script.  A read is a name in load context or an
+attribute taken off a name imported from the package; a field or attribute
+of another object that shares the name does not count.  The tests are no
+reader: code that only they call lives under ``tests/``.  A dataclass field
+counts as read when some module of the package or some demo reads an
+attribute of its name.  Settings come only from config keys, never from the
+environment, and each key of ``cli.CONFIG_KEYS`` is read by name.
 """
 
 import ast
@@ -17,18 +19,38 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "seqclass"
 
 
+def _package_names(tree):
+    """The names tree binds to what it imports from the package: modules
+    (``ex``, ``dv``, ...) and their members."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] == "seqclass"):
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names if a.name.split(".")[0] == "seqclass"}
+    return names
+
+
 def _names_read(tree, skip=None):
-    """Names read as identifiers or attributes anywhere in tree, except
-    inside the definition node `skip`."""
+    """Names read in tree, except inside the definition node `skip`: a name
+    loaded as an identifier, or an attribute read off a name imported from
+    the package (``ex.kappa``).  A store, a field annotation or an attribute
+    of any other object (``rep.kappa``) reads nothing."""
+    package = _package_names(tree)
     found = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in package
+        ):
             found.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return found
