@@ -61,13 +61,14 @@ def lambda_eval(spec, P0p, P1p, beta):
 
 def lambda_matrix(spec, P0rows, P1rows, beta):
     """(N,M) matrix of lambda over two row stacks of candidate pairs, or one
-    such matrix per entry of stacks with leading batch axes."""
+    such matrix per entry of stacks with leading batch axes; C-contiguous,
+    so each row's minimum over the second stack reads contiguous memory."""
     P0rows = np.atleast_2d(P0rows)
     P1rows = np.atleast_2d(P1rows)
     if isinstance(spec, ConstantLambda):
         batch = np.broadcast_shapes(P0rows.shape[:-2], P1rows.shape[:-2])
         return np.full((*batch, P0rows.shape[-2], P1rows.shape[-2]), spec.lambda0)
-    return spec.xi * (np.swapaxes(dv.renyi_matrix(P1rows, P0rows, beta), -1, -2) + spec.offset)
+    return spec.xi * np.add(np.swapaxes(dv.renyi_matrix(P1rows, P0rows, beta), -1, -2), spec.offset, order="C")
 
 
 @dataclass(frozen=True)
@@ -187,11 +188,28 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
 def _min_plus(rows, table):
     """t[i, j] = min over k of rows[i, k] + table[j, k]: every slot minimum of
     g1, kappa and mu, over blocks of as many rows as fit _MIN_PLUS_CELLS
-    sums (at least one).  The minimum is exact, so no order moves a bit."""
-    step = max(1, _MIN_PLUS_CELLS // table.size)
-    t = np.empty((rows.shape[0], table.shape[0]))
+    sums (at least one).  The minimum is exact, so no order moves a bit; over
+    an empty slot axis it is +inf."""
+    t = np.full((rows.shape[0], table.shape[0]), np.inf)
+    if rows.shape[1] == 0:
+        return t
+    step = max(1, _MIN_PLUS_CELLS // max(1, table.size))
     for start in range(0, rows.shape[0], step):
         t[start : start + step] = (rows[start : start + step, None, :] + table[None, :, :]).min(axis=2)
+    return t
+
+
+def _min_plus_at(rows, table, i, j):
+    """t[p] = min over k of rows[i[p], k] + table[j[p], k]: `_min_plus` at
+    the cells (i, j) alone, with the same sums and the same exact minimum,
+    over blocks of as many cells as fit _MIN_PLUS_CELLS floats in their
+    sums and their gathered rows together (at least one)."""
+    step = max(1, _MIN_PLUS_CELLS // (2 * table.shape[1]))
+    t = np.empty(i.size)
+    for start in range(0, i.size, step):
+        sums = table[j[start : start + step]]
+        sums += rows[i[start : start + step]]
+        t[start : start + step] = sums.min(axis=1)
     return t
 
 
@@ -390,8 +408,11 @@ def _separable(inst, w):
 def _constrained(objective, lead, per_row):
     """The pair score of kappa's and mu's searches: objective(A, B)[i, j]
     where the constraint value g[i, j] = min over the P0' slot k of
-    lead(A)[i, k] + per_row(B)[j, k] is negative, +inf elsewhere; lead and
-    per_row map a row stack to one row of k values per row.
+    lead(A)[i, k] + per_row(B, floor)[j, k] is negative, +inf elsewhere.
+    lead maps a row stack to one row of k values per row; per_row maps a
+    row stack and a floor, one value per slot, to one row of k entries per
+    row: each entry that could make floor[k] + entry negative is exact, and
+    every other may read +inf.
 
     The objective is evaluated whole; the constraint only on the cells
     that can still win.  Columns are visited in ascending order of their
@@ -400,18 +421,25 @@ def _constrained(objective, lead, per_row):
     above it and reads +inf.  While that best value is +inf, columns go
     CONSTRAINT_BATCH at a time; once it is finite, as it always is at a
     box step, whose cutoff is the incumbent, every remaining column that
-    can still win goes in one pass: one per_row call on its fresh rows and
-    one slot minimum.  A pass takes the slot minimum only on the rows of A
+    can still win goes in one pass: at most one per_row call and one slot
+    minimum.  A pass takes the slot minimum only on the rows of A
     with an objective <= that best value in one of its columns; every
-    other cell lies above it and reads +inf.  So when the least cell lies
-    below the cutoff, it and its first flat index are those of evaluating
-    every cell.  A call computes lead(A) once, when it visits its first
-    column.  The box steps meet the incumbent B row again and again, so
-    per_row is kept for every B row met, by its bytes; each is a row's
-    own, and each slot minimum is exact, so a kept one, and a cell taken on
-    fewer rows, has the bits of a fresh one.
+    other cell lies above it and reads +inf.  The floor of a pass is the
+    least lead over those rows, so an entry that reads +inf leaves the sign
+    of each of its cells as it is, and the slot minimum runs only over the
+    slots where some entry is finite.  So when the least cell lies below
+    the cutoff, it and its first flat index are those of evaluating every
+    cell.  A call computes lead(A) once, when it visits its first column.
+
+    The box steps meet the incumbent B row again and again, so the entries
+    of every B row met are kept, by its bytes, with the floor they were
+    asked at; each is a row's own and each slot minimum is exact, so a kept
+    entry, and a cell taken on fewer rows, has the bits of a fresh one.  A
+    pass asks per_row, at its floor, for its rows not met yet and for each
+    kept row with a +inf entry at a slot whose floor lies below the one it
+    was asked at, and keeps what it gets in their place.
     """
-    known = {}
+    known = {}  # B row bytes -> (floor, entries) of the ask that computed them
 
     def score(A, B, cutoff):
         obj = objective(A, B)
@@ -431,11 +459,21 @@ def _constrained(objective, lead, per_row):
             part = obj[:, cols]
             wins = np.flatnonzero((part <= best).any(axis=1))  # rows that can still win
             part = part[wins]
+            floor = head[wins].min(axis=0)
             keys = [row.tobytes() for row in B[cols]]
-            fresh = {key: j for j, key in zip(cols, keys) if key not in known}
-            if fresh:
-                known.update(zip(fresh, per_row(B[list(fresh.values())])))
-            g = _min_plus(head[wins], np.array([known[key] for key in keys]))
+            ask = np.array([key not in known for key in keys])
+            met = np.flatnonzero(~ask)
+            if met.size:
+                low, kept = map(np.array, zip(*(known[keys[i]] for i in met)))
+                ask[met] = (np.isinf(kept) & (floor < low)).any(axis=1)
+            ask = np.flatnonzero(ask)
+            if ask.size:
+                for i, entries in zip(ask, per_row(B[cols[ask]], floor)):
+                    known[keys[i]] = floor, entries
+            table = np.array([known[key][1] for key in keys])
+            live = ~np.isinf(table).all(axis=0)  # slots where some entry is finite
+            table = table[:, live]
+            g = _min_plus(head[np.ix_(wins, live)], table)
             part[~(g < 0.0)] = np.inf
             out[np.ix_(wins, cols)] = part
             best = min(best, float(part.min()))
@@ -444,17 +482,47 @@ def _constrained(objective, lead, per_row):
     return score
 
 
+#: consecutive P1' slots of kappa's inner grid whose least -lambda bounds
+#: their part of u's inner minimum together
+_SLOT_BLOCK = 16
+
+
 def _g1_diag(inst, cfg):
     """(lead, per_row) of kappa_search's constraint g(Q0_i, Q1_j) =
     g1(Q1_j, Q0_i, Q1_j) for the scaled-Renyi family, unpolished, over the
     grid of `_inner_table`: the least sum over P0' of lead =
     alpha*KL(Q0_i||P0') and per_row = u(Q1_j), where u = KL(Q1||P0') + the
-    P1'-slot minimum of beta*KL(Q1||P1') - lambda."""
-    pg, nlam = _inner_table(inst, cfg)
+    P1'-slot minimum of beta*KL(Q1||P1') - lambda.
 
-    def u(Q1rows):
+    per_row(rows, floor) takes the exact P1' minimum only of the entries
+    that a lower bound does not rule out: an entry whose bound LB has
+    floor[k] + LB[k] >= 0 reads +inf, since then lead + u >= 0 for every
+    lead row >= floor.  With c = KL(Q1||pg) and b = beta*c, the bound of
+    u[k] is c[k] + the least over each block B of _SLOT_BLOCK consecutive
+    P1' slots of min(b over B) + min(-lambda(pg_k, .) over B).  Rounding to
+    nearest is monotone, so each computed sum b[l] - lambda(pg_k, pg_l) is
+    at least its block's computed bound, and u's computed entry at least
+    LB's: the bound holds for the floats.  At the default floor, -inf, no
+    entry is ruled out and per_row is u whole.
+    """
+    pg, nlam = _inner_table(inst, cfg)
+    blocks = np.arange(0, nlam.shape[1], _SLOT_BLOCK)
+    block_min = np.minimum.reduceat(nlam, blocks, axis=1).T.copy()  # (blocks, k)
+
+    def u(Q1rows, floor=-np.inf):
         c1 = dv.kl_matrix(Q1rows, pg)
-        return c1 + _min_plus(inst.beta * c1, nlam)
+        b = inst.beta * c1
+        b_min = np.minimum.reduceat(b, blocks, axis=1)
+        # the least over blocks, one block at a time: a min-plus over so
+        # short a slot axis is slow as one reduction
+        out = b_min[:, :1] + block_min[0]
+        for n in range(1, len(blocks)):
+            np.minimum(out, b_min[:, n : n + 1] + block_min[n], out=out)
+        out += c1  # the bound LB
+        need = ~(floor + out >= 0.0)
+        out.fill(np.inf)
+        out[need] = c1[need] + _min_plus_at(b, nlam, *np.nonzero(need))
+        return out
 
     return (lambda Q0rows: inst.alpha * dv.kl_matrix(Q0rows, pg)), u
 
@@ -487,10 +555,17 @@ def mu_search(inst, cfg=SearchConfig()):
 def _mu_g(inst, cfg):
     """(lead, per_row) of mu_search's constraint g(Q0_i, Q1_j) =
     alpha*KL(Q0_i||P1) + h(Q1_j) (see `_mu_inner`), a slot minimum whose P0'
-    slot holds P1 alone."""
+    slot holds P1 alone.  per_row(rows, floor) is h, +inf where floor + h
+    >= 0: there it cannot make a cell negative."""
     P1 = inst.p1
     table = _inner_table(inst, cfg, rows=P1[None, :])
-    return (lambda A: inst.alpha * dv.kl(A, P1)[:, None]), (lambda B: _mu_inner(B, inst, cfg, table)[:, None])
+
+    def h(Q1rows, floor=-np.inf):
+        out = _mu_inner(Q1rows, inst, cfg, table)[:, None]
+        out[floor + out >= 0.0] = np.inf
+        return out
+
+    return (lambda A: inst.alpha * dv.kl(A, P1)[:, None]), h
 
 
 def _mu_inner(Q1rows, inst, cfg, table):

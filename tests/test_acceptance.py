@@ -187,15 +187,16 @@ def test_08_ordering_chain_via_verify_full(capsys):
 
 @pytest.fixture(scope="module")
 def preset_curves(tmp_path_factory):
-    """The rows of `curve --preset` for fig1, fig2 and fig3, and the seconds
-    the three runs took."""
+    """The rows of `curve --preset` for fig1, fig2 and fig3, the seconds
+    the three runs took, and the sha256 of each curve.csv."""
     start = time.time()
-    paths = {}
+    paths, digests = {}, {}
     for preset in ("fig1", "fig2", "fig3"):
         out = tmp_path_factory.mktemp(preset)
         assert cli.main(["curve", "--preset", preset, "--out", str(out)]) == 0
         paths[preset] = orc.csv_to_rows((out / "curve.csv").read_text())
-    return paths, time.time() - start
+        digests[preset] = hashlib.sha256((out / "curve.csv").read_bytes()).hexdigest()
+    return paths, time.time() - start, digests
 
 
 def _nonincreasing(rows, column):
@@ -212,7 +213,7 @@ FALLING_COLUMNS = {
 
 
 def test_09_figure_reproduction(preset_curves):
-    paths, seconds = preset_curves
+    paths, seconds, _ = preset_curves
 
     # fig2: non-increasing columns, strict fixed-length penalty in the interior
     rows = paths["fig2"]
@@ -249,7 +250,7 @@ def test_09_figure_reproduction(preset_curves):
     "(and e_seq, e_semi1, e_semi2 with them); item 1's swapped solve mends them",
 )
 def test_09c_no_scaled_renyi_exponent_rises_with_xi(preset_curves):
-    paths, _ = preset_curves
+    paths, _, _ = preset_curves
     for preset in ("fig1", "fig3"):
         for column in cli.CURVE_COLUMNS[1:]:
             assert _nonincreasing(paths[preset], column), (preset, column)
@@ -265,7 +266,7 @@ def test_09b_reports_match_the_benchmark_reference(preset_curves, preset):
     # benchmark.  Every point of the sweep is checked: `curve --preset`
     # builds each report with cfg.instance(xi=...) and cfg.solver, as the
     # workload does, and writes repr floats
-    paths, _ = preset_curves
+    paths, _, _ = preset_curves
     recorded = json.loads(SWEEP_REFERENCE.read_text())["outputs"]
     xs = cli.load_config(preset=preset).sweep_values()
     rows = paths[preset]
@@ -278,6 +279,22 @@ def test_09b_reports_match_the_benchmark_reference(preset_curves, preset):
                 assert got[key] == math.inf, (preset, i, key)
             else:
                 assert abs(got[key] - want) <= 1e-9, (preset, i, key, got[key], want)
+
+
+#: sha256 of fig1's and fig3's curve.csv (numpy 2.4, x86-64), recorded
+#: before kappa's slot minimum skipped the entries its lower bound rules
+#: out: test_09b holds the values only to 1e-9, and a speedup that keeps
+#: every sign of the constraint keeps every bit
+CURVE_SHA256 = {
+    "fig1": "e80514be5ca7abafbcf52c6ac2a58e0d10fd9341fb40eba5032fe553f22fa619",
+    "fig3": "ce1ce8c998790ed15a5b2ccf4d1935730f71ed38e96750bfb2ee3dba43d44db0",
+}
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig3"])
+def test_09d_sweeps_keep_every_bit(preset_curves, preset):
+    _, _, digests = preset_curves
+    assert digests[preset] == CURVE_SHA256[preset]
 
 
 # simulation instance: well-separated pair with sampling ratios

@@ -657,8 +657,8 @@ KAPPA_COLUMNS_EVALUATE_ALL = 329
 
 def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
     # counts the Q1 rows whose per_row the constraint computes; a row met
-    # again is read from the score's memo, so this is at most the columns
-    # visited
+    # again is read from the score's memo, unless a lower floor may need one
+    # of its +inf entries (6 of the 111 rows)
     inst = cli.load_config(preset="fig1").instance(xi=0.5)
     want = ex.kappa_search(inst)
     columns = []
@@ -667,9 +667,9 @@ def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
     def counted(inst_, cfg):
         lead, per_row = diag(inst_, cfg)
 
-        def wrapped(Q1rows):
+        def wrapped(Q1rows, floor):
             columns.append(Q1rows.shape[0])
-            return per_row(Q1rows)
+            return per_row(Q1rows, floor)
 
         return lead, wrapped
 
@@ -696,9 +696,9 @@ def test_constraint_takes_few_per_row_calls(monkeypatch, build, search):
     def counted(inst_, cfg):
         lead, per_row = pieces(inst_, cfg)
 
-        def wrapped(rows):
+        def wrapped(rows, floor):
             calls.append(len(rows))
-            return per_row(rows)
+            return per_row(rows, floor)
 
         return lead, wrapped
 
@@ -706,6 +706,55 @@ def test_constraint_takes_few_per_row_calls(monkeypatch, build, search):
     got = getattr(ex, search)(inst)
     assert got.value == want.value
     assert 0 < len(calls) <= CONSTRAINT_CALL_LIMIT
+
+
+#: the most slot entries of u (`_g1_diag`) kappa's constraint may compute
+#: exactly in one fig1 search at xi = 0.5, default solver: 3,156 of the
+#: 44,511 entries of the 111 rows it asked for (105 rows, 6 of them asked
+#: again at a lower floor); every other entry's lower bound showed that it
+#: could not make a cell of its pass negative.  A bound that stops pruning
+#: computes all of them
+KAPPA_EXACT_ENTRY_LIMIT = 3_300
+
+
+def test_kappa_slot_bound_leaves_few_exact_entries(monkeypatch):
+    inst = cli.load_config(preset="fig1").instance(xi=0.5)
+    want = ex.kappa_search(inst)
+    exact, entries = [], []
+    diag = ex._g1_diag
+
+    def counted(inst_, cfg):
+        lead, per_row = diag(inst_, cfg)
+
+        def wrapped(Q1rows, floor):
+            u = per_row(Q1rows, floor)
+            exact.append(int(np.isfinite(u).sum()))
+            entries.append(u.size)
+            return u
+
+        return lead, wrapped
+
+    monkeypatch.setattr(ex, "_g1_diag", counted)
+    got = ex.kappa_search(inst)
+    assert (got.value, got.argmin[0].tobytes(), got.argmin[1].tobytes()) == (
+        want.value, want.argmin[0].tobytes(), want.argmin[1].tobytes())
+    assert 0 < sum(exact) <= KAPPA_EXACT_ENTRY_LIMIT < sum(entries)
+
+
+# tracemalloc peak of one fig1 kappa_search at xi = 0.5, default solver,
+# when every slot entry of u was computed exactly
+KAPPA_PEAK_EVERY_ENTRY = 4.45 * 2**20
+
+
+def test_kappa_memory_stays_flat():
+    inst = cli.load_config(preset="fig1").instance(xi=0.5)
+    tracemalloc.start()
+    try:
+        ex.kappa_search(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * KAPPA_PEAK_EVERY_ENTRY
 
 
 def _mu_inner_loop(Q1rows, inst, cfg, table):

@@ -262,7 +262,8 @@ def test_constrained_score_equals_brute_force(grid):
         leads.append(len(A_))
         return lead[A_[:, 0].astype(int)]
 
-    def per_row_of(B_):
+    def per_row_of(B_, floor):
+        # every entry exact, whatever the floor
         seen.extend(B_[:, 0].astype(int).tolist())
         return per_row[B_[:, 0].astype(int)]
 
@@ -284,3 +285,89 @@ def test_constrained_score_equals_brute_force(grid):
         assert (value, pair) == (want, where)
     else:
         assert value >= cutoff
+
+
+#: the d = 2 and d = 3 pairs whose inner grids the bounded slot minimum of
+#: kappa's constraint is checked on
+SLOT_PAIRS = {2: ((0.6, 0.4), (0.1, 0.9)), 3: ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7))}
+
+
+@st.composite
+def bounded_slots(draw):
+    d = draw(st.sampled_from([2, 3]))
+    # inner grids of 2m + 1 slots at d = 2 and (m + 1)(m + 2)/2 at d = 3:
+    # 5, 29 and 401 (fig1's), 6, 21 and 496; only 496 is a multiple of the
+    # block width
+    m = draw(st.sampled_from([2, 14, 200] if d == 2 else [2, 5, 30]))
+    inst = ex.ProblemInstance(
+        *SLOT_PAIRS[d],
+        draw(st.sampled_from([0.38, 2.0])),
+        draw(st.sampled_from([0.6, 2.0])),
+        ex.ScaledRenyiLambda(draw(st.sampled_from([0.1, 0.5, 1.0])), draw(st.sampled_from([0.0, 0.003, 0.3]))),
+    )
+    cfg = SearchConfig(coarse_m=m)
+    pg, _ = ex._inner_table(inst, cfg)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Q1 rows: inner grid points, the corners among them, where a KL term
+    # is 0, and points between them; the same row twice is met twice
+    rows = pg[rng.integers(0, len(pg), draw(st.integers(1, 6)))]
+    rows[rng.random(len(rows)) < 0.3] = pg[[0, -1][rng.integers(2)]]
+    rows[rng.random(len(rows)) < 0.3] = 0.02 + (1.0 - 0.02 * d) * rng.dirichlet(np.ones(d))
+    # the lead of the P0' slots: rows of alpha * KL-sized values, each with
+    # a few entries that tie with an entry of u, lie one step of the floats
+    # either side of the tie, or lie in [-1e-15, 0), as kl_matrix rounds a
+    # 0 as low as -7.7e-17; some rows are -0.0 throughout
+    _, per_row = ex._g1_diag(inst, cfg)
+    u = per_row(rows)
+    n, k = draw(st.integers(1, 5)), len(pg)
+    lead = rng.random((n, k)) * rng.choice([0.01, 0.3, 2.0], (n, 1))
+    tie = -u[rng.integers(0, len(rows), (n, k)), np.arange(k)]
+    special = rng.random((n, k)) < rng.choice([0.0, 0.02, 0.2], (n, 1))
+    kind = rng.integers(0, 4, (n, k))
+    near = [tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf), -1e-15 * rng.random((n, k))]
+    lead[special] = np.choose(kind, near)[special]
+    lead[rng.random(n) < 0.2] = -0.0
+    # subsets of the lead rows that successive score calls take, so each
+    # call has its own floor
+    subsets = [np.flatnonzero(rng.random(n) < 0.5) for _ in range(4)] + [np.arange(n)]
+    return inst, cfg, rows, lead, [s for s in subsets if s.size]
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_slots())
+def test_bounded_slot_minimum_keeps_every_sign(case):
+    # kappa's u skips the exact P1' minimum of each entry whose lower bound
+    # shows it cannot make a cell negative at the floor; every sign of the
+    # constraint must stay that of the dense slot minimum
+    inst, cfg, rows, lead, subsets = case
+    pg, nlam = ex._inner_table(inst, cfg)
+    c1 = dv.kl_matrix(rows, pg)
+    dense = c1 + ex._min_plus(inst.beta * c1, nlam)
+    lead_of, per_row = ex._g1_diag(inst, cfg)
+    # no floor: u whole, with the bits of the dense slot minimum
+    assert np.array_equal(per_row(rows), dense)
+    assert np.array_equal(lead_of(pg[:3]), inst.alpha * dv.kl_matrix(pg[:3], pg))
+    # one step of the floats below -u, every entry can make a cell negative
+    for j in range(len(rows)):
+        assert np.array_equal(per_row(rows[j : j + 1], np.nextafter(-dense[j], -np.inf))[0], dense[j])
+    signs = (lead[:, None, :] + dense[None, :, :]).min(axis=2) < 0.0
+    # at the floor of the lead rows, each exact entry keeps its bits and
+    # each +inf entry leaves every sign as it is
+    bounded = per_row(rows, lead.min(axis=0))
+    exact = np.isfinite(bounded)
+    assert np.array_equal(bounded[exact], dense[exact])
+    assert np.array_equal((lead[:, None, :] + bounded[None, :, :]).min(axis=2, initial=np.inf) < 0.0, signs)
+    # the score, called on subsets of the lead rows, asks again for a kept
+    # row whose +inf entries a lower floor may need
+    flat = lambda A, B: np.zeros((len(A), len(B)))
+    score = ex._constrained(flat, lambda A: lead[A[:, 0].astype(int)], per_row)
+    for subset in subsets:
+        got = score(subset.astype(float)[:, None], rows, np.inf)
+        assert np.array_equal(got, np.where(signs[subset], 0.0, np.inf))
+
+
+def test_min_plus_over_empty_axes():
+    # an empty slot axis is a minimum over the empty set, +inf; an empty
+    # table gives no columns
+    assert np.array_equal(ex._min_plus(np.zeros((2, 0)), np.zeros((3, 0))), np.full((2, 3), np.inf))
+    assert ex._min_plus(np.zeros((2, 4)), np.zeros((0, 4))).shape == (2, 0)
