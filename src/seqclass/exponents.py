@@ -16,6 +16,7 @@ Two constraint families are supported:
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -410,9 +411,9 @@ def _constrained(objective, lead, per_row):
     where the constraint value g[i, j] = min over the P0' slot k of
     lead(A)[i, k] + per_row(B, floor)[j, k] is negative, +inf elsewhere.
     lead maps a row stack to one row of k values per row; per_row maps a
-    row stack and a floor, one value per slot, to one row of k entries per
-    row: each entry that could make floor[k] + entry negative is exact, and
-    every other may read +inf.
+    row stack and a floor, one value per slot or one row of them per row,
+    to one row of k entries per row: each entry that could make its floor +
+    entry negative is exact, and every other may read +inf.
 
     The objective is evaluated whole; the constraint only on the cells
     that can still win.  Columns are visited in ascending order of their
@@ -432,14 +433,16 @@ def _constrained(objective, lead, per_row):
     cell.  A call computes lead(A) once, when it visits its first column.
 
     The box steps meet the incumbent B row again and again, so the entries
-    of every B row met are kept, by its bytes, with the floor they were
-    asked at; each is a row's own and each slot minimum is exact, so a kept
-    entry, and a cell taken on fewer rows, has the bits of a fresh one.  A
-    pass asks per_row, at its floor, for its rows not met yet and for each
+    of every B row met are kept, by its bytes, with the least floor each
+    slot was asked at; each is a row's own and each slot minimum is exact,
+    so a kept entry, and a cell taken on fewer rows, has the bits of a
+    fresh one.  A pass asks per_row for its rows not met yet and for each
     kept row with a +inf entry at a slot whose floor lies below the one it
-    was asked at, and keeps what it gets in their place.
+    was asked at.  A kept row is asked at the pass's floor only where its
+    entries read +inf, and at +inf, which rules every entry out, where they
+    are exact; its new entries fill its +inf ones.
     """
-    known = {}  # B row bytes -> (floor, entries) of the ask that computed them
+    known = {}  # B row bytes -> (least floor asked at, entries) of each slot
 
     def score(A, B, cutoff):
         obj = objective(A, B)
@@ -461,16 +464,25 @@ def _constrained(objective, lead, per_row):
             part = part[wins]
             floor = head[wins].min(axis=0)
             keys = [row.tobytes() for row in B[cols]]
-            ask = np.array([key not in known for key in keys])
+            held = [known.get(key) for key in keys]
+            ask = np.array([h is None for h in held])
             met = np.flatnonzero(~ask)
             if met.size:
-                low, kept = map(np.array, zip(*(known[keys[i]] for i in met)))
+                low, kept = map(np.array, zip(*(held[i] for i in met)))
                 ask[met] = (np.isinf(kept) & (floor < low)).any(axis=1)
             ask = np.flatnonzero(ask)
             if ask.size:
-                for i, entries in zip(ask, per_row(B[cols[ask]], floor)):
-                    known[keys[i]] = floor, entries
-            table = np.array([known[key][1] for key in keys])
+                # a kept row is asked at +inf, which rules every entry out,
+                # where it holds its entries exactly
+                floors = [floor if held[i] is None else np.where(np.isinf(held[i][1]), floor, np.inf) for i in ask]
+                for i, entries in zip(ask, per_row(B[cols[ask]], np.array(floors))):
+                    if held[i] is None:
+                        held[i] = floor, entries
+                    else:
+                        low, kept = held[i]
+                        held[i] = np.minimum(low, floor), np.minimum(kept, entries)
+                    known[keys[i]] = held[i]
+            table = np.array([entries for _, entries in held])
             live = ~np.isinf(table).all(axis=0)  # slots where some entry is finite
             table = table[:, live]
             g = _min_plus(head[np.ix_(wins, live)], table)
@@ -496,10 +508,11 @@ def _g1_diag(inst, cfg):
 
     per_row(rows, floor) takes the exact P1' minimum only of the entries
     that a lower bound does not rule out: an entry whose bound LB has
-    floor[k] + LB[k] >= 0 reads +inf, since then lead + u >= 0 for every
-    lead row >= floor.  With c = KL(Q1||pg) and b = beta*c, the bound of
-    u[k] is c[k] + the least over each block B of _SLOT_BLOCK consecutive
-    P1' slots of min(b over B) + min(-lambda(pg_k, .) over B).  Rounding to
+    floor + LB[k] >= 0 at its own floor, one per slot or one per row and
+    slot, reads +inf, since then lead + u >= 0 for every lead row >= floor.
+    With c = KL(Q1||pg) and b = beta*c, the bound of u[k] is c[k] + the
+    least over each block B of _SLOT_BLOCK consecutive P1' slots of
+    min(b over B) + min(-lambda(pg_k, .) over B).  Rounding to
     nearest is monotone, so each computed sum b[l] - lambda(pg_k, pg_l) is
     at least its block's computed bound, and u's computed entry at least
     LB's: the bound holds for the floats.  At the default floor, -inf, no
@@ -674,9 +687,14 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     more doublings at a time, each rung in one `_block_terms` pass over
     _RUNG copies of the folded columns, the first time a cell needs one of
     its multipliers.  A rung is computed once per call and shared by every
-    chunk.  Every operation of the kernel is elementwise per (block,
-    letter, column), so each cell gets the bits of `_block_terms` on its
-    own references.
+    chunk.  Each side's sums of a rung are taken once, over its whole
+    (_RUNG, width) pass: the column spans of the side's blocks, laid out
+    by `sides` and `widths` alone, added in block order.  A chunk splits
+    each cell's flat index into its (u row, v column) once, and a step
+    reads its multiplier's row of each side there.  Every operation of the
+    kernel is elementwise per (block, letter, column), and a cell's c and f
+    add the same terms in the same order as a per-cell sum, so each cell
+    gets the bits of `_block_terms` on its own references.
 
     Branch and bound.  The tilts minimise the Lagrangian f + s*(c - L)
     exactly, so f + s*(c - L) at each evaluated hi is a lower bound on the
@@ -724,26 +742,23 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
         np.repeat(weights.T, widths, axis=-1),  # (1, width)
     )
     width = sum(widths)
+    # each side's column spans on the folded axis, in block order
+    ends = list(accumulate(widths))
+    spans = [[slice(e - w, e) for w, e, k in zip(widths, ends, sides) if k == side] for side in range(len(refs))]
     ladder = [0.0] + [2.0**t for t in range(70)]  # the multipliers of the s = 0 test and the doubling
-    rungs = {}  # rung -> the per-side (c, f) sums of each of its multipliers, for this call only
+    rungs = {}  # rung -> the per-side (c, f) sums of its multipliers, (len(s), side width) each
 
-    def by_side(x):
-        # each side's terms of the folded columns x, added in block order;
-        # copies, so that a rung keeps no view of its pass's arrays
-        parts = np.split(x, np.cumsum(widths)[:-1])
-        return [dv.ordered_sum([p for p, k in zip(parts, sides) if k == side]).copy() for side in range(len(refs))]
-
-    def at_step(step, cells):
-        # (c, f) of the cells at the ladder's step-th multiplier, 0 at step
-        # 0 and 2**(step - 1) after, which all of them share
+    def at_step(step, at):
+        # c, then f, of the cells, given by their (u row, v column), at the
+        # ladder's step-th multiplier, 0 at step 0 and 2**(step - 1) after,
+        # which all of them share; each is summed when it is read
         rung, k = divmod(step, _RUNG)
         if rung not in rungs:
             s = np.array(ladder[rung * _RUNG : (rung + 1) * _RUNG])
             blocks = [np.tile(x, len(s)) for x in folded]
-            c, f = (t[0].reshape(len(s), width) for t in _block_terms(np.repeat(s, width), blocks))
-            rungs[rung] = [(by_side(x), by_side(y)) for x, y in zip(c, f)]
-        at = np.divmod(cells, M)  # each cell's u row and v column
-        return [dv.ordered_sum([t[i] for t, i in zip(terms, at)]) for terms in rungs[rung][k]]
+            terms = (t[0].reshape(len(s), width) for t in _block_terms(np.repeat(s, width), blocks))
+            rungs[rung] = [[dv.ordered_sum([x[:, span] for span in side]) for side in spans] for x in terms]
+        return (dv.ordered_sum([t[k][i] for t, i in zip(terms, at)]) for terms in rungs[rung])
 
     out = np.full(Lflat.size, np.inf)
     ub = cutoff
@@ -754,31 +769,36 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     for start in range(0, feasible.size, _DUAL_CHUNK):
         cells = feasible[start : start + _DUAL_CHUNK]
         budget = Lflat[cells]
-        c0, _ = at_step(0, cells)
+        at = np.divmod(cells, M)  # each cell's u row and v column
+        c0 = next(at_step(0, at))  # c alone
         # the complement of "unconstrained optimum already inside the ball"
         active = ~(c0 <= budget)
         if not active.all():
             out[cells[~active]] = 0.0
             ub = 0.0
         cells, budget = cells[active], budget[active]
-        hi = np.ones(cells.size)
+        at = [i[active] for i in at]
+        # the multiplier each cell first fits at, past the ladder's end
+        # until it does
+        hi = np.full(cells.size, 2.0 * ladder[-1])
         chi = np.full(cells.size, np.nan)  # c at hi, once hi fits
         fhi = np.full(cells.size, np.inf)  # f at hi, once hi fits
         bound = np.full(cells.size, -np.inf)
-        grow = np.arange(cells.size)  # cells whose constraint at hi still exceeds L
+        grow = np.arange(cells.size)  # cells whose constraint still exceeds L at the last multiplier
         for step in range(1, len(ladder)):
             if grow.size == 0:
                 break
-            s = hi[grow]  # ladder[step] for every growing cell
-            c, f = at_step(step, cells[grow])
+            s = ladder[step]  # the multiplier every growing cell is tested at
+            c, f = at_step(step, [i[grow] for i in at])
             gap = c - budget[grow]
-            bound[grow] = np.maximum(bound[grow], f + s * gap - _BOUND_SLACK * (1.0 + s))
+            low = np.maximum(bound[grow], f + s * gap - _BOUND_SLACK * (1.0 + s))
+            bound[grow] = low
             fits = gap <= 0.0
             if fits.any():
                 ub = min(ub, float(f[fits].min()))
-                chi[grow[fits]], fhi[grow[fits]] = c[fits], f[fits]
-            grow = grow[~fits & ~(bound[grow] > ub)]
-            hi[grow] *= 2.0
+                done = grow[fits]
+                hi[done], chi[done], fhi[done] = s, c[fits], f[fits]
+            grow = grow[~(fits | (low > ub))]
         live = ~(bound > ub)
         kept.append((cells[live], hi[live], chi[live], fhi[live], bound[live]))
     cells, his, chis, fhis, bounds = map(np.concatenate, zip(*kept))

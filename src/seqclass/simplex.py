@@ -323,6 +323,12 @@ def box_grid(center, halfwidth, density, eps=None):
     padding: copies of its first point, bit for bit.  So a one-row stack is
     that call's box with no padding.
 
+    The mesh is laid out once, and each later pass runs only where the data
+    needs it: the kept points are compacted and padded only when some mesh
+    point is off the simplex, and clamp_rows runs only when some coordinate
+    lies below eps (eps is validated either way).  Skipping either leaves
+    the bits of running it.
+
     Raises ValueError before allocating when the mesh, R times the product
     of the widest kept axis of each coordinate, would pass GRID_POINT_LIMIT
     points.
@@ -339,21 +345,27 @@ def box_grid(center, halfwidth, density, eps=None):
     size = rows * prod(offs.size - int(f) for f in first)
     if size > GRID_POINT_LIMIT:
         raise ValueError(f"grid too large: {size} mesh points > {GRID_POINT_LIMIT}")
-    mesh = np.meshgrid(*(offs[f:] for f in first), indexing="ij")
-    full = np.empty((rows, mesh[0].size, d))
-    full[..., :-1] = centers[:, None, :-1] + np.stack([m.ravel() for m in mesh], axis=1)
+    # each coordinate's offsets on its own axis of the mesh, added to every
+    # row's centre in place
+    mesh = np.meshgrid(*(offs[f:] for f in first), indexing="ij", sparse=True)
+    full = np.empty((rows, *(m.size for m in mesh), d))
+    for i, m in enumerate(mesh):
+        full[..., i] = centers[:, i].reshape(rows, *[1] * (d - 1)) + m
+    full = full.reshape(rows, -1, d)
     full[..., -1] = 1.0 - full[..., :-1].sum(axis=-1)
     keep = full[..., -1] >= -1e-12
     for i in range(d - 1):
         keep &= full[..., i] >= -1e-12
-    kept = keep.sum(axis=1)
-    mask = np.arange(kept.max()) < kept[:, None]
-    out = np.empty(mask.shape + (d,))
-    out[mask] = full[keep]
-    if not mask.all():
-        out = np.where(mask[..., None], out, out[:, :1])
+    out = full
+    if not keep.all():
+        kept = keep.sum(axis=1)
+        mask = np.arange(kept.max()) < kept[:, None]
+        out = np.empty(mask.shape + (d,))
+        out[mask] = full[keep]
+        if not mask.all():
+            out = np.where(mask[..., None], out, out[:, :1])
     out[out < 0.0] = 0.0
-    if eps is not None:
+    if eps is not None and (out < check_eps(eps, d)).any():
         out = clamp_rows(out, eps)
     return out if np.ndim(center) == 2 else out[0]
 

@@ -741,6 +741,33 @@ def test_kappa_slot_bound_leaves_few_exact_entries(monkeypatch):
     assert 0 < sum(exact) <= KAPPA_EXACT_ENTRY_LIMIT < sum(entries)
 
 
+#: `_min_plus_at` cells of one fig1 kappa search at xi = 0.5, default
+#: solver, when a kept row asked again at a lower floor recomputed every
+#: entry it needed, those the score already held exactly included
+KAPPA_CELLS_ROWS_RECOMPUTED = 3_156
+#: that search's value and argmin, as float.hex
+KAPPA_FIG1_HALF_PINNED = (
+    "0x1.d661f7f542897p-3",
+    (("0x1.99d3458cd20b0p-3", "0x1.998b2e9ccb7d4p-1"), ("0x1.51eb851eb851fp-3", "0x1.ab851eb851eb8p-1")),
+)
+
+
+def test_kappa_asks_a_kept_row_only_for_entries_it_lacks(monkeypatch):
+    inst = cli.load_config(preset="fig1").instance(xi=0.5)
+    cells = []
+    min_plus_at = ex._min_plus_at
+
+    def counted(rows, table, i, j):
+        cells.append(i.size)
+        return min_plus_at(rows, table, i, j)
+
+    monkeypatch.setattr(ex, "_min_plus_at", counted)
+    got = ex.kappa_search(inst)
+    assert (float(got.value).hex(), tuple(tuple(float(x).hex() for x in q) for q in got.argmin)) == (
+        KAPPA_FIG1_HALF_PINNED)
+    assert 0 < sum(cells) < KAPPA_CELLS_ROWS_RECOMPUTED
+
+
 # tracemalloc peak of one fig1 kappa_search at xi = 0.5, default solver,
 # when every slot entry of u was computed exactly
 KAPPA_PEAK_EVERY_ENTRY = 4.45 * 2**20

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -365,3 +366,76 @@ def test_box_grid_without_floor_returns_distributions():
         as_dist(p)
     # with a floor the points are clamped into it, as before
     assert (box_grid(center, 1 / 30, 600, eps=0.01) >= 0.01 - 1e-15).all()
+
+
+#: box_grid outputs recorded before its all-kept and nothing-below-eps
+#: shortcuts: (centre or stack of centres, halfwidth, density, eps, shape,
+#: sha256 of the shape and every entry's float.hex, first 32 digits).  Each
+#: shortcut has cases that take it and cases that do not: "kept" boxes keep
+#: every mesh point, "cut" boxes drop some off the simplex edge, "inside"
+#: boxes have no coordinate below eps and "floor" boxes do; "residue" boxes
+#: map a coordinate in [-1e-12, 0) to exactly 0
+BOX_GRID_PINNED = [
+    # d = 2
+    ((0.4, 0.6), 0.05, 100, None, (11, 2), "21347bf9e708f447b9e7c080b299fc5b"),  # kept
+    ((0.4, 0.6), 0.05, 100, 0.01, (11, 2), "21347bf9e708f447b9e7c080b299fc5b"),  # kept, inside
+    ((0.98, 0.02), 0.05, 100, None, (8, 2), "658c033790db1f3d35543969c25eb24e"),  # cut
+    ((0.98, 0.02), 0.05, 100, 0.01, (8, 2), "c76c4a20bfe1556a77169b370f4651a9"),  # cut, floor
+    ((0.02, 0.98), 0.05, 100, 0.01, (8, 2), "3a44a01400e058cf690dbfbb7cdc8bdd"),  # kept, floor
+    ((0.7, 0.3), 0.3, 10, None, (7, 2), "5c971ed9ec264ccc60c6eadbc1a8b58b"),  # cut
+    ((0.0, 1.0), 0.2, 10, None, (3, 2), "8ecb55264e310d4b2caae7432314de5a"),  # kept
+    ((0.09999999999999998, 0.9), 0.2, 10, None, (4, 2), "e7579a2961ad25246098c18e81b00804"),  # kept, residue
+    ((0.09999999999999998, 0.9), 0.2, 10, 0.01, (4, 2), "91488b0c66e4aa0bd81e3f5c804982c9"),  # residue, floor
+    (((0.4, 0.6), (0.98, 0.02), (0.5, 0.5)), 0.05, 100, None, (3, 11, 2), "c42080a05608ce9a9f132641ecd32036"),
+    (((0.4, 0.6), (0.5, 0.5)), 0.05, 100, 0.01, (2, 11, 2), "11ece3fa8108866abedd8d05a8a5ee77"),  # kept, inside
+    (((0.4, 0.6), (0.02, 0.98)), 0.05, 100, 0.01, (2, 11, 2), "96ce32bb32ebff89c9290985c53aba33"),  # floor
+    (((-0.0, 1.0), (0.5, 0.5)), 0.1, 10, None, (2, 3, 2), "1bf52efc4dfb831b9c072180ca559ef8"),  # cut
+    # d = 3
+    ((0.3, 0.3, 0.4), 0.02, 200, None, (81, 3), "a400392e5007a43a9cbcde0ce8e55c68"),  # kept
+    ((0.3, 0.3, 0.4), 0.02, 200, 0.01, (81, 3), "a400392e5007a43a9cbcde0ce8e55c68"),  # kept, inside
+    ((0.5, 0.49, 0.01), 0.03, 100, None, (34, 3), "fdd8318b8a86e213276fb216b31ad7c3"),  # cut
+    ((0.5, 0.49, 0.01), 0.03, 100, 0.01, (34, 3), "c7282cad88cba2ba604667e1f68d78f2"),  # cut, floor
+    ((0.02, 0.5, 0.48), 0.05, 100, 0.01, (88, 3), "a109d565de1d818d7654634fea0f9b34"),  # kept, floor
+    ((0.1, 0.2, 0.7), 0.3, 10, None, (30, 3), "ac2f5056204ded5dce92fa3936f2edde"),  # cut
+    ((0.03333333333333333, 0.7666666666666667, 0.19999999999999996), 0.3, 10, None, (18, 3),
+     "a626125495689c19197ba9eb1b1b5fa7"),  # cut, residue
+    ((0.03333333333333333, 0.7666666666666667, 0.19999999999999996), 0.3, 10, 0.01, (18, 3),
+     "f8a319777b12e63df48ab5d872697bda"),  # cut, residue, floor
+    (((0.3, 0.3, 0.4), (0.5, 0.49, 0.01)), 0.03, 100, None, (2, 49, 3), "725293eb36ee143be6db53f1aef6e654"),
+    (((0.3, 0.3, 0.4), (0.2, 0.3, 0.5)), 0.03, 100, 0.01, (2, 49, 3), "cc49a0f3389aa40cb22e4464b60d667c"),
+    (((0.3, 0.3, 0.4), (0.02, 0.5, 0.48)), 0.05, 100, 0.01, (2, 121, 3), "9ebe058e28f150910be099635879a21e"),
+]
+#: grid_array, box_grid's whole-simplex case: (d, m, eps, shape, digest)
+GRID_ARRAY_PINNED = [
+    (2, 20, None, (21, 2), "46b5040f043c4583b6358e558d9b09e4"),
+    (2, 20, 0.01, (21, 2), "6d8b99510840de0957bdf3d5d8772f0d"),
+    (3, 10, None, (66, 3), "0d4a5d2b584295b2fc21ee3d43ffcf41"),
+    (3, 10, 0.02, (66, 3), "bf96eded45097bd4d11e85c07c63e735"),
+]
+
+
+def _hex_digest(a):
+    text = repr(a.shape) + ":" + ",".join(float(x).hex() for x in a.ravel())
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("center, halfwidth, density, eps, shape, digest", BOX_GRID_PINNED)
+def test_box_grid_keeps_its_recorded_bits(center, halfwidth, density, eps, shape, digest):
+    out = box_grid(np.array(center), halfwidth, density, eps)
+    assert out.shape == shape
+    assert _hex_digest(out) == digest
+
+
+@pytest.mark.parametrize("d, m, eps, shape, digest", GRID_ARRAY_PINNED)
+def test_grid_array_keeps_its_recorded_bits(d, m, eps, shape, digest):
+    out = grid_array(d, m, eps)
+    assert out.shape == shape
+    assert _hex_digest(out) == digest
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, -0.01, float("nan")])
+def test_box_grid_refuses_a_bad_floor_whatever_its_points(eps):
+    # every point of this box lies at or above each of these floors, so no
+    # point would be clamped; the floor is still checked
+    with pytest.raises(ValueError, match="epsilon"):
+        box_grid(np.array([0.5, 0.5]), 0.0, 10, eps)
