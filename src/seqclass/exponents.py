@@ -411,9 +411,9 @@ def _constrained(objective, lead, per_row):
     where the constraint value g[i, j] = min over the P0' slot k of
     lead(A)[i, k] + per_row(B, floor)[j, k] is negative, +inf elsewhere.
     lead maps a row stack to one row of k values per row; per_row maps a
-    row stack and a floor, one value per slot or one row of them per row,
-    to one row of k entries per row: each entry that could make its floor +
-    entry negative is exact, and every other may read +inf.
+    row stack and a floor, one value per slot, to one row of k entries per
+    row: each entry that could make its floor + entry negative is exact,
+    and every other may read +inf.
 
     The objective is evaluated whole; the constraint only on the cells
     that can still win.  Columns are visited in ascending order of their
@@ -422,27 +422,17 @@ def _constrained(objective, lead, per_row):
     above it and reads +inf.  While that best value is +inf, columns go
     CONSTRAINT_BATCH at a time; once it is finite, as it always is at a
     box step, whose cutoff is the incumbent, every remaining column that
-    can still win goes in one pass: at most one per_row call and one slot
-    minimum.  A pass takes the slot minimum only on the rows of A
-    with an objective <= that best value in one of its columns; every
-    other cell lies above it and reads +inf.  The floor of a pass is the
-    least lead over those rows, so an entry that reads +inf leaves the sign
-    of each of its cells as it is, and the slot minimum runs only over the
-    slots where some entry is finite.  So when the least cell lies below
-    the cutoff, it and its first flat index are those of evaluating every
-    cell.  A call computes lead(A) once, when it visits its first column.
-
-    The box steps meet the incumbent B row again and again, so the entries
-    of every B row met are kept, by its bytes, with the least floor each
-    slot was asked at; each is a row's own and each slot minimum is exact,
-    so a kept entry, and a cell taken on fewer rows, has the bits of a
-    fresh one.  A pass asks per_row for its rows not met yet and for each
-    kept row with a +inf entry at a slot whose floor lies below the one it
-    was asked at.  A kept row is asked at the pass's floor only where its
-    entries read +inf, and at +inf, which rules every entry out, where they
-    are exact; its new entries fill its +inf ones.
+    can still win goes in one pass.  A pass takes the slot minimum only on
+    the rows of A with an objective <= that best value in one of its
+    columns; every other cell lies above it and reads +inf.  It calls
+    per_row once, on its own columns, at the least lead over those rows,
+    so an entry that reads +inf leaves the sign of each of its cells as it
+    is, and the slot minimum runs only over the slots where some entry is
+    finite.  So when the least cell lies below the cutoff, it and its first
+    flat index are those of evaluating every cell.  A call computes lead(A)
+    once, when it visits its first column, and keeps nothing for the next
+    call: the terms that compute exact values keep them, by row.
     """
-    known = {}  # B row bytes -> (least floor asked at, entries) of each slot
 
     def score(A, B, cutoff):
         obj = objective(A, B)
@@ -462,30 +452,9 @@ def _constrained(objective, lead, per_row):
             part = obj[:, cols]
             wins = np.flatnonzero((part <= best).any(axis=1))  # rows that can still win
             part = part[wins]
-            floor = head[wins].min(axis=0)
-            keys = [row.tobytes() for row in B[cols]]
-            held = [known.get(key) for key in keys]
-            ask = np.array([h is None for h in held])
-            met = np.flatnonzero(~ask)
-            if met.size:
-                low, kept = map(np.array, zip(*(held[i] for i in met)))
-                ask[met] = (np.isinf(kept) & (floor < low)).any(axis=1)
-            ask = np.flatnonzero(ask)
-            if ask.size:
-                # a kept row is asked at +inf, which rules every entry out,
-                # where it holds its entries exactly
-                floors = [floor if held[i] is None else np.where(np.isinf(held[i][1]), floor, np.inf) for i in ask]
-                for i, entries in zip(ask, per_row(B[cols[ask]], np.array(floors))):
-                    if held[i] is None:
-                        held[i] = floor, entries
-                    else:
-                        low, kept = held[i]
-                        held[i] = np.minimum(low, floor), np.minimum(kept, entries)
-                    known[keys[i]] = held[i]
-            table = np.array([entries for _, entries in held])
+            table = per_row(B[cols], head[wins].min(axis=0))
             live = ~np.isinf(table).all(axis=0)  # slots where some entry is finite
-            table = table[:, live]
-            g = _min_plus(head[np.ix_(wins, live)], table)
+            g = _min_plus(head[np.ix_(wins, live)], table[:, live])
             part[~(g < 0.0)] = np.inf
             out[np.ix_(wins, cols)] = part
             best = min(best, float(part.min()))
@@ -508,19 +477,27 @@ def _g1_diag(inst, cfg):
 
     per_row(rows, floor) takes the exact P1' minimum only of the entries
     that a lower bound does not rule out: an entry whose bound LB has
-    floor + LB[k] >= 0 at its own floor, one per slot or one per row and
-    slot, reads +inf, since then lead + u >= 0 for every lead row >= floor.
-    With c = KL(Q1||pg) and b = beta*c, the bound of u[k] is c[k] + the
-    least over each block B of _SLOT_BLOCK consecutive P1' slots of
-    min(b over B) + min(-lambda(pg_k, .) over B).  Rounding to
-    nearest is monotone, so each computed sum b[l] - lambda(pg_k, pg_l) is
-    at least its block's computed bound, and u's computed entry at least
-    LB's: the bound holds for the floats.  At the default floor, -inf, no
-    entry is ruled out and per_row is u whole.
+    floor[k] + LB[k] >= 0, one floor per slot, reads +inf, since then
+    lead + u >= 0 for every lead row >= floor.  With c = KL(Q1||pg) and
+    b = beta*c, the bound of u[k] is c[k] + the least over each block B of
+    _SLOT_BLOCK consecutive P1' slots of min(b over B) + min(-lambda(pg_k,
+    .) over B).  Rounding to nearest is monotone, so each computed sum
+    b[l] - lambda(pg_k, pg_l) is at least its block's computed bound, and
+    u's computed entry at least LB's: the bound holds for the floats.  At
+    the default floor, -inf, no entry is ruled out and per_row is u whole.
+
+    The box steps meet the incumbent Q1 row again and again, so u keeps
+    the exact entries of every row it has met, by the row's bytes, with nan
+    for those not computed yet; the bound is computed on every call, and
+    only the entries it needs that a row lacks are computed.  Each entry is
+    its row's own and each slot minimum is exact, so a kept entry has the
+    bits of a fresh one.
     """
     pg, nlam = _inner_table(inst, cfg)
     blocks = np.arange(0, nlam.shape[1], _SLOT_BLOCK)
     block_min = np.minimum.reduceat(nlam, blocks, axis=1).T.copy()  # (blocks, k)
+    exact = {}  # Q1 row bytes -> its entries of u, nan where not computed yet
+    blank = np.full(nlam.shape[0], np.nan)
 
     def u(Q1rows, floor=-np.inf):
         c1 = dv.kl_matrix(Q1rows, pg)
@@ -533,9 +510,12 @@ def _g1_diag(inst, cfg):
             np.minimum(out, b_min[:, n : n + 1] + block_min[n], out=out)
         out += c1  # the bound LB
         need = ~(floor + out >= 0.0)
-        out.fill(np.inf)
-        out[need] = c1[need] + _min_plus_at(b, nlam, *np.nonzero(need))
-        return out
+        keys = [row.tobytes() for row in Q1rows]
+        entries = np.array([exact.get(key, blank) for key in keys])
+        todo = need & np.isnan(entries)
+        entries[todo] = c1[todo] + _min_plus_at(b, nlam, *np.nonzero(todo))
+        exact.update(zip(keys, entries))
+        return np.where(need, entries, np.inf)
 
     return (lambda Q0rows: inst.alpha * dv.kl_matrix(Q0rows, pg)), u
 
@@ -569,12 +549,19 @@ def _mu_g(inst, cfg):
     """(lead, per_row) of mu_search's constraint g(Q0_i, Q1_j) =
     alpha*KL(Q0_i||P1) + h(Q1_j) (see `_mu_inner`), a slot minimum whose P0'
     slot holds P1 alone.  per_row(rows, floor) is h, +inf where floor + h
-    >= 0: there it cannot make a cell negative."""
+    >= 0: there it cannot make a cell negative.  h keeps the value of every
+    row it has met, by the row's bytes, and solves only the rows it has
+    not met, in one stack, which gives each row its one-row bits."""
     P1 = inst.p1
     table = _inner_table(inst, cfg, rows=P1[None, :])
+    values = {}  # Q1 row bytes -> h
 
     def h(Q1rows, floor=-np.inf):
-        out = _mu_inner(Q1rows, inst, cfg, table)[:, None]
+        keys = [row.tobytes() for row in Q1rows]
+        new = {key: row for key, row in zip(keys, Q1rows) if key not in values}
+        if new:
+            values.update(zip(new, _mu_inner(np.array(list(new.values())), inst, cfg, table)))
+        out = np.array([values[key] for key in keys])[:, None]
         out[floor + out >= 0.0] = np.inf
         return out
 

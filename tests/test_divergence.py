@@ -132,6 +132,34 @@ def test_bht_endpoints():
             dv.bht_tradeoff(P0, P1, e0)
 
 
+def test_kl_refuses_a_pair_of_different_lengths():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dv.kl(binary(0.6), np.array([0.2, 0.3, 0.5]))
+
+
+def test_renyi_frac_refuses_a_zero_entry():
+    with pytest.raises(ValueError, match="renyi_frac requires full-support distributions"):
+        dv.renyi_frac(np.array([1.0, 0.0]), binary(0.1), 1.0)
+
+
+def test_bht_tradeoff_refuses_a_zero_entry():
+    with pytest.raises(ValueError, match="bht_tradeoff requires full-support distributions"):
+        dv.bht_tradeoff(binary(0.6), np.array([0.0, 1.0]), 0.1)
+
+
+def test_cell_multiplier_is_inf_when_no_multiplier_fits():
+    # a constraint value that never falls to its budget: s doubles from 1
+    # up to 2**69, and no s fits
+    tried = []
+
+    def evaluate(s):
+        tried.append(s)
+        return 1.0, 0.0, 0.0
+
+    assert dv.cell_multiplier(evaluate, 0.5) == math.inf
+    assert tried == [2.0**k for k in range(70)]
+
+
 @given(
     st.integers(2, 6).flatmap(lambda d: st.tuples(*[st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)] * 2)),
     st.floats(0.001, 0.999),

@@ -46,6 +46,11 @@ def test_instance_validation():
         ex.ProblemInstance((0.999, 0.001), P1, 1.0, 1.0, ex.ConstantLambda(0.1), eps=0.01)
 
 
+def test_instance_refuses_distributions_on_different_alphabets():
+    with pytest.raises(ValueError, match="P0 and P1 must share an alphabet"):
+        ex.ProblemInstance(P0, (0.2, 0.3, 0.5), 1.0, 1.0, ex.ConstantLambda(0.1))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -656,9 +661,8 @@ KAPPA_COLUMNS_EVALUATE_ALL = 329
 
 
 def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
-    # counts the Q1 rows whose per_row the constraint computes; a row met
-    # again is read from the score's memo, unless a lower floor may need one
-    # of its +inf entries (6 of the 111 rows)
+    # counts the Q1 rows the constraint passes to per_row, once per pass
+    # that meets them: 121 rows in 10 calls, 105 of them distinct
     inst = cli.load_config(preset="fig1").instance(xi=0.5)
     want = ex.kappa_search(inst)
     columns = []
@@ -679,48 +683,51 @@ def test_kappa_constraint_sees_only_columns_that_can_win(monkeypatch):
     assert 0 < sum(columns) <= KAPPA_COLUMNS_EVALUATE_ALL // 2
 
 
-#: the most per_row calls kappa's and mu's constraint may make in one fig1
-#: search at xi = 0.5, default solver: once a feasible cell is known, a
-#: score takes every column that can still win in one call (5 calls each;
-#: 16 and 19 when the columns went CONSTRAINT_BATCH at a time)
-CONSTRAINT_CALL_LIMIT = 6
-
-
-@pytest.mark.parametrize("build, search", [("_g1_diag", "kappa_search"), ("_mu_g", "mu_search")], ids=["kappa", "mu"])
-def test_constraint_takes_few_per_row_calls(monkeypatch, build, search):
+@pytest.mark.parametrize("search", ["kappa_search", "mu_search"], ids=["kappa", "mu"])
+def test_constraint_takes_few_per_row_calls(monkeypatch, search):
+    # per score call of one fig1 search at xi = 0.5, default solver: the
+    # coarse grid's call, cutoff +inf, takes CONSTRAINT_BATCH columns and
+    # then, once a feasible cell is known, every column that can still win
+    # in one pass; a call with a finite cutoff, a box step's, takes them all
+    # in one pass.  Each pass makes one per_row call
     inst = cli.load_config(preset="fig1").instance(xi=0.5)
     want = getattr(ex, search)(inst)
-    calls = []
-    pieces = getattr(ex, build)
+    calls = []  # [cutoff, per_row calls] of each score call
+    constrained = ex._constrained
 
-    def counted(inst_, cfg):
-        lead, per_row = pieces(inst_, cfg)
-
-        def wrapped(rows, floor):
-            calls.append(len(rows))
+    def counted(objective, lead, per_row):
+        def asked(rows, floor):
+            calls[-1][1] += 1
             return per_row(rows, floor)
 
-        return lead, wrapped
+        score = constrained(objective, lead, asked)
 
-    monkeypatch.setattr(ex, build, counted)
+        def wrapped(A, B, cutoff):
+            calls.append([cutoff, 0])
+            return score(A, B, cutoff)
+
+        return wrapped
+
+    monkeypatch.setattr(ex, "_constrained", counted)
     got = getattr(ex, search)(inst)
     assert got.value == want.value
-    assert 0 < len(calls) <= CONSTRAINT_CALL_LIMIT
+    assert len(calls) > 1 and math.isinf(calls[0][0]) and 0 < calls[0][1] <= 2
+    assert all(math.isfinite(cutoff) and n <= 1 for cutoff, n in calls[1:])
 
 
 #: the most slot entries of u (`_g1_diag`) kappa's constraint may compute
-#: exactly in one fig1 search at xi = 0.5, default solver: 3,156 of the
-#: 44,511 entries of the 111 rows it asked for (105 rows, 6 of them asked
-#: again at a lower floor); every other entry's lower bound showed that it
-#: could not make a cell of its pass negative.  A bound that stops pruning
-#: computes all of them
+#: exactly in one fig1 search at xi = 0.5, default solver, counted once per
+#: (row, slot): 3,051 of the 42,105 entries of the 105 rows it met; every
+#: other entry's lower bound showed that it could not make a cell of its
+#: pass negative.  A bound that stops pruning computes all of them
 KAPPA_EXACT_ENTRY_LIMIT = 3_300
 
 
-def test_kappa_slot_bound_leaves_few_exact_entries(monkeypatch):
-    inst = cli.load_config(preset="fig1").instance(xi=0.5)
-    want = ex.kappa_search(inst)
-    exact, entries = [], []
+def _counted_exact_entries(monkeypatch):
+    """Wrap `_g1_diag` so that every per_row call adds the (row bytes, slot)
+    of each finite entry it returns to the first set, and each row's bytes
+    and slot count to the second."""
+    exact, rows = set(), {}
     diag = ex._g1_diag
 
     def counted(inst_, cfg):
@@ -728,31 +735,40 @@ def test_kappa_slot_bound_leaves_few_exact_entries(monkeypatch):
 
         def wrapped(Q1rows, floor):
             u = per_row(Q1rows, floor)
-            exact.append(int(np.isfinite(u).sum()))
-            entries.append(u.size)
+            for row, entries in zip(Q1rows, u):
+                rows[row.tobytes()] = entries.size
+                exact.update((row.tobytes(), int(k)) for k in np.flatnonzero(np.isfinite(entries)))
             return u
 
         return lead, wrapped
 
     monkeypatch.setattr(ex, "_g1_diag", counted)
+    return exact, rows
+
+
+def test_kappa_slot_bound_leaves_few_exact_entries(monkeypatch):
+    inst = cli.load_config(preset="fig1").instance(xi=0.5)
+    want = ex.kappa_search(inst)
+    exact, rows = _counted_exact_entries(monkeypatch)
     got = ex.kappa_search(inst)
     assert (got.value, got.argmin[0].tobytes(), got.argmin[1].tobytes()) == (
         want.value, want.argmin[0].tobytes(), want.argmin[1].tobytes())
-    assert 0 < sum(exact) <= KAPPA_EXACT_ENTRY_LIMIT < sum(entries)
+    assert 0 < len(exact) <= KAPPA_EXACT_ENTRY_LIMIT < sum(rows.values())
 
 
-#: `_min_plus_at` cells of one fig1 kappa search at xi = 0.5, default
-#: solver, when a kept row asked again at a lower floor recomputed every
-#: entry it needed, those the score already held exactly included
-KAPPA_CELLS_ROWS_RECOMPUTED = 3_156
-#: that search's value and argmin, as float.hex
+#: the value and argmin of one fig1 kappa search at xi = 0.5, default
+#: solver, as float.hex
 KAPPA_FIG1_HALF_PINNED = (
     "0x1.d661f7f542897p-3",
     (("0x1.99d3458cd20b0p-3", "0x1.998b2e9ccb7d4p-1"), ("0x1.51eb851eb851fp-3", "0x1.ab851eb851eb8p-1")),
 )
 
 
-def test_kappa_asks_a_kept_row_only_for_entries_it_lacks(monkeypatch):
+def test_kappa_u_computes_each_exact_entry_once(monkeypatch):
+    # the box steps meet the incumbent Q1 row again and again, at floors
+    # that differ; u computes an entry (a `_min_plus_at` cell) only where
+    # the row lacks it, so the cells computed are the distinct entries
+    # returned exactly, 3,051 of them
     inst = cli.load_config(preset="fig1").instance(xi=0.5)
     cells = []
     min_plus_at = ex._min_plus_at
@@ -762,10 +778,11 @@ def test_kappa_asks_a_kept_row_only_for_entries_it_lacks(monkeypatch):
         return min_plus_at(rows, table, i, j)
 
     monkeypatch.setattr(ex, "_min_plus_at", counted)
+    exact, _ = _counted_exact_entries(monkeypatch)
     got = ex.kappa_search(inst)
     assert (float(got.value).hex(), tuple(tuple(float(x).hex() for x in q) for q in got.argmin)) == (
         KAPPA_FIG1_HALF_PINNED)
-    assert 0 < sum(cells) < KAPPA_CELLS_ROWS_RECOMPUTED
+    assert 0 < sum(cells) == len(exact)
 
 
 # tracemalloc peak of one fig1 kappa_search at xi = 0.5, default solver,
@@ -836,9 +853,9 @@ def test_mu_inner_stack_equals_each_row_alone(case):
 @pytest.mark.parametrize("d", [2, 3])
 def test_constraint_cells_keep_their_bits(d):
     # the pair search evaluates kappa's and mu's constraints on a few
-    # columns at a time, down to one, through one g per search that keeps
-    # what it has computed; each cell must equal its value when every
-    # column is evaluated together by a fresh g
+    # columns at a time, down to one, through per-row terms that keep what
+    # they have computed; each cell must equal its value when every column
+    # is evaluated together, first
     p0, p1 = (P0, P1) if d == 2 else ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7))
     inst = ex.ProblemInstance(p0, p1, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
     cfg = SearchConfig(coarse_m=30 if d == 2 else 20, refine_rounds=2)
@@ -855,7 +872,7 @@ def test_constraint_cells_keep_their_bits(d):
         lead, per_row = build(inst, cfg)
         full = ex._min_plus(lead(rows), per_row(rows))
         signs = np.where(full < 0.0, 0.0, np.inf)
-        kept = ex._constrained(flat, lead, per_row)  # met every column at an earlier width
+        kept = ex._constrained(flat, lead, per_row)  # called at every earlier width too
         for width in range(1, 9):
             score = ex._constrained(flat, lead, per_row)
             for j in range(0, len(rows) - width + 1, width):
@@ -1030,9 +1047,10 @@ def test_mu_search_solves_each_q1_row_once(monkeypatch, preset, point, e_fix, mu
 
 # kappa_search and mu_search, value and argmin as float.hex, at two fig1
 # sweep points (the index into the preset's sweep), one fig3 point (mu
-# only: kappa is inf there) and the d = 3 instance at coarse_m 12; recorded
-# before kappa's and mu's constraints shared one slot minimum.  The
-# benchmark holds these values only to 1e-9
+# only: kappa is inf there) and the d = 3 instance at coarse_m 12 and 20
+# (its second field); recorded before kappa's and mu's constraints shared
+# one slot minimum, the coarse_m 20 rows before the constraint score kept
+# no state.  The benchmark holds these values only to 1e-9
 SLOT_MIN_PINNED = (
     (("fig1", 10), "kappa", "0x1.f05f30561079ep-3",
      (("0x1.5cfaacd9e83e5p-3", "0x1.a8c154c985f07p-1"), ("0x1.3318fc504816fp-3", "0x1.b339c0ebedfa4p-1"))),
@@ -1044,10 +1062,14 @@ SLOT_MIN_PINNED = (
      (("0x1.23fe5c91d14e3p-2", "0x1.6e00d1b71758ep-1"), ("0x1.f5c28f5c28f5cp-3", "0x1.828f5c28f5c29p-1"))),
     (("fig3", 25), "mu", "0x1.bbeeb4aac78a2p-2",
      (("0x1.73eab367a0f90p-3", "0x1.a305532617c1cp-1"), ("0x1.eb851eb851eb8p-7", "0x1.f851eb851eb85p-1"))),
-    (("d3", None), "kappa", "0x1.bb73ca41024f4p-2",
+    (("d3", 12), "kappa", "0x1.bb73ca41024f4p-2",
      (("0x1.792c5f92c5f92p-3", "0x1.0a94d242e6bddp-2", "0x1.1c6a7ef9db22dp-1"), ("0x1.53cc1e098ead6p-3", "0x1.fef9db22d0e56p-3", "0x1.2b4e81b4e81b5p-1"))),
-    (("d3", None), "mu", "0x1.c960195edaa77p-2",
+    (("d3", 12), "mu", "0x1.c960195edaa77p-2",
      (("0x1.5b7a32846ff51p-3", "0x1.00f04c756b2dcp-2", "0x1.28a94d242e6bep-1"), ("0x1.7e4b17e4b17e3p-6", "0x1.53a06d3a06d3ap-3", "0x1.9f258bf258bf2p-1"))),
+    (("d3", 20), "kappa", "0x1.b5b9b8b131a34p-2",
+     (("0x1.be90ff9724745p-3", "0x1.08e8a71de69adp-2", "0x1.0be76c8b43958p-1"), ("0x1.90b0f27bb2fedp-3", "0x1.fe28240b78034p-3", "0x1.1c49ba5e353f8p-1"))),
+    (("d3", 20), "mu", "0x1.aa12d730f874bp-2",
+     (("0x1.923a29c779a6bp-3", "0x1.0ecbfb15b573fp-2", "0x1.140b780346dc6p-1"), ("0x1.c6dc5d6388659p-4", "0x1.999999999999ap-5", "0x1.ad8adab9f559bp-1"))),
 )
 
 
@@ -1056,7 +1078,7 @@ SLOT_MIN_PINNED = (
 def test_kappa_and_mu_searches_keep_their_bits(case, search, value, argmin):
     preset, point = case
     if preset == "d3":
-        inst, cfg = D3_RENYI, SearchConfig(coarse_m=12)
+        inst, cfg = D3_RENYI, SearchConfig(coarse_m=point)
     else:
         config = cli.load_config(preset=preset)
         inst, cfg = config.instance(xi=float(config.sweep_values()[point])), config.solver

@@ -196,6 +196,11 @@ def test_search_config_validation():
     assert SearchConfig().resolve_m(3) == 60
 
 
+def test_search_config_refuses_negative_refine_rounds():
+    with pytest.raises(ValueError, match="refine_rounds must be >= 0"):
+        SearchConfig(refine_rounds=-1)
+
+
 def test_eps_floor_respected():
     t = np.array([0.99, 0.01])
     res = min_simplex_pair(unconstrained(separable(t, t)), 2, eps=0.05)
@@ -256,15 +261,16 @@ def test_constrained_score_equals_brute_force(grid):
     A = np.arange(obj.shape[0], dtype=float)[:, None]
     B = np.arange(obj.shape[1], dtype=float)[:, None]
     feas = (lead[:, None, :] + per_row[None, :, :]).min(axis=2) < 0.0
-    seen, leads = [], []
+    asked, leads = [], []
 
     def lead_of(A_):
         leads.append(len(A_))
         return lead[A_[:, 0].astype(int)]
 
     def per_row_of(B_, floor):
-        # every entry exact, whatever the floor
-        seen.extend(B_[:, 0].astype(int).tolist())
+        # every entry exact, whatever the floor, which is one per slot
+        assert floor.shape == (lead.shape[1],)
+        asked.append((B_[:, 0].astype(int).tolist(), floor.tolist()))
         return per_row[B_[:, 0].astype(int)]
 
     score = ex._constrained(indexed(obj), lead_of, per_row_of)
@@ -276,10 +282,16 @@ def test_constrained_score_equals_brute_force(grid):
     assert np.array_equal(full[kept], obj[kept]) and feas[kept].all()
     # the constraint saw every column whose least objective ties or beats
     # the minimum, each row once; the lead was computed at most once
+    seen = [row for rows, _ in asked for row in rows]
     colmin = obj.min(axis=0)
     assert set(np.flatnonzero(colmin <= want)) <= set(seen)
     assert len(seen) == len(set(seen)) and len(leads) <= 1
-    # a second call reads the kept rows and prunes by the cutoff
+    # the score keeps no history: the same call again gives the same
+    # cells through the same per_row calls
+    first, asked[:] = list(asked), []
+    assert np.array_equal(score(A, B, np.inf), full)
+    assert asked == first
+    # a call with a cutoff prunes by it
     value, pair = first_argmin(score(A, B, cutoff))
     if want < cutoff:
         assert (value, pair) == (want, where)
@@ -357,8 +369,8 @@ def test_bounded_slot_minimum_keeps_every_sign(case):
     exact = np.isfinite(bounded)
     assert np.array_equal(bounded[exact], dense[exact])
     assert np.array_equal((lead[:, None, :] + bounded[None, :, :]).min(axis=2, initial=np.inf) < 0.0, signs)
-    # the score, called on subsets of the lead rows, asks again for a kept
-    # row whose +inf entries a lower floor may need
+    # the score, called on subsets of the lead rows, passes each its own
+    # floor; u computes only the entries it needs that a row lacks
     flat = lambda A, B: np.zeros((len(A), len(B)))
     score = ex._constrained(flat, lambda A: lead[A[:, 0].astype(int)], per_row)
     for subset in subsets:

@@ -56,6 +56,11 @@ def test_sample_point_mass():
     assert list(sample_iid(np.array([1.0, 0.0]), 5, stream_seed(3))) == [0] * 5
 
 
+def test_sample_iid_refuses_an_empty_draw():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_iid(np.array([0.5, 0.5]), 0, stream_seed(3))
+
+
 def test_sample_mean_clt():
     x = sample_iid(np.array([0.5, 0.5]), 100_000, stream_seed(7))
     sigma = 0.5 / math.sqrt(100_000)
