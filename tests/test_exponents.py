@@ -854,8 +854,9 @@ def test_mu_inner_stack_equals_each_row_alone(case):
 def test_constraint_cells_keep_their_bits(d):
     # the pair search evaluates kappa's and mu's constraints on a few
     # columns at a time, down to one, through per-row terms that keep what
-    # they have computed; each cell must equal its value when every column
-    # is evaluated together, first
+    # they have computed; each cell, computed fresh or read back from what
+    # a term keeps, must equal its value when every column is evaluated
+    # together
     p0, p1 = (P0, P1) if d == 2 else ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7))
     inst = ex.ProblemInstance(p0, p1, 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
     cfg = SearchConfig(coarse_m=30 if d == 2 else 20, refine_rounds=2)
@@ -869,15 +870,18 @@ def test_constraint_cells_keep_their_bits(d):
     # reads the sign of g alone
     flat = lambda A, B: np.zeros((len(A), len(B)))
     for build in (ex._g1_diag, ex._mu_g):
-        lead, per_row = build(inst, cfg)
-        full = ex._min_plus(lead(rows), per_row(rows))
+        lead, whole = build(inst, cfg)
+        full = ex._min_plus(lead(rows), whole(rows))
         signs = np.where(full < 0.0, 0.0, np.inf)
-        kept = ex._constrained(flat, lead, per_row)  # called at every earlier width too
+        # each term below starts empty; kept's is shared by every width,
+        # so it reads back what the earlier widths computed
+        kept = ex._constrained(flat, *build(inst, cfg))
         for width in range(1, 9):
-            score = ex._constrained(flat, lead, per_row)
+            score = ex._constrained(flat, *build(inst, cfg))
             for j in range(0, len(rows) - width + 1, width):
                 cols = slice(j, j + width)
-                assert np.array_equal(ex._min_plus(lead(rows), per_row(rows[cols])), full[:, cols])
+                fresh = build(inst, cfg)[1](rows[cols])
+                assert np.array_equal(ex._min_plus(lead(rows), fresh), full[:, cols])
                 assert np.array_equal(score(rows, rows[cols], np.inf), signs[:, cols])
                 assert np.array_equal(kept(rows, rows[cols], np.inf), signs[:, cols])
     # mu's P0' slot holds P1 alone: its g adds the lead and h, cell by cell

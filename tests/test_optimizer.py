@@ -359,20 +359,25 @@ def test_bounded_slot_minimum_keeps_every_sign(case):
     # no floor: u whole, with the bits of the dense slot minimum
     assert np.array_equal(per_row(rows), dense)
     assert np.array_equal(lead_of(pg[:3]), inst.alpha * dv.kl_matrix(pg[:3], pg))
+    # u keeps the exact entries of the rows it has met, so each check
+    # below takes a fresh u: its entries are computed at that floor, not
+    # read back from the whole u above
     # one step of the floats below -u, every entry can make a cell negative
     for j in range(len(rows)):
-        assert np.array_equal(per_row(rows[j : j + 1], np.nextafter(-dense[j], -np.inf))[0], dense[j])
+        row = ex._g1_diag(inst, cfg)[1](rows[j : j + 1], np.nextafter(-dense[j], -np.inf))
+        assert np.array_equal(row[0], dense[j])
     signs = (lead[:, None, :] + dense[None, :, :]).min(axis=2) < 0.0
     # at the floor of the lead rows, each exact entry keeps its bits and
     # each +inf entry leaves every sign as it is
-    bounded = per_row(rows, lead.min(axis=0))
+    bounded = ex._g1_diag(inst, cfg)[1](rows, lead.min(axis=0))
     exact = np.isfinite(bounded)
     assert np.array_equal(bounded[exact], dense[exact])
     assert np.array_equal((lead[:, None, :] + bounded[None, :, :]).min(axis=2, initial=np.inf) < 0.0, signs)
     # the score, called on subsets of the lead rows, passes each its own
-    # floor; u computes only the entries it needs that a row lacks
+    # floor; its u starts empty, computes entries at one floor, then only
+    # those it lacks at the next
     flat = lambda A, B: np.zeros((len(A), len(B)))
-    score = ex._constrained(flat, lambda A: lead[A[:, 0].astype(int)], per_row)
+    score = ex._constrained(flat, lambda A: lead[A[:, 0].astype(int)], ex._g1_diag(inst, cfg)[1])
     for subset in subsets:
         got = score(subset.astype(float)[:, None], rows, np.inf)
         assert np.array_equal(got, np.where(signs[subset], 0.0, np.inf))
