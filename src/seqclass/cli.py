@@ -132,9 +132,9 @@ def _floats(s):
 class RunConfig:
     """Run configuration (instance + sweep + solver + sim), checked by
     building what it describes: the instance, the instance at each end of
-    the sweep, the SearchConfig with its grid gates, and the stream layout
-    of every sim cell.  A missing key raises KeyError, and a value that
-    does not parse or that any of those refuses raises ValueError."""
+    the sweep, the SearchConfig with its pair-grid gate, and the stream
+    layout of every sim cell.  A missing key raises KeyError, and a value
+    that does not parse or that any of those refuses raises ValueError."""
 
     def __init__(self, raw):
         self.p0 = _floats(raw["p0"])
@@ -185,7 +185,6 @@ class RunConfig:
         )
         if isinstance(self.lam, ex.ScaledRenyiLambda):
             check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
-            ex.check_kappa_refinement(inst, self.solver)
         self.sim_setups = tuple(SetupKind(s.strip()) for s in raw.get("sim_setups", "fullyseq").split(","))
         self.sim_n_grid = tuple(int(x) for x in raw.get("sim_n_grid", "20,40,60").split(","))
         self.sim_trials = int(raw.get("sim_trials", "10000"))
@@ -350,11 +349,6 @@ def curve_svg(rows, x_label="sweep", log_x=False):
 
 def cmd_simulate(cfg, outdir):
     inst = cfg.instance()
-    try:
-        # run_trials scores g1 with the default SearchConfig, not cfg.solver
-        ex.check_g1_polish(inst)
-    except ValueError as e:
-        raise ConfigError(f"cannot simulate: {e}")
     rows = []
     reports = {}
     for setup in cfg.sim_setups:

@@ -14,7 +14,7 @@ Two constraint families are supported:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import accumulate
 from typing import Union
@@ -22,8 +22,8 @@ from typing import Union
 import numpy as np
 
 from . import divergence as dv
-from .optimizer import PAIR_CELL_LIMIT, SearchConfig, SearchResult, box_schedule, min_simplex_pair
-from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, grid_count, satisfies_floor
+from .optimizer import SearchConfig, SearchResult, box_schedule, min_simplex_pair
+from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, satisfies_floor
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,14 @@ class ProblemInstance:
         P1 = as_dist(self.P1, "P1")
         if P0.size != P1.size:
             raise ValueError("P0 and P1 must share an alphabet")
+        if isinstance(self.lam, ScaledRenyiLambda) and P0.size > 3:
+            # a box step holds at most 43^(d-1) points: at d <= 3 kappa's box
+            # against its inner grid and g1's two-box polish stay below 2^25
+            # cells at every density check_pair_grid admits; from d = 4 on
+            # g1's polish alone passes it at every density
+            raise ValueError(
+                f"a scaled-Renyi budget is searched on simplex grids, which take d <= 3; got d={P0.size}"
+            )
         if np.array_equal(P0, P1):
             raise ValueError("distinct distributions required")
         if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
@@ -111,8 +119,8 @@ class ProblemInstance:
 
 #: box re-gridding rounds of the polish around each inner grid minimum
 _POLISH_ROUNDS = 2
-#: most two-box cells one call of g1's polish scores; g1 polishes its rows
-#: in stacks of as many rows as fit
+#: most box points one polish call scores: two-box cells for g1, one-box
+#: points for mu's h; each polishes its rows in stacks of as many rows as fit
 _POLISH_CELLS = 2**20
 #: most sums one pass of `_min_plus` holds (1 MiB)
 _MIN_PLUS_CELLS = 2**17
@@ -166,7 +174,6 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
     if isinstance(inst.lam, ConstantLambda):
         out = dv.weighted_join(w0, Q0, wx, Q) - inst.lam.lambda0
         return float(out[0]) if one else out
-    check_g1_polish(inst, cfg)
     k = _inner_density(inst, cfg)
     pg, nlam = _inner_table(inst, cfg)  # nlam: (k0, k1)
     step = max(1, _POLISH_CELLS // _polish_side(inst, cfg) ** 2)
@@ -227,49 +234,9 @@ def _g1_box(Q, Q0, Q1, weights, inst, U, V):
     return a[:, :, None] + b[:, None, :] - lam
 
 
-def check_g1_polish(inst, cfg=SearchConfig()):
-    """Raise ValueError if g1's polish could score more than PAIR_CELL_LIMIT
-    pairs for one row in one round.
-
-    The round scores every pair of two box grids; each box is bounded by
-    its mesh size, so nothing is allocated.  That admits d = 2 and d = 3 at
-    every density; from d = 4 on a box holds tens of thousands of points.
-    A constant budget never polishes.
-    """
-    if isinstance(inst.lam, ConstantLambda):
-        return
-    side = _polish_side(inst, cfg)
-    if side * side > PAIR_CELL_LIMIT:
-        raise ValueError(
-            f"g1 polish too large at d={inst.d}: two boxes of up to {side} points "
-            f"make {side * side} cells > {PAIR_CELL_LIMIT}"
-        )
-
-
 def _polish_side(inst, cfg):
     # the widest mesh of a polish round's box, a bound on box_grid's rows
     return max(box_mesh_size(inst.d, *box) for box in box_schedule(_inner_density(inst, cfg), _POLISH_ROUNDS))
-
-
-def check_kappa_refinement(inst, cfg=SearchConfig()):
-    """Raise ValueError if a refinement step of kappa's scaled-Renyi pair
-    search could score more than PAIR_CELL_LIMIT cells.
-
-    A step that re-grids the Q0 block scores every point of its box against
-    the inner grid (`_g1_diag`); each box is bounded by its mesh
-    size, so nothing is allocated.  At the default three rounds that admits
-    d = 2 and d = 3 at their default densities, d = 4 up to coarse_m 12 and
-    no d >= 5.
-    """
-    inner = grid_count(inst.d, _inner_density(inst, cfg))
-    for halfwidth, density in box_schedule(cfg.resolve_m(inst.d), cfg.refine_rounds):
-        box = box_mesh_size(inst.d, halfwidth, density)
-        if box * inner > PAIR_CELL_LIMIT:
-            raise ValueError(
-                f"kappa refinement too large at d={inst.d}: a box of up to {box} points "
-                f"against {inner} inner grid points makes {box * inner} cells > "
-                f"{PAIR_CELL_LIMIT}; lower the coarse density"
-            )
 
 
 def _polish(score, centers, density, eps):
@@ -395,7 +362,6 @@ def kappa_search(inst, cfg=SearchConfig()):
         return SearchResult(value, (q0, q1))
     if kappa_certified_infinite(inst):
         return SearchResult(math.inf, None)
-    check_kappa_refinement(inst, cfg)
     score = _constrained(_separable(inst, 1.0 + inst.beta), *_g1_diag(inst, cfg))
     return min_simplex_pair(score, inst.d, cfg, eps=inst.eps)
 
@@ -572,15 +538,20 @@ def _mu_inner(Q1rows, inst, cfg, table):
     """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1') for each
     row of Q1rows, over the inner grid and -lambda row of `_inner_table(inst,
     cfg, rows=P1[None, :])`, then polished around each row's grid argmin;
-    the polish takes every row at once.  Each row's value is that of a call
-    on that row alone, bit for bit."""
+    the rows go in stacks of at most _POLISH_CELLS box points.  Each row's
+    value is that of a call on that row alone, bit for bit."""
     pg, nlam = table
-    scores = inst.beta * dv.kl_matrix(Q1rows, pg) + nlam[0][None, :]
-    h = scores.min(axis=1)
-    # polish each row's inner minimum (smooth in P1')
-    centers = pg[scores.argmin(axis=1)]
-    polished = _polish(partial(_mu_box, Q1rows, inst), (centers,), _inner_density(inst, cfg), inst.eps)
-    return np.minimum(h, polished)
+    k = _inner_density(inst, cfg)
+    step = max(1, _POLISH_CELLS // _polish_side(inst, cfg))
+    out = np.empty(len(Q1rows))
+    for start in range(0, len(Q1rows), step):
+        rows = Q1rows[start : start + step]
+        scores = inst.beta * dv.kl_matrix(rows, pg) + nlam[0][None, :]
+        # polish each row's inner minimum (smooth in P1')
+        centers = pg[scores.argmin(axis=1)]
+        polished = _polish(partial(_mu_box, rows, inst), (centers,), k, inst.eps)
+        out[start : start + step] = np.minimum(scores.min(axis=1), polished)
+    return out
 
 
 def _mu_box(Q1rows, inst, V):
@@ -853,16 +824,8 @@ class ExponentReport:
     kappa_note: str = ""
 
     def as_dict(self):
-        return {
-            "renyi_term": self.renyi_term,
-            "kappa": self.kappa,
-            "mu": self.mu,
-            "nu": self.nu,
-            "e_fix": self.e_fix,
-            "e_seq": self.e_seq,
-            "e_semi1": self.e_semi1,
-            "e_semi2": self.e_semi2,
-        }
+        """The exponents: each float field by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type is float}
 
 
 def report(inst, cfg=SearchConfig()):

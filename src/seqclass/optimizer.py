@@ -6,11 +6,9 @@ round's half-width and density (2/m and REFINE_FACTOR * m after a grid at
 density m).  The feasible sets arising from unions of lambda-balls are
 non-convex, so global enumeration plus local refinement is the method of
 record here.  The coarse pair grid is evaluated whole, as N x N matrices,
-so `check_pair_grid` bounds N before anything is allocated.  kappa's
-refinement steps score a box against an inner grid, bounded by
-`exponents.check_kappa_refinement`.  Together they admit d = 2 and d = 3
-at their default densities, d = 4 only with coarse_m at most 12, and no
-d >= 5.
+so `check_pair_grid` bounds N before anything is allocated; a box step's
+work is bounded by d, which `exponents.ProblemInstance` holds to d <= 3
+under a scaled-Renyi budget.
 
 A search takes one score: score(A, B, cutoff) takes two row stacks of
 shapes (N, d) and (M, d) and the incumbent value, and returns an (N, M)

@@ -11,6 +11,7 @@ from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass import montecarlo as mc
+from seqclass import optimizer
 from seqclass import simplex
 from seqclass.optimizer import SearchConfig
 
@@ -181,14 +182,19 @@ FOREIGN_OR_FOLDED = {
     "sim_seed_negative": ({"sim_seed": "-1"}, "sim_seed"),
     "sim_seed_2_63": ({"sim_seed": str(2**63)}, "sim_seed"),
 }
+#: a scaled-Renyi budget at d = 4, which ProblemInstance refuses
+D4_RENYI = {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi",
+            "xi": "0.5", "offset": "0.003", "lambda0": None}
 #: REROUTED, FOREIGN_OR_FOLDED, two cases of test_config_mistake_exits_2
-#: whose message stream_sizes writes, and a misspelled flag
+#: whose message stream_sizes writes, a misspelled flag and the alphabet
+#: limit of a scaled-Renyi budget
 NAMED = dict(
     REROUTED,
     **FOREIGN_OR_FOLDED,
     late_cap_below_n=({"sim_late_cap": "5", "sim_n_grid": "20"}, "late_cap 5"),
     n_grid_1=({"sim_n_grid": "1,10"}, "got 1"),
     svg_log_x_misspelled=({"svg_log_x": "ture"}, "svg_log_x"),
+    scaled_renyi_d4=(dict(D4_RENYI, solver_coarse_m="6"), "d <= 3"),
 )
 
 
@@ -202,8 +208,8 @@ NAMED = dict(
         {"sweep_parameter": "xi", "sweep_from": "0.1", "sweep_to": "0.5"},
         {"sim_trials": "0"},
         {"sim_late_cap": "0"},
-        # a scaled-Renyi budget at d = 4 and the default density: a
-        # 39,711-point pair grid, N^2 far past check_pair_grid's bound
+        # a scaled-Renyi budget at d = 4 and the default density: the
+        # instance refuses it, as it does at every density
         {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi", "xi": "0.5",
          "lambda0": None},
         # the late time would read fewer samples than the early phase at n - 1
@@ -223,13 +229,13 @@ NAMED = dict(
         # a constant budget searches no grid, so the solver keys do nothing
         {"solver_coarse_m": "30"},
         {"solver_refine_rounds": "2"},
-        # kappa's refinement would score a 41^3-point box against the inner
-        # grid: 68,921 x 560 cells at d = 4, m = 13, past PAIR_CELL_LIMIT
-        {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi",
-         "xi": "0.5", "offset": "0.003", "lambda0": None, "solver_coarse_m": "13"},
-        # at d = 5 even the coarsest grid's refinement is too large
+        # the instance refuses a scaled-Renyi budget past d = 3 at every
+        # density: at d = 4 and coarse_m 13 and at d = 5 and coarse_m 2, and
+        # at d = 4 and coarse_m 6, where exponents once exited 5 in mu's polish
+        dict(D4_RENYI, solver_coarse_m="13"),
         {"p0": "0.3,0.25,0.2,0.15,0.1", "p1": "0.1,0.15,0.2,0.25,0.3", "lambda_family": "scaled_renyi",
          "xi": "0.5", "offset": "0.003", "lambda0": None, "solver_coarse_m": "2"},
+        dict(D4_RENYI, solver_coarse_m="6"),
         # a misspelled flag would otherwise read as false
         {"svg_log_x": "ture"},
         *(changes for changes, _ in REROUTED.values()),
@@ -239,7 +245,7 @@ NAMED = dict(
          "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
          "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan",
          "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5",
-         "svg_log_x_misspelled",
+         "scaled_renyi_d4_coarse_m_6", "svg_log_x_misspelled",
          *REROUTED, *FOREIGN_OR_FOLDED],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
@@ -347,20 +353,21 @@ def test_constant_budget_refuses_solver_keys_by_name(tmp_path, key):
         cli.load_config(path)
 
 
-def test_kappa_refinement_gate_admits_d4_up_to_coarse_m_12(tmp_path, monkeypatch):
-    cfg = (
-        "schema = 1\np0 = 0.4,0.3,0.2,0.1\np1 = 0.1,0.2,0.3,0.4\nalpha = 0.38\nbeta = 0.6\n"
-        "lambda_family = scaled_renyi\nxi = 0.5\noffset = 0.003\n"
-    )
-    inst = cli.load_config(write(tmp_path, cfg + "solver_coarse_m = 12\n")).instance()
-
+def test_scaled_renyi_d4_is_refused_before_any_grid(tmp_path, monkeypatch):
     def never_called(*args, **kwargs):
-        raise AssertionError("the inner grid was built")
+        raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(ex, "_inner_table", never_called)
-    # the library refuses the config the loader refuses, before allocating
-    with pytest.raises(ValueError, match="kappa refinement too large"):
-        ex.kappa_search(inst, SearchConfig(coarse_m=13))
+    for module in (ex, optimizer, cli):
+        for name in ("_inner_table", "grid_array", "box_grid"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, never_called)
+    for coarse_m in ("2", "6", "12", "60"):
+        path = write_changed(tmp_path, dict(D4_RENYI, solver_coarse_m=coarse_m))
+        for cmd in (["exponents"], ["curve", "--out", str(tmp_path / "c")], ["simulate", "--out", str(tmp_path / "s")]):
+            assert cli.main([cmd[0], "--config", path] + cmd[1:]) == cli.EXIT_CONFIG
+    # the library refuses the instance the loader refuses
+    with pytest.raises(ValueError, match=re.escape("d <= 3")):
+        ex.ProblemInstance((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
 
 
 def test_exponents_json(tmp_path, capsys):
@@ -531,9 +538,9 @@ def test_determinism_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_simulate_refuses_oversized_g1_polish(tmp_path, monkeypatch):
-    # d = 4 under a scaled-Renyi budget: the solver grid is bounded by
-    # solver_coarse_m, but g1's polish would score ~2.7e9 pairs per round
+def test_simulate_refuses_d4_scaled_renyi_before_any_trial(tmp_path, monkeypatch):
+    # d = 4 under a scaled-Renyi budget: at every solver_coarse_m the
+    # instance refuses it, and g1's polish would score ~2.7e9 pairs a round
     cfg = (
         "schema = 1\np0 = 0.4,0.3,0.2,0.1\np1 = 0.1,0.2,0.3,0.4\nalpha = 0.38\nbeta = 0.6\n"
         "lambda_family = scaled_renyi\nxi = 0.5\noffset = 0.003\nsolver_coarse_m = 12\n"
@@ -558,7 +565,8 @@ D3_RENYI_SIM_CFG = (
 
 def test_simulate_d3_renyi_two_phase_reaches_trials(tmp_path, monkeypatch):
     # d = 3 under a scaled-Renyi budget: the late phase goes through g1's
-    # polish, whose bound admits d = 3, so a two-phase config starts its trials
+    # polish, and the instance admits d = 3, so a two-phase config starts
+    # its trials
     path = write(tmp_path, D3_RENYI_SIM_CFG + "sim_setups = fixed,fullyseq\n")
 
     class Started(Exception):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
-from seqclass.optimizer import SearchConfig, box_schedule
-from seqclass.simplex import as_dist, box_grid, box_mesh_size, grid_array
+from seqclass.optimizer import PAIR_CELL_LIMIT, SearchConfig, box_schedule
+from seqclass.simplex import as_dist, box_grid, box_mesh_size, grid_array, grid_count
 
 import oracles as orc
 
@@ -515,9 +516,8 @@ def test_efix_dual_batched_matches_single_cells(p0, p1, alpha, beta, lam, mu, mv
         (P0, P1, 0.7, 0.7, ex.ScaledRenyiLambda(0.5, 0.0), 14, 14),  # fig3: L <= 0 on the diagonal
         (P0, P1, 0.38, 0.6, ex.ScaledRenyiLambda(1.0, 0.05), 14, 14),  # fig1 with cells worth 0
         ((0.5, 0.3, 0.2), (0.1, 0.2, 0.7), 0.7, 0.7, ex.ScaledRenyiLambda(0.6, 0.0), 4, 4),
-        ((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003), 3, 2),
     ],
-    ids=["fig1", "fig3", "fig1_zero", "d3", "d4"],
+    ids=["fig1", "fig3", "fig1_zero", "d3"],
 )
 def test_efix_dual_keeps_the_minimum(p0, p1, alpha, beta, lam, mu, mv):
     # a 1 x 1 call is never pruned, so cell by cell it solves every cell
@@ -535,12 +535,12 @@ def test_efix_dual_keeps_the_minimum(p0, p1, alpha, beta, lam, mu, mv):
 
 
 def _efix_oracle_cells():
-    """(instance, u, v) cells for the scalar oracle: random laws at d = 2, 3
-    and 4, random cells of the fig1 and fig3 coarse grids (the pinned sweep
+    """(instance, u, v) cells for the scalar oracle: random laws at d = 2
+    and 3, random cells of the fig1 and fig3 coarse grids (the pinned sweep
     points), and fig3's tiny budgets, neighbours on that grid (L from
     2.5e-5 to 1.3e-4, where the doubling runs to s = 64 to 512)."""
     cells = []
-    for d in (2, 3, 4):
+    for d in (2, 3):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(100 + d)))
 
         def law():
@@ -572,7 +572,7 @@ def test_efix_dual_cell_matches_the_scalar_oracle():
         if kind == "fig3-tiny":
             assert ex.lambda_matrix(inst.lam, u, v, inst.beta)[0, 0] < 2e-4
         kinds.add(kind)
-    assert kinds == {"d2", "d3", "d4", "fig1", "fig3", "fig3-tiny"}
+    assert kinds == {"d2", "d3", "fig1", "fig3", "fig3-tiny"}
 
 
 # tracemalloc peak of _efix_dual_matrix on the fig1 201 x 201 coarse grid
@@ -848,6 +848,25 @@ def test_mu_inner_stack_equals_each_row_alone(case):
         (halfwidth, density), _ = box_schedule(ex._inner_density(inst, cfg), ex._POLISH_ROUNDS)
         width = box_grid(centers, halfwidth, density, inst.eps).shape[1]
         assert halfwidth > inst.eps and min(len(box_grid(c, halfwidth, density, inst.eps)) for c in centers) < width
+
+
+def test_mu_inner_polishes_in_bounded_stacks(monkeypatch):
+    # h's polish grids the boxes of a stack of rows at once; the stacks hold
+    # at most _POLISH_CELLS box points, so its memory follows that bound and
+    # not the rows of the call, and every row keeps its bits
+    inst, cfg = D3_RENYI, SearchConfig()
+    rows = grid_array(3, 20, eps=inst.eps)  # 231 rows
+    table = ex._inner_table(inst, cfg, rows=inst.p1[None, :])
+    whole = ex._mu_inner(rows, inst, cfg, table)
+    monkeypatch.setattr(ex, "_POLISH_CELLS", 2**14)  # 9 rows a stack
+    tracemalloc.start()
+    try:
+        got = ex._mu_inner(rows, inst, cfg, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, whole)
+    assert peak < 8 * 2**20  # 62 MiB with the 231 rows in one stack
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -1219,21 +1238,41 @@ def test_g1_polish_bound_sized_without_allocating():
             assert box_grid(center, halfwidth, density, 0.01).shape[0] <= box_mesh_size(
                 d, halfwidth, density
             )
-    ex.check_g1_polish(renyi_inst())
-    inst3 = ex.ProblemInstance((0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 0.38, 0.6,
-                               ex.ScaledRenyiLambda(0.5, 0.003))
-    ex.check_g1_polish(inst3)
-    inst4 = ex.ProblemInstance((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.38, 0.6,
-                               ex.ScaledRenyiLambda(0.5, 0.003))
+    # a d = 4 round would ask for ~2.7e9 cells (20 GiB); the instance
+    # refuses a scaled-Renyi budget there before g1 is reached
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="g1 polish too large"):
-            ex.check_g1_polish(inst4)
-        with pytest.raises(ValueError, match="g1 polish too large"):
-            ex.g1(np.full(4, 0.25), np.full(4, 0.25), np.full(4, 0.25), inst4)
+        with pytest.raises(ValueError, match=re.escape("d <= 3")):
+            ex.ProblemInstance((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.38, 0.6,
+                               ex.ScaledRenyiLambda(0.5, 0.003))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # a d = 4 round would ask for ~2.7e9 cells (20 GiB)
-    # a constant budget never polishes
-    ex.check_g1_polish(ex.ProblemInstance(inst4.P0, inst4.P1, 1.0, 1.0, ex.ConstantLambda(0.05)))
+    assert peak < 2**20
+
+
+def test_box_steps_stay_below_the_cell_limit_up_to_d3():
+    # why the instance's d <= 3 is the only size gate a box step needs: at
+    # every coarse density check_pair_grid admits and any number of rounds,
+    # kappa's box against the inner grid, and g1's two polish boxes, stay
+    # below PAIR_CELL_LIMIT cells
+    for inst in (renyi_inst(), D3_RENYI):
+        m = 2
+        while grid_count(inst.d, m) ** 2 <= PAIR_CELL_LIMIT:
+            cfg = SearchConfig(coarse_m=m, refine_rounds=8)
+            box = max(box_mesh_size(inst.d, *step) for step in box_schedule(m, cfg.refine_rounds))
+            assert box <= 43 ** (inst.d - 1)
+            assert box * grid_count(inst.d, ex._inner_density(inst, cfg)) <= PAIR_CELL_LIMIT
+            assert ex._polish_side(inst, cfg) ** 2 <= PAIR_CELL_LIMIT
+            m += 1
+        assert m > (5000 if inst.d == 2 else 100)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_instance_takes_scaled_renyi_up_to_d3(d):
+    p0 = np.arange(d, 0, -1) / (d * (d + 1) / 2)
+    p1 = p0[::-1]
+    for budget in (ex.ScaledRenyiLambda(0.5, 0.003), ex.ScaledRenyiLambda(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"d <= 3; got d={d}")):
+            ex.ProblemInstance(p0, p1, 0.38, 0.6, budget)
+    assert ex.ProblemInstance(p0, p1, 0.38, 0.6, ex.ConstantLambda(0.05)).d == d

@@ -8,7 +8,8 @@ attribute taken off a name imported from the package; a field or attribute
 of another object that shares the name does not count.  The tests are no
 reader: code that only they call lives under ``tests/``.  A dataclass field
 counts as read when some module of the package or some demo reads an
-attribute of its name.  Settings come only from config keys, never from the
+attribute of its name, or when its class reads it through
+``fields(self)``.  Settings come only from config keys, never from the
 environment, and each key of ``cli.CONFIG_KEYS`` is read by name.
 """
 
@@ -90,6 +91,25 @@ def _is_dataclass(node):
     return False
 
 
+def _types_read_through_fields(cls):
+    """The annotations, as source, of the fields a comprehension in the
+    class reads through fields(self): those it keeps with `f.type is T`,
+    or "*" for every field when it keeps all."""
+    types = set()
+    for node in ast.walk(cls):
+        for gen in getattr(node, "generators", ()):
+            it = gen.iter
+            if not (
+                isinstance(it, ast.Call)
+                and getattr(it.func, "id", getattr(it.func, "attr", None)) == "fields"
+                and [getattr(a, "id", None) for a in it.args] == ["self"]
+            ):
+                continue
+            kept = [c.comparators[0] for c in gen.ifs if isinstance(c, ast.Compare) and isinstance(c.ops[0], ast.Is)]
+            types |= {ast.unparse(t) for t in kept} or {"*"}
+    return types
+
+
 def test_every_dataclass_field_is_read():
     trees = _callers()
     read = {
@@ -105,8 +125,11 @@ def test_every_dataclass_field_is_read():
         for cls in ast.walk(tree):
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
+            by_type = _types_read_through_fields(cls)
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    if by_type & {"*", ast.unparse(node.annotation)}:
+                        continue  # the class reads it through fields(self)
                     if node.target.id not in read:
                         unread.append(f"{path.name}:{cls.name}.{node.target.id}")
     assert unread == []
