@@ -23,7 +23,7 @@ import numpy as np
 
 from . import divergence as dv
 from .optimizer import SearchConfig, SearchResult, box_schedule, min_simplex_pair
-from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, satisfies_floor
+from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, row_blocks, satisfies_floor
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class ProblemInstance:
 #: box re-gridding rounds of the polish around each inner grid minimum
 _POLISH_ROUNDS = 2
 #: most box points one polish call scores: two-box cells for g1, one-box
-#: points for mu's h; each polishes its rows in stacks of as many rows as fit
+#: points for mu's h; each polishes its rows in the `row_blocks` of this cap
 _POLISH_CELLS = 2**20
 #: most sums one pass of `_min_plus` holds (1 MiB)
 _MIN_PLUS_CELLS = 2**17
@@ -176,10 +176,8 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
         return float(out[0]) if one else out
     k = _inner_density(inst, cfg)
     pg, nlam = _inner_table(inst, cfg)  # nlam: (k0, k1)
-    step = max(1, _POLISH_CELLS // _polish_side(inst, cfg) ** 2)
     out = np.empty(len(Q))
-    for start in range(0, len(Q), step):
-        rows = slice(start, start + step)
+    for rows in row_blocks(len(Q), _POLISH_CELLS, _polish_side(inst, cfg) ** 2):
         a = wx * dv.kl_matrix(Q[rows], pg) + w0 * dv.kl_matrix(Q0[rows], pg)  # (R, k0)
         b = w1 * dv.kl_matrix(Q1[rows], pg)  # (R, k1)
         scores = a + _min_plus(b, nlam)
@@ -195,29 +193,26 @@ def g1(Q, Q0, Q1, inst, cfg=SearchConfig(), weights=None):
 
 def _min_plus(rows, table):
     """t[i, j] = min over k of rows[i, k] + table[j, k]: every slot minimum of
-    g1, kappa and mu, over blocks of as many rows as fit _MIN_PLUS_CELLS
-    sums (at least one).  The minimum is exact, so no order moves a bit; over
-    an empty slot axis it is +inf."""
+    g1, kappa and mu, over the `row_blocks` of _MIN_PLUS_CELLS sums.  The
+    minimum is exact, so no order moves a bit; over an empty slot axis, +inf."""
     t = np.full((rows.shape[0], table.shape[0]), np.inf)
     if rows.shape[1] == 0:
         return t
-    step = max(1, _MIN_PLUS_CELLS // max(1, table.size))
-    for start in range(0, rows.shape[0], step):
-        t[start : start + step] = (rows[start : start + step, None, :] + table[None, :, :]).min(axis=2)
+    for block in row_blocks(rows.shape[0], _MIN_PLUS_CELLS, table.size):
+        t[block] = (rows[block, None, :] + table[None, :, :]).min(axis=2)
     return t
 
 
 def _min_plus_at(rows, table, i, j):
     """t[p] = min over k of rows[i[p], k] + table[j[p], k]: `_min_plus` at
     the cells (i, j) alone, with the same sums and the same exact minimum,
-    over blocks of as many cells as fit _MIN_PLUS_CELLS floats in their
-    sums and their gathered rows together (at least one)."""
-    step = max(1, _MIN_PLUS_CELLS // (2 * table.shape[1]))
+    over the `row_blocks` of _MIN_PLUS_CELLS floats, a cell's sums and its
+    gathered row together."""
     t = np.empty(i.size)
-    for start in range(0, i.size, step):
-        sums = table[j[start : start + step]]
-        sums += rows[i[start : start + step]]
-        t[start : start + step] = sums.min(axis=1)
+    for block in row_blocks(i.size, _MIN_PLUS_CELLS, 2 * table.shape[1]):
+        sums = table[j[block]]
+        sums += rows[i[block]]
+        t[block] = sums.min(axis=1)
     return t
 
 
@@ -538,19 +533,18 @@ def _mu_inner(Q1rows, inst, cfg, table):
     """h(Q1) = inf over P1' of beta*KL(Q1||P1') - lambda(P1, P1') for each
     row of Q1rows, over the inner grid and -lambda row of `_inner_table(inst,
     cfg, rows=P1[None, :])`, then polished around each row's grid argmin;
-    the rows go in stacks of at most _POLISH_CELLS box points.  Each row's
+    the rows go in the `row_blocks` of _POLISH_CELLS box points.  Each row's
     value is that of a call on that row alone, bit for bit."""
     pg, nlam = table
     k = _inner_density(inst, cfg)
-    step = max(1, _POLISH_CELLS // _polish_side(inst, cfg))
     out = np.empty(len(Q1rows))
-    for start in range(0, len(Q1rows), step):
-        rows = Q1rows[start : start + step]
+    for block in row_blocks(len(Q1rows), _POLISH_CELLS, _polish_side(inst, cfg)):
+        rows = Q1rows[block]
         scores = inst.beta * dv.kl_matrix(rows, pg) + nlam[0][None, :]
         # polish each row's inner minimum (smooth in P1')
         centers = pg[scores.argmin(axis=1)]
         polished = _polish(partial(_mu_box, rows, inst), (centers,), k, inst.eps)
-        out[start : start + step] = np.minimum(scores.min(axis=1), polished)
+        out[block] = np.minimum(scores.min(axis=1), polished)
     return out
 
 
@@ -724,8 +718,8 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     # surviving active cells
     kept = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 4]
     feasible = np.flatnonzero(Lflat > 0.0)
-    for start in range(0, feasible.size, _DUAL_CHUNK):
-        cells = feasible[start : start + _DUAL_CHUNK]
+    for chunk in row_blocks(feasible.size, _DUAL_CHUNK):
+        cells = feasible[chunk]
         budget = Lflat[cells]
         at = np.divmod(cells, M)  # each cell's u row and v column
         c0 = next(at_step(0, at))  # c alone
@@ -762,8 +756,7 @@ def _efix_dual_matrix(Urows, Vrows, inst, cutoff=np.inf):
     cells, his, chis, fhis, bounds = map(np.concatenate, zip(*kept))
     live = ~(bounds > ub)
     cells, his, chis, fhis = cells[live], his[live], chis[live], fhis[live]
-    for start in range(0, cells.size, _DUAL_CHUNK):
-        chunk = slice(start, start + _DUAL_CHUNK)
+    for chunk in row_blocks(cells.size, _DUAL_CHUNK):
         part = cells[chunk]
         at = np.divmod(part, M)
         blocks = targets, np.stack([refs[k][:, at[k]] for k in sides]), weights

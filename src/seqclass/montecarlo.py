@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import sample_rows, sample_types, stream_keys
+from .simplex import row_blocks, sample_rows, sample_types, stream_keys
 from .testbench import early_phase, late_phase, make_model, stream_sizes, two_phase_test
 
 #: per-n error-count floor below which a point is too rare to trust
@@ -42,12 +42,6 @@ class ExponentFit:
     n_grid: tuple
 
 
-def _chunks(trials, samples_per_trial):
-    step = max(1, CHUNK_SAMPLES // samples_per_trial)
-    for lo in range(0, trials, step):
-        yield lo, min(lo + step, trials)
-
-
 def _keys(seed, ids, blocks):
     """The (T, blocks) stream keys of the trials `ids`: block i of trial t
     reads stream (seed, t, i)."""
@@ -77,21 +71,21 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     model = make_model(setup, inst)
     laws = model.laws(theta)
     prefix, full, _, _ = stream_sizes(model, n, late_cap)
-    for lo, hi in _chunks(trials, sum(prefix)):
-        ids = np.arange(lo, hi)
+    for chunk in row_blocks(trials, CHUNK_SAMPLES, sum(prefix)):
+        ids = np.arange(chunk.start, chunk.stop)
         tup = tuple(sample_types(laws, prefix, _keys(seed, ids, len(laws))))
         if model.ell == len(model.blocks):
             # no sequential block: one decision at time n
-            decision[lo:hi] = late_phase(tup, n, model)
-            tau[lo:hi] = n
+            decision[chunk] = late_phase(tup, n, model)
+            tau[chunk] = n
             continue
         stop, dec = early_phase(tup, n, model)
-        decision[lo:hi] = dec
-        tau[lo:hi] = n - 1
+        decision[chunk] = dec
+        tau[chunk] = n - 1
         early += int(np.count_nonzero(stop))
         deferred = ids[~stop]
-        for dlo, dhi in _chunks(deferred.size, sum(full)):
-            rows = deferred[dlo:dhi]
+        for block in row_blocks(deferred.size, CHUNK_SAMPLES, sum(full)):
+            rows = deferred[block]
             streams = sample_rows(laws, full, _keys(seed, rows, len(laws)))
             for r, t in enumerate(rows):
                 out = two_phase_test([s[r] for s in streams], n, model, late_cap=late_cap)

@@ -22,6 +22,7 @@ side-effect-free but for caches that keep every bit.  With `eps` set,
 every grid point is clamped into the epsilon-floored simplex.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +43,13 @@ class SearchConfig:
     refine_rounds: int = 3
 
     def __post_init__(self):
+        for name in ("coarse_m", "refine_rounds"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.coarse_m is not None and self.coarse_m < 2:
             raise ValueError("coarse_m must be >= 2")
         if self.refine_rounds < 0:

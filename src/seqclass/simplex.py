@@ -258,6 +258,13 @@ def sample_iid(p, n, seed):
     return sample_rows([as_dist(p)], [n], [[int(seed) & _MASK64]])[0][0]
 
 
+def row_blocks(n, cap, width=1):
+    """The consecutive slices of range(n), each holding as many rows of
+    `width` values as fit `cap` (at least one)."""
+    step = max(1, cap // max(1, width))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def type_rows(x, d):
     """(R, d) empirical types of the rows of an (R, k) index array."""
     rows, k = x.shape

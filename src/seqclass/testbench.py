@@ -138,19 +138,16 @@ def early_phase(tup, n, model):
     GJS distance of (T0, X) is below eta_n (H0) or that of (T1, X) is (H1).
     Inside the H1-typical shell the sign of g1 decides (overlaps with the
     H0 shell resolve by the sign as well); in the H0 shell alone the
-    decision is 0.  A row of the H1 shell stops whatever its (T0, X)
-    distance, so that distance is taken only off the shell.
+    decision is 0.  Every rule is scored on the whole chunk, each row from
+    its own types, so a row's stop and decision do not depend on the rest
+    of its chunk.
     """
     inst = model.inst
     t0, t1, x = model.unpack(tup)
     eta = eta_n(n, inst.alpha, inst.beta, inst.d)
     shell = dv.weighted_join(inst.beta, t1, 1.0, x) < eta
-    rest = ~shell
-    stop = shell.copy()
-    stop[rest] = dv.weighted_join(inst.alpha, t0[rest], 1.0, x[rest]) < eta
-    decision = np.zeros(stop.size, dtype=np.intp)
-    if shell.any():
-        decision[shell] = np.where(g1(x[shell], t0[shell], t1[shell], inst) < 0, 0, 1)
+    stop = shell | (dv.weighted_join(inst.alpha, t0, 1.0, x) < eta)
+    decision = np.where(shell & ~(g1(x, t0, t1, inst) < 0), 1, 0)
     return stop, decision
 
 

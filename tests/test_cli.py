@@ -505,6 +505,66 @@ def test_simulate_writes_outputs(tmp_path):
     assert "fits" in summary and "floor_failures" in summary
 
 
+def test_simulate_fits_both_thetas_and_exits_0(tmp_path):
+    # a close pair at a small budget errs often enough at every n for a fit
+    # of each theta, so summary.json holds fits and no floor failure
+    cfg = (
+        "schema = 1\np0 = 0.55,0.45\np1 = 0.45,0.55\nalpha = 1\nbeta = 1\nlambda0 = 0.01\n"
+        "sim_setups = fullyseq\nsim_n_grid = 10,14,18\nsim_trials = 200\nsim_seed = 3\n"
+    )
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", write(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["floor_failures"] == []
+    assert sorted(summary["fits"]) == ["fullyseq/theta0", "fullyseq/theta1"]
+    for fit in summary["fits"].values():
+        assert sorted(fit) == ["intercept", "n_grid", "r2", "slope"]
+        assert fit["n_grid"] == [10, 14, 18]
+        assert all(math.isfinite(fit[k]) for k in ("intercept", "r2", "slope"))
+
+
+def test_log_scale_curve_end_to_end(tmp_path):
+    # a lambda0 sweep of the fig2 pair on a log scale, drawn on a log x axis
+    cfg = dict(
+        cli.PRESETS["fig2"], sweep_points="5", sweep_scale="log", svg_log_x="true"
+    )
+    path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    out = tmp_path / "curve"
+    assert cli.main(["curve", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+    rows = orc.csv_to_rows((out / "curve.csv").read_text())
+    xs = [r[0] for r in rows]
+    assert xs[0] == 0.001 and len(xs) == 5
+    ratios = [b / a for a, b in zip(xs, xs[1:])]
+    assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-12) and ratios[0] > 1.0
+    assert xs[-1] == pytest.approx(dv.gjs_value(np.array([0.6, 0.4]), np.array([0.1, 0.9]), 2.0), rel=1e-12)
+    assert ">lambda0 (log10)</text>" in (out / "curve.svg").read_text()
+
+
+def test_unwritable_out_exits_3_and_leaves_no_temp_file(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["curve", "--preset", "fig2", "--out", str(blocker / "sub")]) == cli.EXIT_IO
+    assert "io error: cannot write " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(IOError, match="cannot write .*rename refused"):
+        cli.atomic_write(str(tmp_path / "x.csv"), "one")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_config_refuses_an_unknown_preset_and_no_config():
+    with pytest.raises(cli.ConfigError, match="unknown preset 'fig9'"):
+        cli.load_config(preset="fig9")
+    with pytest.raises(cli.ConfigError, match="need --config and/or --preset"):
+        cli.load_config()
+
+
 def test_verify_quick_passes(capsys):
     assert cli.cmd_verify("quick") == 0
     out = capsys.readouterr().out

@@ -11,7 +11,7 @@ from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass.optimizer import PAIR_CELL_LIMIT, SearchConfig, box_schedule
-from seqclass.simplex import as_dist, box_grid, box_mesh_size, grid_array, grid_count
+from seqclass.simplex import as_dist, box_grid, box_mesh_size, grid_array, grid_count, row_blocks
 
 import oracles as orc
 
@@ -983,7 +983,7 @@ def test_min_plus_matches_broadcast(R, J, K, blocks):
     # (N, k) x (M, k) and mu's (N, 1) x (M, 1); the blocked loop takes the
     # same sums and the same exact min as one (R, J, K) broadcast, +inf
     # entries and an all-+inf row included
-    assert math.ceil(R / max(1, ex._MIN_PLUS_CELLS // (J * K))) == blocks
+    assert len(row_blocks(R, ex._MIN_PLUS_CELLS, J * K)) == blocks
     rng = np.random.default_rng(R * J * K)
     rows, table = rng.normal(size=(R, K)), rng.normal(size=(J, K))
     rows[rng.random(rows.shape) < 0.1] = np.inf

@@ -201,6 +201,21 @@ def test_search_config_refuses_negative_refine_rounds():
         SearchConfig(refine_rounds=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("coarse_m", 30.0), ("coarse_m", 2.5), ("refine_rounds", 1.5)]
+)
+def test_search_config_refuses_a_non_integer_field_by_name(field, value):
+    # a float would pass the range checks and fail deep in the grid code
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_takes_numpy_integers_as_ints():
+    cfg = SearchConfig(coarse_m=np.int64(30), refine_rounds=np.int32(2))
+    assert cfg == SearchConfig(coarse_m=30, refine_rounds=2)
+    assert type(cfg.coarse_m) is int and type(cfg.refine_rounds) is int
+
+
 def test_eps_floor_respected():
     t = np.array([0.99, 0.01])
     res = min_simplex_pair(unconstrained(separable(t, t)), 2, eps=0.05)

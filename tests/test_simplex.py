@@ -15,6 +15,7 @@ from seqclass.simplex import (
     grid_array,
     grid_count,
     philox_uniforms,
+    row_blocks,
     sample_iid,
     sample_rows,
     sample_types,
@@ -351,6 +352,23 @@ def test_sample_types_break_ties_as_sample_rows(monkeypatch):
     (types,) = sample_types([p], [6], [[0]])
     assert list(x[0]) == [0, 1, 3, 1, 3, 3]
     assert types.tobytes() == type_rows(x, 4).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, cap, width, sizes",
+    [
+        (0, 8, 1, []),
+        (5, 8, 1, [5]),
+        (10, 8, 1, [8, 2]),
+        (10, 8, 3, [2, 2, 2, 2, 2]),
+        (7, 9, 3, [3, 3, 1]),
+        (4, 8, 100, [1, 1, 1, 1]),  # a row wider than the cap goes alone
+        (3, 8, 0, [3]),  # rows of no values: the cap bounds the rows
+    ],
+)
+def test_row_blocks_cover_the_rows_in_capped_blocks(n, cap, width, sizes):
+    blocks = row_blocks(n, cap, width)
+    assert [range(n)[b] for b in blocks] == [range(lo, lo + k) for lo, k in zip(np.cumsum([0] + sizes), sizes)]
 
 
 def test_type_rows_match_empirical():

@@ -139,6 +139,31 @@ def test_model_distances_are_gjs(monkeypatch):
                 assert stop.tolist() == [stops]
 
 
+@pytest.mark.parametrize(
+    "inst", [inst_const(), ex.ProblemInstance((0.6, 0.4), (0.1, 0.9), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))],
+    ids=["constant", "scaled-renyi"],
+)
+def test_early_phase_scores_each_row_of_its_chunk_alone(inst):
+    # rows inside the H1 shell, in the H0 shell alone and in neither: each
+    # row's stop and decision are those of a chunk of that row alone, and
+    # the decision is the sign of g1 inside the H1 shell and 0 elsewhere
+    m, n = make_model(SetupKind.FullySeq, inst), 500
+    eta = eta_n(n, inst.alpha, inst.beta, inst.d)
+    t0 = np.array([[0.8, 0.2], [0.5, 0.5], [0.8, 0.2], [0.2, 0.8], [0.35, 0.65], [0.9, 0.1]])
+    t1 = np.array([[0.2, 0.8], [0.5, 0.5], [0.1, 0.9], [0.2, 0.8], [0.3, 0.7], [0.95, 0.05]])
+    x = np.array([[0.25, 0.75], [0.8, 0.2], [0.75, 0.25], [0.99, 0.01], [0.3, 0.7], [0.05, 0.95]])
+    stop, decision = early_phase(_in_setup_order(m, t0, t1, x), n, m)
+    alone = [early_phase(_in_setup_order(m, t0[i : i + 1], t1[i : i + 1], x[i : i + 1]), n, m) for i in range(6)]
+    assert stop.tolist() == [bool(s[0]) for s, _ in alone]
+    assert decision.tolist() == [int(d[0]) for _, d in alone]
+    shell = dv.weighted_join(inst.beta, t1, 1.0, x) < eta
+    h0 = dv.weighted_join(inst.alpha, t0, 1.0, x) < eta
+    assert shell.any() and (h0 & ~shell).any() and (~shell & ~h0).any()
+    assert stop.tolist() == (shell | h0).tolist()
+    want = [int(not ex.g1(x[i], t0[i], t1[i], inst) < 0) if shell[i] else 0 for i in range(6)]
+    assert decision.tolist() == want
+
+
 def _streams(model, theta, n, seed):
     _, sizes, _, _ = stream_sizes(model, n)
     laws = model.laws(theta)
