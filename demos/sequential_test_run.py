@@ -5,6 +5,8 @@ time, phase (early shell hit vs late fallback) and decision.  With a
 well-separated pair almost every trial stops at time n-1.
 """
 
+import numpy as np
+
 from seqclass import (
     ConstantLambda,
     ProblemInstance,
@@ -14,7 +16,7 @@ from seqclass import (
     stream_sizes,
     two_phase_test,
 )
-from seqclass.simplex import sample_iid, stream_seed
+from seqclass.simplex import sample_rows, stream_keys
 
 inst = ProblemInstance((0.8, 0.2), (0.2, 0.8), 1.0, 1.0, ConstantLambda(0.05))
 model = make_model(SetupKind.FullySeq, inst)
@@ -28,11 +30,9 @@ print(f"early margin eta_n = {eta_n(n, inst.alpha, inst.beta, inst.d):.3f} bits\
 for theta in (0, 1):
     print(f"ground truth: theta = {theta} (X ~ P{theta})")
     for trial in range(5):
-        streams = [
-            sample_iid(law, size, stream_seed(42, trial, i))
-            for i, (law, size) in enumerate(zip(model.laws(theta), sizes))
-        ]
-        out = two_phase_test(streams, n, model)
+        # block i reads stream (42, trial, i), as run_trials draws a deferred trial
+        streams = sample_rows(model.laws(theta), sizes, stream_keys(42, [[trial]], np.arange(3)))
+        out = two_phase_test([s[0] for s in streams], n, model)
         verdict = "ok " if out.decision == theta else "ERR"
         print(
             f"  trial {trial}: decided {out.decision} [{verdict}] "

@@ -31,7 +31,7 @@ from .exponents import (
 )
 from .montecarlo import ExponentFit, TrialReport, estimate_exponent, run_trials
 from .optimizer import SearchConfig, SearchResult, min_simplex_pair
-from .simplex import grid_array, sample_iid, stream_seed
+from .simplex import grid_array
 from .testbench import (
     HypothesisModel,
     SetupKind,
@@ -74,8 +74,6 @@ __all__ = [
     "renyi_term",
     "report",
     "run_trials",
-    "sample_iid",
-    "stream_seed",
     "stream_sizes",
     "two_phase_test",
     "weighted_join",

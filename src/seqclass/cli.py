@@ -57,7 +57,6 @@ CONFIG_KEYS = {
     "sim_trials",
     "sim_seed",
     "sim_late_cap",
-    "svg_log_x",
 }
 
 
@@ -130,29 +129,27 @@ def _floats(s):
 
 
 class RunConfig:
-    """Run configuration (instance + sweep + solver + sim), checked by
+    """Run configuration (instance `inst` + sweep + solver + sim), checked by
     building what it describes: the instance, the instance at each end of
-    the sweep, the SearchConfig with its pair-grid gate, and the stream
-    layout of every sim cell.  A missing key raises KeyError, and a value
-    that does not parse or that any of those refuses raises ValueError."""
+    the sweep, the SearchConfig with its grid gate, and the stream layout
+    of every sim cell.  A missing key raises KeyError, and a value that
+    does not parse or that any of those refuses raises ValueError."""
 
     def __init__(self, raw):
-        self.p0 = _floats(raw["p0"])
-        self.p1 = _floats(raw["p1"])
-        self.alpha = float(raw["alpha"])
-        self.beta = float(raw["beta"])
-        self.epsilon = float(raw.get("epsilon", "0.01"))
+        p0, p1 = _floats(raw["p0"]), _floats(raw["p1"])
+        alpha, beta = float(raw["alpha"]), float(raw["beta"])
+        eps = float(raw.get("epsilon", "0.01"))
         fam = raw.get("lambda_family", "constant")
         if fam == "constant":
-            self.lam = ex.ConstantLambda(float(raw.get("lambda0", "0")))
+            lam = ex.ConstantLambda(float(raw.get("lambda0", "0")))
         elif fam == "scaled_renyi":
-            self.lam = ex.ScaledRenyiLambda(float(raw.get("xi", "1")), float(raw.get("offset", "0")))
+            lam = ex.ScaledRenyiLambda(float(raw.get("xi", "1")), float(raw.get("offset", "0")))
         else:
             raise ValueError(f"unknown lambda_family {fam!r}")
         for key in ("lambda0", "xi", "offset"):
-            if key in raw and key not in {f.name for f in dataclasses.fields(self.lam)}:
+            if key in raw and key not in {f.name for f in dataclasses.fields(lam)}:
                 raise ValueError(f"{key} does nothing under a {fam} budget")
-        inst = self.instance()
+        self.inst = inst = ex.ProblemInstance(p0, p1, alpha, beta, lam, eps=eps)
         self.sweep = None
         if "sweep_parameter" in raw:
             param = raw["sweep_parameter"]
@@ -160,7 +157,7 @@ class RunConfig:
                 raise ValueError(f"unsupported sweep_parameter {param!r}")
             # a lambda0 sweep ends at GJS(P0||P1, alpha) unless sweep_to says otherwise
             if param == "lambda0":
-                raw = {"sweep_to": dv.gjs_value(np.asarray(self.p0), np.asarray(self.p1), self.alpha), **raw}
+                raw = {"sweep_to": dv.gjs_value(inst.p0, inst.p1, alpha), **raw}
             self.sweep = {
                 "parameter": param,
                 "from": float(raw["sweep_from"]),
@@ -174,7 +171,7 @@ class RunConfig:
                 raise ValueError("sweep_scale must be linear or log")
             for end in ("from", "to"):
                 self.instance(**{param: self.sweep[end]})
-        if isinstance(self.lam, ex.ConstantLambda):
+        if isinstance(lam, ex.ConstantLambda):
             for key in ("solver_coarse_m", "solver_refine_rounds"):
                 if key in raw:
                     raise ValueError(f"{key} does nothing under a constant budget, which searches no grid")
@@ -183,8 +180,8 @@ class RunConfig:
             coarse_m=int(coarse) if coarse is not None else None,
             refine_rounds=int(raw.get("solver_refine_rounds", "3")),
         )
-        if isinstance(self.lam, ex.ScaledRenyiLambda):
-            check_pair_grid(len(self.p0), self.solver.resolve_m(len(self.p0)))
+        if isinstance(lam, ex.ScaledRenyiLambda):
+            check_pair_grid(inst.d, self.solver.resolve_m(inst.d))
         self.sim_setups = tuple(SetupKind(s.strip()) for s in raw.get("sim_setups", "fullyseq").split(","))
         self.sim_n_grid = tuple(int(x) for x in raw.get("sim_n_grid", "20,40,60").split(","))
         self.sim_trials = int(raw.get("sim_trials", "10000"))
@@ -197,10 +194,6 @@ class RunConfig:
             raise ValueError("sim_trials must be >= 1")
         if self.sim_late_cap is not None and self.sim_late_cap < 1:
             raise ValueError("sim_late_cap must be >= 1")
-        log_x = raw.get("svg_log_x", "false").lower()
-        if log_x not in ("1", "true", "yes", "0", "false", "no"):
-            raise ValueError(f"svg_log_x must be true or false, got {raw['svg_log_x']!r}")
-        self.svg_log_x = log_x in ("1", "true", "yes")
         for setup in self.sim_setups:
             model = make_model(setup, inst)
             for n in self.sim_n_grid:
@@ -208,14 +201,14 @@ class RunConfig:
 
     def instance(self, beta=None, **budget):
         """The problem instance, with beta or fields of the budget (lambda0,
-        or xi and offset) overridden; a field the budget family lacks is a
-        ValueError."""
-        extra = set(budget) - {f.name for f in dataclasses.fields(self.lam)}
+        or xi and offset) overridden and checked again; a field the budget
+        family lacks is a ValueError."""
+        lam = self.inst.lam
+        extra = set(budget) - {f.name for f in dataclasses.fields(lam)}
         if extra:
-            raise ValueError(f"{', '.join(sorted(extra))} does not fit a {type(self.lam).__name__} budget")
-        lam = dataclasses.replace(self.lam, **budget)
-        beta = self.beta if beta is None else beta
-        return ex.ProblemInstance(self.p0, self.p1, self.alpha, beta, lam, eps=self.epsilon)
+            raise ValueError(f"{', '.join(sorted(extra))} does not fit a {type(lam).__name__} budget")
+        beta = self.inst.beta if beta is None else beta
+        return dataclasses.replace(self.inst, beta=beta, lam=dataclasses.replace(lam, **budget))
 
     def sweep_values(self):
         s = self.sweep
@@ -253,9 +246,9 @@ def fmt_value(v):
 
 def report_to_json(rep, cfg):
     payload = {k: ("inf" if math.isinf(v) else v) for k, v in rep.as_dict().items()}
-    if isinstance(cfg.lam, ex.ScaledRenyiLambda):  # a constant budget searches no grid
+    if isinstance(cfg.inst.lam, ex.ScaledRenyiLambda):  # a constant budget searches no grid
         payload["solver"] = {
-            "coarse_m": cfg.solver.resolve_m(len(cfg.p0)),
+            "coarse_m": cfg.solver.resolve_m(cfg.inst.d),
             "refine_rounds": cfg.solver.refine_rounds,
             "refine_factor": REFINE_FACTOR,
         }
@@ -264,10 +257,8 @@ def report_to_json(rep, cfg):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def cmd_exponents(cfg, out=None):
-    out = sys.stdout if out is None else out
-    rep = ex.report(cfg.instance(), cfg.solver)
-    out.write(report_to_json(rep, cfg) + "\n")
+def cmd_exponents(cfg):
+    print(report_to_json(ex.report(cfg.inst, cfg.solver), cfg))
     return EXIT_OK
 
 
@@ -293,7 +284,7 @@ def cmd_curve(cfg, outdir):
     atomic_write(os.path.join(outdir, "curve.csv"), rows_to_csv(rows))
     atomic_write(
         os.path.join(outdir, "curve.svg"),
-        curve_svg(rows, x_label=cfg.sweep["parameter"], log_x=cfg.svg_log_x),
+        curve_svg(rows, x_label=cfg.sweep["parameter"], log_x=cfg.sweep["scale"] == "log"),
     )
     return EXIT_OK
 
@@ -348,14 +339,13 @@ def curve_svg(rows, x_label="sweep", log_x=False):
 
 
 def cmd_simulate(cfg, outdir):
-    inst = cfg.instance()
     rows = []
     reports = {}
     for setup in cfg.sim_setups:
         for theta in (0, 1):
             for n in cfg.sim_n_grid:
                 r = mc.run_trials(
-                    setup, inst, theta, n, cfg.sim_trials, cfg.sim_seed,
+                    setup, cfg.inst, theta, n, cfg.sim_trials, cfg.sim_seed,
                     late_cap=cfg.sim_late_cap,
                 )
                 reports.setdefault((setup, theta), []).append(r)
@@ -512,14 +502,13 @@ def _verify_checks(level):
     )
 
 
-def cmd_verify(level, out=None):
-    out = sys.stdout if out is None else out
+def cmd_verify(level):
     failures = 0
     for name, ok, detail in _verify_checks(level):
-        out.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures += 1
-    out.write(f"{'OK' if failures == 0 else 'FAILED'} ({level} level)\n")
+    print(f"{'OK' if failures == 0 else 'FAILED'} ({level} level)")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 

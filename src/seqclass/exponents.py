@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import divergence as dv
-from .optimizer import SearchConfig, SearchResult, box_schedule, min_simplex_pair
+from .optimizer import SearchConfig, SearchResult, box_schedule, check_pair_grid, inner_density, min_simplex_pair
 from .simplex import as_dist, box_grid, box_mesh_size, check_eps, grid_array, row_blocks, satisfies_floor
 
 
@@ -131,18 +131,17 @@ CONSTRAINT_BATCH = 8
 
 
 def _inner_density(inst, cfg):
-    # density of the fixed (P0', P1') grids used when evaluating g1 and
-    # friends for the scaled-Renyi family; the inner minima are smooth, so
-    # grid error is quadratic in the spacing
-    m = cfg.resolve_m(inst.d)
-    return 2 * m if inst.d == 2 else m
+    # density of the fixed (P0', P1') grids of g1 and friends
+    return inner_density(inst.d, cfg.resolve_m(inst.d))
 
 
 def _inner_table(inst, cfg, rows=None):
     """The inner grid of the scaled-Renyi minima and -lambda on it: (pg, nlam)
     with nlam[i, j] = -lambda(rows_i, pg_j), rows the grid by default, so
     every slot minimum adds (x - y and x + (-y) round alike).  A search
-    builds it once and hands it to every call that scores a grid."""
+    builds it once and hands it to every call that scores a grid.  Only a
+    density that `check_pair_grid` admits builds it."""
+    check_pair_grid(inst.d, cfg.resolve_m(inst.d))
     pg = grid_array(inst.d, _inner_density(inst, cfg), eps=inst.eps)
     lam = lambda_matrix(inst.lam, pg if rows is None else rows, pg, inst.beta)
     return pg, np.negative(lam, out=lam)

@@ -51,8 +51,8 @@ def _keys(seed, ids, blocks):
 def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     """Run `trials` independent tests under ground truth theta.
 
-    Deterministic for a fixed seed: each trial's streams are keyed by
-    (seed, trial, block), so growing `trials` extends, never reshuffles.
+    Deterministic for a seed in [0, 2**63): each trial's streams are keyed
+    by (seed, trial, block), so growing `trials` extends, never reshuffles.
     Trials run in chunks as row stacks, each counting the types of the
     prefix its first decision reads straight from the uniforms.  A
     fixed-length trial, whose blocks are all fixed, decides by the
@@ -64,6 +64,9 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
         raise ValueError("theta must be 0 or 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 2**63:
+        # the stream keys keep a seed's low 63 bits
+        raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
     decision = np.empty(trials, dtype=np.intp)
     tau = np.empty(trials, dtype=np.intp)
     early = 0

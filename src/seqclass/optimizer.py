@@ -6,9 +6,10 @@ round's half-width and density (2/m and REFINE_FACTOR * m after a grid at
 density m).  The feasible sets arising from unions of lambda-balls are
 non-convex, so global enumeration plus local refinement is the method of
 record here.  The coarse pair grid is evaluated whole, as N x N matrices,
-so `check_pair_grid` bounds N before anything is allocated; a box step's
-work is bounded by d, which `exponents.ProblemInstance` holds to d <= 3
-under a scaled-Renyi budget.
+and so is the inner grid of the exponents' scaled-Renyi minima, twice as
+dense at d = 2, so `check_pair_grid` bounds both before anything is
+allocated; a box step's work is bounded by d, which
+`exponents.ProblemInstance` holds to d <= 3 under a scaled-Renyi budget.
 
 A search takes one score: score(A, B, cutoff) takes two row stacks of
 shapes (N, d) and (M, d) and the incumbent value, and returns an (N, M)
@@ -67,13 +68,20 @@ class SearchResult:
     argmin: Optional[tuple]  # None when no grid point is feasible
 
 
+def inner_density(d, m):
+    """Density of the inner (P0', P1') grid of the scaled-Renyi minima at
+    coarse density m; they are smooth, so grid error is quadratic in the spacing."""
+    return 2 * m if d == 2 else m
+
+
 def check_pair_grid(d, m):
-    """Raise ValueError if the pair grid at density m is too large to search."""
-    n = grid_count(d, m)
+    """Raise ValueError if the pair grid at density m, or the inner pair
+    grid at inner_density(d, m), is too large to evaluate whole."""
+    n = grid_count(d, inner_density(d, m))  # the inner grid is the larger
     if n * n > PAIR_CELL_LIMIT:
         raise ValueError(
-            f"pair grid too large: {n} points per block at d={d}, m={m} "
-            f"({n * n} cells > {PAIR_CELL_LIMIT}); lower the coarse density"
+            f"pair grid too large: {n} points per block at d={d}, m={m} (inner density {inner_density(d, m)}), "
+            f"{n * n} cells > {PAIR_CELL_LIMIT}; lower the coarse density"
         )
 
 

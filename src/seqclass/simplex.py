@@ -142,11 +142,6 @@ def stream_keys(seed, *ids):
     return (out[0] | (out[1] << np.uint64(32))).reshape(shape)
 
 
-def stream_seed(seed, *ids):
-    """The key of one sub-stream (seed, *ids) as an int: stream_keys' one-row case."""
-    return int(stream_keys(seed, *(int(i) for i in ids)))
-
-
 def _mulhilo(m, x):
     """High and low 64-bit words of the 128-bit products m * x, for uint64
     arrays that broadcast; the high word by the four-multiply form of
@@ -248,14 +243,6 @@ def _cdf(p):
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
     return cdf
-
-
-def sample_iid(p, n, seed):
-    """Draw n i.i.d. alphabet indices from p, deterministically for a seed:
-    sample_rows' one-row case, with the seed as the Philox key."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sample_rows([as_dist(p)], [n], [[int(seed) & _MASK64]])[0][0]
 
 
 def row_blocks(n, cap, width=1):

@@ -70,8 +70,8 @@ def test_schema_required(tmp_path):
 def test_config_file_overrides_preset(tmp_path):
     path = write(tmp_path, "schema = 1\nalpha = 3\n")
     cfg = cli.load_config(path, "fig2")
-    assert cfg.alpha == 3.0
-    assert cfg.lam == __import__("seqclass").ConstantLambda(0.05)
+    assert cfg.inst.alpha == 3.0
+    assert cfg.inst.lam == __import__("seqclass").ConstantLambda(0.05)
 
 
 def test_presets_load():
@@ -93,34 +93,22 @@ def test_presets_load():
 #: spelled out all of its keys
 PRESET_CONFIGS = {
     "fig1": {
-        "epsilon": 0.01,
         "sweep": {"parameter": "xi", "from": 0.001, "to": 1.0, "points": 50, "scale": "linear"},
         "solver": SearchConfig(coarse_m=None, refine_rounds=3),
-        "lam": ex.ScaledRenyiLambda(xi=0.5, offset=0.003),
-        "alpha": 0.38,
-        "beta": 0.6,
-        "p0": (0.6, 0.4),
-        "p1": (0.1, 0.9),
+        "inst": ex.ProblemInstance((0.6, 0.4), (0.1, 0.9), 0.38, 0.6,
+                                   ex.ScaledRenyiLambda(xi=0.5, offset=0.003), eps=0.01),
     },
     "fig2": {
-        "epsilon": 0.01,
         "sweep": {"parameter": "lambda0", "from": 0.001, "to": 0.5505165406179398, "points": 50, "scale": "linear"},
         "solver": SearchConfig(coarse_m=None, refine_rounds=3),
-        "lam": ex.ConstantLambda(lambda0=0.05),
-        "alpha": 2.0,
-        "beta": 1.0,
-        "p0": (0.6, 0.4),
-        "p1": (0.1, 0.9),
+        "inst": ex.ProblemInstance((0.6, 0.4), (0.1, 0.9), 2.0, 1.0,
+                                   ex.ConstantLambda(lambda0=0.05), eps=0.01),
     },
     "fig3": {
-        "epsilon": 0.01,
         "sweep": {"parameter": "xi", "from": 0.001, "to": 0.999, "points": 50, "scale": "linear"},
         "solver": SearchConfig(coarse_m=None, refine_rounds=3),
-        "lam": ex.ScaledRenyiLambda(xi=0.5, offset=0.0),
-        "alpha": 0.7,
-        "beta": 0.7,
-        "p0": (0.6, 0.4),
-        "p1": (0.1, 0.9),
+        "inst": ex.ProblemInstance((0.6, 0.4), (0.1, 0.9), 0.7, 0.7,
+                                   ex.ScaledRenyiLambda(xi=0.5, offset=0.0), eps=0.01),
     },
 }
 
@@ -186,14 +174,13 @@ FOREIGN_OR_FOLDED = {
 D4_RENYI = {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi",
             "xi": "0.5", "offset": "0.003", "lambda0": None}
 #: REROUTED, FOREIGN_OR_FOLDED, two cases of test_config_mistake_exits_2
-#: whose message stream_sizes writes, a misspelled flag and the alphabet
-#: limit of a scaled-Renyi budget
+#: whose message stream_sizes writes and the alphabet limit of a
+#: scaled-Renyi budget
 NAMED = dict(
     REROUTED,
     **FOREIGN_OR_FOLDED,
     late_cap_below_n=({"sim_late_cap": "5", "sim_n_grid": "20"}, "late_cap 5"),
     n_grid_1=({"sim_n_grid": "1,10"}, "got 1"),
-    svg_log_x_misspelled=({"svg_log_x": "ture"}, "svg_log_x"),
     scaled_renyi_d4=(dict(D4_RENYI, solver_coarse_m="6"), "d <= 3"),
 )
 
@@ -236,8 +223,6 @@ NAMED = dict(
         {"p0": "0.3,0.25,0.2,0.15,0.1", "p1": "0.1,0.15,0.2,0.25,0.3", "lambda_family": "scaled_renyi",
          "xi": "0.5", "offset": "0.003", "lambda0": None, "solver_coarse_m": "2"},
         dict(D4_RENYI, solver_coarse_m="6"),
-        # a misspelled flag would otherwise read as false
-        {"svg_log_x": "ture"},
         *(changes for changes, _ in REROUTED.values()),
         *(changes for changes, _ in FOREIGN_OR_FOLDED.values()),
     ],
@@ -245,7 +230,7 @@ NAMED = dict(
          "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
          "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan",
          "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5",
-         "scaled_renyi_d4_coarse_m_6", "svg_log_x_misspelled",
+         "scaled_renyi_d4_coarse_m_6",
          *REROUTED, *FOREIGN_OR_FOLDED],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
@@ -289,7 +274,6 @@ VALID = {
     "sim_trials": ("100",),
     "sim_seed": ("5",),
     "sim_late_cap": ("50", "400"),
-    "svg_log_x": ("true",),
 }
 MISTAKES = ("0", "-1", "nan", "inf", "x", "", None)
 
@@ -368,6 +352,30 @@ def test_scaled_renyi_d4_is_refused_before_any_grid(tmp_path, monkeypatch):
     # the library refuses the instance the loader refuses
     with pytest.raises(ValueError, match=re.escape("d <= 3")):
         ex.ProblemInstance((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003))
+
+
+def test_inner_table_past_the_cell_limit_is_refused_before_it_is_built(tmp_path, monkeypatch):
+    # at d = 2 the inner grid of kappa's and mu's minima has density 2m: from
+    # solver_coarse_m = 2896 on its (2m + 1)^2 cells pass PAIR_CELL_LIMIT,
+    # though the coarse pair grid's (m + 1)^2 do not
+    def never_called(*args, **kwargs):
+        raise AssertionError("a lambda table was built")
+
+    monkeypatch.setattr(ex, "lambda_matrix", never_called)
+    path = write(tmp_path, "schema = 1\nsolver_coarse_m = 3000\n")
+    with pytest.raises(cli.ConfigError, match="pair grid too large"):
+        cli.load_config(path, "fig1")
+    for cmd in (["exponents"], ["curve", "--out", str(tmp_path / "c")], ["simulate", "--out", str(tmp_path / "s")]):
+        assert cli.main([cmd[0], "--preset", "fig1", "--config", path] + cmd[1:]) == cli.EXIT_CONFIG
+    cfg = cli.load_config(write(tmp_path, "schema = 1\nsolver_coarse_m = 2895\n"), "fig1")
+    assert cfg.solver == SearchConfig(coarse_m=2895)
+    # the library refuses the table too, whatever calls for it
+    big = SearchConfig(coarse_m=3000)
+    q = np.array([0.5, 0.5])
+    for call in (lambda: ex.kappa(cfg.inst, big), lambda: ex.mu(cfg.inst, big),
+                 lambda: ex.g1(q, q, q, cfg.inst, big)):
+        with pytest.raises(ValueError, match="pair grid too large"):
+            call()
 
 
 def test_exponents_json(tmp_path, capsys):
@@ -525,9 +533,7 @@ def test_simulate_fits_both_thetas_and_exits_0(tmp_path):
 
 def test_log_scale_curve_end_to_end(tmp_path):
     # a lambda0 sweep of the fig2 pair on a log scale, drawn on a log x axis
-    cfg = dict(
-        cli.PRESETS["fig2"], sweep_points="5", sweep_scale="log", svg_log_x="true"
-    )
+    cfg = dict(cli.PRESETS["fig2"], sweep_points="5", sweep_scale="log")
     path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
     out = tmp_path / "curve"
     assert cli.main(["curve", "--config", path, "--out", str(out)]) == cli.EXIT_OK

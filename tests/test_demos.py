@@ -2,8 +2,9 @@
 under the suite's own warning policy (a RuntimeWarning is an error, as
 pyproject.toml sets for pytest), and writes nothing to stderr.
 
-The demos call sample_iid, stream_seed and two_phase_test directly, so
-they exercise the one-row cases of the batched simulator kernels.
+sequential_test_run.py draws each trial with sample_rows and stream_keys
+and decides it with two_phase_test, the path run_trials takes for a
+deferred trial, one trial at a time.
 """
 
 import os

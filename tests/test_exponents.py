@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from seqclass import cli
 from seqclass import divergence as dv
 from seqclass import exponents as ex
-from seqclass.optimizer import PAIR_CELL_LIMIT, SearchConfig, box_schedule
+from seqclass.optimizer import PAIR_CELL_LIMIT, SearchConfig, box_schedule, check_pair_grid
 from seqclass.simplex import as_dist, box_grid, box_mesh_size, grid_array, grid_count, row_blocks
 
 import oracles as orc
@@ -1251,21 +1251,33 @@ def test_g1_polish_bound_sized_without_allocating():
     assert peak < 2**20
 
 
+def _gate_admits(d, m):
+    try:
+        check_pair_grid(d, m)
+    except ValueError:
+        return False
+    return True
+
+
 def test_box_steps_stay_below_the_cell_limit_up_to_d3():
     # why the instance's d <= 3 is the only size gate a box step needs: at
     # every coarse density check_pair_grid admits and any number of rounds,
-    # kappa's box against the inner grid, and g1's two polish boxes, stay
-    # below PAIR_CELL_LIMIT cells
+    # the inner table, kappa's box against the inner grid, and g1's two
+    # polish boxes stay below PAIR_CELL_LIMIT cells
     for inst in (renyi_inst(), D3_RENYI):
         m = 2
-        while grid_count(inst.d, m) ** 2 <= PAIR_CELL_LIMIT:
+        while _gate_admits(inst.d, m):
             cfg = SearchConfig(coarse_m=m, refine_rounds=8)
+            inner = grid_count(inst.d, ex._inner_density(inst, cfg))
             box = max(box_mesh_size(inst.d, *step) for step in box_schedule(m, cfg.refine_rounds))
             assert box <= 43 ** (inst.d - 1)
-            assert box * grid_count(inst.d, ex._inner_density(inst, cfg)) <= PAIR_CELL_LIMIT
+            assert inner**2 <= PAIR_CELL_LIMIT
+            assert box * inner <= PAIR_CELL_LIMIT
             assert ex._polish_side(inst, cfg) ** 2 <= PAIR_CELL_LIMIT
             m += 1
-        assert m > (5000 if inst.d == 2 else 100)
+        # at d = 2 the inner grid, of density 2m, sets the largest density;
+        # at d = 3 it is the coarse grid itself
+        assert m - 1 == (2895 if inst.d == 2 else 106)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])

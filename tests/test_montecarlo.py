@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from seqclass import exponents as ex
@@ -10,6 +13,7 @@ from seqclass.montecarlo import (
     estimate_exponent,
     run_trials,
 )
+from seqclass.simplex import sample_rows, stream_keys
 from seqclass.testbench import SetupKind
 
 
@@ -54,6 +58,14 @@ def test_tau_support_two_phase():
 def test_trials_validation():
     with pytest.raises(ValueError):
         run_trials(SetupKind.FullySeq, inst(), 0, 20, 0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [2**63, -1, 2**64 + 5])
+def test_seed_outside_the_stream_key_range_is_refused(seed):
+    # the stream keys keep a seed's low 63 bits: 2**63 would repeat seed
+    # 0's trials, and -1 those of 2**63 - 1
+    with pytest.raises(ValueError, match=re.escape("[0, 2**63)")):
+        run_trials(SetupKind.FullySeq, inst(), 0, 20, 5, seed=seed)
 
 
 @pytest.mark.parametrize("theta", [2, -1, 0.5, None])
@@ -124,3 +136,67 @@ def test_chunking_does_not_change_the_report(monkeypatch, setup):
         assert run_trials(setup, inst(), 1, 12, 60, seed=8, late_cap=70) == whole
     if setup is not SetupKind.FixedLength:
         assert 0 < whole.early < whole.trials and whole.capped
+
+
+#: the acceptance instance of the simulator, and fig1's scaled-Renyi instance
+CROSS_INSTANCES = {
+    "acceptance": ex.ProblemInstance((0.8, 0.2), (0.2, 0.8), 0.3, 0.3, ex.ConstantLambda(0.05)),
+    "fig1": ex.ProblemInstance((0.6, 0.4), (0.1, 0.9), 0.38, 0.6, ex.ScaledRenyiLambda(0.5, 0.003)),
+}
+
+
+def _per_trial(monkeypatch, setup, inst, theta, n, trials, seed, late_cap):
+    """run_trials' report with the decision and tau it gives each trial and
+    whether the batched early rule stopped it: the rule's (stop, decision)
+    rows of each chunk, in trial order, then two_phase_test's outcome for
+    each deferred trial, in trial order."""
+    stops, decisions, deferred = [], [], []
+
+    def early_phase(tup, n, model):
+        stop, dec = tb.early_phase(tup, n, model)
+        stops.append(stop)
+        decisions.append(dec)
+        return stop, dec
+
+    def two_phase_test(*args, **kwargs):
+        out = tb.two_phase_test(*args, **kwargs)
+        deferred.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(mc, "early_phase", early_phase)
+        m.setattr(mc, "two_phase_test", two_phase_test)
+        report = run_trials(setup, inst, theta, n, trials, seed, late_cap=late_cap)
+    stop = np.concatenate(stops)
+    decision = np.concatenate(decisions)
+    tau = np.full(trials, n - 1)
+    late = np.flatnonzero(~stop)
+    assert len(deferred) == late.size
+    assert all(out.phase == "late" for out in deferred)  # the trial's own early rule defers it too
+    decision[late] = [out.decision for out in deferred]
+    tau[late] = [out.tau for out in deferred]
+    return report, stop, decision, tau
+
+
+@pytest.mark.parametrize("late_cap", [None, 70], ids=["uncapped", "cap70"])
+@pytest.mark.parametrize("setup", [SetupKind.FullySeq, SetupKind.Semi1, SetupKind.Semi2], ids=lambda s: s.value)
+@pytest.mark.parametrize("name", sorted(CROSS_INSTANCES))
+def test_batched_early_phase_equals_the_per_trial_test(monkeypatch, name, setup, late_cap):
+    # a shrunken margin defers a share of the trials; every trial, early
+    # stopped or deferred, gets the decision and tau of two_phase_test on
+    # its own streams, block i of trial t reading stream (seed, t, i)
+    eta_n = tb.eta_n
+    monkeypatch.setattr(tb, "eta_n", lambda n, a, b, d: 0.05 * eta_n(n, a, b, d))
+    inst, n, trials, seed = CROSS_INSTANCES[name], 12, 30, 9
+    model = tb.make_model(setup, inst)
+    _, full, _, _ = tb.stream_sizes(model, n, late_cap)
+    for theta in (0, 1):
+        report, stop, decision, tau = _per_trial(monkeypatch, setup, inst, theta, n, trials, seed, late_cap)
+        laws = model.laws(theta)
+        for t in range(trials):
+            streams = sample_rows(laws, full, stream_keys(seed, [[t]], np.arange(len(laws))))
+            want = tb.two_phase_test([s[0] for s in streams], n, model, late_cap=late_cap)
+            assert (decision[t], tau[t], stop[t]) == (want.decision, want.tau, want.phase == "early"), t
+        assert 0 < report.early == np.count_nonzero(stop) < trials
+        assert report.errors == np.count_nonzero(decision != theta)
+        assert report.tau_hist == {int(v): int(c) for v, c in zip(*np.unique(tau, return_counts=True))}

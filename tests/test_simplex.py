@@ -16,12 +16,10 @@ from seqclass.simplex import (
     grid_count,
     philox_uniforms,
     row_blocks,
-    sample_iid,
     sample_rows,
     sample_types,
     satisfies_floor,
     stream_keys,
-    stream_seed,
     type_rows,
 )
 
@@ -45,33 +43,25 @@ def test_empirical_degenerate():
 def test_empirical_concentrates():
     # DKW-style check: 10^4 draws land L1-close to the law in >= 99% of runs
     p = np.array([0.6, 0.4])
-    good = 0
-    for seed in range(100):
-        x = sample_iid(p, 10_000, stream_seed(seed))
-        if np.abs(type_rows(x[None, :], 2)[0] - p).sum() < 0.05:
-            good += 1
-    assert good >= 99
+    (x,) = sample_rows([p], [10_000], stream_keys(0, np.arange(100)[:, None]))
+    good = np.abs(type_rows(x, 2) - p).sum(axis=1) < 0.05
+    assert np.count_nonzero(good) >= 99
 
 
 def test_sample_point_mass():
-    assert list(sample_iid(np.array([1.0, 0.0]), 5, stream_seed(3))) == [0] * 5
-
-
-def test_sample_iid_refuses_an_empty_draw():
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        sample_iid(np.array([0.5, 0.5]), 0, stream_seed(3))
+    (x,) = sample_rows([np.array([1.0, 0.0])], [5], stream_keys(3, [[0]]))
+    assert x.tolist() == [[0] * 5]
 
 
 def test_sample_mean_clt():
-    x = sample_iid(np.array([0.5, 0.5]), 100_000, stream_seed(7))
+    (x,) = sample_rows([np.array([0.5, 0.5])], [100_000], stream_keys(7, [[0]]))
     sigma = 0.5 / math.sqrt(100_000)
     assert abs(x.mean() - 0.5) < 3 * sigma
 
 
-def test_stream_seed_distinct_and_stable():
-    a = sample_iid(np.array([0.5, 0.5]), 50, stream_seed(1, 0, 0))
-    b = sample_iid(np.array([0.5, 0.5]), 50, stream_seed(1, 0, 0))
-    c = sample_iid(np.array([0.5, 0.5]), 50, stream_seed(1, 0, 1))
+def test_stream_keys_distinct_and_stable():
+    law = np.array([0.5, 0.5])
+    a, b, c = (sample_rows([law], [50], stream_keys(1, 0, [[i]]))[0] for i in (0, 0, 1))
     assert (a == b).all()
     assert (a != c).any()
 
@@ -241,7 +231,7 @@ def _philox_random(key, k):
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 @pytest.mark.parametrize("ids", EDGE_IDS, ids=str)
 def test_stream_keys_equal_seed_sequence_at_edges(seed, ids):
-    assert stream_seed(seed, *ids) == _seed_sequence_key(seed, ids)
+    assert int(stream_keys(seed, *ids)) == _seed_sequence_key(seed, ids)
 
 
 @given(
@@ -279,7 +269,7 @@ def test_stream_keys_reject_bad_ids():
 
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 1080])
 def test_philox_uniforms_equal_numpy_philox(k):
-    keys = [stream_seed(s, 3, 1) for s in EDGE_SEEDS] + [0, 2**64 - 1]
+    keys = [int(stream_keys(s, 3, 1)) for s in EDGE_SEEDS] + [0, 2**64 - 1]
     (got,) = philox_uniforms(np.array(keys, dtype=np.uint64)[:, None], [k])
     assert got.shape == (len(keys), k)
     for row, key in zip(got, keys):
@@ -301,18 +291,16 @@ def test_philox_uniforms_blocks_of_any_length(keys, k):
             assert (row == _philox_random(int(key), sizes[i])).all()
 
 
-def test_sample_iid_is_the_one_row_case():
+def test_sample_rows_are_the_inverse_cdf_of_numpy_philox():
     p = np.array([0.2, 0.0, 0.5, 0.3])
     q = np.array([0.6, 0.4])
     keys = stream_keys(11, np.arange(6)[:, None], np.arange(2))
     rows, other = sample_rows([p, q], [40, 9], keys)
-    for key, row in zip(keys[:, 0], rows):
-        assert (sample_iid(p, 40, int(key)) == row).all()
-        # the inverse CDF through numpy's own generator
-        u = _philox_random(int(key), 40)
-        assert (row == np.searchsorted(np.cumsum(p), u, side="right")).all()
-    for key, row in zip(keys[:, 1], other):
-        assert (sample_iid(q, 9, int(key)) == row).all()
+    for law, k, block, col in ((p, 40, rows, keys[:, 0]), (q, 9, other, keys[:, 1])):
+        for key, row in zip(col, block):
+            # the inverse CDF through numpy's own generator
+            u = _philox_random(int(key), k)
+            assert (row == np.searchsorted(np.cumsum(law), u, side="right")).all()
     assert not (rows == 1).any()  # a zero-mass symbol is never drawn
     # a short stream is a prefix of a longer one
     assert (sample_rows([p], [13], keys[:, :1])[0] == rows[:, :13]).all()

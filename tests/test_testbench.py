@@ -11,7 +11,7 @@ from seqclass import divergence as dv
 from seqclass import exponents as ex
 from seqclass import testbench as tb
 from seqclass.optimizer import SearchConfig
-from seqclass.simplex import grid_array, sample_iid, stream_seed
+from seqclass.simplex import grid_array, sample_rows, stream_keys
 from seqclass.testbench import (
     SetupKind,
     early_phase,
@@ -97,7 +97,7 @@ def test_fixed_length_is_the_all_fixed_layout():
     for n in (2, 40):
         assert np.array_equal(late_score((x, t0, t1), n, m), ex.g1(x, t0, t1, inst))
     # and it has no early phase to run
-    streams = [sample_iid(p, k, stream_seed(i)) for i, (p, k) in enumerate(zip(m.laws(0), (20, 6, 12)))]
+    streams = [s[0] for s in sample_rows(m.laws(0), (20, 6, 12), stream_keys(0, [[0]], np.arange(3)))]
     with pytest.raises(ValueError, match="no sequential block"):
         two_phase_test(streams, 20, m)
 
@@ -167,9 +167,7 @@ def test_early_phase_scores_each_row_of_its_chunk_alone(inst):
 def _streams(model, theta, n, seed):
     _, sizes, _, _ = stream_sizes(model, n)
     laws = model.laws(theta)
-    return [
-        sample_iid(law, k, stream_seed(seed, 0, i)) for i, (law, k) in enumerate(zip(laws, sizes))
-    ]
+    return [s[0] for s in sample_rows(laws, sizes, stream_keys(seed, [[0]], np.arange(len(laws))))]
 
 
 def test_two_phase_separated_pair_decides_fast():
