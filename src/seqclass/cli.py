@@ -184,6 +184,10 @@ class RunConfig:
             check_pair_grid(inst.d, self.solver.resolve_m(inst.d))
         self.sim_setups = tuple(SetupKind(s.strip()) for s in raw.get("sim_setups", "fullyseq").split(","))
         self.sim_n_grid = tuple(int(x) for x in raw.get("sim_n_grid", "20,40,60").split(","))
+        for key, values in (("sim_setups", [s.value for s in self.sim_setups]), ("sim_n_grid", self.sim_n_grid)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{key} repeats {repeated[0]}")
         self.sim_trials = int(raw.get("sim_trials", "10000"))
         self.sim_seed = int(raw.get("sim_seed", "0"))
         if not 0 <= self.sim_seed < 2**63:
@@ -346,7 +350,7 @@ def cmd_simulate(cfg, outdir):
             for n in cfg.sim_n_grid:
                 r = mc.run_trials(
                     setup, cfg.inst, theta, n, cfg.sim_trials, cfg.sim_seed,
-                    late_cap=cfg.sim_late_cap,
+                    late_cap=cfg.sim_late_cap, solver=cfg.solver,
                 )
                 reports.setdefault((setup, theta), []).append(r)
                 rows.append([setup.value, n, theta, r.trials, r.errors, r.mean_tau, r.ci95_tau,
@@ -430,7 +434,7 @@ def _binary(p):
     return np.array([p, 1 - p])
 
 
-def _verify_checks(level):
+def _verify_checks():
     """Yield (name, ok, detail) for each verification check."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(20240917)))
 
@@ -455,9 +459,6 @@ def _verify_checks(level):
     yield "sampler-matches-numpy", bad_keys == bad_rows == 0, (
         f"{bad_keys} of {len(trials) * len(sizes)} keys and {bad_rows} uniform rows differ"
     )
-
-    if level != "full":
-        return
 
     # ordering chain + constant-lambda propositions on random instances
     tol = VERIFY_TOL["ordering-chain-and-constant-lambda"]
@@ -502,13 +503,13 @@ def _verify_checks(level):
     )
 
 
-def cmd_verify(level):
+def cmd_verify():
     failures = 0
-    for name, ok, detail in _verify_checks(level):
+    for name, ok, detail in _verify_checks():
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures += 1
-    print(f"{'OK' if failures == 0 else 'FAILED'} ({level} level)")
+    print("OK" if failures == 0 else "FAILED")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
@@ -521,8 +522,7 @@ def build_parser():
         sp.add_argument("--preset", choices=sorted(PRESETS))
         if name != "exponents":
             sp.add_argument("--out", required=True)
-    sv = sub.add_parser("verify")
-    sv.add_argument("--level", choices=("quick", "full"), default="quick")
+    sub.add_parser("verify")
     return p
 
 
@@ -530,7 +530,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.level)
+            return cmd_verify()
         cfg = load_config(args.config, args.preset)
         if args.command == "exponents":
             return cmd_exponents(cfg)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optimizer import SearchConfig
 from .simplex import row_blocks, sample_rows, sample_types, stream_keys
 from .testbench import early_phase, late_phase, make_model, stream_sizes, two_phase_test
 
@@ -31,7 +32,11 @@ class TrialReport:
     tau_hist: dict
     ci95_tau: float
     capped: bool = False
-    early: int = 0  # trials that stopped at n - 1
+
+    @property
+    def early(self):
+        """The trials that stopped at n - 1; a late time is never before n."""
+        return self.tau_hist.get(self.n - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ def _keys(seed, ids, blocks):
     return stream_keys(seed, ids[:, None], np.arange(blocks))
 
 
-def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
+def run_trials(setup, inst, theta, n, trials, seed, late_cap=None, solver=SearchConfig()):
     """Run `trials` independent tests under ground truth theta.
 
     Deterministic for a seed in [0, 2**63): each trial's streams are keyed
@@ -58,7 +63,8 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
     fixed-length trial, whose blocks are all fixed, decides by the
     late-phase rule at time n.  A two-phase trial reads that prefix at time
     n - 1; the trials the early rule defers draw their full streams as
-    indices, which extend that prefix, for two_phase_test.
+    indices, which extend that prefix, for two_phase_test.  Every g1 of
+    both phases searches with `solver`.
     """
     if theta not in (0, 1):
         raise ValueError("theta must be 0 or 1")
@@ -69,9 +75,8 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
         raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
     decision = np.empty(trials, dtype=np.intp)
     tau = np.empty(trials, dtype=np.intp)
-    early = 0
     capped = False
-    model = make_model(setup, inst)
+    model = make_model(setup, inst, solver)
     laws = model.laws(theta)
     prefix, full, _, _ = stream_sizes(model, n, late_cap)
     for chunk in row_blocks(trials, CHUNK_SAMPLES, sum(prefix)):
@@ -85,7 +90,6 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
         stop, dec = early_phase(tup, n, model)
         decision[chunk] = dec
         tau[chunk] = n - 1
-        early += int(np.count_nonzero(stop))
         deferred = ids[~stop]
         for block in row_blocks(deferred.size, CHUNK_SAMPLES, sum(full)):
             rows = deferred[block]
@@ -108,7 +112,6 @@ def run_trials(setup, inst, theta, n, trials, seed, late_cap=None):
         tau_hist=hist,
         ci95_tau=ci95,
         capped=capped,
-        early=early,
     )
 
 

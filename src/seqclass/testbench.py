@@ -4,19 +4,13 @@ instantiated for the four classification setups.
 A classification trial observes three sequences: the testing sequence X
 (law P0 or P1, unknown which) and two training sequences T0 ~ P0, T1 ~ P1.
 A setup declares which sequences are fixed-length and which keep growing,
-by arranging them in an order where the first `ell` blocks are fixed:
-
-* Semi1     — order (T0, T1, X), ell = 2: training fixed, testing sequential
-* Semi2     — order (X, T0, T1), ell = 1: testing fixed, training sequential
-* FullySeq  — order (T0, T1, X), ell = 0: everything sequential
-* FixedLength — order (X, T0, T1), ell = 3: everything fixed, so there is
-  no stopping time; one decision at time n by the late-phase rule, whose
-  weights are then g1's own (1, alpha, beta)
+by arranging them in an order where the first `ell` blocks are fixed
+(`LAYOUTS`).
 
 The two-phase test looks at the empirical tuple at time n-1.  If it is
 eta_n-close to either hypothesis class it stops and decides by the sign of
-g1; otherwise it defers to time n^2 where a fixed-length rule with
-n-weighted sequential blocks (g_n) decides.
+g1; otherwise it defers to time n^2 (or an earlier cap, never before n)
+where a fixed-length rule with n-weighted sequential blocks (g_n) decides.
 """
 
 import math
@@ -27,6 +21,7 @@ import numpy as np
 
 from . import divergence as dv
 from .exponents import g1
+from .optimizer import SearchConfig
 from .simplex import type_rows
 
 
@@ -60,19 +55,31 @@ class TestOutcome:
     capped: bool = False
 
 
+#: each setup's blocks in setup order and `ell`, how many of them lead as
+#: fixed-length: Semi1 fixes the training sequences, Semi2 the testing one,
+#: FullySeq none and FixedLength all three
+LAYOUTS = {
+    SetupKind.FixedLength: (("x", "t0", "t1"), 3),
+    SetupKind.Semi1: (("t0", "t1", "x"), 2),
+    SetupKind.Semi2: (("x", "t0", "t1"), 1),
+    SetupKind.FullySeq: (("t0", "t1", "x"), 0),
+}
+
+
 @dataclass(frozen=True)
 class HypothesisModel:
-    """The block layout of a setup.
-
-    A trial's three sequences form blocks in setup order: `blocks` names
-    each one ("t0", "t1" or "x"), the first `ell` are fixed-length, and
-    block i draws alphas[i] samples per time step.
-    """
+    """A setup's row of LAYOUTS on an instance, and the solver of its g1."""
 
     inst: object
+    blocks: tuple
     ell: int
-    alphas: tuple  # per-block sampling ratios, setup order
-    blocks: tuple  # "t0", "t1", "x" in setup order
+    solver: SearchConfig
+
+    @property
+    def alphas(self):
+        """The samples each block draws per time step: X 1, T0 alpha, T1 beta."""
+        ratio = {"x": 1.0, "t0": self.inst.alpha, "t1": self.inst.beta}
+        return tuple(ratio[b] for b in self.blocks)
 
     def laws(self, theta):
         """The law of each block in setup order when X ~ P_theta."""
@@ -84,17 +91,8 @@ class HypothesisModel:
         return tuple(tup[self.blocks.index(b)] for b in ("t0", "t1", "x"))
 
 
-def make_model(setup, inst):
-    a, b = inst.alpha, inst.beta
-    if setup is SetupKind.FixedLength:
-        ell, alphas, blocks = 3, (1.0, a, b), ("x", "t0", "t1")
-    elif setup is SetupKind.Semi2:
-        ell, alphas, blocks = 1, (1.0, a, b), ("x", "t0", "t1")
-    elif setup is SetupKind.Semi1:
-        ell, alphas, blocks = 2, (a, b, 1.0), ("t0", "t1", "x")
-    else:
-        ell, alphas, blocks = 0, (a, b, 1.0), ("t0", "t1", "x")
-    return HypothesisModel(inst=inst, ell=ell, alphas=alphas, blocks=blocks)
+def make_model(setup, inst, solver=SearchConfig()):
+    return HypothesisModel(inst, *LAYOUTS[setup], solver)
 
 
 def stream_sizes(model, n, late_cap=None):
@@ -104,30 +102,26 @@ def stream_sizes(model, n, late_cap=None):
     read at time n - 1 and at the late time tau, which is n^2, or late_cap
     when that is smaller (then capped is True).  At time t a fixed block
     has ceil(alpha_i * n) samples and a sequential one ceil(alpha_i * t).
-    A layout with no sequential block (FixedLength) decides once, at time
-    n: its late counts are its early ones, tau is n and capped is False,
-    whatever late_cap is.  Raises ValueError when the late time would read
-    fewer samples of a block than the early phase does.
+    The late time follows the early one: a tau before n raises ValueError,
+    so a trial stopped at n - 1 exactly when it stopped early, and every
+    block reads at least its early samples.  A layout with no sequential
+    block (FixedLength) decides once, at time n: its late counts are its
+    early ones, tau is n and capped is False, whatever late_cap is.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    tau = n * n
-    capped = late_cap is not None and late_cap < tau
+    tau, capped = n * n, False
     if model.ell == len(model.blocks):
-        tau, capped = n, False
-    elif capped:
-        tau = late_cap
-    early, late = [], []
-    for i, a in enumerate(model.alphas):
-        fixed = i < model.ell
-        early.append(math.ceil(a * (n if fixed else n - 1)))
-        late.append(math.ceil(a * (n if fixed else tau)))
-        if early[i] > late[i]:
-            raise ValueError(
-                f"stream exhausted: late_cap {late_cap} reads {late[i]} samples of block {i}, "
-                f"fewer than the {early[i]} the early phase reads at n = {n}"
-            )
-    return tuple(early), tuple(late), tau, capped
+        tau = n
+    elif late_cap is not None and late_cap < tau:
+        if late_cap < n:
+            raise ValueError(f"stream exhausted: late_cap {late_cap} ends the late phase before n = {n}")
+        tau, capped = late_cap, True
+
+    def counts(t):
+        return tuple(math.ceil(a * (n if i < model.ell else t)) for i, a in enumerate(model.alphas))
+
+    return counts(n - 1), counts(tau), tau, capped
 
 
 def early_phase(tup, n, model):
@@ -147,7 +141,7 @@ def early_phase(tup, n, model):
     eta = eta_n(n, inst.alpha, inst.beta, inst.d)
     shell = dv.weighted_join(inst.beta, t1, 1.0, x) < eta
     stop = shell | (dv.weighted_join(inst.alpha, t0, 1.0, x) < eta)
-    decision = np.where(shell & ~(g1(x, t0, t1, inst) < 0), 1, 0)
+    decision = np.where(shell & ~(g1(x, t0, t1, inst, model.solver) < 0), 1, 0)
     return stop, decision
 
 
@@ -156,7 +150,7 @@ def late_score(tup, n, model):
     with the sequential blocks counted n-fold."""
     w0, w1, wx = model.unpack([a if i < model.ell else a * n for i, a in enumerate(model.alphas)])
     t0, t1, x = model.unpack(tup)
-    return g1(x, t0, t1, model.inst, weights=(wx, w0, w1))
+    return g1(x, t0, t1, model.inst, model.solver, weights=(wx, w0, w1))
 
 
 def late_phase(tup, n, model):

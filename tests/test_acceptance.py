@@ -179,8 +179,8 @@ def test_07_training_limitation_regimes():
     assert time.time() - start < 60
 
 
-def test_08_ordering_chain_via_verify_full(capsys):
-    assert cli.cmd_verify("full") == 0
+def test_08_ordering_chain_via_verify(capsys):
+    assert cli.cmd_verify() == 0
     out = capsys.readouterr().out
     assert "PASS ordering-chain-and-constant-lambda" in out
 

@@ -170,15 +170,25 @@ FOREIGN_OR_FOLDED = {
     "sim_seed_negative": ({"sim_seed": "-1"}, "sim_seed"),
     "sim_seed_2_63": ({"sim_seed": str(2**63)}, "sim_seed"),
 }
+#: a sim cell named twice, and a late time before n on the acceptance
+#: instance, where the late phase still reads every block's early samples
+ACCEPTANCE = {"p0": "0.8,0.2", "p1": "0.2,0.8", "alpha": "0.3", "beta": "0.3"}
+SIM_CELLS = {
+    "sim_setups_repeated": ({"sim_setups": "fullyseq,fullyseq", "sim_n_grid": "10,14,18"}, "sim_setups repeats fullyseq"),
+    "sim_n_grid_repeated": ({"sim_n_grid": "10,14,18,18"}, "sim_n_grid repeats 18"),
+    "late_cap_before_n_semi2": (dict(ACCEPTANCE, sim_setups="semi2", sim_n_grid="20", sim_late_cap="17"), "late_cap 17"),
+    "late_cap_before_n_fullyseq": (dict(ACCEPTANCE, sim_n_grid="20", sim_late_cap="19"), "late_cap 19"),
+}
 #: a scaled-Renyi budget at d = 4, which ProblemInstance refuses
 D4_RENYI = {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi",
             "xi": "0.5", "offset": "0.003", "lambda0": None}
-#: REROUTED, FOREIGN_OR_FOLDED, two cases of test_config_mistake_exits_2
+#: REROUTED, FOREIGN_OR_FOLDED, SIM_CELLS, two cases of test_config_mistake_exits_2
 #: whose message stream_sizes writes and the alphabet limit of a
 #: scaled-Renyi budget
 NAMED = dict(
     REROUTED,
     **FOREIGN_OR_FOLDED,
+    **SIM_CELLS,
     late_cap_below_n=({"sim_late_cap": "5", "sim_n_grid": "20"}, "late_cap 5"),
     n_grid_1=({"sim_n_grid": "1,10"}, "got 1"),
     scaled_renyi_d4=(dict(D4_RENYI, solver_coarse_m="6"), "d <= 3"),
@@ -199,7 +209,7 @@ NAMED = dict(
         # instance refuses it, as it does at every density
         {"p0": "0.4,0.3,0.2,0.1", "p1": "0.1,0.2,0.3,0.4", "lambda_family": "scaled_renyi", "xi": "0.5",
          "lambda0": None},
-        # the late time would read fewer samples than the early phase at n - 1
+        # the late time would come before n, where the early phase stops at n - 1
         {"sim_late_cap": "5", "sim_n_grid": "20"},
         # the box schedule's density factor is fixed, not a setting
         {"solver_refine_factor": "10"},
@@ -225,13 +235,14 @@ NAMED = dict(
         dict(D4_RENYI, solver_coarse_m="6"),
         *(changes for changes, _ in REROUTED.values()),
         *(changes for changes, _ in FOREIGN_OR_FOLDED.values()),
+        *(changes for changes, _ in SIM_CELLS.values()),
     ],
     ids=["coarse_m_1", "xi_sweep_past_1", "n_grid_1", "xi_sweep_constant", "trials_0", "late_cap_0",
          "pair_grid_d4", "late_cap_below_n", "refine_factor_key", "lambda0_sweep_scaled_renyi",
          "lambda0_nan", "offset_nan", "sweep_from_nan", "sweep_to_inf", "alpha_inf", "alpha_nan",
          "coarse_m_constant", "refine_rounds_constant", "kappa_refinement_d4", "kappa_refinement_d5",
          "scaled_renyi_d4_coarse_m_6",
-         *REROUTED, *FOREIGN_OR_FOLDED],
+         *REROUTED, *FOREIGN_OR_FOLDED, *SIM_CELLS],
 )
 def test_config_mistake_exits_2(tmp_path, changes):
     # each mistake is caught while the config loads, before any work starts
@@ -571,25 +582,26 @@ def test_load_config_refuses_an_unknown_preset_and_no_config():
         cli.load_config()
 
 
-def test_verify_quick_passes(capsys):
-    assert cli.cmd_verify("quick") == 0
+def test_verify_passes(capsys):
+    assert cli.cmd_verify() == 0
     out = capsys.readouterr().out
     assert "PASS divergence-closed-form-vs-grid" in out
     assert "PASS sampler-matches-numpy" in out
-    assert out.strip().endswith("(quick level)")
+    assert "PASS simulation-stopping-time" in out
+    assert out.strip().endswith("\nOK")
 
 
 def test_verify_fails_when_the_sampler_leaves_numpy(monkeypatch, capsys):
     # a key that no longer equals SeedSequence's fails the check, exit 5
     monkeypatch.setattr(cli, "stream_keys", lambda seed, *ids: simplex.stream_keys(seed + 1, *ids))
-    assert cli.cmd_verify("quick") == cli.EXIT_INVARIANT
+    assert cli.cmd_verify() == cli.EXIT_INVARIANT
     out = capsys.readouterr().out
     assert "FAIL sampler-matches-numpy: 9 of 9 keys" in out
 
 
 def test_verify_tol_override_names_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "VERIFY_TOL", dict.fromkeys(cli.VERIFY_TOL, 1e-12))
-    assert cli.cmd_verify("quick") == cli.EXIT_INVARIANT
+    assert cli.cmd_verify() == cli.EXIT_INVARIANT
     out = capsys.readouterr().out
     assert "FAIL divergence-closed-form-vs-grid" in out
 
@@ -629,21 +641,26 @@ D3_RENYI_SIM_CFG = (
 )
 
 
-def test_simulate_d3_renyi_two_phase_reaches_trials(tmp_path, monkeypatch):
-    # d = 3 under a scaled-Renyi budget: the late phase goes through g1's
-    # polish, and the instance admits d = 3, so a two-phase config starts
-    # its trials
-    path = write(tmp_path, D3_RENYI_SIM_CFG + "sim_setups = fixed,fullyseq\n")
+def test_simulate_d3_renyi_runs_its_trials_at_the_config_solver(tmp_path, monkeypatch):
+    # d = 3 under a scaled-Renyi budget end to end: the late phase goes
+    # through g1's polish, every g1 builds its lambda table at the config's
+    # density, and one n point is too few to fit, so simulate exits 4
+    path = write(tmp_path, D3_RENYI_SIM_CFG + "sim_setups = fixed,fullyseq\nsolver_coarse_m = 20\nsolver_refine_rounds = 1\n")
+    densities = []
+    inner_table = ex._inner_table
 
-    class Started(Exception):
-        pass
+    def recorded(inst, cfg, rows=None):
+        densities.append((cfg.resolve_m(inst.d), cfg.refine_rounds))
+        return inner_table(inst, cfg, rows)
 
-    def started(*args, **kwargs):
-        raise Started
-
-    monkeypatch.setattr(mc, "run_trials", started)
-    with pytest.raises(Started):
-        cli.main(["simulate", "--config", path, "--out", str(tmp_path / "sim")])
+    monkeypatch.setattr(ex, "_inner_table", recorded)
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_STAT_FLOOR
+    rows = (out / "trials.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [
+        ["fixed", "5", "0"], ["fixed", "5", "1"], ["fullyseq", "5", "0"], ["fullyseq", "5", "1"],
+    ]
+    assert densities and set(densities) == {(20, 1)}
 
 
 def test_rare_event_floor_exits_4_by_type(monkeypatch):

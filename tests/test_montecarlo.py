@@ -13,6 +13,7 @@ from seqclass.montecarlo import (
     estimate_exponent,
     run_trials,
 )
+from seqclass.optimizer import SearchConfig
 from seqclass.simplex import sample_rows, stream_keys
 from seqclass.testbench import SetupKind
 
@@ -200,3 +201,25 @@ def test_batched_early_phase_equals_the_per_trial_test(monkeypatch, name, setup,
         assert 0 < report.early == np.count_nonzero(stop) < trials
         assert report.errors == np.count_nonzero(decision != theta)
         assert report.tau_hist == {int(v): int(c) for v, c in zip(*np.unique(tau, return_counts=True))}
+
+
+def test_both_phases_score_g1_with_the_run_solver(monkeypatch):
+    # a shrunken margin sends a share of the trials to the late phase; the
+    # early rule's g1 and every deferred trial's g_n build their lambda
+    # tables at the run's solver settings, not g1's defaults
+    eta_n = tb.eta_n
+    monkeypatch.setattr(tb, "eta_n", lambda n, a, b, d: 0.05 * eta_n(n, a, b, d))
+    solver = SearchConfig(coarse_m=20, refine_rounds=1)
+    seen = []
+    inner_table = ex._inner_table
+
+    def recorded(inst, cfg, rows=None):
+        seen.append(cfg)
+        return inner_table(inst, cfg, rows)
+
+    monkeypatch.setattr(ex, "_inner_table", recorded)
+    rep = run_trials(SetupKind.FullySeq, CROSS_INSTANCES["fig1"], 1, 12, 10, 9, solver=solver)
+    assert 0 < rep.early < rep.trials
+    # one early rule over the chunk, then two_phase_test's early rule and
+    # g_n for each deferred trial
+    assert len(seen) == 1 + 2 * (rep.trials - rep.early) and set(seen) == {solver}

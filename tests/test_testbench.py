@@ -241,6 +241,20 @@ def test_stream_sizes_layout():
         stream_sizes(model, 1)
 
 
+def test_late_time_never_precedes_n():
+    # on the acceptance instance a late time of 17 or 19 still reads every
+    # block's early samples, but it would stop a trial before n = 20: the
+    # cap is refused by name, at n and past it the late time is the cap
+    inst = inst_const(alpha=0.3, beta=0.3)
+    for setup, cap in ((SetupKind.Semi2, 17), (SetupKind.FullySeq, 19)):
+        model = make_model(setup, inst)
+        with pytest.raises(ValueError, match=f"stream exhausted: late_cap {cap} "):
+            stream_sizes(model, 20, cap)
+        assert stream_sizes(model, 20, 20)[2:] == (20, True)
+        assert stream_sizes(model, 20, 400)[2:] == (400, False)
+    assert stream_sizes(make_model(SetupKind.FixedLength, inst), 20, 17)[2:] == (20, False)
+
+
 def test_stream_sizes_all_fixed_layout():
     # FixedLength decides once at time n on the acceptance instance: no late
     # time past n and nothing to cap, whatever the cap
